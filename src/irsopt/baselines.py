@@ -120,7 +120,8 @@ def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioCon
         mc_stderr=stderr,
         n_samples=n_samples,
         signal_power=float(np.mean([r.signal_power for r in per_draw])),
-        interference_power=per_draw[0].interference_power,
+        interference_power=tuple(
+            float(p) for p in np.mean([r.interference_power for r in per_draw], axis=0)),
         noise_power=per_draw[0].noise_power,
         rate_samples=samples if return_samples else None,
     )

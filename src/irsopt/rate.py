@@ -1,6 +1,6 @@
 """Rate expressions: expected signal/interference powers, the closed-form
-upper-bound rate, the Monte Carlo ergodic rate, and the per-sample
-objective ratio with its complex gradient.
+upper-bound rate, the Monte Carlo ergodic rate, and the batched objective
+ratio with its complex gradient.
 
 Core quantities, for phase shifts v, unit beamformer w and one CSI draw
 (g_hat, h_hat):
@@ -19,6 +19,11 @@ and the per-sample objective is a ratio of Hermitian quadratic forms
 with A = g_hat g_hat^H, b = g_hat h_hat, c = ||h_hat||^2 + delta2^2 +
 Mr*delta1^2, B = sum_k (p_k/Mk) glos_k glos_k^H and d collecting the
 v-independent interference and noise terms.
+
+B is never formed: B = F F^H with the (Mr, sum_k Mk) factor
+F = [sqrt(p_k/Mk) glos_k]_k, so v^H B v = ||F^H v||^2 and B v = F (F^H v).
+`ub_ratio_batch` evaluates gamma and its ascent direction for L draws at
+once in O(L*M0*Mr + Mr*sum_k Mk).
 """
 from __future__ import annotations
 
@@ -177,32 +182,56 @@ def sinr_denominator(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig
 
 def interference_quadratic(stats: ChannelStatistics,
                            cfg: ScenarioConfig) -> tuple[Optional[np.ndarray], float]:
-    """Denominator as a quadratic form: (B, d) with
-    sinr_denominator(v) = v^H B v + d.  B is None when there are no
-    interferers with a LoS component (pure constant denominator)."""
+    """Denominator as a low-rank quadratic form: (F, d) with
+    sinr_denominator(v) = ||F^H v||^2 + d, i.e. B = F F^H.  F stacks the
+    columns sqrt(p_k/Mk) * glos_k of the interferers with tau_k > 0, shape
+    (Mr, sum_k Mk); it is None when no interferer has a LoS component
+    (pure constant denominator)."""
     powers = cfg.powers_watt
     d = cfg.noise_watt
-    quad = None
+    columns = []
     for k in range(1, stats.n_bs):
         d += powers[k] * (stats.alpha_bs_irs[k] * stats.alpha_irs_user
                           * stats.irs_size * (1.0 - stats.tau[k])
                           + stats.alpha_direct[k])
-        glos = stats.cascaded_los[k]
         if stats.tau[k] > 0:
-            contrib = (powers[k] / stats.bs_sizes[k]) * (glos @ glos.conj().T)
-            quad = contrib if quad is None else quad + contrib
-    return quad, float(d)
+            columns.append(math.sqrt(powers[k] / stats.bs_sizes[k]) * stats.cascaded_los[k])
+    factor = np.concatenate(columns, axis=1) if columns else None
+    return factor, float(d)
 
 
 # ---------------------------------------------------------------------------
 # Quadratic-ratio objective
 # ---------------------------------------------------------------------------
 
+def ub_ratio_batch(v: np.ndarray, g_hat: np.ndarray, h_hat: np.ndarray, p0: float,
+                   err_const: float, denom_quad: Optional[np.ndarray],
+                   denom_const: float) -> tuple[np.ndarray, np.ndarray]:
+    """gamma(v) = p0*(||g_hat_l^H v + h_hat_l||^2 + err_const) / (||F^H v||^2 + d)
+    and its steepest-ascent direction for L draws g_hat (L, Mr, M0),
+    h_hat (L, M0); `denom_quad` is the (Mr, r) factor F of B = F F^H, or
+    None for a constant denominator d = `denom_const`.
+
+    Returns (values (L,), ascents (L, Mr)).  The ascent is the conjugate of
+    the formal derivative d gamma / d v_n (conjugate coordinates held fixed),
+    so gamma(v + dv) ~ gamma(v) + 2 Re{sum_n conj(ascent_n) dv_n}.  B v and
+    the denominator do not depend on the draw and are computed once.
+    """
+    e = np.conj(v.conj() @ g_hat) + h_hat                      # g_hat^H v + h_hat, (L, M0)
+    num = p0 * (np.sum(e.real ** 2 + e.imag ** 2, axis=1) + err_const)
+    signal_dir = p0 * (g_hat @ e[:, :, None])[:, :, 0]           # p0 * g_hat e, (L, Mr)
+    if denom_quad is None:
+        return num / denom_const, signal_dir / denom_const
+    proj = denom_quad.conj().T @ v                               # F^H v
+    den = float(np.real(np.vdot(proj, proj))) + denom_const
+    bv = denom_quad @ proj                                       # B v
+    return num / den, (signal_dir * den - num[:, None] * bv[None]) / den ** 2
+
+
 @dataclass(frozen=True)
 class UbQuadraticRatio:
-    """gamma(v) = p0*(||g_hat^H v + h_hat||^2 + err_const) / (v^H B v + d)
-    for one CSI draw.  `grad` is the formal derivative d gamma / d v_n
-    (conjugate coordinates held fixed), so that
+    """One CSI draw's view of `ub_ratio_batch`.  `grad` is the formal
+    derivative d gamma / d v_n (conjugate coordinates held fixed), so that
     gamma(v + dv) ~ gamma(v) + 2 Re{sum_n grad_n dv_n}; `ascent` is its
     conjugate, the steepest-ascent direction."""
 
@@ -210,50 +239,33 @@ class UbQuadraticRatio:
     h_hat: np.ndarray                   # (M0,)
     err_const: float
     p0: float
-    denom_quad: Optional[np.ndarray]    # (Mr, Mr) Hermitian PSD or None
+    denom_quad: Optional[np.ndarray]    # (Mr, r) factor F of B = F F^H, or None
     denom_const: float
 
-    def equivalent_channel(self, v: np.ndarray) -> np.ndarray:
-        """g_hat^H v + h_hat, the estimated combined downlink channel."""
-        return self.g_hat.conj().T @ v + self.h_hat
-
-    def _denominator(self, v: np.ndarray) -> float:
-        if self.denom_quad is None:
-            return self.denom_const
-        return float(np.real(v.conj() @ self.denom_quad @ v)) + self.denom_const
+    def _batch(self, v: PhaseLike) -> tuple[np.ndarray, np.ndarray]:
+        return ub_ratio_batch(phase_array(v), self.g_hat[None], self.h_hat[None],
+                              self.p0, self.err_const, self.denom_quad, self.denom_const)
 
     def value(self, v: PhaseLike) -> float:
-        varr = phase_array(v)
-        e = self.equivalent_channel(varr)
-        num = self.p0 * (float(np.real(np.vdot(e, e))) + self.err_const)
-        return num / self._denominator(varr)
-
-    def grad(self, v: PhaseLike) -> np.ndarray:
-        varr = phase_array(v)
-        e = self.equivalent_channel(varr)
-        den = self._denominator(varr)
-        num = self.p0 * (float(np.real(np.vdot(e, e))) + self.err_const)
-        # d(num)/dv_n = p0 * conj(A v + b)_n with A v + b = g_hat e
-        num_grad = self.p0 * np.conj(self.g_hat @ e)
-        if self.denom_quad is None:
-            return num_grad / den
-        den_grad = np.conj(self.denom_quad @ varr)
-        return (num_grad * den - num * den_grad) / den ** 2
+        return float(self._batch(v)[0][0])
 
     def ascent(self, v: PhaseLike) -> np.ndarray:
         """conj(grad): moving along this direction increases gamma."""
-        return np.conj(self.grad(v))
+        return self._batch(v)[1][0]
+
+    def grad(self, v: PhaseLike) -> np.ndarray:
+        return np.conj(self.ascent(v))
 
 
 def _ratio_from_model(sample: CsiSample, stats: ChannelStatistics,
                       cfg: ScenarioConfig) -> UbQuadraticRatio:
-    quad, const = interference_quadratic(stats, cfg)
+    factor, const = interference_quadratic(stats, cfg)
     return UbQuadraticRatio(
         g_hat=sample.g_hat,
         h_hat=sample.h_hat,
         err_const=error_power_constant(stats.irs_size, stats.delta1_abs, stats.delta2_abs),
         p0=cfg.powers_watt[0],
-        denom_quad=quad,
+        denom_quad=factor,
         denom_const=const,
     )
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .rate import (
     error_power_constant,
     interference_quadratic,
     phase_array,
+    ub_ratio_batch,
     upper_bound_rate_closed_form,
 )
 from .streams import crandn, named_child, named_children
@@ -130,7 +131,9 @@ class SscaState:
 @dataclass(frozen=True)
 class DesignObjective:
     """What the solver optimizes: the sampling law of the estimated CSI and
-    the coefficients of the per-sample quadratic ratio.
+    the coefficients of the per-sample quadratic ratio.  The interference
+    term enters as the (Mr, r) factor F of B = F F^H (`denom_quad`, None
+    for a constant denominator), so no Mr x Mr array is held.
 
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
@@ -145,7 +148,7 @@ class DesignObjective:
     h_mean: np.ndarray                  # (M0,)
     h_var: float
     err_const: float
-    denom_quad: Optional[np.ndarray]    # (Mr, Mr) or None
+    denom_quad: Optional[np.ndarray]    # (Mr, r) factor F of B = F F^H, or None
     denom_const: float
 
     @classmethod
@@ -162,9 +165,9 @@ class DesignObjective:
             h_var = stats.sigma_h_sq
             err_const = 0.0
         if include_interference:
-            quad, const = interference_quadratic(stats, cfg)
+            factor, const = interference_quadratic(stats, cfg)
         else:
-            quad, const = None, cfg.noise_watt
+            factor, const = None, cfg.noise_watt
         return cls(
             p0=cfg.powers_watt[0],
             g_mean=stats.cascaded_los[0],
@@ -172,7 +175,7 @@ class DesignObjective:
             h_mean=np.zeros(stats.bs_sizes[0], dtype=complex),
             h_var=max(h_var, 0.0),
             err_const=err_const,
-            denom_quad=quad,
+            denom_quad=factor,
             denom_const=const,
         )
 
@@ -180,15 +183,17 @@ class DesignObjective:
     def irs_size(self) -> int:
         return self.g_mean.shape[0]
 
-    def sample(self, streams: dict, n: int) -> list[CsiSample]:
-        """Draw n estimated-CSI samples from the design's Gaussian law."""
-        shape_g = (n,) + self.g_mean.shape
-        g = self.g_mean[None] + crandn(streams["design/g"], shape_g, self.g_var)
-        h = self.h_mean[None] + crandn(streams["design/h"], (n, self.h_mean.shape[0]),
-                                       self.h_var)
-        return [CsiSample(g_hat=g[i], h_hat=h[i]) for i in range(n)]
+    def sample(self, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw n estimated-CSI samples from the design's Gaussian law as
+        stacked arrays (g_hat (n, Mr, M0), h_hat (n, M0))."""
+        g = crandn(streams["design/g"], (n,) + self.g_mean.shape, self.g_var)
+        g += self.g_mean
+        h = crandn(streams["design/h"], (n, self.h_mean.shape[0]), self.h_var)
+        h += self.h_mean
+        return g, h
 
     def ratio(self, sample: CsiSample) -> UbQuadraticRatio:
+        """Single-draw view of the objective (the solver uses the batch)."""
         return UbQuadraticRatio(
             g_hat=sample.g_hat,
             h_hat=sample.h_hat,
@@ -203,22 +208,19 @@ class DesignObjective:
 # Algorithm steps
 # ---------------------------------------------------------------------------
 
-def update_coefficients(state: SscaState, samples: Sequence[CsiSample], rho: float,
-                        design: DesignObjective) -> SscaState:
-    """Blend the sample means of the objective and its ascent gradient,
-    both evaluated at the previous iterate, into the running averages."""
+def update_coefficients(state: SscaState, g_hat: np.ndarray, h_hat: np.ndarray,
+                        rho: float, design: DesignObjective) -> SscaState:
+    """Blend the sample means of the objective and its ascent gradient over
+    the draws g_hat (L, Mr, M0), h_hat (L, M0), both evaluated at the
+    previous iterate, into the running averages."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    if len(samples) == 0:
+    if g_hat.shape[0] == 0:
         raise ValueError("at least one sample per iteration is required")
-    vals = []
-    grads = np.zeros_like(state.c1)
-    for sample in samples:
-        ratio = design.ratio(sample)
-        vals.append(ratio.value(state.v))
-        grads += ratio.ascent(state.v)
-    mean_val = float(np.mean(vals))
-    mean_grad = grads / len(samples)
+    values, ascents = ub_ratio_batch(state.v, g_hat, h_hat, design.p0, design.err_const,
+                                     design.denom_quad, design.denom_const)
+    mean_val = float(np.mean(values))
+    mean_grad = np.mean(ascents, axis=0)
     return replace(
         state,
         c0=rho * mean_val + (1.0 - rho) * state.c0,
@@ -321,8 +323,10 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
         audit: bool = False) -> SscaResult:
     """Run the full stochastic solver and return the deployable design.
 
-    Per-iteration cost is O(L * M0 * Mr) (sampling, objective and gradient
-    are all linear in the channel matrix size).  Identical configurations
+    Per-iteration cost is O(L * M0 * Mr + Mr * sum_k Mk): sampling, the
+    objective and its gradient are linear in the channel matrix size, and
+    the interference matrix B = F F^H is applied through its (Mr, sum_k Mk)
+    factor F once per iteration, never formed.  Identical configurations
     and seeds reproduce the iterates bit-for-bit.
     """
     if design is None:
@@ -338,10 +342,10 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     v_bar = state.v
 
     for t in range(1, solver_cfg.iterations + 1):
-        samples = design.sample(streams, solver_cfg.samples_per_iter)
+        g_hat, h_hat = design.sample(streams, solver_cfg.samples_per_iter)
         rho = stepsize_rho(t, solver_cfg.rho_exponent)
         state = replace(state, t=t)
-        state = update_coefficients(state, samples, rho, design)
+        state = update_coefficients(state, g_hat, h_hat, rho, design)
         if tau_reg is None:
             tau_reg = _auto_tau(state.c1)
         v_prev = state.v

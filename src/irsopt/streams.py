@@ -63,8 +63,19 @@ def child_seed(seed: int, name: str) -> int:
 
 
 def crandn(rng: np.random.Generator, shape, var: float) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian draws with per-element variance ``var``."""
+    """Circularly-symmetric complex Gaussian draws with per-element variance ``var``.
+
+    The real parts are drawn first, then the imaginary parts, and both are
+    scaled straight into the complex output; the values are bit-identical to
+    ``scale * (re + 1j * im)`` for ``var > 0``."""
     if var < 0:
         raise ValueError(f"variance must be non-negative, got {var}")
     scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # output before scratch: the freed scratch then leaves no hole below the
+    # output that later, larger arrays cannot reuse (lower peak RSS)
+    out = np.empty(shape, dtype=complex)
+    part = rng.standard_normal(shape)
+    np.multiply(part, scale, out=out.real)
+    rng.standard_normal(out=part)
+    np.multiply(part, scale, out=out.imag)
+    return out

@@ -122,14 +122,15 @@ def check_jensen(cfg: ScenarioConfig, seed: int, n_samples: int = 4000):
 
 
 def check_denominator_consistency(cfg: ScenarioConfig, seed: int):
-    """Quadratic-form denominator equals the gk sum."""
+    """Low-rank denominator d + ||F^H v||^2 equals the gk sum."""
     from .rate import interference_quadratic
 
     stats = build_statistics(cfg)
     rng = named_child(seed, "validate/den")
     v = phase_array(_random_phase(stats, rng))
-    quad, const = interference_quadratic(stats, cfg)
-    via_quad = const + (0.0 if quad is None else float(np.real(v.conj() @ quad @ v)))
+    factor, const = interference_quadratic(stats, cfg)
+    via_quad = const + (0.0 if factor is None
+                        else float(np.linalg.norm(factor.conj().T @ v) ** 2))
     via_sum = sinr_denominator(v, stats, cfg)
     gap = abs(via_quad - via_sum) / via_sum
     return gap < 1e-10, f"relative gap {gap:.2e}"

@@ -6,6 +6,7 @@ import pytest
 import irsopt
 from irsopt.baselines import SCHEMES, SchemeSpec, design_scheme, evaluate_scheme, scheme
 from irsopt.channel import build_statistics
+from irsopt.rate import gk
 from irsopt.ssca import SolverConfig
 from irsopt.streams import child_seed
 
@@ -90,6 +91,21 @@ def test_evaluate_scheme_multi_draw_averaging(small_cfg, small_stats):
     ]
     assert report.mc_rate == pytest.approx(np.mean(report.rate_samples))
     assert singles[0].n_samples == 300
+
+
+def test_evaluate_scheme_multi_draw_interference_is_averaged(small_cfg, small_stats):
+    # every power in a multi-draw report is the mean over the draws' designs
+    solver = SolverConfig(iterations=10, samples_per_iter=2, seed=3)
+    spec = scheme("robust-with-intf")
+    report = evaluate_scheme(spec, small_stats, small_cfg, solver, 50, 11)
+    per_draw = [[small_cfg.powers_watt[k] * gk(v, small_stats, k)
+                 for k in range(1, small_stats.n_bs)]
+                for v, _ in (design_scheme(spec, small_stats, small_cfg, solver, draw=d)
+                             for d in range(spec.phase_draws))]
+    assert len(report.interference_power) == small_stats.n_bs - 1
+    np.testing.assert_allclose(report.interference_power, np.mean(per_draw, axis=0),
+                               rtol=1e-12)
+    assert not np.allclose(report.interference_power, per_draw[0], rtol=1e-6, atol=0.0)
 
 
 def test_evaluation_fairness_shared_draws(small_cfg, small_stats):

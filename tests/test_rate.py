@@ -198,12 +198,20 @@ def test_sinr_denominator_increasing_in_power(preset_cfg, preset_stats):
 
 def test_denominator_quadratic_matches_sum(preset_cfg, preset_stats):
     rng = np.random.default_rng(5)
-    quad, const = interference_quadratic(preset_stats, preset_cfg)
+    factor, const = interference_quadratic(preset_stats, preset_cfg)
+    n_cols = sum(preset_stats.bs_sizes[k] for k in range(1, preset_stats.n_bs))
+    assert factor.shape == (preset_stats.irs_size, n_cols)
     for _ in range(5):
         v = phase_array(random_phase_vector(rng, preset_stats.irs_size))
-        via_quad = const + float(np.real(v.conj() @ quad @ v))
-        assert np.isclose(via_quad, sinr_denominator(v, preset_stats, preset_cfg),
+        via_factor = const + float(np.linalg.norm(factor.conj().T @ v) ** 2)
+        assert np.isclose(via_factor, sinr_denominator(v, preset_stats, preset_cfg),
                           rtol=1e-12)
+    # F F^H is the dense sum_k (p_k/Mk) glos_k glos_k^H it replaces
+    dense = sum(preset_cfg.powers_watt[k] / preset_stats.bs_sizes[k]
+                * preset_stats.cascaded_los[k] @ preset_stats.cascaded_los[k].conj().T
+                for k in range(1, preset_stats.n_bs))
+    np.testing.assert_allclose(factor @ factor.conj().T, dense, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(dense)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import irsopt
+from irsopt.channel import CsiSample
 from irsopt.rate import PhaseShiftVector
 from irsopt.ssca import (
     DesignObjective,
@@ -18,7 +19,7 @@ from irsopt.ssca import (
     surrogate_value,
     update_coefficients,
 )
-from irsopt.streams import named_children
+from irsopt.streams import named_child, named_children
 
 from conftest import random_relaxed
 
@@ -73,17 +74,23 @@ def _toy_design(rng, mr=2, m0=2, g_var=0.5, h_var=0.5):
                            err_const=0.1, denom_quad=None, denom_const=3.0)
 
 
+def _per_draw(design, g, h):
+    """Single-draw views of the stacked draws (g (L, Mr, M0), h (L, M0))."""
+    return [design.ratio(CsiSample(g_hat=g[i], h_hat=h[i])) for i in range(g.shape[0])]
+
+
 def test_update_coefficients_first_iteration_erases_history():
     rng = np.random.default_rng(0)
     design = _toy_design(rng)
     streams = named_children(5, ["design/g", "design/h"])
-    samples = design.sample(streams, 6)
+    g, h = design.sample(streams, 6)
+    assert g.shape == (6, 2, 2) and h.shape == (6, 2)
     state = SscaState.initial(np.ones(2, dtype=complex))
-    state = update_coefficients(state, samples, rho=1.0, design=design)
-    vals = [design.ratio(s).value(state.v) for s in samples]
+    state = update_coefficients(state, g, h, rho=1.0, design=design)
+    ratios = _per_draw(design, g, h)
+    vals = [r.value(state.v) for r in ratios]
     assert np.isclose(state.c0, np.mean(vals), rtol=1e-12)
-    grads = np.mean([design.ratio(s).ascent(np.ones(2, dtype=complex))
-                     for s in samples], axis=0)
+    grads = np.mean([r.ascent(np.ones(2, dtype=complex)) for r in ratios], axis=0)
     np.testing.assert_allclose(state.c1, grads, rtol=1e-12)
 
 
@@ -91,23 +98,24 @@ def test_update_coefficients_single_sample():
     rng = np.random.default_rng(1)
     design = _toy_design(rng)
     streams = named_children(6, ["design/g", "design/h"])
-    samples = design.sample(streams, 1)
+    g, h = design.sample(streams, 1)
     state = SscaState.initial(np.ones(2, dtype=complex))
-    state = update_coefficients(state, samples, rho=1.0, design=design)
-    assert np.isclose(state.c0, design.ratio(samples[0]).value(np.ones(2)), rtol=1e-12)
+    state = update_coefficients(state, g, h, rho=1.0, design=design)
+    assert np.isclose(state.c0, _per_draw(design, g, h)[0].value(np.ones(2)), rtol=1e-12)
 
 
 def test_update_coefficients_blend():
     rng = np.random.default_rng(2)
     design = _toy_design(rng)
     streams = named_children(7, ["design/g", "design/h"])
-    samples = design.sample(streams, 3)
+    g, h = design.sample(streams, 3)
     prev = SscaState(t=4, v=np.full(2, 0.5 + 0.0j), c0=1.5,
                      c1=np.array([0.2 + 0.1j, -0.3j]))
     rho = 0.25
-    new = update_coefficients(prev, samples, rho=rho, design=design)
-    vals = np.mean([design.ratio(s).value(prev.v) for s in samples])
-    grads = np.mean([design.ratio(s).ascent(prev.v) for s in samples], axis=0)
+    new = update_coefficients(prev, g, h, rho=rho, design=design)
+    ratios = _per_draw(design, g, h)
+    vals = np.mean([r.value(prev.v) for r in ratios])
+    grads = np.mean([r.ascent(prev.v) for r in ratios], axis=0)
     assert np.isclose(new.c0, rho * vals + (1 - rho) * 1.5, rtol=1e-12)
     np.testing.assert_allclose(new.c1, rho * grads + (1 - rho) * prev.c1, rtol=1e-12)
 
@@ -140,7 +148,7 @@ def test_coefficient_average_approaches_mean_gradient():
     L = 20_000
     streams = named_children(2002, ["design/g", "design/h"])
     state = SscaState.initial(v0)
-    state = update_coefficients(state, design.sample(streams, L), rho=1.0,
+    state = update_coefficients(state, *design.sample(streams, L), rho=1.0,
                                 design=design)
     for n in range(2):
         assert abs(state.c1[n] - oracle_mean[n]) < 4 * oracle_sd[n] / math.sqrt(L)
@@ -327,3 +335,96 @@ def test_design_objective_variants(preset_cfg, preset_stats):
     assert no_intf.denom_const == preset_cfg.noise_watt
     with_intf = DesignObjective.from_scenario(preset_stats, preset_cfg)
     assert with_intf.denom_const > no_intf.denom_const
+
+
+# ---------------------------------------------------------------------------
+# oracle: the dense-B, per-draw coefficient step the batched kernel replaced
+# ---------------------------------------------------------------------------
+
+def _dense_reference_run(solver_cfg, stats, cfg, design):
+    """SSCA with the dense Mr x Mr interference matrix and one ratio per draw."""
+    mr = stats.irs_size
+    dense = np.zeros((mr, mr), dtype=complex)
+    if design.denom_quad is not None:       # the design keeps the interference terms
+        for k in range(1, stats.n_bs):
+            glos = stats.cascaded_los[k]
+            dense += cfg.powers_watt[k] / stats.bs_sizes[k] * (glos @ glos.conj().T)
+    v, c0, c1, tau, c0s = np.ones(mr, dtype=complex), 0.0, 0.0, solver_cfg.tau_reg, []
+    streams = named_children(named_child(solver_cfg.seed, "solver"), ["design/g", "design/h"])
+    for t in range(1, solver_cfg.iterations + 1):
+        vals, grads = [], np.zeros(mr, dtype=complex)
+        for sample in _per_draw(design, *design.sample(streams, solver_cfg.samples_per_iter)):
+            e = sample.g_hat.conj().T @ v + sample.h_hat
+            num = design.p0 * (np.real(np.vdot(e, e)) + design.err_const)
+            den = np.real(v.conj() @ dense @ v) + design.denom_const
+            vals.append(num / den)
+            grads += (design.p0 * (sample.g_hat @ e) * den - num * (dense @ v)) / den ** 2
+        rho = stepsize_rho(t, solver_cfg.rho_exponent)
+        c0 = rho * np.mean(vals) + (1 - rho) * c0
+        c1 = rho * grads / len(vals) + (1 - rho) * c1
+        tau = 1e-2 * np.mean(np.abs(c1)) if tau is None else tau
+        omega = stepsize_omega(t, solver_cfg.omega_exponent)
+        v = (1 - omega) * v + omega * (tau * v + c1) / np.abs(tau * v + c1)
+        c0s.append(c0)
+    return v, np.array(c0s)
+
+
+@pytest.mark.parametrize("side", [8, 16])
+@pytest.mark.parametrize("name", ["proposed", "robust-no-intf", "nonrobust-with-intf"])
+def test_run_matches_dense_per_draw_reference(preset_cfg, side, name):
+    cfg = preset_cfg.replace(irs_grid=(side, side))
+    stats = irsopt.build_statistics(cfg)
+    spec = irsopt.scheme(name)
+    design = DesignObjective.from_scenario(stats, cfg, robust=spec.robust,
+                                           include_interference=spec.use_interference)
+    solver_cfg = SolverConfig(iterations=200, samples_per_iter=10, seed=41)
+    result = run(solver_cfg, stats, cfg, design=design)
+    v_ref, c0_ref = _dense_reference_run(solver_cfg, stats, cfg, design)
+    assert np.linalg.norm(result.state.v - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
+    assert np.max(np.abs(np.array(result.trace.c0) / c0_ref - 1.0)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# edge regimes
+# ---------------------------------------------------------------------------
+
+def _single_bs(cfg):
+    return cfg.replace(
+        bs_positions=cfg.bs_positions[:1], bs_grids=cfg.bs_grids[:1],
+        powers_dbm=cfg.powers_dbm[:1], rician_bs_irs=cfg.rician_bs_irs[:1],
+        angles_bs_irs=cfg.angles_bs_irs[:1], name="single-bs")
+
+
+@pytest.mark.parametrize("regime", ["no-bs-irs-los", "single-bs", "irs-1x1",
+                                    "one-bs-antenna"])
+def test_run_edge_regimes(preset_cfg, regime):
+    base = preset_cfg.replace(irs_grid=(4, 4), delta1=0.3, delta2=0.3)
+    cfg = {
+        "no-bs-irs-los": base.replace(rician_bs_irs=(0.0, 0.0, 0.0)),
+        "single-bs": _single_bs(base),
+        "irs-1x1": base.replace(irs_grid=(1, 1)),
+        "one-bs-antenna": base.replace(bs_grids=((1, 1),) * 3),
+    }[regime]
+    stats = irsopt.build_statistics(cfg)
+    solver_cfg = SolverConfig(iterations=30, samples_per_iter=4, seed=17)
+    for robust, include_interference in ((True, True), (False, True), (True, False)):
+        design = DesignObjective.from_scenario(stats, cfg, robust=robust,
+                                               include_interference=include_interference)
+        if regime in ("no-bs-irs-los", "single-bs") or not include_interference:
+            assert design.denom_quad is None
+        else:
+            assert design.denom_quad.shape == (stats.irs_size, sum(stats.bs_sizes[1:]))
+        result = run(solver_cfg, stats, cfg, design=design)
+        c0 = np.array(result.trace.c0)
+        assert c0.shape == (30,) and np.all(np.isfinite(c0)) and np.all(c0 > 0)
+        assert np.max(np.abs(np.abs(result.v.v) - 1.0)) < 1e-12
+
+
+def test_design_objective_holds_no_dense_interference_matrix(preset_cfg):
+    cfg = preset_cfg.replace(irs_grid=(64, 64))
+    stats = irsopt.build_statistics(cfg)
+    design = DesignObjective.from_scenario(stats, cfg)
+    mr = stats.irs_size
+    assert design.denom_quad.shape == (mr, sum(stats.bs_sizes[1:]))
+    sizes = [value.size for value in vars(design).values() if isinstance(value, np.ndarray)]
+    assert sizes and max(sizes) < mr * mr
