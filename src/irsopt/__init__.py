@@ -14,7 +14,6 @@ from .channel import (
     los_matrix,
     rician_combination_factor,
     sample_estimated_csi,
-    sample_physical_channels,
     steering_vector,
 )
 from .config import (
@@ -36,7 +35,6 @@ from .rate import (
     gamma_ub_gradient,
     gk,
     sinr_denominator,
-    upper_bound_rate,
     upper_bound_rate_closed_form,
 )
 from .ssca import (
@@ -83,7 +81,6 @@ __all__ = [
     "rician_combination_factor",
     "run",
     "sample_estimated_csi",
-    "sample_physical_channels",
     "save_scenario",
     "scheme",
     "sinr_denominator",
@@ -92,7 +89,6 @@ __all__ = [
     "stepsize_omega",
     "stepsize_rho",
     "update_coefficients",
-    "upper_bound_rate",
     "upper_bound_rate_closed_form",
     "user_position_on_bisector",
     "watt_to_dbm",

@@ -26,7 +26,7 @@ from .config import ScenarioConfig
 from .rate import BeamformingPolicy, PhaseShiftVector, RateReport, ergodic_rate_mc
 from .ssca import DesignObjective, SolverConfig
 from .ssca import run as run_ssca
-from .streams import RngLike, named_child
+from .streams import named_child
 
 PHASE_SOURCE_SSCA = "ssca"
 PHASE_SOURCE_RANDOM = "random"
@@ -90,7 +90,7 @@ def design_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfi
 
 
 def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfig,
-                    solver_cfg: SolverConfig, n_samples: int, eval_rng: RngLike,
+                    solver_cfg: SolverConfig, n_samples: int, eval_rng: int,
                     return_samples: bool = False) -> RateReport:
     """Design the scheme and evaluate it under the true imperfect-CSI,
     with-interference channel model.

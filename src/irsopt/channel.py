@@ -16,21 +16,23 @@ The serving BS estimates its cascaded and direct channels each slot.
 Estimation errors are i.i.d. CN(0, delta1^2) / CN(0, delta2^2) per element
 (absolute channel units; `build_statistics` converts normalized inputs).
 
-Two sampling routes exist on purpose:
+Three sampling routes exist, each for one consumer:
 
-* `sample_estimated_csi` draws estimates from the Gaussian model the
-  phase-shift solver optimizes over: cascaded-estimate entries centered on
-  the cascaded LoS with variance sigma_g^2 - delta1^2, direct-estimate
-  entries zero-mean with variance sigma_h^2 - delta2^2.
-* `sample_physical_channels` draws the Rician/Rayleigh fading physically
-  and splits each serving-link channel into estimate + error, with the
-  error built from the channel's own scattered part plus fresh Gaussian
-  noise so that (a) estimate + error reconstructs the drawn channel
-  exactly, (b) the error has per-element variance delta^2, and (c) the
-  error is uncorrelated with the estimate, whose per-element variance is
-  then sigma^2 - delta^2 as in the Gaussian model.  For the Rayleigh
+* `ssca.DesignObjective.sample` (solver) draws stacked estimates from the
+  Gaussian model the phase-shift solver optimizes over: cascaded-estimate
+  entries centered on the cascaded LoS with variance sigma_g^2 - delta1^2,
+  direct-estimate entries zero-mean with variance sigma_h^2 - delta2^2.
+* `sample_estimated_csi` (one draw) takes a single estimate from the same
+  Gaussian model, for single-draw objective and beamformer checks.
+* `PhysicalChannelSampler` (evaluator) draws the Rician/Rayleigh fading
+  physically and splits each serving-link channel into estimate + error,
+  with the error built from the channel's own scattered part plus fresh
+  Gaussian noise so that (a) estimate + error reconstructs the drawn
+  channel exactly, (b) the error has per-element variance delta^2, and (c)
+  the error is uncorrelated with the estimate, whose per-element variance
+  is then sigma^2 - delta^2 as in the Gaussian model.  For the Rayleigh
   direct link the split is exact (independent Gaussian parts); the
-  cascaded channel is a product of Gaussians, so the two routes still
+  cascaded channel is a product of Gaussians, so the two models still
   differ in higher moments.  The Monte Carlo evaluator always uses the
   physical route.
 """
@@ -43,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ScenarioConfig
-from .streams import RngLike, crandn, named_children
+from .streams import crandn, named_children
 
 _UNIT_MODULUS_TOL = 1e-12
 
@@ -151,6 +153,10 @@ class ChannelStatistics:
             raise ValueError("large-scale gains must be non-negative")
         if self.delta1_abs < 0 or self.delta2_abs < 0:
             raise ValueError("error std-devs must be non-negative")
+        # every sampler derives an estimate variance sigma^2 - delta^2 from these
+        if (self.delta1_abs ** 2 > self.sigma_g_sq[0] * (1 + 1e-9)
+                or self.delta2_abs ** 2 > self.sigma_h_sq * (1 + 1e-9)):
+            raise ValueError("error variances exceed channel variances")
 
     @property
     def n_bs(self) -> int:
@@ -246,38 +252,10 @@ def build_statistics(cfg: ScenarioConfig) -> ChannelStatistics:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InterferenceRealization:
-    """One slot of interferer k's channels towards user 0."""
-    g: np.ndarray           # cascaded channel, (Mr, Mk)
-    h_direct: np.ndarray    # BS k -> user 0, (Mk,)
-    h_own: np.ndarray       # BS k -> its own user, (Mk,); only its direction matters
-
-
-@dataclass(frozen=True)
 class CsiSample:
-    """One slot of serving-link CSI as seen by the serving BS.
-
-    When errors are present the true channels are g_hat + g_err and
-    h_hat + h_err.  Interference realizations are populated only by the
-    physical sampler; the solver never sees them.
-    """
+    """One slot of serving-link CSI as seen by the serving BS."""
     g_hat: np.ndarray                       # estimated cascaded channel, (Mr, M0)
     h_hat: np.ndarray                       # estimated direct channel, (M0,)
-    g_err: Optional[np.ndarray] = None      # (Mr, M0)
-    h_err: Optional[np.ndarray] = None      # (M0,)
-    interference: Optional[tuple[InterferenceRealization, ...]] = None
-
-    @property
-    def g_true(self) -> np.ndarray:
-        if self.g_err is None:
-            raise ValueError("sample carries no error realization")
-        return self.g_hat + self.g_err
-
-    @property
-    def h_true(self) -> np.ndarray:
-        if self.h_err is None:
-            raise ValueError("sample carries no error realization")
-        return self.h_hat + self.h_err
 
 
 @dataclass(frozen=True)
@@ -301,35 +279,6 @@ class PhysicalBatch:
         return self.h_true.shape[0]
 
 
-class EstimatedCsiSampler:
-    """Gaussian-model CSI sampler used by the phase-shift solver.
-
-    Holds one named child stream per drawn quantity so that repeated
-    `draw` calls continue the streams deterministically.
-    """
-
-    _NAMES = ("est/g", "est/h", "err/g", "err/h")
-
-    def __init__(self, stats: ChannelStatistics, rng: RngLike):
-        if (stats.delta1_abs ** 2 > stats.sigma_g_sq[0] * (1 + 1e-9)
-                or stats.delta2_abs ** 2 > stats.sigma_h_sq * (1 + 1e-9)):
-            raise ValueError("error variances exceed channel variances")
-        self._stats = stats
-        self._streams = named_children(rng, self._NAMES)
-
-    def draw(self, n: int, with_errors: bool = False) -> tuple:
-        s = self._stats
-        mr, m0 = s.irs_size, s.bs_sizes[0]
-        g_hat = s.cascaded_los[0][None, :, :] + crandn(
-            self._streams["est/g"], (n, mr, m0), s.estimate_g_var)
-        h_hat = crandn(self._streams["est/h"], (n, m0), s.estimate_h_var)
-        if not with_errors:
-            return g_hat, h_hat
-        g_err = crandn(self._streams["err/g"], (n, mr, m0), s.delta1_abs ** 2)
-        h_err = crandn(self._streams["err/h"], (n, m0), s.delta2_abs ** 2)
-        return g_hat, h_hat, g_err, h_err
-
-
 class PhysicalChannelSampler:
     """Physical Rician/Rayleigh sampler used by the Monte Carlo evaluator.
 
@@ -338,7 +287,7 @@ class PhysicalChannelSampler:
     pairing across sweeps) and by whether interference is requested.
     """
 
-    def __init__(self, stats: ChannelStatistics, rng: RngLike,
+    def __init__(self, stats: ChannelStatistics, rng: int,
                  include_interference: bool = False):
         self._stats = stats
         self._include_interference = include_interference
@@ -405,27 +354,11 @@ class PhysicalChannelSampler:
                              interference=interference)
 
 
-def sample_estimated_csi(stats: ChannelStatistics, cfg: ScenarioConfig, rng: RngLike,
-                         with_errors: bool = False) -> CsiSample:
-    """One Gaussian-model CSI draw; optionally with an error realization."""
-    sampler = EstimatedCsiSampler(stats, rng)
-    if with_errors:
-        g_hat, h_hat, g_err, h_err = sampler.draw(1, with_errors=True)
-        return CsiSample(g_hat=g_hat[0], h_hat=h_hat[0], g_err=g_err[0], h_err=h_err[0])
-    g_hat, h_hat = sampler.draw(1)
-    return CsiSample(g_hat=g_hat[0], h_hat=h_hat[0])
-
-
-def sample_physical_channels(stats: ChannelStatistics, cfg: ScenarioConfig,
-                             rng: RngLike) -> CsiSample:
-    """One physical draw with error split and interference realizations."""
-    batch = PhysicalChannelSampler(stats, rng, include_interference=True).draw(1)
-    interference = tuple(
-        InterferenceRealization(g=g[0], h_direct=h[0], h_own=own[0])
-        for g, h, own in (batch.interference or ())
-    )
-    return CsiSample(
-        g_hat=batch.g_hat[0], h_hat=batch.h_hat[0],
-        g_err=batch.g_err[0], h_err=batch.h_err[0],
-        interference=interference,
-    )
+def sample_estimated_csi(stats: ChannelStatistics, cfg: ScenarioConfig,
+                         rng: int) -> CsiSample:
+    """One estimated-CSI draw from the Gaussian model the solver optimizes over."""
+    streams = named_children(rng, ("est/g", "est/h"))
+    g_los = stats.cascaded_los[0]
+    g_hat = g_los + crandn(streams["est/g"], g_los.shape, stats.estimate_g_var)
+    h_hat = crandn(streams["est/h"], (stats.bs_sizes[0],), stats.estimate_h_var)
+    return CsiSample(g_hat=g_hat, h_hat=h_hat)

@@ -36,7 +36,6 @@ import numpy as np
 
 from .channel import ChannelStatistics, CsiSample, PhysicalChannelSampler
 from .config import ScenarioConfig
-from .streams import RngLike
 
 DEPLOYMENT = "deployment"
 RELAXED = "relaxed"
@@ -308,34 +307,11 @@ def upper_bound_rate_closed_form(v: PhaseLike, stats: ChannelStatistics,
     return math.log2(1.0 + cfg.powers_watt[0] * signal / sinr_denominator(v, stats, cfg))
 
 
-def upper_bound_rate(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig,
-                     n_samples: int, rng: RngLike) -> float:
-    """Upper-bound rate with E[g0] estimated by Monte Carlo over the
-    Gaussian CSI model (cross-check: upper_bound_rate_closed_form)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    from .channel import EstimatedCsiSampler  # local to avoid import cycle noise
-
-    varr = phase_array(v)
-    sampler = EstimatedCsiSampler(stats, rng)
-    total = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        g_hat, h_hat = sampler.draw(m)
-        e = np.einsum("nmi,m->ni", g_hat.conj(), varr) + h_hat
-        total += float(np.sum(np.real(np.einsum("ni,ni->n", e.conj(), e))))
-        done += m
-    mean_signal = total / n_samples
-    mean_signal += error_power_constant(stats.irs_size, stats.delta1_abs, stats.delta2_abs)
-    return math.log2(1.0 + cfg.powers_watt[0] * mean_signal / sinr_denominator(v, stats, cfg))
-
-
 BeamformingPolicy = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,
-                    cfg: ScenarioConfig, n_samples: int, rng: RngLike,
+                    cfg: ScenarioConfig, n_samples: int, rng: int,
                     return_samples: bool = False) -> RateReport:
     """Monte Carlo ergodic rate under physically sampled channels.
 

@@ -46,7 +46,7 @@ from .rate import (
     ub_ratio_batch,
     upper_bound_rate_closed_form,
 )
-from .streams import crandn, named_child, named_children
+from .streams import crandn, named_child
 
 
 def stepsize_rho(t: int, a: float) -> float:
@@ -82,8 +82,6 @@ class SolverConfig:
     seed: int = 0
     tolerance: float = 0.0              # fixed-point gap early stop; 0 = run all T
     probe_every: int = 0                # UB-rate probe period in the trace; 0 = off
-    deploy_surrogate_point: bool = False  # deploy last surrogate maximizer instead
-                                          # of the projected averaged iterate
 
     def __post_init__(self):
         if self.iterations < 1 or self.samples_per_iter < 1:
@@ -335,11 +333,11 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     v_init = np.ones(mr, dtype=complex) if v0 is None else phase_array(v0).copy()
     state = SscaState.initial(v_init)
 
-    streams = named_children(named_child(solver_cfg.seed, "solver"),
-                             ["design/g", "design/h"])
+    # spawned rather than name-keyed children, so earlier designs reproduce
+    streams = dict(zip(("design/g", "design/h"),
+                       named_child(solver_cfg.seed, "solver").spawn(2)))
     tau_reg = solver_cfg.tau_reg
     trace = SscaTrace()
-    v_bar = state.v
 
     for t in range(1, solver_cfg.iterations + 1):
         g_hat, h_hat = design.sample(streams, solver_cfg.samples_per_iter)
@@ -366,8 +364,5 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
         if solver_cfg.tolerance > 0.0 and gap < solver_cfg.tolerance:
             break
 
-    if solver_cfg.deploy_surrogate_point:
-        v_out = PhaseShiftVector(v_bar, form="deployment")
-    else:
-        v_out = project_unit_modulus(state.v)
-    return SscaResult(v=v_out, trace=trace, state=state, tau_reg=float(tau_reg))
+    return SscaResult(v=project_unit_modulus(state.v), trace=trace, state=state,
+                      tau_reg=float(tau_reg))

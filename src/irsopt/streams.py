@@ -1,24 +1,23 @@
 """Named, splittable random streams.
 
-Every sampling routine in this package takes an explicit ``rng`` argument,
-either an integer seed or a ``numpy.random.Generator``.  Integer seeds are
-expanded into independent child streams keyed by a purpose name, so the
-values drawn for one quantity do not shift when an unrelated quantity
-changes shape.  That property is what makes common-random-number pairing
-across parameter sweeps work: two runs with the same seed share the draws
-of every same-shaped quantity.
-
-Generator inputs are split with ``Generator.spawn``; the children are then
-deterministic given the generator state but not name-keyed.
+Every sampling routine in this package takes an explicit integer seed
+(the ``rng`` or ``eval_rng`` argument).  A seed is expanded into
+independent child streams keyed by a purpose name, so the values drawn for
+one quantity do not shift when an unrelated quantity changes shape.  That
+property is what makes common-random-number pairing across parameter
+sweeps work: two runs with the same seed share the draws of every
+same-shaped quantity, and two calls with the same seed draw the same
+values.  Any other seed type, a Generator or SeedSequence included, raises
+TypeError: a Generator advances between calls, so two evaluations given
+the same Generator would not share their draws.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence, Union
+import operator
+from typing import Sequence
 
 import numpy as np
-
-RngLike = Union[int, np.integer, np.random.SeedSequence, np.random.Generator]
 
 
 def _name_key(name: str) -> int:
@@ -27,33 +26,23 @@ def _name_key(name: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def named_child(rng: RngLike, name: str) -> np.random.Generator:
-    """Derive one child generator for the given purpose name."""
-    if isinstance(rng, np.random.Generator):
-        return rng.spawn(1)[0]
-    if isinstance(rng, np.random.SeedSequence):
-        entropy = list(np.atleast_1d(rng.entropy)) if rng.entropy is not None else [0]
-        return np.random.default_rng(np.random.SeedSequence(entropy + [_name_key(name)]))
-    seed = int(rng)
+def named_child(seed: int, name: str) -> np.random.Generator:
+    """Derive one child generator for the given purpose name; it depends
+    only on (seed, name)."""
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, _name_key(name)]))
 
 
-def named_children(rng: RngLike, names: Sequence[str]) -> dict[str, np.random.Generator]:
-    """One independent child generator per name.
-
-    With an integer seed the children depend only on (seed, name); with a
-    Generator they are spawned in order of ``names``.
-    """
-    if isinstance(rng, np.random.Generator):
-        spawned = rng.spawn(len(names))
-        return dict(zip(names, spawned))
-    return {name: named_child(rng, name) for name in names}
+def named_children(seed: int, names: Sequence[str]) -> dict[str, np.random.Generator]:
+    """One independent child generator per name."""
+    return {name: named_child(seed, name) for name in names}
 
 
 def child_seed(seed: int, name: str) -> int:
     """A derived integer seed, for APIs that persist seeds in artifacts."""
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     mixed = hashlib.blake2s(

@@ -14,17 +14,18 @@ from .channel import ChannelStatistics, PhysicalChannelSampler, build_statistics
 from .config import ScenarioConfig
 from .beamforming import mrt_policy
 from .rate import (
+    _MC_CHUNK,
     ergodic_rate_mc,
+    expected_signal_power_closed_form,
     gamma_ub,
     gamma_ub_gradient,
     gk,
     phase_array,
     sinr_denominator,
-    upper_bound_rate,
-    upper_bound_rate_closed_form,
     PhaseShiftVector,
 )
-from .streams import named_child
+from .ssca import DesignObjective
+from .streams import child_seed, named_child, named_children
 
 
 def _random_phase(stats: ChannelStatistics, rng) -> PhaseShiftVector:
@@ -40,7 +41,7 @@ def check_interference_power_oracle(cfg: ScenarioConfig, seed: int,
     rng = named_child(seed, "validate/gk")
     v = _random_phase(stats, rng)
     varr = phase_array(v)
-    sampler = PhysicalChannelSampler(stats, named_child(seed, "validate/gk/draws"),
+    sampler = PhysicalChannelSampler(stats, child_seed(seed, "validate/gk/draws"),
                                      include_interference=True)
     batch = sampler.draw(n_draws)
     worst = 0.0
@@ -56,14 +57,22 @@ def check_interference_power_oracle(cfg: ScenarioConfig, seed: int,
 
 def check_signal_power_oracle(cfg: ScenarioConfig, seed: int,
                               n_draws: int = 20000, rtol: float = 0.05):
-    """Closed-form upper-bound numerator vs the sampled estimate model."""
+    """Closed-form upper-bound numerator E||g_hat^H v + h_hat||^2 vs its
+    average over the solver's estimate draws."""
     stats = build_statistics(cfg)
     rng = named_child(seed, "validate/g0")
     v = _random_phase(stats, rng)
-    sampled = upper_bound_rate(v, stats, cfg, n_draws, named_child(seed, "validate/g0/d"))
-    closed = upper_bound_rate_closed_form(v, stats, cfg)
+    design = DesignObjective.from_scenario(stats, cfg)
+    streams = named_children(child_seed(seed, "validate/g0/d"), ("design/g", "design/h"))
+    total = 0.0
+    for start in range(0, n_draws, _MC_CHUNK):
+        g_hat, h_hat = design.sample(streams, min(_MC_CHUNK, n_draws - start))
+        e = np.conj(v.v.conj() @ g_hat) + h_hat
+        total += float(np.sum(e.real ** 2 + e.imag ** 2))
+    sampled = total / n_draws
+    closed = expected_signal_power_closed_form(v, stats)
     gap = abs(sampled - closed) / max(closed, 1e-30)
-    return gap < rtol, f"sampled {sampled:.4f} vs closed form {closed:.4f} bit/s/Hz"
+    return gap < rtol, f"sampled {sampled:.4e} vs closed form {closed:.4e}"
 
 
 def check_beamformer_optimality(cfg: ScenarioConfig, seed: int,
@@ -74,7 +83,7 @@ def check_beamformer_optimality(cfg: ScenarioConfig, seed: int,
     stats = build_statistics(cfg)
     rng = named_child(seed, "validate/bf")
     v = _random_phase(stats, rng)
-    sample = sample_estimated_csi(stats, cfg, named_child(seed, "validate/bf/csi"))
+    sample = sample_estimated_csi(stats, cfg, child_seed(seed, "validate/bf/csi"))
     e = sample.g_hat.conj().T @ v.v + sample.h_hat
     best = float(np.real(np.vdot(e, e)))
     m0 = stats.bs_sizes[0]
@@ -93,7 +102,7 @@ def check_gradient(cfg: ScenarioConfig, seed: int, step: float = 1e-6,
     rng = named_child(seed, "validate/grad")
     varr = (rng.uniform(0.3, 1.0, stats.irs_size)
             * np.exp(1j * rng.uniform(0, 2 * math.pi, stats.irs_size)))
-    sample = sample_estimated_csi(stats, cfg, named_child(seed, "validate/grad/csi"))
+    sample = sample_estimated_csi(stats, cfg, child_seed(seed, "validate/grad/csi"))
     grad = gamma_ub_gradient(varr, sample, stats, cfg)
 
     fd = np.zeros_like(grad)
@@ -115,7 +124,7 @@ def check_jensen(cfg: ScenarioConfig, seed: int, n_samples: int = 4000):
     rng = named_child(seed, "validate/jensen")
     v = _random_phase(stats, rng)
     report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n_samples,
-                             named_child(seed, "validate/jensen/mc"))
+                             child_seed(seed, "validate/jensen/mc"))
     ok = report.ub_rate >= report.mc_rate - 3 * report.mc_stderr
     gap = (report.ub_rate - report.mc_rate) / max(report.ub_rate, 1e-30)
     return ok, f"ub {report.ub_rate:.4f}, mc {report.mc_rate:.4f} (gap {gap:.2%})"

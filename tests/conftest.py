@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import irsopt
+from irsopt.streams import named_children
 
 
 def random_scenario(rng: np.random.Generator, name: str = "rand",
@@ -54,6 +55,13 @@ def random_relaxed(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     w = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def design_draws(stats, cfg, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n (g_hat, h_hat) draws from the Gaussian estimate law the solver
+    optimizes over (`DesignObjective.sample` of the robust design)."""
+    streams = named_children(seed, ("design/g", "design/h"))
+    return irsopt.DesignObjective.from_scenario(stats, cfg).sample(streams, n)
 
 
 def paired_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:

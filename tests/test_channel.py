@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,18 +6,16 @@ import pytest
 
 import irsopt
 from irsopt.channel import (
-    EstimatedCsiSampler,
     PhysicalChannelSampler,
     build_statistics,
     compute_path_loss,
     los_matrix,
     rician_combination_factor,
     sample_estimated_csi,
-    sample_physical_channels,
     steering_vector,
 )
 
-from conftest import random_scenario
+from conftest import design_draws, random_scenario
 
 SQRT3 = math.sqrt(3.0)
 
@@ -164,6 +163,15 @@ def test_absolute_delta_too_large_rejected(preset_cfg):
         build_statistics(cfg)
 
 
+def test_statistics_reject_error_variance_above_channel_variance(small_stats):
+    # samplers derive the estimate variance sigma^2 - delta^2 from these fields
+    too_large = 2.0 * math.sqrt(small_stats.sigma_g_sq[0])
+    with pytest.raises(ValueError, match="exceed channel variances"):
+        dataclasses.replace(small_stats, delta1_abs=too_large)
+    with pytest.raises(ValueError, match="exceed channel variances"):
+        dataclasses.replace(small_stats, delta2_abs=2.0 * math.sqrt(small_stats.sigma_h_sq))
+
+
 def test_absolute_delta_within_bounds_accepted(preset_cfg):
     stats0 = build_statistics(preset_cfg.replace(delta1=0.0, delta2=0.0))
     cfg = preset_cfg.replace(delta1=0.5 * math.sqrt(stats0.sigma_g_sq[0]),
@@ -185,20 +193,12 @@ def test_degenerate_estimate_is_los(small_cfg):
     np.testing.assert_array_equal(sample.h_hat, np.zeros_like(sample.h_hat))
 
 
-def test_zero_delta_zero_errors(small_cfg):
-    cfg = small_cfg.replace(delta1=0.0, delta2=0.0)
-    stats = build_statistics(cfg)
-    sample = sample_estimated_csi(stats, cfg, 5, with_errors=True)
-    assert np.all(sample.g_err == 0.0)
-    assert np.all(sample.h_err == 0.0)
-
-
 def test_estimated_mean_lln(small_cfg):
     # sample mean of one estimated entry approaches the cascaded LoS entry
     cfg = small_cfg.replace(delta1=0.3, delta2=0.3)
     stats = build_statistics(cfg)
     n = 100_000
-    g_hat, _ = EstimatedCsiSampler(stats, 7).draw(n)
+    g_hat, _ = design_draws(stats, cfg, 7, n)
     entry = g_hat[:, 0, 0]
     se = math.sqrt(stats.estimate_g_var / n)
     assert abs(np.mean(entry) - stats.cascaded_los[0][0, 0]) < 4.0 * se
@@ -208,7 +208,7 @@ def test_estimated_variance(small_cfg):
     cfg = small_cfg.replace(delta1=0.4, delta2=0.2)
     stats = build_statistics(cfg)
     n = 100_000
-    g_hat, h_hat = EstimatedCsiSampler(stats, 11).draw(n)
+    g_hat, h_hat = design_draws(stats, cfg, 11, n)
     var_g = np.var(g_hat[:, 1, 2])
     var_h = np.var(h_hat[:, 0])
     # complex variance estimates concentrate within ~5 relative standard errors
@@ -221,12 +221,12 @@ def test_estimated_variance(small_cfg):
 # ---------------------------------------------------------------------------
 
 def test_reconstruction_exact(small_cfg, small_stats):
-    sample = sample_physical_channels(small_stats, small_cfg, 3)
+    batch = PhysicalChannelSampler(small_stats, 3, include_interference=True).draw(1)
     # estimate + error reproduces the drawn channel bit for bit
-    np.testing.assert_array_equal(sample.g_hat + sample.g_err, sample.g_true)
-    np.testing.assert_array_equal(sample.h_hat + sample.h_err, sample.h_true)
-    assert sample.interference is not None
-    assert len(sample.interference) == small_stats.n_bs - 1
+    np.testing.assert_array_equal(batch.g_hat + batch.g_err, batch.g_true)
+    np.testing.assert_array_equal(batch.h_hat + batch.h_err, batch.h_true)
+    assert batch.interference is not None
+    assert len(batch.interference) == small_stats.n_bs - 1
 
 
 def test_physical_determinism(small_cfg, small_stats):

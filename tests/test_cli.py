@@ -155,3 +155,19 @@ def test_scenario_file_flow(tmp_path):
     assert rows[0]["scenario_id"] == "modified"
     # higher error -> lower rate
     assert float(rows[1]["mc_rate"]) < float(rows[0]["mc_rate"])
+
+
+def test_run_validation_small_scenario_passes(small_cfg, capsys):
+    from irsopt.validation import ALL_CHECKS, run_validation
+
+    assert run_validation(small_cfg)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(ALL_CHECKS) == 6
+    assert all(line.strip().startswith("PASS") for line in lines)
+
+
+def test_main_validate_oracles_on_scenario_file(small_cfg, tmp_path, capsys):
+    path = str(tmp_path / "small.json")
+    irsopt.save_scenario(small_cfg, path)
+    assert main(["validate-oracles", "--scenario", path]) == 0
+    assert "FAIL" not in capsys.readouterr().out

@@ -7,7 +7,6 @@ import pytest
 import irsopt
 from irsopt.beamforming import mrt_equivalent_beamformer, mrt_policy
 from irsopt.channel import (
-    EstimatedCsiSampler,
     PhysicalChannelSampler,
     CsiSample,
     build_statistics,
@@ -27,10 +26,9 @@ from irsopt.rate import (
     interference_quadratic,
     phase_array,
     sinr_denominator,
-    upper_bound_rate,
     upper_bound_rate_closed_form,
 )
-from conftest import paired_t, random_phase_vector, random_relaxed
+from conftest import design_draws, paired_t, random_phase_vector, random_relaxed
 
 
 def fd_gradient(fn, v: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -218,6 +216,18 @@ def test_denominator_quadratic_matches_sum(preset_cfg, preset_stats):
 # upper-bound rate
 # ---------------------------------------------------------------------------
 
+def _design_signal_power(v, stats, cfg, seed, n):
+    """Per-draw ||g_hat^H v + h_hat||^2 over the solver's estimate law."""
+    g_hat, h_hat = design_draws(stats, cfg, seed, n)
+    e = np.einsum("nmi,m->ni", g_hat.conj(), phase_array(v)) + h_hat
+    return np.real(np.einsum("ni,ni->n", e.conj(), e))
+
+
+def _ub_rate_of_signal(signal, v, stats, cfg):
+    c = error_power_constant(stats.irs_size, stats.delta1_abs, stats.delta2_abs)
+    return math.log2(1 + cfg.powers_watt[0] * (signal + c) / sinr_denominator(v, stats, cfg))
+
+
 def test_upper_bound_mc_matches_closed_form(small_cfg):
     cfg = small_cfg.replace(delta1=0.3, delta2=0.3)
     stats = build_statistics(cfg)
@@ -225,28 +235,21 @@ def test_upper_bound_mc_matches_closed_form(small_cfg):
     v = random_phase_vector(rng, stats.irs_size)
 
     n = 10_000
-    g_hat, h_hat = EstimatedCsiSampler(stats, 55).draw(n)
-    e = np.einsum("nmi,m->ni", g_hat.conj(), v.v) + h_hat
-    signal = np.real(np.einsum("ni,ni->n", e.conj(), e))
+    signal = _design_signal_power(v, stats, cfg, 55, n)
     mean, se = float(np.mean(signal)), float(np.std(signal, ddof=1) / math.sqrt(n))
-    c = error_power_constant(stats.irs_size, stats.delta1_abs, stats.delta2_abs)
-    den = sinr_denominator(v, stats, cfg)
-    lo = math.log2(1 + cfg.powers_watt[0] * (mean - 3 * se + c) / den)
-    hi = math.log2(1 + cfg.powers_watt[0] * (mean + 3 * se + c) / den)
-
-    ub_mc = upper_bound_rate(v, stats, cfg, n, 55)
-    ub_cf = upper_bound_rate_closed_form(v, stats, cfg)
-    assert lo <= ub_cf <= hi
-    assert lo <= ub_mc <= hi
+    lo = _ub_rate_of_signal(mean - 3 * se, v, stats, cfg)
+    hi = _ub_rate_of_signal(mean + 3 * se, v, stats, cfg)
+    assert lo <= upper_bound_rate_closed_form(v, stats, cfg) <= hi
 
 
 def test_upper_bound_zero_variance_deterministic(small_cfg):
     cfg = small_cfg.replace(delta1=1.0, delta2=1.0)
     stats = build_statistics(cfg)
     v = PhaseShiftVector.ones(stats.irs_size)
-    ub_mc = upper_bound_rate(v, stats, cfg, 50, 1)
+    signal = _design_signal_power(v, stats, cfg, 1, 50)
+    ub_sampled = _ub_rate_of_signal(float(np.mean(signal)), v, stats, cfg)
     ub_cf = upper_bound_rate_closed_form(v, stats, cfg)
-    assert np.isclose(ub_mc, ub_cf, rtol=1e-12)
+    assert np.isclose(ub_sampled, ub_cf, rtol=1e-12)
 
 
 def test_upper_bound_monotone_in_power(preset_cfg, preset_stats):
@@ -262,9 +265,7 @@ def test_expected_signal_power_closed_form_vs_sampling(small_cfg):
     rng = np.random.default_rng(7)
     v = random_phase_vector(rng, stats.irs_size)
     n = 100_000
-    g_hat, h_hat = EstimatedCsiSampler(stats, 91).draw(n)
-    e = np.einsum("nmi,m->ni", g_hat.conj(), v.v) + h_hat
-    sampled = float(np.mean(np.real(np.einsum("ni,ni->n", e.conj(), e))))
+    sampled = float(np.mean(_design_signal_power(v, stats, cfg, 91, n)))
     closed = expected_signal_power_closed_form(v, stats)
     assert abs(sampled - closed) / closed < 0.02
 

@@ -308,13 +308,6 @@ def test_run_early_stop_on_gap(small_cfg, small_stats):
     assert result.trace.gap[-1] < 1e-2
 
 
-def test_run_deploy_surrogate_point_flag(small_cfg, small_stats):
-    cfg = SolverConfig(iterations=15, samples_per_iter=3, seed=8,
-                       deploy_surrogate_point=True)
-    result = run(cfg, small_stats, small_cfg)
-    assert np.max(np.abs(np.abs(result.v.v) - 1.0)) < 1e-12
-
-
 def test_run_custom_initial_point(small_cfg, small_stats):
     rng = np.random.default_rng(9)
     v0 = random_relaxed(rng, small_stats.irs_size)
@@ -350,7 +343,8 @@ def _dense_reference_run(solver_cfg, stats, cfg, design):
             glos = stats.cascaded_los[k]
             dense += cfg.powers_watt[k] / stats.bs_sizes[k] * (glos @ glos.conj().T)
     v, c0, c1, tau, c0s = np.ones(mr, dtype=complex), 0.0, 0.0, solver_cfg.tau_reg, []
-    streams = named_children(named_child(solver_cfg.seed, "solver"), ["design/g", "design/h"])
+    streams = dict(zip(("design/g", "design/h"),
+                       named_child(solver_cfg.seed, "solver").spawn(2)))
     for t in range(1, solver_cfg.iterations + 1):
         vals, grads = [], np.zeros(mr, dtype=complex)
         for sample in _per_draw(design, *design.sample(streams, solver_cfg.samples_per_iter)):

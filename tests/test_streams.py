@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from irsopt.streams import crandn
+from irsopt.baselines import evaluate_scheme, scheme
+from irsopt.beamforming import mrt_policy
+from irsopt.channel import PhysicalChannelSampler
+from irsopt.rate import PhaseShiftVector, ergodic_rate_mc
+from irsopt.ssca import SolverConfig
+from irsopt.streams import child_seed, crandn, named_child
 
 
 @pytest.mark.parametrize("shape", [(), 7, (3, 5), (4, 16, 2), (0, 3)])
@@ -22,3 +27,46 @@ def test_crandn_zero_variance_and_domain():
     assert np.all(out == 0.0)
     with pytest.raises(ValueError, match="non-negative"):
         crandn(np.random.default_rng(0), 3, -1.0)
+
+
+def _non_int_seeds():
+    return {
+        "generator": np.random.default_rng(5),
+        "spawned-seedsequence": np.random.SeedSequence(5).spawn(1)[0],
+    }
+
+
+def _rate(stats, cfg, rng):
+    v = PhaseShiftVector.ones(stats.irs_size)
+    return ergodic_rate_mc(v, mrt_policy(v), stats, cfg, 4, rng)
+
+
+def _sampler(stats, cfg, rng):
+    return PhysicalChannelSampler(stats, rng, include_interference=True)
+
+
+def _evaluate(stats, cfg, rng):
+    solver = SolverConfig(iterations=2, samples_per_iter=1)
+    return evaluate_scheme(scheme("proposed"), stats, cfg, solver, 4, rng)
+
+
+@pytest.mark.parametrize("kind", sorted(_non_int_seeds()))
+@pytest.mark.parametrize("call", [_rate, _sampler, _evaluate],
+                         ids=["ergodic_rate_mc", "PhysicalChannelSampler", "evaluate_scheme"])
+def test_sampling_apis_reject_non_integer_seeds(small_cfg, small_stats, kind, call):
+    # a Generator advances between calls and a spawned SeedSequence would lose
+    # its spawn key, so neither could pair two evaluations; only ints are seeds
+    with pytest.raises(TypeError):
+        call(small_stats, small_cfg, _non_int_seeds()[kind])
+
+
+@pytest.mark.parametrize("derive", [named_child, child_seed])
+def test_seed_derivation_domain(derive):
+    a, b = derive(np.int64(9), "x"), derive(9, "x")
+    if derive is named_child:
+        a, b = a.standard_normal(3), b.standard_normal(3)
+    np.testing.assert_array_equal(a, b)
+    with pytest.raises(TypeError):
+        derive(9.0, "x")
+    with pytest.raises(ValueError, match="non-negative"):
+        derive(-1, "x")
