@@ -16,7 +16,7 @@ identical Monte Carlo seeds and sample counts for every scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .config import ScenarioConfig
 from .rate import BeamformingPolicy, PhaseShiftVector, RateReport, ergodic_rate_mc
 from .ssca import DesignObjective, SolverConfig
 from .ssca import run as run_ssca
-from .streams import named_child
+from .streams import check_seed, named_child
 
 PHASE_SOURCE_SSCA = "ssca"
 PHASE_SOURCE_RANDOM = "random"
@@ -98,6 +98,7 @@ def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioCon
     Multi-draw schemes share the evaluation channel draws across designs
     (identical eval_rng), so the average is a paired average.
     """
+    check_seed(eval_rng)    # before any design is spent on a bad seed
     per_draw = []
     for draw in range(spec.phase_draws):
         v, policy = design_scheme(spec, stats, cfg, solver_cfg, draw=draw)
@@ -105,13 +106,7 @@ def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioCon
             ergodic_rate_mc(v, policy, stats, cfg, n_samples, eval_rng,
                             return_samples=True)
         )
-    if len(per_draw) == 1:
-        report = per_draw[0]
-        if not return_samples:
-            report = replace(report, rate_samples=None)
-        return report
-
-    # average per-sample rates across draws, then summarize
+    # average per-sample rates across draws, then summarize (exact for one draw)
     samples = np.mean([r.rate_samples for r in per_draw], axis=0)
     stderr = float(np.std(samples, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return RateReport(

@@ -73,13 +73,3 @@ def mrt_policy(v: PhaseLike) -> BeamformingPolicy:
 
     return policy
 
-
-def fixed_beamformer_policy(w) -> BeamformingPolicy:
-    """Policy that ignores the CSI and always transmits along w (testing aid)."""
-    warr = w.w if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
-    warr = warr / np.linalg.norm(warr)
-
-    def policy(g_hat: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(warr, (g_hat.shape[0], warr.shape[0]))
-
-    return policy

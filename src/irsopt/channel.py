@@ -153,10 +153,15 @@ class ChannelStatistics:
             raise ValueError("large-scale gains must be non-negative")
         if self.delta1_abs < 0 or self.delta2_abs < 0:
             raise ValueError("error std-devs must be non-negative")
-        # every sampler derives an estimate variance sigma^2 - delta^2 from these
-        if (self.delta1_abs ** 2 > self.sigma_g_sq[0] * (1 + 1e-9)
-                or self.delta2_abs ** 2 > self.sigma_h_sq * (1 + 1e-9)):
-            raise ValueError("error variances exceed channel variances")
+        # every sampler derives an estimate variance sigma^2 - delta^2 from
+        # these; the tiny relative slack lets delta == sigma round-trip
+        # through the sqrt of a normalized delta
+        for name, delta, sigma_sq in (("delta1", self.delta1_abs, self.sigma_g_sq[0]),
+                                      ("delta2", self.delta2_abs, self.sigma_h_sq)):
+            if delta ** 2 > sigma_sq * (1 + 1e-12):
+                raise ValueError(
+                    f"{name}^2 = {delta ** 2:.3e} exceeds the per-element channel "
+                    f"variance {sigma_sq:.3e}: error variances exceed channel variances")
 
     @property
     def n_bs(self) -> int:
@@ -183,8 +188,9 @@ class ChannelStatistics:
 def build_statistics(cfg: ScenarioConfig) -> ChannelStatistics:
     """Derive all large-scale state from a scenario.
 
-    Raises ValueError when the configured error std-devs exceed what the
-    channel variances allow (the estimate variance would be negative).
+    Raises ValueError (from `ChannelStatistics`) when the configured error
+    std-devs exceed what the channel variances allow (the estimate variance
+    would be negative).
     """
     n = cfg.n_bs
     alpha_direct = np.array([compute_path_loss(cfg.d_bs_user(k), cfg.exp_direct)
@@ -215,19 +221,6 @@ def build_statistics(cfg: ScenarioConfig) -> ChannelStatistics:
     else:
         delta1_abs = cfg.delta1
         delta2_abs = cfg.delta2
-    # tiny relative slack so delta == sigma round-trips through the sqrt
-    if delta1_abs ** 2 > sigma_g_sq[0] * (1 + 1e-12):
-        raise ValueError(
-            f"delta1^2 = {delta1_abs**2:.3e} exceeds the cascaded per-element "
-            f"variance {sigma_g_sq[0]:.3e}; estimate variance would be negative"
-        )
-    if delta2_abs ** 2 > sigma_h_sq * (1 + 1e-12):
-        raise ValueError(
-            f"delta2^2 = {delta2_abs**2:.3e} exceeds the direct per-element "
-            f"variance {sigma_h_sq:.3e}; estimate variance would be negative"
-        )
-    delta1_abs = min(delta1_abs, math.sqrt(sigma_g_sq[0]))
-    delta2_abs = min(delta2_abs, math.sqrt(sigma_h_sq))
 
     return ChannelStatistics(
         bs_sizes=cfg.bs_sizes,
@@ -274,9 +267,6 @@ class PhysicalBatch:
     @property
     def h_hat(self) -> np.ndarray:
         return self.h_true - self.h_err
-
-    def __len__(self) -> int:
-        return self.h_true.shape[0]
 
 
 class PhysicalChannelSampler:

@@ -35,7 +35,7 @@ from .config import (
 from .rate import RateReport, upper_bound_rate_closed_form
 from .ssca import SolverConfig
 from .ssca import run as run_ssca
-from .streams import child_seed
+from .streams import check_seed, child_seed
 
 SWEEP_PARAMS = ("irs-size", "rician-k", "error-std", "user-distance")
 
@@ -72,6 +72,7 @@ class SweepSpec:
             scheme(name)  # raises on unknown names
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        check_seed(self.seed)
 
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:

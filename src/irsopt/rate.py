@@ -1,6 +1,5 @@
 """Rate expressions: expected signal/interference powers, the closed-form
-upper-bound rate, the Monte Carlo ergodic rate, and the batched objective
-ratio with its complex gradient.
+upper-bound rate and the Monte Carlo ergodic rate.
 
 Core quantities, for phase shifts v, unit beamformer w and one CSI draw
 (g_hat, h_hat):
@@ -10,24 +9,13 @@ Core quantities, for phase shifts v, unit beamformer w and one CSI draw
 
 g0 is the conditional expectation over the CSI error of the received
 signal power; gk is the exact expectation of interferer k's power under
-maximum-ratio transmission towards its own user.  With the matched-filter
-beamformer substituted, g0's signal term becomes ||g_hat^H v + h_hat||^2
-and the per-sample objective is a ratio of Hermitian quadratic forms
-
-    gamma(v) = p0 * (v^H A v + 2 Re{v^H b} + c) / (v^H B v + d)
-
-with A = g_hat g_hat^H, b = g_hat h_hat, c = ||h_hat||^2 + delta2^2 +
-Mr*delta1^2, B = sum_k (p_k/Mk) glos_k glos_k^H and d collecting the
-v-independent interference and noise terms.
-
-B is never formed: B = F F^H with the (Mr, sum_k Mk) factor
-F = [sqrt(p_k/Mk) glos_k]_k, so v^H B v = ||F^H v||^2 and B v = F (F^H v).
-`ub_ratio_batch` evaluates gamma and its ascent direction for L draws at
-once in O(L*M0*Mr + Mr*sum_k Mk).
+maximum-ratio transmission towards its own user.  The per-draw objective
+built from them, p0 * g0 at the matched-filter beamformer over
+sum_k p_k*gk + sigma^2, lives in `ssca.DesignObjective`; `gamma_ub` and
+`gamma_ub_gradient` are single-draw views of it.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -37,40 +25,30 @@ import numpy as np
 from .channel import ChannelStatistics, CsiSample, PhysicalChannelSampler
 from .config import ScenarioConfig
 
-DEPLOYMENT = "deployment"
-RELAXED = "relaxed"
-
 _MC_CHUNK = 512
 
 
 @dataclass(frozen=True)
 class PhaseShiftVector:
-    """IRS configuration.  Deployment form has unit-modulus entries;
-    relaxed form (solver-internal) only requires |v_n| <= 1."""
+    """Deployable IRS configuration: unit-modulus entries.  Solver iterates,
+    which only satisfy |v_n| <= 1, are plain arrays."""
 
     v: np.ndarray
-    form: str = DEPLOYMENT
 
     def __post_init__(self):
         arr = np.array(self.v, dtype=complex, copy=True).reshape(-1)
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
-        if self.form not in (DEPLOYMENT, RELAXED):
-            raise ValueError(f"unknown form {self.form!r}")
-        mod = np.abs(arr)
-        if self.form == DEPLOYMENT:
-            if np.max(np.abs(mod - 1.0)) > 1e-9:
-                raise ValueError("deployment-form entries must have unit modulus")
-        elif np.max(mod) > 1.0 + 1e-12:
-            raise ValueError("relaxed-form entries must satisfy |v_n| <= 1")
+        if np.max(np.abs(np.abs(arr) - 1.0)) > 1e-9:
+            raise ValueError("phase-shift entries must have unit modulus")
 
     @classmethod
     def ones(cls, n: int) -> "PhaseShiftVector":
-        return cls(np.ones(n, dtype=complex), DEPLOYMENT)
+        return cls(np.ones(n, dtype=complex))
 
     @classmethod
     def from_phases(cls, phases: np.ndarray) -> "PhaseShiftVector":
-        return cls(np.exp(1j * np.asarray(phases, dtype=float)), DEPLOYMENT)
+        return cls(np.exp(1j * np.asarray(phases, dtype=float)))
 
     def __len__(self) -> int:
         return self.v.shape[0]
@@ -125,9 +103,6 @@ class RateReport:
             "interference_power": list(self.interference_power),
             "noise_power": self.noise_power,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -200,87 +175,23 @@ def interference_quadratic(stats: ChannelStatistics,
 
 
 # ---------------------------------------------------------------------------
-# Quadratic-ratio objective
+# Single-draw objective
 # ---------------------------------------------------------------------------
-
-def ub_ratio_batch(v: np.ndarray, g_hat: np.ndarray, h_hat: np.ndarray, p0: float,
-                   err_const: float, denom_quad: Optional[np.ndarray],
-                   denom_const: float) -> tuple[np.ndarray, np.ndarray]:
-    """gamma(v) = p0*(||g_hat_l^H v + h_hat_l||^2 + err_const) / (||F^H v||^2 + d)
-    and its steepest-ascent direction for L draws g_hat (L, Mr, M0),
-    h_hat (L, M0); `denom_quad` is the (Mr, r) factor F of B = F F^H, or
-    None for a constant denominator d = `denom_const`.
-
-    Returns (values (L,), ascents (L, Mr)).  The ascent is the conjugate of
-    the formal derivative d gamma / d v_n (conjugate coordinates held fixed),
-    so gamma(v + dv) ~ gamma(v) + 2 Re{sum_n conj(ascent_n) dv_n}.  B v and
-    the denominator do not depend on the draw and are computed once.
-    """
-    e = np.conj(v.conj() @ g_hat) + h_hat                      # g_hat^H v + h_hat, (L, M0)
-    num = p0 * (np.sum(e.real ** 2 + e.imag ** 2, axis=1) + err_const)
-    signal_dir = p0 * (g_hat @ e[:, :, None])[:, :, 0]           # p0 * g_hat e, (L, Mr)
-    if denom_quad is None:
-        return num / denom_const, signal_dir / denom_const
-    proj = denom_quad.conj().T @ v                               # F^H v
-    den = float(np.real(np.vdot(proj, proj))) + denom_const
-    bv = denom_quad @ proj                                       # B v
-    return num / den, (signal_dir * den - num[:, None] * bv[None]) / den ** 2
-
-
-@dataclass(frozen=True)
-class UbQuadraticRatio:
-    """One CSI draw's view of `ub_ratio_batch`.  `grad` is the formal
-    derivative d gamma / d v_n (conjugate coordinates held fixed), so that
-    gamma(v + dv) ~ gamma(v) + 2 Re{sum_n grad_n dv_n}; `ascent` is its
-    conjugate, the steepest-ascent direction."""
-
-    g_hat: np.ndarray                   # (Mr, M0)
-    h_hat: np.ndarray                   # (M0,)
-    err_const: float
-    p0: float
-    denom_quad: Optional[np.ndarray]    # (Mr, r) factor F of B = F F^H, or None
-    denom_const: float
-
-    def _batch(self, v: PhaseLike) -> tuple[np.ndarray, np.ndarray]:
-        return ub_ratio_batch(phase_array(v), self.g_hat[None], self.h_hat[None],
-                              self.p0, self.err_const, self.denom_quad, self.denom_const)
-
-    def value(self, v: PhaseLike) -> float:
-        return float(self._batch(v)[0][0])
-
-    def ascent(self, v: PhaseLike) -> np.ndarray:
-        """conj(grad): moving along this direction increases gamma."""
-        return self._batch(v)[1][0]
-
-    def grad(self, v: PhaseLike) -> np.ndarray:
-        return np.conj(self.ascent(v))
-
-
-def _ratio_from_model(sample: CsiSample, stats: ChannelStatistics,
-                      cfg: ScenarioConfig) -> UbQuadraticRatio:
-    factor, const = interference_quadratic(stats, cfg)
-    return UbQuadraticRatio(
-        g_hat=sample.g_hat,
-        h_hat=sample.h_hat,
-        err_const=error_power_constant(stats.irs_size, stats.delta1_abs, stats.delta2_abs),
-        p0=cfg.powers_watt[0],
-        denom_quad=factor,
-        denom_const=const,
-    )
-
 
 def gamma_ub(v: PhaseLike, sample: CsiSample, stats: ChannelStatistics,
              cfg: ScenarioConfig) -> float:
     """Per-sample objective: p0 * g0 at the matched-filter beamformer over
     the interference-plus-noise power."""
-    return _ratio_from_model(sample, stats, cfg).value(v)
+    from .ssca import DesignObjective   # ssca imports this module
+    return DesignObjective.from_scenario(stats, cfg).ratio(sample).value(v)
 
 
 def gamma_ub_gradient(v: PhaseLike, sample: CsiSample, stats: ChannelStatistics,
                       cfg: ScenarioConfig) -> np.ndarray:
     """Formal complex derivative of gamma_ub per coordinate (see
-    UbQuadraticRatio.grad for the convention)."""
-    return _ratio_from_model(sample, stats, cfg).grad(v)
+    ssca.UbQuadraticRatio.grad for the convention)."""
+    from .ssca import DesignObjective   # ssca imports this module
+    return DesignObjective.from_scenario(stats, cfg).ratio(sample).grad(v)
 
 
 # ---------------------------------------------------------------------------

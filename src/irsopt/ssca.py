@@ -23,7 +23,8 @@ unit-modulus projection of the final iterate.
 
 `c1` stores the conjugate (ascent) form of the sampled gradient, which is
 what makes the closed-form surrogate maximizer an ascent step; the plain
-derivative convention used by `rate.gamma_ub_gradient` is its conjugate.
+derivative convention of `UbQuadraticRatio.grad` is its conjugate.  The
+objective gamma itself, with its sampling law, is `DesignObjective`.
 """
 from __future__ import annotations
 
@@ -39,14 +40,12 @@ from .config import ScenarioConfig
 from .rate import (
     PhaseShiftVector,
     PhaseLike,
-    UbQuadraticRatio,
     error_power_constant,
     interference_quadratic,
     phase_array,
-    ub_ratio_batch,
     upper_bound_rate_closed_form,
 )
-from .streams import crandn, named_child
+from .streams import check_seed, crandn, named_child
 
 
 def stepsize_rho(t: int, a: float) -> float:
@@ -95,8 +94,7 @@ class SolverConfig:
             raise ValueError(f"tau_reg must be positive, got {self.tau_reg}")
         if self.tolerance < 0:
             raise ValueError("tolerance must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,17 @@ class SscaState:
 @dataclass(frozen=True)
 class DesignObjective:
     """What the solver optimizes: the sampling law of the estimated CSI and
-    the coefficients of the per-sample quadratic ratio.  The interference
-    term enters as the (Mr, r) factor F of B = F F^H (`denom_quad`, None
-    for a constant denominator), so no Mr x Mr array is held.
+    the per-draw upper-bound ratio
+
+        gamma(v) = p0 * (||g_hat^H v + h_hat||^2 + c) / (v^H B v + d),
+
+    i.e. p0 * g0 at the matched-filter beamformer over the expected
+    interference-plus-noise power.  c = delta2^2 + Mr*delta1^2 (`err_const`),
+    B = sum_k (p_k/Mk) glos_k glos_k^H, and d (`denom_const`) collects the
+    v-independent interference and noise terms.  B is never formed: it
+    enters as the (Mr, sum_k Mk) factor F of B = F F^H (`denom_quad`, None
+    for a constant denominator), so v^H B v = ||F^H v||^2, B v = F (F^H v),
+    and `evaluate` handles L draws in O(L*M0*Mr + Mr*sum_k Mk).
 
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
@@ -190,16 +196,56 @@ class DesignObjective:
         h += self.h_mean
         return g, h
 
-    def ratio(self, sample: CsiSample) -> UbQuadraticRatio:
-        """Single-draw view of the objective (the solver uses the batch)."""
-        return UbQuadraticRatio(
-            g_hat=sample.g_hat,
-            h_hat=sample.h_hat,
-            err_const=self.err_const,
-            p0=self.p0,
-            denom_quad=self.denom_quad,
-            denom_const=self.denom_const,
-        )
+    def evaluate(self, v: np.ndarray, g_hat: np.ndarray,
+                 h_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """gamma(v) and its steepest-ascent direction for L draws g_hat
+        (L, Mr, M0), h_hat (L, M0).
+
+        Returns (values (L,), ascents (L, Mr)).  The ascent is the conjugate
+        of the formal derivative d gamma / d v_n (conjugate coordinates held
+        fixed), so gamma(v + dv) ~ gamma(v) + 2 Re{sum_n conj(ascent_n) dv_n}.
+        B v and the denominator do not depend on the draw and are computed
+        once.
+        """
+        p0, denom_quad, denom_const = self.p0, self.denom_quad, self.denom_const
+        e = np.conj(v.conj() @ g_hat) + h_hat                      # g_hat^H v + h_hat, (L, M0)
+        num = p0 * (np.sum(e.real ** 2 + e.imag ** 2, axis=1) + self.err_const)
+        signal_dir = p0 * (g_hat @ e[:, :, None])[:, :, 0]           # p0 * g_hat e, (L, Mr)
+        if denom_quad is None:
+            return num / denom_const, signal_dir / denom_const
+        proj = denom_quad.conj().T @ v                               # F^H v
+        den = float(np.real(np.vdot(proj, proj))) + denom_const
+        bv = denom_quad @ proj                                       # B v
+        return num / den, (signal_dir * den - num[:, None] * bv[None]) / den ** 2
+
+    def ratio(self, sample: CsiSample) -> "UbQuadraticRatio":
+        """Single-draw view of the objective (the solver uses `evaluate`)."""
+        return UbQuadraticRatio(self, sample)
+
+
+@dataclass(frozen=True)
+class UbQuadraticRatio:
+    """One CSI draw's view of `DesignObjective.evaluate`.  `grad` is the
+    formal derivative d gamma / d v_n (conjugate coordinates held fixed), so
+    that gamma(v + dv) ~ gamma(v) + 2 Re{sum_n grad_n dv_n}; `ascent` is its
+    conjugate, the steepest-ascent direction."""
+
+    design: DesignObjective
+    sample: CsiSample
+
+    def _evaluate(self, v: PhaseLike) -> tuple[np.ndarray, np.ndarray]:
+        return self.design.evaluate(phase_array(v), self.sample.g_hat[None],
+                                    self.sample.h_hat[None])
+
+    def value(self, v: PhaseLike) -> float:
+        return float(self._evaluate(v)[0][0])
+
+    def ascent(self, v: PhaseLike) -> np.ndarray:
+        """conj(grad): moving along this direction increases gamma."""
+        return self._evaluate(v)[1][0]
+
+    def grad(self, v: PhaseLike) -> np.ndarray:
+        return np.conj(self.ascent(v))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +261,7 @@ def update_coefficients(state: SscaState, g_hat: np.ndarray, h_hat: np.ndarray,
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     if g_hat.shape[0] == 0:
         raise ValueError("at least one sample per iteration is required")
-    values, ascents = ub_ratio_batch(state.v, g_hat, h_hat, design.p0, design.err_const,
-                                     design.denom_quad, design.denom_const)
+    values, ascents = design.evaluate(state.v, g_hat, h_hat)
     mean_val = float(np.mean(values))
     mean_grad = np.mean(ascents, axis=0)
     return replace(
@@ -266,7 +311,7 @@ def project_unit_modulus(v: PhaseLike) -> PhaseShiftVector:
     mod = np.abs(varr)
     varr[mod == 0.0] = 1.0
     mod = np.abs(varr)
-    return PhaseShiftVector(varr / mod, form="deployment")
+    return PhaseShiftVector(varr / mod)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +346,7 @@ class SscaTrace:
 
 @dataclass(frozen=True)
 class SscaResult:
-    v: PhaseShiftVector         # deployment-form design
+    v: PhaseShiftVector         # unit-modulus design
     trace: SscaTrace
     state: SscaState            # final relaxed iterate
     tau_reg: float              # proximal weight actually used

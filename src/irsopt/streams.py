@@ -26,12 +26,20 @@ def _name_key(name: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def named_child(seed: int, name: str) -> np.random.Generator:
-    """Derive one child generator for the given purpose name; it depends
-    only on (seed, name)."""
+def check_seed(seed: int) -> int:
+    """The seed as a plain int.  Raises TypeError for anything that is not
+    an integer (a Generator, a SeedSequence or a float) and ValueError for
+    a negative one."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def named_child(seed: int, name: str) -> np.random.Generator:
+    """Derive one child generator for the given purpose name; it depends
+    only on (seed, name)."""
+    seed = check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([seed, _name_key(name)]))
 
 
@@ -42,9 +50,7 @@ def named_children(seed: int, names: Sequence[str]) -> dict[str, np.random.Gener
 
 def child_seed(seed: int, name: str) -> int:
     """A derived integer seed, for APIs that persist seeds in artifacts."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = check_seed(seed)
     mixed = hashlib.blake2s(
         seed.to_bytes(16, "big", signed=False) + name.encode("utf-8"), digest_size=8
     ).digest()

@@ -6,7 +6,8 @@ import pytest
 import irsopt
 from irsopt.baselines import SCHEMES, SchemeSpec, design_scheme, evaluate_scheme, scheme
 from irsopt.channel import build_statistics
-from irsopt.rate import gk
+from irsopt.beamforming import mrt_policy
+from irsopt.rate import ergodic_rate_mc, gk
 from irsopt.ssca import SolverConfig
 from irsopt.streams import child_seed
 
@@ -91,6 +92,25 @@ def test_evaluate_scheme_multi_draw_averaging(small_cfg, small_stats):
     ]
     assert report.mc_rate == pytest.approx(np.mean(report.rate_samples))
     assert singles[0].n_samples == 300
+
+
+@pytest.mark.parametrize("return_samples", [False, True])
+@pytest.mark.parametrize("n_samples", [1, 40])
+def test_evaluate_scheme_single_draw_equals_plain_evaluation(small_cfg, small_stats,
+                                                             n_samples, return_samples):
+    # the one-draw average reproduces the single evaluation's report bit for bit
+    solver = SolverConfig(iterations=5, samples_per_iter=2, seed=3)
+    spec = scheme("proposed")
+    report = evaluate_scheme(spec, small_stats, small_cfg, solver, n_samples, 11,
+                             return_samples=return_samples)
+    v, _ = design_scheme(spec, small_stats, small_cfg, solver)
+    plain = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, n_samples, 11,
+                            return_samples=True)
+    assert report.to_dict() == plain.to_dict()
+    if return_samples:
+        assert report.rate_samples.tobytes() == plain.rate_samples.tobytes()
+    else:
+        assert report.rate_samples is None
 
 
 def test_evaluate_scheme_multi_draw_interference_is_averaged(small_cfg, small_stats):

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from irsopt.beamforming import (
     Beamformer,
-    fixed_beamformer_policy,
     mrt_equivalent_beamformer,
     mrt_policy,
 )
@@ -101,11 +98,3 @@ def test_policy_matches_single_sample_op(small_cfg, small_stats):
     w_batch = mrt_policy(v)(sample.g_hat[None], sample.h_hat[None])
     bf = mrt_equivalent_beamformer(v, sample)
     np.testing.assert_allclose(w_batch[0], bf.w, rtol=1e-12)
-
-
-def test_fixed_policy_broadcasts():
-    w = np.array([1.0, 1.0j, 0.0, 0.0]) / math.sqrt(2)
-    policy = fixed_beamformer_policy(w)
-    out = policy(np.zeros((5, 3, 4), dtype=complex), np.zeros((5, 4), dtype=complex))
-    assert out.shape == (5, 4)
-    np.testing.assert_allclose(out[3], w, rtol=1e-12)

@@ -15,7 +15,6 @@ from irsopt.channel import (
 from irsopt.rate import (
     PhaseShiftVector,
     RateReport,
-    UbQuadraticRatio,
     ergodic_rate_mc,
     error_power_constant,
     expected_signal_power_closed_form,
@@ -28,6 +27,7 @@ from irsopt.rate import (
     sinr_denominator,
     upper_bound_rate_closed_form,
 )
+from irsopt.ssca import DesignObjective
 from conftest import design_draws, paired_t, random_phase_vector, random_relaxed
 
 
@@ -390,6 +390,26 @@ def test_gamma_strictly_positive(small_cfg):
     assert value * sinr_denominator(v, stats, cfg) >= floor * 0.999
 
 
+@pytest.mark.parametrize("deltas", [(0.0, 0.0), (0.3, 0.2)])
+def test_single_draw_views_equal_batched_kernel_bitwise(small_cfg, deltas):
+    # gamma_ub, gamma_ub_gradient and DesignObjective.ratio are views of
+    # DesignObjective.evaluate on a one-draw stack, not copies of the formula
+    cfg = small_cfg.replace(delta1=deltas[0], delta2=deltas[1])
+    stats = build_statistics(cfg)
+    design = DesignObjective.from_scenario(stats, cfg)
+    rng = np.random.default_rng(16)
+    for trial in range(3):
+        sample = sample_estimated_csi(stats, cfg, 700 + trial)
+        v = random_relaxed(rng, stats.irs_size)
+        values, ascents = design.evaluate(v, sample.g_hat[None], sample.h_hat[None])
+        ratio = design.ratio(sample)
+        assert ratio.value(v) == values[0] == gamma_ub(v, sample, stats, cfg)
+        assert ratio.ascent(v).tobytes() == ascents[0].tobytes()
+        assert ratio.grad(v).tobytes() == np.conj(ascents[0]).tobytes()
+        assert gamma_ub_gradient(v, sample, stats, cfg).tobytes() == \
+            np.conj(ascents[0]).tobytes()
+
+
 def test_gradient_matches_finite_differences(small_cfg):
     cfg = small_cfg.replace(delta1=0.3, delta2=0.2)
     stats = build_statistics(cfg)
@@ -431,8 +451,10 @@ def test_gradient_scalar_linear_term():
     # scalar surface, real positive coefficients, v = 0: gradient is p0*b/d
     g_hat = np.array([[2.0 + 0.0j]])
     h_hat = np.array([1.5 + 0.0j])
-    ratio = UbQuadraticRatio(g_hat=g_hat, h_hat=h_hat, err_const=0.0, p0=3.0,
-                             denom_quad=None, denom_const=2.0)
+    design = DesignObjective(p0=3.0, g_mean=np.zeros((1, 1), dtype=complex), g_var=0.0,
+                             h_mean=np.zeros(1, dtype=complex), h_var=0.0,
+                             err_const=0.0, denom_quad=None, denom_const=2.0)
+    ratio = design.ratio(CsiSample(g_hat=g_hat, h_hat=h_hat))
     b = (g_hat @ h_hat)[0]
     grad = ratio.grad(np.zeros(1, dtype=complex))
     assert np.isclose(grad[0], 3.0 * np.conj(b) / 2.0, rtol=1e-14)
@@ -463,14 +485,12 @@ def test_gamma_scale_invariance(small_cfg):
 # ---------------------------------------------------------------------------
 
 def test_phase_vector_forms():
-    with pytest.raises(ValueError, match="unit modulus"):
-        PhaseShiftVector(np.array([0.5 + 0.0j]))
-    relaxed = PhaseShiftVector(np.array([0.5 + 0.0j]), form="relaxed")
-    assert relaxed.form == "relaxed"
-    with pytest.raises(ValueError, match="<= 1"):
-        PhaseShiftVector(np.array([1.2 + 0.0j]), form="relaxed")
-    with pytest.raises(ValueError, match="unknown form"):
-        PhaseShiftVector(np.array([1.0 + 0.0j]), form="loose")
+    # deployable designs only; relaxed solver iterates are plain arrays
+    for entry in (0.5 + 0.0j, 1.2 + 0.0j):
+        with pytest.raises(ValueError, match="unit modulus"):
+            PhaseShiftVector(np.array([entry]))
+    with pytest.raises(TypeError):
+        PhaseShiftVector(np.array([1.0 + 0.0j]), form="relaxed")
     ones = PhaseShiftVector.ones(4)
     assert len(ones) == 4
     assert np.all(ones.v == 1.0)

@@ -219,11 +219,11 @@ def test_advance_iterate():
 def test_project_unit_modulus():
     v = np.array([0.5 * np.exp(1j * math.pi / 3), 0.0j, -2e-1])
     out = project_unit_modulus(v)
-    assert out.form == "deployment"
+    assert isinstance(out, PhaseShiftVector)
     np.testing.assert_allclose(out.v[0], np.exp(1j * math.pi / 3), rtol=1e-12)
     assert out.v[1] == 1.0 + 0.0j          # zero maps to 1
     np.testing.assert_allclose(out.v[2], -1.0 + 0.0j, rtol=1e-12)
-    # idempotent on deployment-form input
+    # idempotent on unit-modulus input
     again = project_unit_modulus(out)
     np.testing.assert_allclose(again.v, out.v, rtol=1e-15)
 
@@ -254,7 +254,7 @@ def test_run_iterates_feasible_and_output_unit(small_cfg, small_stats):
         assert np.max(np.abs(entry["v_prev"])) <= 1.0 + 1e-12
         assert np.max(np.abs(np.abs(entry["v_bar"]) - 1.0)) < 1e-12
     assert np.max(np.abs(np.abs(result.v.v) - 1.0)) < 1e-12
-    assert result.v.form == "deployment"
+    assert isinstance(result.v, PhaseShiftVector)
 
 
 def test_run_improves_over_initial(preset_cfg, preset_stats):
@@ -347,12 +347,12 @@ def _dense_reference_run(solver_cfg, stats, cfg, design):
                        named_child(solver_cfg.seed, "solver").spawn(2)))
     for t in range(1, solver_cfg.iterations + 1):
         vals, grads = [], np.zeros(mr, dtype=complex)
-        for sample in _per_draw(design, *design.sample(streams, solver_cfg.samples_per_iter)):
-            e = sample.g_hat.conj().T @ v + sample.h_hat
+        for g_hat, h_hat in zip(*design.sample(streams, solver_cfg.samples_per_iter)):
+            e = g_hat.conj().T @ v + h_hat
             num = design.p0 * (np.real(np.vdot(e, e)) + design.err_const)
             den = np.real(v.conj() @ dense @ v) + design.denom_const
             vals.append(num / den)
-            grads += (design.p0 * (sample.g_hat @ e) * den - num * (dense @ v)) / den ** 2
+            grads += (design.p0 * (g_hat @ e) * den - num * (dense @ v)) / den ** 2
         rho = stepsize_rho(t, solver_cfg.rho_exponent)
         c0 = rho * np.mean(vals) + (1 - rho) * c0
         c1 = rho * grads / len(vals) + (1 - rho) * c1

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from irsopt import baselines
 from irsopt.baselines import evaluate_scheme, scheme
 from irsopt.beamforming import mrt_policy
 from irsopt.channel import PhysicalChannelSampler
 from irsopt.rate import PhaseShiftVector, ergodic_rate_mc
 from irsopt.ssca import SolverConfig
-from irsopt.streams import child_seed, crandn, named_child
+from irsopt.cli import SweepSpec
+from irsopt.streams import check_seed, child_seed, crandn, named_child
 
 
 @pytest.mark.parametrize("shape", [(), 7, (3, 5), (4, 16, 2), (0, 3)])
@@ -60,13 +62,44 @@ def test_sampling_apis_reject_non_integer_seeds(small_cfg, small_stats, kind, ca
         call(small_stats, small_cfg, _non_int_seeds()[kind])
 
 
-@pytest.mark.parametrize("derive", [named_child, child_seed])
+def checked(seed, name):
+    """check_seed with the signature of the seed derivations."""
+    return check_seed(seed)
+
+
+@pytest.mark.parametrize("derive", [named_child, child_seed, checked])
 def test_seed_derivation_domain(derive):
     a, b = derive(np.int64(9), "x"), derive(9, "x")
     if derive is named_child:
         a, b = a.standard_normal(3), b.standard_normal(3)
     np.testing.assert_array_equal(a, b)
+    if derive is checked:
+        assert type(a) is int
     with pytest.raises(TypeError):
         derive(9.0, "x")
     with pytest.raises(ValueError, match="non-negative"):
         derive(-1, "x")
+
+
+@pytest.mark.parametrize("build", [lambda seed: SolverConfig(seed=seed),
+                                   lambda seed: SweepSpec(param="error-std", values=(0.1,),
+                                                          schemes=("proposed",), seed=seed)],
+                         ids=["SolverConfig", "SweepSpec"])
+def test_configs_reject_bad_seeds_at_construction(build):
+    build(np.int64(3))
+    with pytest.raises(TypeError):
+        build(1.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        build(-1)
+
+
+def test_evaluate_scheme_checks_eval_seed_before_designing(small_cfg, small_stats,
+                                                           monkeypatch):
+    def no_design(*args, **kwargs):
+        raise AssertionError("a design ran before the seed check")
+
+    monkeypatch.setattr(baselines, "run_ssca", no_design)
+    solver = SolverConfig(iterations=2, samples_per_iter=1)
+    with pytest.raises(TypeError):
+        evaluate_scheme(scheme("proposed"), small_stats, small_cfg, solver, 4,
+                        np.random.default_rng(5))
