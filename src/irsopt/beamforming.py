@@ -53,23 +53,23 @@ def mrt_equivalent_beamformer(v: PhaseLike, sample: CsiSample) -> Beamformer:
 
 
 def mrt_policy(v: PhaseLike) -> BeamformingPolicy:
-    """Batched beamforming policy for the Monte Carlo evaluator.
+    """Batched matched-filter policy for the Monte Carlo evaluator.
 
-    Returns a callable mapping (g_hat (n,Mr,M0), h_hat (n,M0)) to unit-norm
-    rows (n,M0).  Zero combined channels (only reachable in degenerate
-    synthetic scenarios) fall back to the first standard basis vector.
+    Returns a callable mapping the estimated combined channels
+    e_hat = g_hat^H v + h_hat (n, M0) to unit-norm rows e_hat / ||e_hat||
+    (n, M0).  The matched filter needs only e_hat, which the evaluator
+    draws for v; the policy reads nothing else, and v stays the argument so
+    that a policy is still built per design.  Zero combined channels (only
+    reachable in degenerate synthetic scenarios) fall back to the first
+    standard basis vector.
     """
-    varr = phase_array(v)
-
-    def policy(g_hat: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
-        e = np.einsum("nmi,m->ni", g_hat.conj(), varr) + h_hat
-        nrm = np.linalg.norm(e, axis=1)
+    def policy(e_hat: np.ndarray) -> np.ndarray:
+        nrm = np.linalg.norm(e_hat, axis=1)
         dead = nrm == 0.0
         if np.any(dead):
-            e = e.copy()
-            e[dead, 0] = 1.0
+            e_hat = e_hat.copy()
+            e_hat[dead, 0] = 1.0
             nrm = np.where(dead, 1.0, nrm)
-        return e / nrm[:, None]
+        return e_hat / nrm[:, None]
 
     return policy
-

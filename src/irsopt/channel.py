@@ -24,7 +24,7 @@ Three sampling routes exist, each for one consumer:
   direct-estimate entries zero-mean with variance sigma_h^2 - delta2^2.
 * `sample_estimated_csi` (one draw) takes a single estimate from the same
   Gaussian model, for single-draw objective and beamformer checks.
-* `PhysicalChannelSampler` (evaluator) draws the Rician/Rayleigh fading
+* `PhysicalChannelSampler` draws the Rician/Rayleigh fading
   physically and splits each serving-link channel into estimate + error,
   with the error built from the channel's own scattered part plus fresh
   Gaussian noise so that (a) estimate + error reconstructs the drawn
@@ -33,8 +33,19 @@ Three sampling routes exist, each for one consumer:
   is then sigma^2 - delta^2 as in the Gaussian model.  For the Rayleigh
   direct link the split is exact (independent Gaussian parts); the
   cascaded channel is a product of Gaussians, so the two models still
-  differ in higher moments.  The Monte Carlo evaluator always uses the
-  physical route.
+  differ in higher moments.  It has two outputs:
+
+  - `draw_combined(v, n)` (the Monte Carlo evaluator's route) returns only
+    what the matched-filter rate reads, the true and estimated combined
+    channels x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat.
+    Given h_ru, the scattered part of H_0r projects onto u = h_ru * v as
+    CN(0, ||u||^2 I) and the fresh cascaded error noise onto v as
+    CN(0, delta1^2 (1 - delta1^2/sigma_g^2) ||v||^2 I), so both are drawn
+    in M0 dimensions with the exact conditional law: O(Mr + M0) draws per
+    slot instead of O(Mr * M0).
+  - `draw(n)` returns the full (n, Mr, M0) channels, errors and, on
+    request, the interferers' links; it is the oracle for the
+    interference-power check and for the tests of `draw_combined`.
 """
 from __future__ import annotations
 
@@ -151,7 +162,7 @@ class ChannelStatistics:
             raise ValueError("tau must lie in [0, 1]")
         if np.any(self.alpha_direct < 0) or np.any(self.alpha_bs_irs < 0):
             raise ValueError("large-scale gains must be non-negative")
-        if self.delta1_abs < 0 or self.delta2_abs < 0:
+        if not (self.delta1_abs >= 0 and self.delta2_abs >= 0):     # rejects NaN too
             raise ValueError("error std-devs must be non-negative")
         # every sampler derives an estimate variance sigma^2 - delta^2 from
         # these; the tiny relative slack lets delta == sigma round-trip
@@ -270,7 +281,8 @@ class PhysicalBatch:
 
 
 class PhysicalChannelSampler:
-    """Physical Rician/Rayleigh sampler used by the Monte Carlo evaluator.
+    """Physical Rician/Rayleigh sampler: `draw_combined` feeds the Monte
+    Carlo evaluator, `draw` the interference oracle and the tests.
 
     Each drawn quantity has its own named stream, so draws of one quantity
     are unaffected by shape changes in another (common-random-number
@@ -286,6 +298,15 @@ class PhysicalChannelSampler:
             for k in range(1, stats.n_bs):
                 names += [f"bs-irs/{k}", f"direct/{k}", f"own/{k}"]
         self._streams = named_children(rng, names)
+
+    def _irs_user_channel(self, n: int) -> np.ndarray:
+        """h_ru = sqrt(a_ru) * (w_los * los_ru + w_nlos * CN(0,1)), (n, Mr)."""
+        s = self._stats
+        w_los, w_nlos = rician_weights(s.rician_irs_user)
+        return math.sqrt(s.alpha_irs_user) * (
+            w_los * s.los_irs_user[None, :]
+            + w_nlos * crandn(self._streams["irs-user"], (n, s.irs_size), 1.0)
+        )
 
     def _bs_irs_channel(self, k: int, n: int) -> np.ndarray:
         """H_kr = sqrt(a_kr) * (w_los * los + w_nlos * CN(0,1)), (n, Mr, Mk)."""
@@ -309,13 +330,9 @@ class PhysicalChannelSampler:
 
     def draw(self, n: int) -> PhysicalBatch:
         s = self._stats
-        mr, m0 = s.irs_size, s.bs_sizes[0]
+        m0 = s.bs_sizes[0]
 
-        w_los, w_nlos = rician_weights(s.rician_irs_user)
-        h_ru = math.sqrt(s.alpha_irs_user) * (
-            w_los * s.los_irs_user[None, :]
-            + w_nlos * crandn(self._streams["irs-user"], (n, mr), 1.0)
-        )  # (n, Mr); shared by every cascaded link of the slot
+        h_ru = self._irs_user_channel(n)  # shared by every cascaded link of the slot
 
         h_bs_irs0 = self._bs_irs_channel(0, n)
         g_true = h_ru.conj()[:, :, None] * h_bs_irs0          # diag(h_ru^H) H_0r
@@ -342,6 +359,43 @@ class PhysicalChannelSampler:
 
         return PhysicalBatch(g_true=g_true, h_true=h_true, g_err=g_err, h_err=h_err,
                              interference=interference)
+
+    def draw_combined(self, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The serving link's combined channels for phase shifts v, drawn
+        from their exact law given h_ru: (x, e_hat), both (n, M0), with
+        x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat as `draw`
+        would give them.
+
+        With u = h_ru * v and S the i.i.d. CN(0,1) scatter of H_0r,
+        S^H u ~ CN(0, ||u||^2 I), so g_true^H v is
+        sqrt(a_0r) * (w_los * L^H u + w_nlos * ||u|| * z), z ~ CN(0, I).
+        `_split_error` carried through the projection gives
+        g_hat^H v = (1 - s) g_true^H v + s glos_0^H v - n_g with
+        n_g ~ CN(0, delta1^2 (1 - s) ||v||^2 I) and s = delta1^2 / sigma_g^2.
+        h_ru, h_true and the direct-link error are bit-identical to
+        `draw(n)`'s; the bs-irs/0 and err/g streams are drawn in (n, M0)
+        instead of (n, Mr, M0), so those values differ.
+        """
+        s = self._stats
+        m0 = s.bs_sizes[0]
+        v = np.asarray(v, dtype=complex)
+
+        u = self._irs_user_channel(n) * v                       # (n, Mr)
+        w_los, w_nlos = rician_weights(s.rician_bs_irs[0])
+        z = crandn(self._streams["bs-irs/0"], (n, m0), 1.0)
+        z *= (w_nlos * np.linalg.norm(u, axis=1))[:, None]
+        y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (u @ s.los_bs_irs[0].conj()) + z)
+        h_true = crandn(self._streams["direct/0"], (n, m0), s.alpha_direct[0])
+
+        sigma_g_sq, delta1_sq = float(s.sigma_g_sq[0]), s.delta1_abs ** 2
+        share_g = 0.0 if sigma_g_sq == 0.0 else delta1_sq / sigma_g_sq
+        n_g = crandn(self._streams["err/g"], (n, m0),
+                     delta1_sq * max(1.0 - share_g, 0.0) * float(np.vdot(v, v).real))
+        h_err = self._split_error(h_true, s.sigma_h_sq, s.delta2_abs ** 2,
+                                  self._streams["err/h"])
+        los_term = v @ s.cascaded_los[0].conj()                 # glos_0^H v, (M0,)
+        e_hat = (1.0 - share_g) * y + share_g * los_term - n_g + (h_true - h_err)
+        return y + h_true, e_hat
 
 
 def sample_estimated_csi(stats: ChannelStatistics, cfg: ScenarioConfig,

@@ -114,13 +114,14 @@ class ScenarioConfig:
         for e in (self.exp_direct, self.exp_bs_irs, self.exp_irs_user):
             if not (e > 0 and np.isfinite(e)):
                 raise ValueError(f"path-loss exponents must be positive, got {e}")
-        if self.spacing <= 0:
+        # the not (x >= 0) form rejects NaN too
+        if not (self.spacing > 0):
             raise ValueError(f"element spacing must be positive, got {self.spacing}")
-        if self.delta1 < 0 or self.delta2 < 0:
+        if not (self.delta1 >= 0 and self.delta2 >= 0):
             raise ValueError("error std-devs must be non-negative")
         if self.error_units not in ERROR_UNITS:
             raise ValueError(f"error_units must be one of {ERROR_UNITS}")
-        if self.error_units == "normalized" and (self.delta1 > 1 or self.delta2 > 1):
+        if self.error_units == "normalized" and not (self.delta1 <= 1 and self.delta2 <= 1):
             raise ValueError("normalized error std-devs must lie in [0, 1]")
         for k in range(n):
             if self.d_bs_user(k) <= 0 or self.d_bs_irs(k) <= 0:

@@ -218,7 +218,7 @@ def upper_bound_rate_closed_form(v: PhaseLike, stats: ChannelStatistics,
     return math.log2(1.0 + cfg.powers_watt[0] * signal / sinr_denominator(v, stats, cfg))
 
 
-BeamformingPolicy = Callable[[np.ndarray, np.ndarray], np.ndarray]
+BeamformingPolicy = Callable[[np.ndarray], np.ndarray]
 
 
 def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,
@@ -226,10 +226,14 @@ def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStati
                     return_samples: bool = False) -> RateReport:
     """Monte Carlo ergodic rate under physically sampled channels.
 
-    The beamforming policy maps batched estimated CSI (g_hat (n,Mr,M0),
-    h_hat (n,M0)) to unit-norm rows (n,M0).  The signal term uses the true
-    channels; the interference-plus-noise term uses its exact expectation
-    (sinr_denominator), per the worst-case-noise reading of the rate.
+    Each slot needs only the serving link's combined channels: the true
+    x = g_true^H v + h_true and the estimated e_hat = g_hat^H v + h_hat,
+    drawn from their exact law by `PhysicalChannelSampler.draw_combined`
+    (O(Mr + M0) draws per slot; no (n, Mr, M0) array is built).  The
+    beamforming policy maps e_hat (n, M0) to unit-norm rows (n, M0).  The
+    signal term |x^H w|^2 uses the true channel; the interference-plus-noise
+    term uses its exact expectation (sinr_denominator), per the
+    worst-case-noise reading of the rate.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -243,9 +247,8 @@ def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStati
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
-        batch = sampler.draw(m)
-        w = policy(batch.g_hat, batch.h_hat)                      # (m, M0)
-        x = np.einsum("nmi,m->ni", batch.g_true.conj(), varr) + batch.h_true
+        x, e_hat = sampler.draw_combined(varr, m)
+        w = policy(e_hat)                                          # (m, M0)
         signal = np.abs(np.einsum("ni,ni->n", x.conj(), w)) ** 2
         signal_sum += float(np.sum(signal))
         rates[done:done + m] = np.log2(1.0 + p0 * signal / den)

@@ -17,8 +17,6 @@ from .rate import (
     _MC_CHUNK,
     ergodic_rate_mc,
     expected_signal_power_closed_form,
-    gamma_ub,
-    gamma_ub_gradient,
     gk,
     phase_array,
     sinr_denominator,
@@ -103,7 +101,8 @@ def check_gradient(cfg: ScenarioConfig, seed: int, step: float = 1e-6,
     varr = (rng.uniform(0.3, 1.0, stats.irs_size)
             * np.exp(1j * rng.uniform(0, 2 * math.pi, stats.irs_size)))
     sample = sample_estimated_csi(stats, cfg, child_seed(seed, "validate/grad/csi"))
-    grad = gamma_ub_gradient(varr, sample, stats, cfg)
+    ratio = DesignObjective.from_scenario(stats, cfg).ratio(sample)
+    grad = ratio.grad(varr)
 
     fd = np.zeros_like(grad)
     for n in range(varr.shape[0]):
@@ -111,8 +110,7 @@ def check_gradient(cfg: ScenarioConfig, seed: int, step: float = 1e-6,
             plus, minus = varr.copy(), varr.copy()
             plus[n] += step * direction
             minus[n] -= step * direction
-            diff = (gamma_ub(plus, sample, stats, cfg)
-                    - gamma_ub(minus, sample, stats, cfg)) / (2 * step)
+            diff = (ratio.value(plus) - ratio.value(minus)) / (2 * step)
             fd[n] += weight * diff
     err = np.linalg.norm(fd - grad) / np.linalg.norm(grad)
     return err < rtol, f"relative L2 error {err:.2e}"

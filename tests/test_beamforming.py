@@ -82,19 +82,21 @@ def test_zero_channel_raises(small_stats):
 def test_policy_zero_channel_fallback(small_stats):
     v = PhaseShiftVector.ones(small_stats.irs_size)
     policy = mrt_policy(v)
-    g = np.zeros((3, small_stats.irs_size, 4), dtype=complex)
-    h = np.zeros((3, 4), dtype=complex)
-    h[1, 2] = 2.0   # one live row among dead ones
-    w = policy(g, h)
+    e_hat = np.zeros((3, 4), dtype=complex)
+    e_hat[1, 2] = 2.0   # one live row among dead ones
+    w = policy(e_hat)
     np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0, rtol=1e-12)
     np.testing.assert_allclose(w[0], [1, 0, 0, 0], atol=1e-15)
     np.testing.assert_allclose(w[1], [0, 0, 1, 0], atol=1e-15)
+    # the dead rows are patched in a copy, not in the caller's array
+    assert not np.any(e_hat[0])
 
 
 def test_policy_matches_single_sample_op(small_cfg, small_stats):
     rng = np.random.default_rng(4)
     sample = sample_estimated_csi(small_stats, small_cfg, 13)
     v = random_phase_vector(rng, small_stats.irs_size)
-    w_batch = mrt_policy(v)(sample.g_hat[None], sample.h_hat[None])
+    e_hat = sample.g_hat.conj().T @ v.v + sample.h_hat
+    w_batch = mrt_policy(v)(e_hat[None])
     bf = mrt_equivalent_beamformer(v, sample)
     np.testing.assert_allclose(w_batch[0], bf.w, rtol=1e-12)

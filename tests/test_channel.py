@@ -172,6 +172,12 @@ def test_statistics_reject_error_variance_above_channel_variance(small_stats):
         dataclasses.replace(small_stats, delta2_abs=2.0 * math.sqrt(small_stats.sigma_h_sq))
 
 
+@pytest.mark.parametrize("field", ["delta1_abs", "delta2_abs"])
+def test_statistics_reject_nan_error_std(small_stats, field):
+    with pytest.raises(ValueError, match="non-negative"):
+        dataclasses.replace(small_stats, **{field: math.nan})
+
+
 def test_absolute_delta_within_bounds_accepted(preset_cfg):
     stats0 = build_statistics(preset_cfg.replace(delta1=0.0, delta2=0.0))
     cfg = preset_cfg.replace(delta1=0.5 * math.sqrt(stats0.sigma_g_sq[0]),

@@ -99,6 +99,15 @@ def test_validation_errors(preset_cfg):
         preset_cfg.replace(irs_grid=(0, 4))
 
 
+@pytest.mark.parametrize("field", ["delta1", "delta2", "spacing"])
+@pytest.mark.parametrize("units", ["normalized", "absolute"])
+def test_validation_rejects_nan(preset_cfg, field, units):
+    # a NaN compares false both ways, so it must fail a not (x >= 0) check
+    cfg = preset_cfg.replace(error_units=units)
+    with pytest.raises(ValueError):
+        cfg.replace(**{field: math.nan})
+
+
 def test_config_hash_ignores_name(preset_cfg):
     renamed = preset_cfg.replace(name="other")
     assert renamed.config_hash() == preset_cfg.config_hash()

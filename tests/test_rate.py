@@ -28,7 +28,8 @@ from irsopt.rate import (
     upper_bound_rate_closed_form,
 )
 from irsopt.ssca import DesignObjective
-from conftest import design_draws, paired_t, random_phase_vector, random_relaxed
+from conftest import (design_draws, paired_t, random_phase_vector, random_relaxed,
+                      random_scenario)
 
 
 def fd_gradient(fn, v: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -332,6 +333,97 @@ def test_ergodic_determinism(small_cfg, small_stats):
     b = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 600, 23,
                         return_samples=True)
     np.testing.assert_array_equal(a.rate_samples, b.rate_samples)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator's combined-channel draws against the full physical sampler
+# ---------------------------------------------------------------------------
+
+def _physical_combined(v, stats, seed: int, n: int, chunk: int = 4096):
+    """(x, e_hat) built from full `PhysicalChannelSampler.draw` batches:
+    x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat, in chunks."""
+    varr = phase_array(v)
+    sampler = PhysicalChannelSampler(stats, seed)
+    xs, es = [], []
+    for start in range(0, n, chunk):
+        batch = sampler.draw(min(chunk, n - start))
+        xs.append(np.einsum("nmi,m->ni", batch.g_true.conj(), varr) + batch.h_true)
+        es.append(np.einsum("nmi,m->ni", batch.g_hat.conj(), varr) + batch.h_hat)
+    return np.concatenate(xs), np.concatenate(es)
+
+
+def _physical_rates(v, stats, cfg, seed: int, n: int) -> np.ndarray:
+    """Per-sample matched-filter rates on full physical draws: the
+    evaluator's arithmetic before it moved to `draw_combined`."""
+    x, e_hat = _physical_combined(v, stats, seed, n, chunk=512)
+    w = e_hat / np.linalg.norm(e_hat, axis=1)[:, None]
+    signal = np.abs(np.einsum("ni,ni->n", x.conj(), w)) ** 2
+    return np.log2(1.0 + cfg.powers_watt[0] * signal / sinr_denominator(v, stats, cfg))
+
+
+def test_combined_draw_equals_physical_path_when_exact(small_cfg):
+    # pure-LoS BS->IRS link and perfect CSI: g_true^H v = sqrt(a_0r) L^H u
+    # with no scatter or error noise left to draw, so both routes compute the
+    # same numbers from the same h_ru and h_true draws
+    cfg = small_cfg.replace(rician_bs_irs=(math.inf,) + small_cfg.rician_bs_irs[1:],
+                            delta1=0.0, delta2=0.0)
+    stats = build_statistics(cfg)
+    assert math.isfinite(cfg.rician_irs_user) and stats.sigma_g_sq[0] > 0
+    v = random_phase_vector(np.random.default_rng(41), stats.irs_size)
+    n = 1500    # three chunks, the last one partial
+    report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 43, return_samples=True)
+    np.testing.assert_allclose(report.rate_samples, _physical_rates(v, stats, cfg, 43, n),
+                               rtol=1e-10, atol=0.0)
+    assert np.ptp(report.rate_samples) > 0.1     # h_ru really is random
+
+
+def _moments(x: np.ndarray, e_hat: np.ndarray) -> dict:
+    return {"E|x|^2": np.mean(np.abs(x) ** 2, axis=0),
+            "E|e|^2": np.mean(np.abs(e_hat) ** 2, axis=0),
+            "E[x e*]": np.mean(x * e_hat.conj(), axis=0)}
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.8])
+def test_combined_draw_matches_physical_sampler_in_law(delta):
+    rng = np.random.default_rng(57)
+    n = 20_000
+    for i in range(3):
+        # a weak direct link, so the cascaded terms carry the moments
+        cfg = random_scenario(rng, f"law{i}").replace(
+            delta1=delta, delta2=delta, exp_direct=rng.uniform(6.0, 7.0))
+        assert all(math.isfinite(k) for k in cfg.rician_bs_irs + (cfg.rician_irs_user,))
+        stats = build_statistics(cfg)
+        v = random_phase_vector(rng, stats.irs_size)
+        seed = int(rng.integers(2 ** 31))
+        # one seed: both routes share h_ru and h_true, the variables the
+        # combined law is conditioned on, and differ only in what it replaces
+        new = _moments(*PhysicalChannelSampler(stats, seed).draw_combined(v.v, n))
+        old = _moments(*_physical_combined(v, stats, seed, n))
+        for name in new:
+            gap = np.abs(new[name] - old[name]) / np.abs(old[name])
+            assert np.all(gap < 0.05), f"scenario {i}, {name}: relative gaps {gap}"
+
+        # independent seeds: the 3-sigma bracket is then an unpaired test
+        report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, seed + 1)
+        rates = _physical_rates(v, stats, cfg, seed + 2, n)
+        se = math.hypot(report.mc_stderr, np.std(rates, ddof=1) / math.sqrt(n))
+        assert abs(report.mc_rate - np.mean(rates)) < 3 * se, (
+            f"scenario {i}: {report.mc_rate} vs {np.mean(rates)} (se {se})")
+
+
+def test_evaluator_never_builds_full_physical_batch(small_cfg, small_stats, monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("the evaluator drew (n, Mr, M0) channels")
+
+    monkeypatch.setattr(PhysicalChannelSampler, "draw", refuse)
+    v = PhaseShiftVector.ones(small_stats.irs_size)
+    report = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 600, 5)
+    assert report.n_samples == 600 and math.isfinite(report.mc_rate)
+    solver = irsopt.SolverConfig(iterations=3, samples_per_iter=2, seed=5)
+    for name in ("proposed", "robust-with-intf"):
+        report = irsopt.evaluate_scheme(irsopt.scheme(name), small_stats, small_cfg,
+                                        solver, 64, 5)
+        assert math.isfinite(report.mc_rate)
 
 
 def test_rate_report_validation():
