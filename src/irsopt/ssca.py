@@ -25,6 +25,14 @@ unit-modulus projection of the final iterate.
 what makes the closed-form surrogate maximizer an ascent step; the plain
 derivative convention of `UbQuadraticRatio.grad` is its conjugate.  The
 objective gamma itself, with its sampling law, is `DesignObjective`.
+
+A draw enters gamma only through e = g_hat^H v + h_hat and g_hat e, so each
+sample draws those two from their exact joint law: Mr + 2*M0 Gaussian
+values, O(L*(Mr + M0)) draws per iteration where the full (L, Mr, M0)
+estimate would cost L*Mr*M0.  The one product with the LoS mean G stays at
+L*Mr*M0 flops.  The expectation of gamma has a closed form
+(`DesignObjective.expected`); the stochastic iteration is the paper's
+method, and the closed form is kept as its oracle.
 """
 from __future__ import annotations
 
@@ -137,7 +145,10 @@ class DesignObjective:
     v-independent interference and noise terms.  B is never formed: it
     enters as the (Mr, sum_k Mk) factor F of B = F F^H (`denom_quad`, None
     for a constant denominator), so v^H B v = ||F^H v||^2, B v = F (F^H v),
-    and `evaluate` handles L draws in O(L*M0*Mr + Mr*sum_k Mk).
+    and `evaluate` handles L draws in O(L*Mr + Mr*sum_k Mk) from their
+    e = g_hat^H v + h_hat and g_hat e, which `sample` draws in
+    L*(Mr + 2*M0) values.  `expected` is the closed-form mean of gamma and
+    its ascent.
 
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
@@ -187,19 +198,46 @@ class DesignObjective:
     def irs_size(self) -> int:
         return self.g_mean.shape[0]
 
-    def sample(self, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw n estimated-CSI samples from the design's Gaussian law as
-        stacked arrays (g_hat (n, Mr, M0), h_hat (n, M0))."""
-        g = crandn(streams["design/g"], (n,) + self.g_mean.shape, self.g_var)
-        g += self.g_mean
-        h = crandn(streams["design/h"], (n, self.h_mean.shape[0]), self.h_var)
-        h += self.h_mean
-        return g, h
+    def sample(self, streams: dict, v: np.ndarray,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw, for n estimated-CSI samples at the iterate v, the two
+        quantities `evaluate` reads: e = g_hat^H v + h_hat (n, M0) and
+        g_hat e (n, Mr), from their exact joint law.  No (n, Mr, M0) draw
+        is made.
 
-    def evaluate(self, v: np.ndarray, g_hat: np.ndarray,
-                 h_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """gamma(v) and its steepest-ascent direction for L draws g_hat
-        (L, Mr, M0), h_hat (L, M0).
+        With g_hat = G + sigma_g S (S i.i.d. CN(0, 1)), q = v / ||v|| and
+        P = I - q q^H, z = S^H q ~ CN(0, I_M0) is independent of P S, so
+
+            e       = G^H v + sigma_g ||v|| z + h_hat
+            g_hat e = G e + sigma_g (q (z^H e) + ||e|| P w),   w ~ CN(0, I_Mr),
+
+        and at v = 0, g_hat e = G e + sigma_g ||e|| w.  That is Mr + 2*M0
+        draws per sample; the one product G e costs n*Mr*M0 flops.
+        """
+        mr, m0 = self.g_mean.shape
+        sigma = math.sqrt(self.g_var)
+        v_norm = float(np.linalg.norm(v))
+        z = crandn(streams["design/g"], (n, m0), 1.0)
+        w = crandn(streams["design/g"], (n, mr), 1.0)
+        e = crandn(streams["design/h"], (n, m0), self.h_var)
+        e += self.g_mean.conj().T @ v + self.h_mean
+        e += (sigma * v_norm) * z
+        e_norm = np.sqrt(np.sum(e.real ** 2 + e.imag ** 2, axis=1))
+        ge = e @ self.g_mean.T                                      # G e
+        ge += (sigma * e_norm)[:, None] * w
+        if v_norm > 0.0:
+            # sigma (q (z^H e) + ||e|| P w) = sigma ||e|| w + c q, where
+            # c = sigma (z^H e - ||e|| q^H w)
+            q = v / v_norm
+            along = np.sum(z.conj() * e, axis=1) - e_norm * (w @ q.conj())
+            ge += (sigma * along)[:, None] * q
+        return e, ge
+
+    def evaluate(self, v: np.ndarray, e: np.ndarray,
+                 ge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """gamma(v) and its steepest-ascent direction for L draws, given
+        through e = g_hat^H v + h_hat (L, M0) and g_hat e (L, Mr), the only
+        parts of a draw the ratio reads (`sample` draws them directly).
 
         Returns (values (L,), ascents (L, Mr)).  The ascent is the conjugate
         of the formal derivative d gamma / d v_n (conjugate coordinates held
@@ -207,10 +245,30 @@ class DesignObjective:
         B v and the denominator do not depend on the draw and are computed
         once.
         """
+        return self._ratio(v, np.sum(e.real ** 2 + e.imag ** 2, axis=1), ge)
+
+    def expected(self, v: np.ndarray) -> tuple[float, np.ndarray]:
+        """E gamma(v) and E ascent(v) over the sampling law, in closed form.
+        The denominator is draw-free and the ratio is linear in ||e||^2 and
+        g_hat e, whose means are, with m = G^H v + h_mean,
+
+            E ||e||^2   = ||m||^2 + M0 (sigma_g^2 ||v||^2 + sigma_h^2)
+            E g_hat e   = G m + M0 sigma_g^2 v.
+        """
+        m0 = self.g_mean.shape[1]
+        mean_e = self.g_mean.conj().T @ v + self.h_mean
+        power = (float(np.real(np.vdot(mean_e, mean_e)))
+                 + m0 * (self.g_var * float(np.real(np.vdot(v, v))) + self.h_var))
+        mean_ge = self.g_mean @ mean_e + (m0 * self.g_var) * v
+        values, ascents = self._ratio(v, np.array([power]), mean_ge[None])
+        return float(values[0]), ascents[0]
+
+    def _ratio(self, v: np.ndarray, power: np.ndarray,
+               ge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ratio and its ascent from ||e||^2 (L,) and g_hat e (L, Mr)."""
         p0, denom_quad, denom_const = self.p0, self.denom_quad, self.denom_const
-        e = np.conj(v.conj() @ g_hat) + h_hat                      # g_hat^H v + h_hat, (L, M0)
-        num = p0 * (np.sum(e.real ** 2 + e.imag ** 2, axis=1) + self.err_const)
-        signal_dir = p0 * (g_hat @ e[:, :, None])[:, :, 0]           # p0 * g_hat e, (L, Mr)
+        num = p0 * (power + self.err_const)
+        signal_dir = p0 * ge
         if denom_quad is None:
             return num / denom_const, signal_dir / denom_const
         proj = denom_quad.conj().T @ v                               # F^H v
@@ -234,8 +292,11 @@ class UbQuadraticRatio:
     sample: CsiSample
 
     def _evaluate(self, v: PhaseLike) -> tuple[np.ndarray, np.ndarray]:
-        return self.design.evaluate(phase_array(v), self.sample.g_hat[None],
-                                    self.sample.h_hat[None])
+        varr = phase_array(v)
+        g_hat, h_hat = self.sample.g_hat[None], self.sample.h_hat[None]
+        e = np.conj(varr.conj() @ g_hat) + h_hat                    # g_hat^H v + h_hat
+        ge = (g_hat @ e[:, :, None])[:, :, 0]                       # g_hat e
+        return self.design.evaluate(varr, e, ge)
 
     def value(self, v: PhaseLike) -> float:
         return float(self._evaluate(v)[0][0])
@@ -252,16 +313,16 @@ class UbQuadraticRatio:
 # Algorithm steps
 # ---------------------------------------------------------------------------
 
-def update_coefficients(state: SscaState, g_hat: np.ndarray, h_hat: np.ndarray,
+def update_coefficients(state: SscaState, e: np.ndarray, ge: np.ndarray,
                         rho: float, design: DesignObjective) -> SscaState:
     """Blend the sample means of the objective and its ascent gradient over
-    the draws g_hat (L, Mr, M0), h_hat (L, M0), both evaluated at the
-    previous iterate, into the running averages."""
+    the draws e = g_hat^H v + h_hat (L, M0) and g_hat e (L, Mr), both taken
+    at the previous iterate v, into the running averages."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    if g_hat.shape[0] == 0:
+    if e.shape[0] == 0:
         raise ValueError("at least one sample per iteration is required")
-    values, ascents = design.evaluate(state.v, g_hat, h_hat)
+    values, ascents = design.evaluate(state.v, e, ge)
     mean_val = float(np.mean(values))
     mean_grad = np.mean(ascents, axis=0)
     return replace(
@@ -366,11 +427,12 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
         audit: bool = False) -> SscaResult:
     """Run the full stochastic solver and return the deployable design.
 
-    Per-iteration cost is O(L * M0 * Mr + Mr * sum_k Mk): sampling, the
-    objective and its gradient are linear in the channel matrix size, and
-    the interference matrix B = F F^H is applied through its (Mr, sum_k Mk)
-    factor F once per iteration, never formed.  Identical configurations
-    and seeds reproduce the iterates bit-for-bit.
+    Per iteration: L * (Mr + 2*M0) Gaussian draws (`DesignObjective.sample`
+    draws only what the ratio reads), one L*Mr*M0-flop product with the LoS
+    mean G, and O(L*Mr + Mr * sum_k Mk) for the ratio, its gradient and B v,
+    with B = F F^H applied through its (Mr, sum_k Mk) factor F, never
+    formed.  Identical configurations and seeds reproduce the iterates
+    bit-for-bit.
     """
     if design is None:
         design = DesignObjective.from_scenario(stats, cfg)
@@ -378,17 +440,16 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     v_init = np.ones(mr, dtype=complex) if v0 is None else phase_array(v0).copy()
     state = SscaState.initial(v_init)
 
-    # spawned rather than name-keyed children, so earlier designs reproduce
     streams = dict(zip(("design/g", "design/h"),
                        named_child(solver_cfg.seed, "solver").spawn(2)))
     tau_reg = solver_cfg.tau_reg
     trace = SscaTrace()
 
     for t in range(1, solver_cfg.iterations + 1):
-        g_hat, h_hat = design.sample(streams, solver_cfg.samples_per_iter)
+        e, ge = design.sample(streams, state.v, solver_cfg.samples_per_iter)
         rho = stepsize_rho(t, solver_cfg.rho_exponent)
         state = replace(state, t=t)
-        state = update_coefficients(state, g_hat, h_hat, rho, design)
+        state = update_coefficients(state, e, ge, rho, design)
         if tau_reg is None:
             tau_reg = _auto_tau(state.c1)
         v_prev = state.v

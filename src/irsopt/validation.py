@@ -64,8 +64,7 @@ def check_signal_power_oracle(cfg: ScenarioConfig, seed: int,
     streams = named_children(child_seed(seed, "validate/g0/d"), ("design/g", "design/h"))
     total = 0.0
     for start in range(0, n_draws, _MC_CHUNK):
-        g_hat, h_hat = design.sample(streams, min(_MC_CHUNK, n_draws - start))
-        e = np.conj(v.v.conj() @ g_hat) + h_hat
+        e, _ = design.sample(streams, v.v, min(_MC_CHUNK, n_draws - start))
         total += float(np.sum(e.real ** 2 + e.imag ** 2))
     sampled = total / n_draws
     closed = expected_signal_power_closed_form(v, stats)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import irsopt
-from irsopt.streams import named_children
+from irsopt.streams import crandn, named_children
 
 
 def random_scenario(rng: np.random.Generator, name: str = "rand",
@@ -57,11 +57,30 @@ def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
+def full_matrix_sample(design, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference law: n full estimated-CSI draws (g_hat (n, Mr, M0),
+    h_hat (n, M0)) from the design's Gaussian law, as the solver drew them
+    before `DesignObjective.sample` drew (e, g_hat e) directly."""
+    g = crandn(streams["design/g"], (n,) + design.g_mean.shape, design.g_var)
+    g += design.g_mean
+    h = crandn(streams["design/h"], (n, design.h_mean.shape[0]), design.h_var)
+    h += design.h_mean
+    return g, h
+
+
+def combine_draws(v: np.ndarray, g_hat: np.ndarray,
+                  h_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, g_hat e) of stacked full draws, e = g_hat^H v + h_hat: what
+    `DesignObjective.evaluate` reads of a draw."""
+    e = np.conj(v.conj() @ g_hat) + h_hat
+    return e, (g_hat @ e[:, :, None])[:, :, 0]
+
+
 def design_draws(stats, cfg, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n (g_hat, h_hat) draws from the Gaussian estimate law the solver
-    optimizes over (`DesignObjective.sample` of the robust design)."""
+    """n full (g_hat, h_hat) draws from the Gaussian estimate law the solver
+    optimizes over (that of the robust design)."""
     streams = named_children(seed, ("design/g", "design/h"))
-    return irsopt.DesignObjective.from_scenario(stats, cfg).sample(streams, n)
+    return full_matrix_sample(irsopt.DesignObjective.from_scenario(stats, cfg), streams, n)
 
 
 def paired_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:

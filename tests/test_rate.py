@@ -28,8 +28,8 @@ from irsopt.rate import (
     upper_bound_rate_closed_form,
 )
 from irsopt.ssca import DesignObjective
-from conftest import (design_draws, paired_t, random_phase_vector, random_relaxed,
-                      random_scenario)
+from conftest import (combine_draws, design_draws, paired_t, random_phase_vector,
+                      random_relaxed, random_scenario)
 
 
 def fd_gradient(fn, v: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -493,7 +493,8 @@ def test_single_draw_views_equal_batched_kernel_bitwise(small_cfg, deltas):
     for trial in range(3):
         sample = sample_estimated_csi(stats, cfg, 700 + trial)
         v = random_relaxed(rng, stats.irs_size)
-        values, ascents = design.evaluate(v, sample.g_hat[None], sample.h_hat[None])
+        values, ascents = design.evaluate(
+            v, *combine_draws(v, sample.g_hat[None], sample.h_hat[None]))
         ratio = design.ratio(sample)
         assert ratio.value(v) == values[0] == gamma_ub(v, sample, stats, cfg)
         assert ratio.ascent(v).tobytes() == ascents[0].tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import irsopt
+from irsopt import ssca
 from irsopt.channel import CsiSample
 from irsopt.rate import PhaseShiftVector
 from irsopt.ssca import (
@@ -21,7 +22,7 @@ from irsopt.ssca import (
 )
 from irsopt.streams import named_child, named_children
 
-from conftest import random_relaxed
+from conftest import combine_draws, full_matrix_sample, random_relaxed
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,12 @@ def _toy_design(rng, mr=2, m0=2, g_var=0.5, h_var=0.5):
                            err_const=0.1, denom_quad=None, denom_const=3.0)
 
 
+def _full_draws(design, seed, n, v):
+    """Reference full draws (g (L, Mr, M0), h (L, M0)) and their (e, g e) at v."""
+    g, h = full_matrix_sample(design, named_children(seed, ["design/g", "design/h"]), n)
+    return g, h, *combine_draws(v, g, h)
+
+
 def _per_draw(design, g, h):
     """Single-draw views of the stacked draws (g (L, Mr, M0), h (L, M0))."""
     return [design.ratio(CsiSample(g_hat=g[i], h_hat=h[i])) for i in range(g.shape[0])]
@@ -82,11 +89,10 @@ def _per_draw(design, g, h):
 def test_update_coefficients_first_iteration_erases_history():
     rng = np.random.default_rng(0)
     design = _toy_design(rng)
-    streams = named_children(5, ["design/g", "design/h"])
-    g, h = design.sample(streams, 6)
-    assert g.shape == (6, 2, 2) and h.shape == (6, 2)
     state = SscaState.initial(np.ones(2, dtype=complex))
-    state = update_coefficients(state, g, h, rho=1.0, design=design)
+    g, h, e, ge = _full_draws(design, 5, 6, state.v)
+    assert e.shape == (6, 2) and ge.shape == (6, 2)
+    state = update_coefficients(state, e, ge, rho=1.0, design=design)
     ratios = _per_draw(design, g, h)
     vals = [r.value(state.v) for r in ratios]
     assert np.isclose(state.c0, np.mean(vals), rtol=1e-12)
@@ -97,22 +103,20 @@ def test_update_coefficients_first_iteration_erases_history():
 def test_update_coefficients_single_sample():
     rng = np.random.default_rng(1)
     design = _toy_design(rng)
-    streams = named_children(6, ["design/g", "design/h"])
-    g, h = design.sample(streams, 1)
     state = SscaState.initial(np.ones(2, dtype=complex))
-    state = update_coefficients(state, g, h, rho=1.0, design=design)
+    g, h, e, ge = _full_draws(design, 6, 1, state.v)
+    state = update_coefficients(state, e, ge, rho=1.0, design=design)
     assert np.isclose(state.c0, _per_draw(design, g, h)[0].value(np.ones(2)), rtol=1e-12)
 
 
 def test_update_coefficients_blend():
     rng = np.random.default_rng(2)
     design = _toy_design(rng)
-    streams = named_children(7, ["design/g", "design/h"])
-    g, h = design.sample(streams, 3)
     prev = SscaState(t=4, v=np.full(2, 0.5 + 0.0j), c0=1.5,
                      c1=np.array([0.2 + 0.1j, -0.3j]))
+    g, h, e, ge = _full_draws(design, 7, 3, prev.v)
     rho = 0.25
-    new = update_coefficients(prev, g, h, rho=rho, design=design)
+    new = update_coefficients(prev, e, ge, rho=rho, design=design)
     ratios = _per_draw(design, g, h)
     vals = np.mean([r.value(prev.v) for r in ratios])
     grads = np.mean([r.ascent(prev.v) for r in ratios], axis=0)
@@ -148,7 +152,7 @@ def test_coefficient_average_approaches_mean_gradient():
     L = 20_000
     streams = named_children(2002, ["design/g", "design/h"])
     state = SscaState.initial(v0)
-    state = update_coefficients(state, *design.sample(streams, L), rho=1.0,
+    state = update_coefficients(state, *design.sample(streams, v0, L), rho=1.0,
                                 design=design)
     for n in range(2):
         assert abs(state.c1[n] - oracle_mean[n]) < 4 * oracle_sd[n] / math.sqrt(L)
@@ -335,7 +339,8 @@ def test_design_objective_variants(preset_cfg, preset_stats):
 # ---------------------------------------------------------------------------
 
 def _dense_reference_run(solver_cfg, stats, cfg, design):
-    """SSCA with the dense Mr x Mr interference matrix and one ratio per draw."""
+    """SSCA with the dense Mr x Mr interference matrix and one ratio per
+    (e, g_hat e) draw, on the solver's streams."""
     mr = stats.irs_size
     dense = np.zeros((mr, mr), dtype=complex)
     if design.denom_quad is not None:       # the design keeps the interference terms
@@ -347,12 +352,11 @@ def _dense_reference_run(solver_cfg, stats, cfg, design):
                        named_child(solver_cfg.seed, "solver").spawn(2)))
     for t in range(1, solver_cfg.iterations + 1):
         vals, grads = [], np.zeros(mr, dtype=complex)
-        for g_hat, h_hat in zip(*design.sample(streams, solver_cfg.samples_per_iter)):
-            e = g_hat.conj().T @ v + h_hat
+        for e, ge in zip(*design.sample(streams, v, solver_cfg.samples_per_iter)):
             num = design.p0 * (np.real(np.vdot(e, e)) + design.err_const)
             den = np.real(v.conj() @ dense @ v) + design.denom_const
             vals.append(num / den)
-            grads += (design.p0 * (g_hat @ e) * den - num * (dense @ v)) / den ** 2
+            grads += (design.p0 * ge * den - num * (dense @ v)) / den ** 2
         rho = stepsize_rho(t, solver_cfg.rho_exponent)
         c0 = rho * np.mean(vals) + (1 - rho) * c0
         c1 = rho * grads / len(vals) + (1 - rho) * c1
@@ -389,17 +393,28 @@ def _single_bs(cfg):
         angles_bs_irs=cfg.angles_bs_irs[:1], name="single-bs")
 
 
-@pytest.mark.parametrize("regime", ["no-bs-irs-los", "single-bs", "irs-1x1",
-                                    "one-bs-antenna"])
-def test_run_edge_regimes(preset_cfg, regime):
+def _edge_cfg(preset_cfg, regime):
     base = preset_cfg.replace(irs_grid=(4, 4), delta1=0.3, delta2=0.3)
-    cfg = {
+    return {
         "no-bs-irs-los": base.replace(rician_bs_irs=(0.0, 0.0, 0.0)),
         "single-bs": _single_bs(base),
         "irs-1x1": base.replace(irs_grid=(1, 1)),
         "one-bs-antenna": base.replace(bs_grids=((1, 1),) * 3),
+        "v0-zero": base,
+        "delta-1": base.replace(delta1=1.0, delta2=1.0),        # sigma_g = sigma_h = 0
+        "k-inf-delta-0": base.replace(rician_bs_irs=(math.inf, 3.0, 3.0),
+                                      rician_irs_user=math.inf,
+                                      delta1=0.0, delta2=0.0),      # sigma_g = 0
     }[regime]
+
+
+@pytest.mark.parametrize("regime", ["no-bs-irs-los", "single-bs", "irs-1x1",
+                                    "one-bs-antenna", "v0-zero", "delta-1",
+                                    "k-inf-delta-0"])
+def test_run_edge_regimes(preset_cfg, regime):
+    cfg = _edge_cfg(preset_cfg, regime)
     stats = irsopt.build_statistics(cfg)
+    v0 = np.zeros(stats.irs_size, dtype=complex) if regime == "v0-zero" else None
     solver_cfg = SolverConfig(iterations=30, samples_per_iter=4, seed=17)
     for robust, include_interference in ((True, True), (False, True), (True, False)):
         design = DesignObjective.from_scenario(stats, cfg, robust=robust,
@@ -408,7 +423,7 @@ def test_run_edge_regimes(preset_cfg, regime):
             assert design.denom_quad is None
         else:
             assert design.denom_quad.shape == (stats.irs_size, sum(stats.bs_sizes[1:]))
-        result = run(solver_cfg, stats, cfg, design=design)
+        result = run(solver_cfg, stats, cfg, design=design, v0=v0)
         c0 = np.array(result.trace.c0)
         assert c0.shape == (30,) and np.all(np.isfinite(c0)) and np.all(c0 > 0)
         assert np.max(np.abs(np.abs(result.v.v) - 1.0)) < 1e-12
@@ -422,3 +437,123 @@ def test_design_objective_holds_no_dense_interference_matrix(preset_cfg):
     assert design.denom_quad.shape == (mr, sum(stats.bs_sizes[1:]))
     sizes = [value.size for value in vars(design).values() if isinstance(value, np.ndarray)]
     assert sizes and max(sizes) < mr * mr
+
+
+# ---------------------------------------------------------------------------
+# exact-law draws of (e, g_hat e) against the full-matrix reference law
+# ---------------------------------------------------------------------------
+
+def _draw_stats(design, v, n, seed, full, chunk=1000):
+    """values (n,), ascents (n, Mr) and the second moments ||e||^2,
+    ||g_hat e||^2 and |v^H g_hat e|^2 (n,) of n draws at v, from
+    `DesignObjective.sample` or, with full=True, from the reference law."""
+    streams = named_children(seed, ["design/g", "design/h"])
+    parts = []
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        if full:
+            e, ge = combine_draws(v, *full_matrix_sample(design, streams, m))
+        else:
+            e, ge = design.sample(streams, v, m)
+        values, ascents = design.evaluate(v, e, ge)
+        parts.append((values, ascents, np.sum(np.abs(e) ** 2, axis=1),
+                      np.sum(np.abs(ge) ** 2, axis=1), np.abs(ge @ v.conj()) ** 2))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _mean_t(a, b):
+    """Two-sample t statistics of the per-coordinate means (real and
+    imaginary parts separately)."""
+    def parts(x):
+        x = np.asarray(x).reshape(x.shape[0], -1)
+        return np.concatenate([x.real, x.imag], axis=1) if np.iscomplexobj(x) else x
+    a, b = parts(a), parts(b)
+    se = np.sqrt(np.var(a, axis=0, ddof=1) / a.shape[0] + np.var(b, axis=0, ddof=1) / b.shape[0])
+    return (np.mean(a, axis=0) - np.mean(b, axis=0)) / np.where(se > 0, se, np.inf)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.6])
+def test_sample_law_matches_full_matrix_reference(preset_cfg, delta):
+    cfg = preset_cfg.replace(delta1=delta, delta2=delta)
+    stats = irsopt.build_statistics(cfg)
+    design = DesignObjective.from_scenario(stats, cfg)
+    v = random_relaxed(np.random.default_rng(23), stats.irs_size)
+    n = 20_000
+    new = _draw_stats(design, v, n, 501, full=False)
+    ref = _draw_stats(design, v, n, 502, full=True)
+    # first moments: the two laws agree and both match the closed form
+    value, ascent = design.expected(v)
+    for got in (new, ref):
+        assert np.max(np.abs(_mean_t(got[0], np.full(n, value)))) <= 4
+        assert np.max(np.abs(_mean_t(got[1], np.tile(ascent, (n, 1))))) <= 4
+    assert np.max(np.abs(_mean_t(new[0], ref[0]))) <= 4
+    assert np.max(np.abs(_mean_t(new[1], ref[1]))) <= 4
+    # second moments, including the component of g_hat e along v, which
+    # per-coordinate moments barely see
+    for got, want in zip(new[2:], ref[2:]):
+        assert abs(np.mean(got) / np.mean(want) - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("regime", ["v0-zero", "delta-1", "k-inf-delta-0", "irs-1x1",
+                                    "one-bs-antenna"])
+def test_sample_edge_regimes_match_reference_moments(preset_cfg, regime):
+    cfg = _edge_cfg(preset_cfg, regime)
+    stats = irsopt.build_statistics(cfg)
+    design = DesignObjective.from_scenario(stats, cfg)
+    mr, m0 = design.g_mean.shape
+    v = (np.zeros(mr, dtype=complex) if regime == "v0-zero"
+         else random_relaxed(np.random.default_rng(29), mr))
+    n = 20_000
+    new = _draw_stats(design, v, n, 601, full=False)
+    ref = _draw_stats(design, v, n, 602, full=True)
+    for column in new:
+        assert np.all(np.isfinite(column))
+    mean_e = design.g_mean.conj().T @ v + design.h_mean
+    power = (np.linalg.norm(mean_e) ** 2
+             + m0 * (design.g_var * np.linalg.norm(v) ** 2 + design.h_var))
+    assert abs(np.mean(new[2]) / power - 1.0) <= 0.05
+    if regime == "v0-zero":         # no component along v = 0
+        assert np.all(new[4] == 0.0) and np.all(ref[4] == 0.0)
+        new, ref = new[:4], ref[:4]
+    for got, want in zip(new[2:], ref[2:]):
+        assert abs(np.mean(got) / np.mean(want) - 1.0) <= 0.05
+    assert (design.g_var == 0.0) == (regime in ("delta-1", "k-inf-delta-0"))
+    if design.g_var == 0.0:         # the estimate is its mean: g_hat e = G e exactly
+        e, ge = design.sample(named_children(603, ["design/g", "design/h"]), v, 50)
+        np.testing.assert_allclose(ge, e @ design.g_mean.T, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("side", [8, 32])
+def test_run_draws_mr_plus_two_m0_values_per_sample(preset_cfg, monkeypatch, side):
+    # the structural cost of an iteration: no (L, Mr, M0) draw, only
+    # L * (Mr + 2*M0) complex Gaussian values
+    cfg = preset_cfg.replace(irs_grid=(side, side))
+    stats = irsopt.build_statistics(cfg)
+    shapes = []
+    draw = ssca.crandn
+
+    def counting(rng, shape, var):
+        shapes.append(tuple(shape))
+        return draw(rng, shape, var)
+
+    monkeypatch.setattr(ssca, "crandn", counting)
+    iterations, L = 3, 10
+    run(SolverConfig(iterations=iterations, samples_per_iter=L, seed=8), stats, cfg)
+    mr, m0 = stats.irs_size, stats.bs_sizes[0]
+    assert all(len(shape) == 2 and shape[0] == L for shape in shapes)
+    assert sum(math.prod(shape) for shape in shapes) == iterations * L * (mr + 2 * m0)
+
+
+@pytest.mark.parametrize("side", [1, 8])
+@pytest.mark.parametrize("delta", [1e-6, 0.3, 0.6, 1.0])
+def test_expected_value_is_the_closed_form_upper_bound(preset_cfg, side, delta):
+    cfg = preset_cfg.replace(irs_grid=(side, side), delta1=delta, delta2=delta)
+    stats = irsopt.build_statistics(cfg)
+    design = DesignObjective.from_scenario(stats, cfg)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        v = PhaseShiftVector.from_phases(rng.uniform(0, 2 * math.pi, stats.irs_size))
+        value, ascent = design.expected(v.v)
+        assert ascent.shape == (stats.irs_size,)
+        ub = irsopt.upper_bound_rate_closed_form(v, stats, cfg)
+        assert abs(math.log2(1.0 + value) / ub - 1.0) <= 1e-12
