@@ -12,18 +12,23 @@ matched-filter beamformer.  The flags only change the *design* objective:
 
 Evaluation is always the same: true error variances, full interference,
 identical Monte Carlo seeds and sample counts for every scheme.
+`evaluate_schemes` designs every scheme first and then evaluates all the
+designs, each phase draw of the random-phase scheme included, in one
+batched call, so they share a single draw set by construction;
+`evaluate_scheme` is its one-scheme view.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .beamforming import mrt_policy
 from .channel import ChannelStatistics
 from .config import ScenarioConfig
-from .rate import BeamformingPolicy, PhaseShiftVector, RateReport, ergodic_rate_mc
+from .rate import BeamformingPolicy, PhaseShiftVector, RateReport, ergodic_rates_mc
 from .ssca import DesignObjective, SolverConfig
 from .ssca import run as run_ssca
 from .streams import check_seed, named_child
@@ -89,24 +94,44 @@ def design_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfi
     return v, mrt_policy(v)
 
 
+def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
+                     cfg: ScenarioConfig, solver_cfgs: Sequence[SolverConfig],
+                     n_samples: int, eval_rng: int,
+                     return_samples: bool = False) -> list[RateReport]:
+    """Design every scheme (each with its own solver settings, in the same
+    order) and evaluate all their designs, every phase draw included, in
+    one `ergodic_rates_mc` call under the true imperfect-CSI,
+    with-interference channel model.  One report per scheme comes back.
+
+    All designs share one draw set, so the comparison between schemes and
+    the average over a multi-draw scheme's designs are paired by
+    construction.
+    """
+    check_seed(eval_rng)    # before any design is spent on a bad seed
+    if len(solver_cfgs) != len(specs):
+        raise ValueError(f"{len(solver_cfgs)} solver settings for {len(specs)} schemes")
+    designs = [design_scheme(spec, stats, cfg, solver_cfg, draw=draw)
+               for spec, solver_cfg in zip(specs, solver_cfgs)
+               for draw in range(spec.phase_draws)]
+    per_design = iter(ergodic_rates_mc([v for v, _ in designs], [p for _, p in designs],
+                                       stats, cfg, n_samples, eval_rng,
+                                       return_samples=True))
+    return [_average([next(per_design) for _ in range(spec.phase_draws)], return_samples)
+            for spec in specs]
+
+
 def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfig,
                     solver_cfg: SolverConfig, n_samples: int, eval_rng: int,
                     return_samples: bool = False) -> RateReport:
-    """Design the scheme and evaluate it under the true imperfect-CSI,
-    with-interference channel model.
+    """Design one scheme and evaluate it: `evaluate_schemes` for one scheme."""
+    return evaluate_schemes([spec], stats, cfg, [solver_cfg], n_samples, eval_rng,
+                            return_samples=return_samples)[0]
 
-    Multi-draw schemes share the evaluation channel draws across designs
-    (identical eval_rng), so the average is a paired average.
-    """
-    check_seed(eval_rng)    # before any design is spent on a bad seed
-    per_draw = []
-    for draw in range(spec.phase_draws):
-        v, policy = design_scheme(spec, stats, cfg, solver_cfg, draw=draw)
-        per_draw.append(
-            ergodic_rate_mc(v, policy, stats, cfg, n_samples, eval_rng,
-                            return_samples=True)
-        )
-    # average per-sample rates across draws, then summarize (exact for one draw)
+
+def _average(per_draw: list[RateReport], return_samples: bool) -> RateReport:
+    """One report for a scheme's phase draws: per-sample rates averaged
+    across the draws, then summarized (exact for one draw)."""
+    n_samples = per_draw[0].n_samples
     samples = np.mean([r.rate_samples for r in per_draw], axis=0)
     stderr = float(np.std(samples, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return RateReport(

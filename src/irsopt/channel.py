@@ -18,10 +18,11 @@ Estimation errors are i.i.d. CN(0, delta1^2) / CN(0, delta2^2) per element
 
 Three sampling routes exist, each for one consumer:
 
-* `ssca.DesignObjective.sample` (solver) draws stacked estimates from the
-  Gaussian model the phase-shift solver optimizes over: cascaded-estimate
-  entries centered on the cascaded LoS with variance sigma_g^2 - delta1^2,
-  direct-estimate entries zero-mean with variance sigma_h^2 - delta2^2.
+* `ssca.DesignObjective.sample` (solver) draws (e, g_hat e) from their
+  exact law under the Gaussian model the phase-shift solver optimizes
+  over: cascaded-estimate entries centered on the cascaded LoS with
+  variance sigma_g^2 - delta1^2, direct-estimate entries zero-mean with
+  variance sigma_h^2 - delta2^2.
 * `sample_estimated_csi` (one draw) takes a single estimate from the same
   Gaussian model, for single-draw objective and beamformer checks.
 * `PhysicalChannelSampler` draws the Rician/Rayleigh fading
@@ -35,14 +36,17 @@ Three sampling routes exist, each for one consumer:
   cascaded channel is a product of Gaussians, so the two models still
   differ in higher moments.  It has two outputs:
 
-  - `draw_combined(v, n)` (the Monte Carlo evaluator's route) returns only
-    what the matched-filter rate reads, the true and estimated combined
-    channels x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat.
-    Given h_ru, the scattered part of H_0r projects onto u = h_ru * v as
+  - `draw_combined(vs, n)` (the Monte Carlo evaluator's route) takes a
+    stack of designs and yields, per design, only what the matched-filter
+    rate reads, the true and estimated combined channels
+    x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat.  Given h_ru,
+    the scattered part of H_0r projects onto u = h_ru * v as
     CN(0, ||u||^2 I) and the fresh cascaded error noise onto v as
     CN(0, delta1^2 (1 - delta1^2/sigma_g^2) ||v||^2 I), so both are drawn
     in M0 dimensions with the exact conditional law: O(Mr + M0) draws per
-    slot instead of O(Mr * M0).
+    slot instead of O(Mr * M0).  The draws do not depend on the design, so
+    they are made once for the whole stack and every design is evaluated
+    on the same draws.
   - `draw(n)` returns the full (n, Mr, M0) channels, errors and, on
     request, the interferers' links; it is the oracle for the
     interference-power check and for the tests of `draw_combined`.
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -360,9 +364,11 @@ class PhysicalChannelSampler:
         return PhysicalBatch(g_true=g_true, h_true=h_true, g_err=g_err, h_err=h_err,
                              interference=interference)
 
-    def draw_combined(self, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The serving link's combined channels for phase shifts v, drawn
-        from their exact law given h_ru: (x, e_hat), both (n, M0), with
+    def draw_combined(self, vs: np.ndarray, n: int
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The serving link's combined channels for a stack of phase-shift
+        designs vs (S, Mr), drawn from their exact law given h_ru: yields
+        (x, e_hat), both (n, M0), for each design in turn, with
         x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat as `draw`
         would give them.
 
@@ -372,30 +378,53 @@ class PhysicalChannelSampler:
         `_split_error` carried through the projection gives
         g_hat^H v = (1 - s) g_true^H v + s glos_0^H v - n_g with
         n_g ~ CN(0, delta1^2 (1 - s) ||v||^2 I) and s = delta1^2 / sigma_g^2.
-        h_ru, h_true and the direct-link error are bit-identical to
-        `draw(n)`'s; the bs-irs/0 and err/g streams are drawn in (n, M0)
-        instead of (n, Mr, M0), so those values differ.
+
+        Everything that does not depend on the design, h_ru, the standard
+        parts of z and n_g, h_true and the direct-link error, is drawn once
+        when the first pair is requested, so every design of the stack sees
+        the same draws and n slots cost n * (Mr + 4 * M0) Gaussian values
+        whatever S is.  Each design then gets its own u, ||u||, y and n_g
+        scale, one design at a time: u lives in one reused (n, Mr) buffer,
+        and the last design multiplies h_ru in place, so a stack of one
+        needs no buffer.  h_ru, h_true and the direct-link error are
+        bit-identical to `draw(n)`'s; the bs-irs/0 and err/g streams are
+        drawn in (n, M0) instead of (n, Mr, M0), so those values differ.
         """
         s = self._stats
         m0 = s.bs_sizes[0]
-        v = np.asarray(v, dtype=complex)
+        vs = np.asarray(vs, dtype=complex)
+        if vs.ndim != 2 or vs.shape[1] != s.irs_size:
+            raise ValueError(f"designs must be stacked as (S, {s.irs_size}), "
+                             f"got shape {vs.shape}")
 
-        u = self._irs_user_channel(n) * v                       # (n, Mr)
-        w_los, w_nlos = rician_weights(s.rician_bs_irs[0])
+        h_ru = self._irs_user_channel(n)                        # (n, Mr)
         z = crandn(self._streams["bs-irs/0"], (n, m0), 1.0)
-        z *= (w_nlos * np.linalg.norm(u, axis=1))[:, None]
-        y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (u @ s.los_bs_irs[0].conj()) + z)
         h_true = crandn(self._streams["direct/0"], (n, m0), s.alpha_direct[0])
+        # unit-variance real and imaginary parts: scaled by sqrt(var / 2)
+        # they equal crandn(..., var) bit for bit
+        n_g_std = crandn(self._streams["err/g"], (n, m0), 2.0)
+        h_hat = h_true - self._split_error(h_true, s.sigma_h_sq, s.delta2_abs ** 2,
+                                           self._streams["err/h"])
 
+        w_los, w_nlos = rician_weights(s.rician_bs_irs[0])
+        los_conj = s.los_bs_irs[0].conj()
+        cascaded_los_conj = s.cascaded_los[0].conj()
         sigma_g_sq, delta1_sq = float(s.sigma_g_sq[0]), s.delta1_abs ** 2
         share_g = 0.0 if sigma_g_sq == 0.0 else delta1_sq / sigma_g_sq
-        n_g = crandn(self._streams["err/g"], (n, m0),
-                     delta1_sq * max(1.0 - share_g, 0.0) * float(np.vdot(v, v).real))
-        h_err = self._split_error(h_true, s.sigma_h_sq, s.delta2_abs ** 2,
-                                  self._streams["err/h"])
-        los_term = v @ s.cascaded_los[0].conj()                 # glos_0^H v, (M0,)
-        e_hat = (1.0 - share_g) * y + share_g * los_term - n_g + (h_true - h_err)
-        return y + h_true, e_hat
+        n_g_var = delta1_sq * max(1.0 - share_g, 0.0)           # per unit ||v||^2
+        buffer = np.empty_like(h_ru) if len(vs) > 1 else None
+        for i, v in enumerate(vs):
+            # h_ru is not read after the last design, which overwrites it
+            u = h_ru if i == len(vs) - 1 else buffer
+            np.multiply(h_ru, v, out=u)
+            parts = u.view(float)           # (n, 2 Mr) real and imaginary parts
+            u_norm = np.sqrt(np.einsum("ij,ij->i", parts, parts))  # no (n, Mr) temporary
+            scatter = z * (w_nlos * u_norm)[:, None]
+            y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (u @ los_conj) + scatter)
+            n_g = n_g_std * math.sqrt(n_g_var * float(np.vdot(v, v).real) / 2.0)
+            los_term = v @ cascaded_los_conj                    # glos_0^H v, (M0,)
+            e_hat = (1.0 - share_g) * y + share_g * los_term - n_g + h_hat
+            yield y + h_true, e_hat
 
 
 def sample_estimated_csi(stats: ChannelStatistics, cfg: ScenarioConfig,

@@ -18,13 +18,12 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .baselines import SCHEMES, evaluate_scheme, scheme
+from .baselines import SCHEMES, evaluate_schemes, scheme
 from .channel import build_statistics
 from .config import (
     ScenarioConfig,
@@ -119,26 +118,23 @@ def _row(base_name: str, spec: SweepSpec, value: float, scheme_name: str,
     }
 
 
-def _evaluate_point(spec: SweepSpec, scenario: ScenarioConfig, value: float,
-                    scheme_name: str) -> dict:
-    cfg = apply_sweep_value(scenario, spec.param, value)
-    stats = build_statistics(cfg)
-    solver_cfg = dataclasses.replace(
-        spec.solver, seed=child_seed(spec.seed, f"design/{scheme_name}"))
-    eval_seed = child_seed(spec.seed, "eval")
-    report = evaluate_scheme(scheme(scheme_name), stats, cfg, solver_cfg,
-                             spec.n_samples, eval_seed)
-    return _row(scenario.name, spec, value, scheme_name, report, cfg.config_hash())
+def _scheme_solvers(solver: SolverConfig, seed: int,
+                    names: tuple[str, ...]) -> list[SolverConfig]:
+    """Solver settings per scheme: the shared settings with a design seed
+    derived from the run seed and the scheme name."""
+    return [dataclasses.replace(solver, seed=child_seed(seed, f"design/{name}"))
+            for name in names]
 
 
-def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str,
-              workers: int = 1) -> list[dict]:
+def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[dict]:
     """Evaluate every (value, scheme) pair, streaming rows to results.csv in
     deterministic order and writing a manifest.json next to it.
 
-    The evaluation seed is shared across sweep points and schemes, so
-    same-shaped channel draws coincide (common random numbers); design
-    seeds are derived per scheme.
+    At each sweep value every scheme is designed and then all the designs
+    are evaluated in one batched call, so they share one draw set.  The
+    evaluation seed is also shared across sweep points, so same-shaped
+    channel draws coincide there too (common random numbers); design seeds
+    are derived per scheme.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -160,27 +156,24 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str,
     except OSError as exc:
         raise RuntimeError(f"cannot write manifest {manifest_path}: {exc}") from exc
 
-    tasks = [(value, name) for value in spec.values for name in spec.schemes]
+    eval_seed = child_seed(spec.seed, "eval")
+    solvers = _scheme_solvers(spec.solver, spec.seed, spec.schemes)
     rows: list[dict] = []
     csv_path = os.path.join(out_dir, "results.csv")
     try:
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = pool.map(
-                        lambda vs: _evaluate_point(spec, scenario, vs[0], vs[1]), tasks)
-                    for row in results:      # map() preserves task order
-                        writer.writerow(row)
-                        fh.flush()
-                        rows.append(row)
-            else:
-                for value, name in tasks:
-                    row = _evaluate_point(spec, scenario, value, name)
+            for value in spec.values:
+                cfg = apply_sweep_value(scenario, spec.param, value)
+                reports = evaluate_schemes([scheme(name) for name in spec.schemes],
+                                           build_statistics(cfg), cfg, solvers,
+                                           spec.n_samples, eval_seed)
+                for name, report in zip(spec.schemes, reports):
+                    row = _row(scenario.name, spec, value, name, report, cfg.config_hash())
                     writer.writerow(row)
-                    fh.flush()               # partial results survive interruption
                     rows.append(row)
+                fh.flush()                   # partial results survive interruption
     except OSError as exc:
         raise RuntimeError(f"cannot write results {csv_path}: {exc}") from exc
     return rows
@@ -229,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated value list")
     p_sweep.add_argument("--schemes", default=",".join(sorted(SCHEMES)))
     p_sweep.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
-    p_sweep.add_argument("--workers", type=int, default=1)
 
     p_val = sub.add_parser("validate-oracles",
                            help="self-check closed forms against sampling")
@@ -284,16 +276,14 @@ def cmd_eval(args) -> int:
     names = _parse_schemes(args.schemes)
     if not names:
         raise ValueError("scheme list must not be empty")
-    solver_base = SolverConfig(iterations=args.iters,
-                               samples_per_iter=args.samples_per_iter)
-    eval_seed = child_seed(args.seed, "eval")
+    specs = [scheme(name) for name in names]
+    solvers = _scheme_solvers(SolverConfig(iterations=args.iters,
+                                           samples_per_iter=args.samples_per_iter),
+                              args.seed, names)
     os.makedirs(args.out, exist_ok=True)
     reports = {}
-    for name in names:
-        solver_cfg = dataclasses.replace(
-            solver_base, seed=child_seed(args.seed, f"design/{name}"))
-        report = evaluate_scheme(scheme(name), stats, cfg, solver_cfg,
-                                 args.samples, eval_seed)
+    for name, report in zip(names, evaluate_schemes(specs, stats, cfg, solvers, args.samples,
+                                                    child_seed(args.seed, "eval"))):
         reports[name] = report.to_dict()
         print(f"{name:22s} mc={report.mc_rate:.4f} +/- {report.mc_stderr:.4f}  "
               f"ub={report.ub_rate:.4f} bit/s/Hz")
@@ -323,7 +313,7 @@ def cmd_sweep(args) -> int:
         solver=SolverConfig(iterations=args.iters,
                             samples_per_iter=args.samples_per_iter),
     )
-    rows = run_sweep(spec, cfg, args.out, workers=args.workers)
+    rows = run_sweep(spec, cfg, args.out)
     print(f"{len(rows)} rows written to {os.path.join(args.out, 'results.csv')}")
     return 0
 

@@ -221,51 +221,79 @@ def upper_bound_rate_closed_form(v: PhaseLike, stats: ChannelStatistics,
 BeamformingPolicy = Callable[[np.ndarray], np.ndarray]
 
 
-def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,
-                    cfg: ScenarioConfig, n_samples: int, rng: int,
-                    return_samples: bool = False) -> RateReport:
-    """Monte Carlo ergodic rate under physically sampled channels.
+def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPolicy],
+                     stats: ChannelStatistics, cfg: ScenarioConfig, n_samples: int,
+                     rng: int, return_samples: bool = False) -> list[RateReport]:
+    """Monte Carlo ergodic rates of a stack of designs on one shared draw set.
 
-    Each slot needs only the serving link's combined channels: the true
-    x = g_true^H v + h_true and the estimated e_hat = g_hat^H v + h_hat,
+    `vs` holds S phase-shift designs and `policies` the beamforming policy
+    of each, in the same order; one report per design comes back, in that
+    order.  Each slot needs only the serving link's combined channels: the
+    true x = g_true^H v + h_true and the estimated e_hat = g_hat^H v + h_hat,
     drawn from their exact law by `PhysicalChannelSampler.draw_combined`
-    (O(Mr + M0) draws per slot; no (n, Mr, M0) array is built).  The
-    beamforming policy maps e_hat (n, M0) to unit-norm rows (n, M0).  The
-    signal term |x^H w|^2 uses the true channel; the interference-plus-noise
-    term uses its exact expectation (sinr_denominator), per the
-    worst-case-noise reading of the rate.
+    (O(Mr + M0) draws per slot; no (n, Mr, M0) array is built).  The draws
+    that do not depend on the design are made once per chunk of slots and
+    shared by every design, so the reports are paired by construction and
+    their Gaussian draw count does not grow with S.  A policy maps e_hat
+    (n, M0) to unit-norm rows (n, M0).  The signal term |x^H w|^2 uses the
+    true channel; the interference-plus-noise term uses its exact
+    expectation (sinr_denominator), per the worst-case-noise reading of the
+    rate.  Each design is reduced to its row of per-sample rates before the
+    next one is drawn, so memory does not grow with S beyond that row.
     """
+    if len(vs) == 0:
+        raise ValueError("no designs to evaluate")
+    if len(policies) != len(vs):
+        raise ValueError(f"{len(policies)} policies for {len(vs)} designs; "
+                         "give one policy per design")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    varr = phase_array(v)
-    den = sinr_denominator(varr, stats, cfg)
+    varrs = [phase_array(v) for v in vs]
+    for i, varr in enumerate(varrs):
+        if varr.shape[0] != stats.irs_size:
+            raise ValueError(f"design {i} has {varr.shape[0]} phase shifts, "
+                             f"the IRS has Mr = {stats.irs_size} elements")
+    stack = np.stack(varrs)
+    dens = [sinr_denominator(varr, stats, cfg) for varr in varrs]
     p0 = cfg.powers_watt[0]
 
     sampler = PhysicalChannelSampler(stats, rng, include_interference=False)
-    rates = np.empty(n_samples)
-    signal_sum = 0.0
+    rates = np.empty((len(varrs), n_samples))
+    signal_sums = [0.0] * len(varrs)
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
-        x, e_hat = sampler.draw_combined(varr, m)
-        w = policy(e_hat)                                          # (m, M0)
-        signal = np.abs(np.einsum("ni,ni->n", x.conj(), w)) ** 2
-        signal_sum += float(np.sum(signal))
-        rates[done:done + m] = np.log2(1.0 + p0 * signal / den)
+        for i, (x, e_hat) in enumerate(sampler.draw_combined(stack, m)):
+            w = policies[i](e_hat)                                 # (m, M0)
+            signal = np.abs(np.einsum("ni,ni->n", x.conj(), w)) ** 2
+            signal_sums[i] += float(np.sum(signal))
+            rates[i, done:done + m] = np.log2(1.0 + p0 * signal / dens[i])
         done += m
 
-    mean = float(np.mean(rates))
-    stderr = float(np.std(rates, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    report = RateReport(
-        ub_rate=upper_bound_rate_closed_form(varr, stats, cfg),
-        mc_rate=mean,
-        mc_stderr=stderr,
-        n_samples=n_samples,
-        signal_power=p0 * signal_sum / n_samples,
-        interference_power=tuple(
-            cfg.powers_watt[k] * gk(varr, stats, k) for k in range(1, stats.n_bs)
-        ),
-        noise_power=cfg.noise_watt,
-        rate_samples=rates if return_samples else None,
-    )
-    return report
+    reports = []
+    for varr, row, signal_sum in zip(varrs, rates, signal_sums):
+        stderr = float(np.std(row, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+        reports.append(RateReport(
+            ub_rate=upper_bound_rate_closed_form(varr, stats, cfg),
+            mc_rate=float(np.mean(row)),
+            mc_stderr=stderr,
+            n_samples=n_samples,
+            signal_power=p0 * signal_sum / n_samples,
+            interference_power=tuple(
+                cfg.powers_watt[k] * gk(varr, stats, k) for k in range(1, stats.n_bs)
+            ),
+            noise_power=cfg.noise_watt,
+            rate_samples=row if return_samples else None,
+        ))
+    return reports
+
+
+def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,
+                    cfg: ScenarioConfig, n_samples: int, rng: int,
+                    return_samples: bool = False) -> RateReport:
+    """Monte Carlo ergodic rate of one design: `ergodic_rates_mc` on a stack
+    of one.  It draws the same values as any stack that holds v under the
+    same seed and `n_samples`, so its report equals that design's row of a
+    stacked evaluation."""
+    return ergodic_rates_mc([v], [policy], stats, cfg, n_samples, rng,
+                            return_samples=return_samples)[0]

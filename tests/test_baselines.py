@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import irsopt
-from irsopt.baselines import SCHEMES, SchemeSpec, design_scheme, evaluate_scheme, scheme
+from irsopt.baselines import (
+    SCHEMES,
+    SchemeSpec,
+    design_scheme,
+    evaluate_scheme,
+    evaluate_schemes,
+    scheme,
+)
 from irsopt.channel import build_statistics
 from irsopt.beamforming import mrt_policy
 from irsopt.rate import ergodic_rate_mc, gk
@@ -126,6 +133,13 @@ def test_evaluate_scheme_multi_draw_interference_is_averaged(small_cfg, small_st
     np.testing.assert_allclose(report.interference_power, np.mean(per_draw, axis=0),
                                rtol=1e-12)
     assert not np.allclose(report.interference_power, per_draw[0], rtol=1e-6, atol=0.0)
+
+
+def test_evaluate_schemes_needs_one_solver_setting_per_scheme(small_cfg, small_stats):
+    solver = SolverConfig(iterations=2, samples_per_iter=1)
+    with pytest.raises(ValueError, match="1 solver settings for 2 schemes"):
+        evaluate_schemes([scheme("proposed"), scheme("robust-no-intf")], small_stats,
+                         small_cfg, [solver], 8, 1)
 
 
 def test_evaluation_fairness_shared_draws(small_cfg, small_stats):

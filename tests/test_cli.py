@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
 import numpy as np
 import pytest
 
 import irsopt
+from irsopt.baselines import evaluate_scheme, scheme
+from irsopt.channel import build_statistics
 from irsopt.cli import (
     CSV_COLUMNS,
     SweepSpec,
@@ -14,6 +17,7 @@ from irsopt.cli import (
 )
 from irsopt.config import user_position_on_bisector
 from irsopt.ssca import SolverConfig
+from irsopt.streams import child_seed
 
 
 def _tiny_sweep(seed=0, schemes=("robust-with-intf",), values=(2.0, 3.0)):
@@ -92,13 +96,24 @@ def test_run_sweep_deterministic_bytes(tmp_path, preset_cfg):
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
 
 
-def test_run_sweep_workers_match_serial(tmp_path, preset_cfg):
+def test_run_sweep_rows_equal_evaluate_scheme_reports(tmp_path, preset_cfg):
+    # each sweep value evaluates all its schemes in one batched call; every
+    # row still equals the one-scheme evaluation with the same seeds
     cfg = preset_cfg.replace(bs_grids=((2, 2),) * 3)
-    out_a, out_b = tmp_path / "serial", tmp_path / "threaded"
-    spec = _tiny_sweep(seed=7, values=(2.0, 3.0, 4.0))
-    run_sweep(spec, cfg, str(out_a), workers=1)
-    run_sweep(spec, cfg, str(out_b), workers=3)
-    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+    spec = _tiny_sweep(seed=7, schemes=("proposed", "robust-with-intf", "robust-no-intf"),
+                       values=(2.0, 3.0))
+    rows = run_sweep(spec, cfg, str(tmp_path))
+    assert [(float(r["sweep_value"]), r["scheme"]) for r in rows] == [
+        (value, name) for value in spec.values for name in spec.schemes]
+    for row in rows:
+        point = apply_sweep_value(cfg, spec.param, float(row["sweep_value"]))
+        solver = dataclasses.replace(
+            spec.solver, seed=child_seed(spec.seed, f"design/{row['scheme']}"))
+        report = evaluate_scheme(scheme(row["scheme"]), build_statistics(point), point,
+                                 solver, spec.n_samples, child_seed(spec.seed, "eval"))
+        assert float(row["ub_rate"]) == pytest.approx(report.ub_rate, rel=1e-12, abs=0.0)
+        assert float(row["mc_rate"]) == pytest.approx(report.mc_rate, rel=1e-12, abs=0.0)
+        assert float(row["mc_stderr"]) == pytest.approx(report.mc_stderr, rel=1e-12, abs=0.0)
 
 
 def test_cli_solve_and_eval(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from irsopt.rate import (
     upper_bound_rate_closed_form,
 )
 from irsopt.ssca import DesignObjective
+from irsopt.streams import crandn
 from conftest import (combine_draws, design_draws, paired_t, random_phase_vector,
                       random_relaxed, random_scenario)
 
@@ -397,7 +399,8 @@ def test_combined_draw_matches_physical_sampler_in_law(delta):
         seed = int(rng.integers(2 ** 31))
         # one seed: both routes share h_ru and h_true, the variables the
         # combined law is conditioned on, and differ only in what it replaces
-        new = _moments(*PhysicalChannelSampler(stats, seed).draw_combined(v.v, n))
+        (combined,) = PhysicalChannelSampler(stats, seed).draw_combined(v.v[None], n)
+        new = _moments(*combined)
         old = _moments(*_physical_combined(v, stats, seed, n))
         for name in new:
             gap = np.abs(new[name] - old[name]) / np.abs(old[name])
@@ -424,6 +427,125 @@ def test_evaluator_never_builds_full_physical_batch(small_cfg, small_stats, monk
         report = irsopt.evaluate_scheme(irsopt.scheme(name), small_stats, small_cfg,
                                         solver, 64, 5)
         assert math.isfinite(report.mc_rate)
+
+
+# ---------------------------------------------------------------------------
+# the batched evaluator: a stack of designs on one shared draw set
+# ---------------------------------------------------------------------------
+
+def _bad_input_cases(stats):
+    v = PhaseShiftVector.ones(stats.irs_size)
+    policy = mrt_policy(v)
+    return {
+        "no designs": (([], []), {}, "no designs"),
+        "short design": (([v, np.ones(1)], [policy, policy]), {}, "design 1 has 1 phase"),
+        "long design": (([np.ones(stats.irs_size + 1)], [policy]), {}, "design 0 has"),
+        "policy count": (([v, v], [policy]), {}, "1 policies for 2 designs"),
+        "no samples": (([v], [policy]), {"n_samples": 0}, "n_samples"),
+    }
+
+
+@pytest.mark.parametrize("case", ["no designs", "short design", "long design",
+                                  "policy count", "no samples"])
+def test_batched_evaluator_rejects_bad_input(small_cfg, small_stats, case):
+    (vs, policies), overrides, message = _bad_input_cases(small_stats)[case]
+    kwargs = {"n_samples": 8, "rng": 1, **overrides}
+    with pytest.raises(ValueError, match=message):
+        irsopt.ergodic_rates_mc(vs, policies, small_stats, small_cfg, **kwargs)
+
+
+def test_draw_combined_rejects_unstacked_or_wrong_length_designs(small_stats):
+    sampler = PhysicalChannelSampler(small_stats, 3)
+    for vs in (np.ones(small_stats.irs_size), np.ones((2, small_stats.irs_size + 1))):
+        with pytest.raises(ValueError, match="stacked as"):
+            next(sampler.draw_combined(vs, 4))
+
+
+def _stack_scenarios(small_cfg):
+    """(stats, cfg, designs): a unit-modulus design, a relaxed one with
+    ||v||^2 != Mr and v = 0, at delta1 = 0.4.  Without a direct link the
+    zero design's estimated channel is exactly zero, the policy's dead row."""
+    cfg = small_cfg.replace(delta1=0.4, delta2=0.0)
+    stats = build_statistics(cfg)
+    no_direct = dataclasses.replace(
+        stats, alpha_direct=np.concatenate(([0.0], stats.alpha_direct[1:])))
+    rng = np.random.default_rng(61)
+    relaxed = random_relaxed(rng, stats.irs_size)
+    assert abs(np.vdot(relaxed, relaxed).real - stats.irs_size) > 1.0
+    designs = [random_phase_vector(rng, stats.irs_size).v, relaxed,
+               np.zeros(stats.irs_size, dtype=complex)]
+    return [(stats, cfg, designs), (no_direct, cfg, designs)]
+
+
+@pytest.mark.parametrize("n", [1, 513, 1100])
+@pytest.mark.parametrize("n_designs", [1, 3])
+def test_stacked_evaluation_equals_one_design_evaluations(small_cfg, n_designs, n):
+    # n crosses the 512-sample chunk boundary; the last design of a stack (v = 0
+    # here) overwrites the shared h_ru, the ones before it use the reused buffer
+    for stats, cfg, designs in _stack_scenarios(small_cfg):
+        stack = designs[-n_designs:]
+        dead_rows = []
+
+        def spy(e_hat, policy=mrt_policy(stack[-1])):
+            dead_rows.append(int(np.sum(np.linalg.norm(e_hat, axis=1) == 0.0)))
+            return policy(e_hat)
+
+        policies = [mrt_policy(v) for v in stack[:-1]] + [spy]
+        stacked = irsopt.ergodic_rates_mc(stack, policies, stats, cfg, n, 71,
+                                          return_samples=True)
+        assert len(stacked) == len(stack)
+        for v, report in zip(stack, stacked):
+            single = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 71,
+                                     return_samples=True)
+            assert report.ub_rate == single.ub_rate
+            assert report.interference_power == single.interference_power
+            np.testing.assert_allclose(report.rate_samples, single.rate_samples,
+                                       rtol=1e-12, atol=0.0)
+            for field in ("mc_rate", "mc_stderr", "signal_power"):
+                assert getattr(report, field) == pytest.approx(getattr(single, field),
+                                                               rel=1e-12, abs=0.0)
+        if stats.alpha_direct[0] == 0.0:
+            assert sum(dead_rows) == n          # every slot of v = 0 hit the fallback
+            assert np.all(stacked[-1].rate_samples == 0.0)
+
+
+@pytest.mark.parametrize("n_designs", [1, 6])
+def test_stacked_designs_draw_one_set_of_gaussians(small_cfg, small_stats, monkeypatch,
+                                                   n_designs):
+    counted = []
+
+    def counting_crandn(rng, shape, var):
+        out = crandn(rng, shape, var)
+        counted.append(out.size)
+        return out
+
+    monkeypatch.setattr(irsopt.channel, "crandn", counting_crandn)
+    rng = np.random.default_rng(3)
+    vs = [random_phase_vector(rng, small_stats.irs_size) for _ in range(n_designs)]
+    n = 700                                         # two chunks
+    irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], small_stats, small_cfg,
+                            n, 9)
+    m0 = small_stats.bs_sizes[0]
+    assert sum(counted) == n * (small_stats.irs_size + 4 * m0)
+
+
+def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
+    # Mr = 256, one 512-sample chunk: holding a per-design (n, Mr) array, or
+    # h_ru beside u for a single design, would show against this bound
+    cfg = preset_cfg.replace(irs_grid=(16, 16))
+    stats = build_statistics(cfg)
+    rng = np.random.default_rng(5)
+    vs = [random_phase_vector(rng, stats.irs_size) for _ in range(14)]
+    peaks = {}
+    for count in (1, 14):
+        policies = [mrt_policy(v) for v in vs[:count]]
+        tracemalloc.start()
+        try:
+            irsopt.ergodic_rates_mc(vs[:count], policies, stats, cfg, 512, 4)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[14] < 1.5 * peaks[1], peaks
 
 
 def test_rate_report_validation():
