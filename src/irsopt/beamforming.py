@@ -30,7 +30,7 @@ class Beamformer:
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
         nrm = np.linalg.norm(arr)
-        if abs(nrm - 1.0) > 1e-9:
+        if not (abs(nrm - 1.0) <= 1e-9):  # rejects NaN too
             raise ValueError(f"beamformer must be unit-norm, got ||w|| = {nrm}")
 
     def __len__(self) -> int:

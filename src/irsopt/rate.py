@@ -1,5 +1,5 @@
-"""Rate expressions: expected signal/interference powers, the closed-form
-upper-bound rate and the Monte Carlo ergodic rate.
+"""Rate expressions: per-term expected powers, the closed-form upper-bound
+rate and the Monte Carlo ergodic rate.
 
 Core quantities, for phase shifts v, unit beamformer w and one CSI draw
 (g_hat, h_hat):
@@ -9,10 +9,12 @@ Core quantities, for phase shifts v, unit beamformer w and one CSI draw
 
 g0 is the conditional expectation over the CSI error of the received
 signal power; gk is the exact expectation of interferer k's power under
-maximum-ratio transmission towards its own user.  The per-draw objective
-built from them, p0 * g0 at the matched-filter beamformer over
-sum_k p_k*gk + sigma^2, lives in `ssca.DesignObjective`; `gamma_ub` and
-`gamma_ub_gradient` are single-draw views of it.
+maximum-ratio transmission towards its own user; both stay as per-term
+oracles.  The objective built from them, p0 * g0 at the matched-filter
+beamformer over sum_k p_k*gk + sigma^2, and its closed-form mean live in
+`ssca.DesignObjective`: `gamma_ub` and `gamma_ub_gradient` are one-draw
+views of `evaluate`, `upper_bound_rate_closed_form` is log2(1 + `expected`),
+and `sinr_denominator` evaluates `interference_quadratic`.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ class PhaseShiftVector:
         arr = np.array(self.v, dtype=complex, copy=True).reshape(-1)
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
-        if np.max(np.abs(np.abs(arr) - 1.0)) > 1e-9:
+        if not (np.max(np.abs(np.abs(arr) - 1.0)) <= 1e-9):  # rejects NaN too
             raise ValueError("phase-shift entries must have unit modulus")
 
     @classmethod
@@ -68,7 +70,7 @@ def _beam_array(w) -> np.ndarray:
     arr = getattr(w, "w", w)
     arr = np.asarray(arr, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(arr)
-    if abs(nrm - 1.0) > 1e-9:
+    if not (abs(nrm - 1.0) <= 1e-9):  # rejects NaN too
         raise ValueError(f"beamformer must be unit-norm, got ||w|| = {nrm}")
     return arr
 
@@ -106,7 +108,7 @@ class RateReport:
 
 
 # ---------------------------------------------------------------------------
-# Expected powers
+# Per-term expected powers and the interference-plus-noise denominator
 # ---------------------------------------------------------------------------
 
 def error_power_constant(irs_size: int, delta1: float, delta2: float) -> float:
@@ -140,42 +142,50 @@ def gk(v: PhaseLike, stats: ChannelStatistics, k: int) -> float:
         raise ValueError(f"interferer index {k} out of range (1..{stats.n_bs - 1})")
     varr = phase_array(v)
     los_term = np.linalg.norm(varr.conj() @ stats.cascaded_los[k]) ** 2 / stats.bs_sizes[k]
-    nlos_term = (stats.alpha_bs_irs[k] * stats.alpha_irs_user
-                 * stats.irs_size * (1.0 - stats.tau[k]))
-    return float(los_term + nlos_term + stats.alpha_direct[k])
+    return float(los_term + _interferer_floor(stats, k))
 
 
-def sinr_denominator(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig) -> float:
-    """Interference-plus-noise power sum_k p_k * gk(v) + sigma^2."""
-    powers = cfg.powers_watt
-    total = cfg.noise_watt
-    for k in range(1, stats.n_bs):
-        total += powers[k] * gk(v, stats, k)
-    return float(total)
+def _interferer_floor(stats: ChannelStatistics, k: int) -> float:
+    """The v-independent part of gk: a_kr*a_ru*Mr*(1 - tau_k) + a_k0."""
+    return (stats.alpha_bs_irs[k] * stats.alpha_irs_user * stats.irs_size
+            * (1.0 - stats.tau[k]) + stats.alpha_direct[k])
 
 
 def interference_quadratic(stats: ChannelStatistics,
                            cfg: ScenarioConfig) -> tuple[Optional[np.ndarray], float]:
-    """Denominator as a low-rank quadratic form: (F, d) with
-    sinr_denominator(v) = ||F^H v||^2 + d, i.e. B = F F^H.  F stacks the
-    columns sqrt(p_k/Mk) * glos_k of the interferers with tau_k > 0, shape
-    (Mr, sum_k Mk); it is None when no interferer has a LoS component
-    (pure constant denominator)."""
+    """The interference-plus-noise power sum_k p_k * gk(v) + sigma^2 as a
+    low-rank quadratic form: (F, d) with denominator ||F^H v||^2 + d, i.e.
+    B = F F^H.  F stacks the columns sqrt(p_k/Mk) * glos_k of the
+    interferers with tau_k > 0, shape (Mr, sum_k Mk); it is None when no
+    interferer has a LoS component (pure constant denominator)."""
     powers = cfg.powers_watt
     d = cfg.noise_watt
     columns = []
     for k in range(1, stats.n_bs):
-        d += powers[k] * (stats.alpha_bs_irs[k] * stats.alpha_irs_user
-                          * stats.irs_size * (1.0 - stats.tau[k])
-                          + stats.alpha_direct[k])
+        d += powers[k] * _interferer_floor(stats, k)
         if stats.tau[k] > 0:
             columns.append(math.sqrt(powers[k] / stats.bs_sizes[k]) * stats.cascaded_los[k])
     factor = np.concatenate(columns, axis=1) if columns else None
     return factor, float(d)
 
 
+def _quadratic_denominator(factor: Optional[np.ndarray], const: float,
+                           v: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    """||F^H v||^2 + d and F^H v (None when F is None)."""
+    if factor is None:
+        return const, None
+    proj = factor.conj().T @ v
+    return float(np.real(np.vdot(proj, proj))) + const, proj
+
+
+def sinr_denominator(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig) -> float:
+    """Interference-plus-noise power sum_k p_k * gk(v) + sigma^2, evaluated
+    as ||F^H v||^2 + d from `interference_quadratic`."""
+    return _quadratic_denominator(*interference_quadratic(stats, cfg), phase_array(v))[0]
+
+
 # ---------------------------------------------------------------------------
-# Single-draw objective
+# Views of the design objective (ssca.DesignObjective)
 # ---------------------------------------------------------------------------
 
 def gamma_ub(v: PhaseLike, sample: CsiSample, stats: ChannelStatistics,
@@ -194,29 +204,20 @@ def gamma_ub_gradient(v: PhaseLike, sample: CsiSample, stats: ChannelStatistics,
     return DesignObjective.from_scenario(stats, cfg).ratio(sample).grad(v)
 
 
-# ---------------------------------------------------------------------------
-# Rates
-# ---------------------------------------------------------------------------
-
-def expected_signal_power_closed_form(v: PhaseLike, stats: ChannelStatistics) -> float:
-    """E ||g_hat^H v + h_hat||^2 under the Gaussian CSI model:
-    ||glos_0^H v||^2 + M0*(Mr*(sigma_g^2 - delta1^2) + sigma_h^2 - delta2^2).
-
-    Assumes deployment-form v (||v||^2 = Mr)."""
-    varr = phase_array(v)
-    m0 = stats.bs_sizes[0]
-    los = np.linalg.norm(stats.cascaded_los[0].conj().T @ varr) ** 2
-    return float(los + m0 * (stats.irs_size * stats.estimate_g_var + stats.estimate_h_var))
-
-
 def upper_bound_rate_closed_form(v: PhaseLike, stats: ChannelStatistics,
                                  cfg: ScenarioConfig) -> float:
-    """log2(1 + p0 * E[g0 at the matched-filter beamformer] / denominator)
-    with the expectation in closed form."""
-    signal = expected_signal_power_closed_form(v, stats)
-    signal += error_power_constant(stats.irs_size, stats.delta1_abs, stats.delta2_abs)
-    return math.log2(1.0 + cfg.powers_watt[0] * signal / sinr_denominator(v, stats, cfg))
+    """log2(1 + E gamma(v)) with the closed-form mean of the robust design
+    objective (`DesignObjective.expected`).  The mean is exact for any v,
+    relaxed ones included: its numerator is p0 * (||glos_0^H v||^2
+    + M0*(sigma_g^2 ||v||^2 + sigma_h^2) + delta2^2 + Mr*delta1^2)."""
+    from .ssca import DesignObjective   # ssca imports this module
+    value, _ = DesignObjective.from_scenario(stats, cfg).expected(phase_array(v))
+    return math.log2(1.0 + value)
 
+
+# ---------------------------------------------------------------------------
+# Monte Carlo ergodic rate
+# ---------------------------------------------------------------------------
 
 BeamformingPolicy = Callable[[np.ndarray], np.ndarray]
 
@@ -253,6 +254,8 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
         if varr.shape[0] != stats.irs_size:
             raise ValueError(f"design {i} has {varr.shape[0]} phase shifts, "
                              f"the IRS has Mr = {stats.irs_size} elements")
+        if not np.all(np.isfinite(varr)):
+            raise ValueError(f"design {i} has non-finite phase shifts")
     stack = np.stack(varrs)
     dens = [sinr_denominator(varr, stats, cfg) for varr in varrs]
     p0 = cfg.powers_watt[0]

@@ -48,10 +48,10 @@ from .config import ScenarioConfig
 from .rate import (
     PhaseShiftVector,
     PhaseLike,
+    _quadratic_denominator,
     error_power_constant,
     interference_quadratic,
     phase_array,
-    upper_bound_rate_closed_form,
 )
 from .streams import check_seed, crandn, named_child
 
@@ -119,7 +119,7 @@ class SscaState:
         c1 = np.asarray(self.c1, dtype=complex).reshape(-1)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "c1", c1)
-        if np.max(np.abs(v)) > 1.0 + 1e-12:
+        if not (np.max(np.abs(v)) <= 1.0 + 1e-12):  # rejects NaN too
             raise ValueError("iterate leaves the relaxed set |v_n| <= 1")
 
     @classmethod
@@ -269,10 +269,9 @@ class DesignObjective:
         p0, denom_quad, denom_const = self.p0, self.denom_quad, self.denom_const
         num = p0 * (power + self.err_const)
         signal_dir = p0 * ge
-        if denom_quad is None:
-            return num / denom_const, signal_dir / denom_const
-        proj = denom_quad.conj().T @ v                               # F^H v
-        den = float(np.real(np.vdot(proj, proj))) + denom_const
+        den, proj = _quadratic_denominator(denom_quad, denom_const, v)
+        if proj is None:
+            return num / den, signal_dir / den
         bv = denom_quad @ proj                                       # B v
         return num / den, (signal_dir * den - num[:, None] * bv[None]) / den ** 2
 
@@ -434,8 +433,9 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     formed.  Identical configurations and seeds reproduce the iterates
     bit-for-bit.
     """
-    if design is None:
-        design = DesignObjective.from_scenario(stats, cfg)
+    robust = (DesignObjective.from_scenario(stats, cfg)     # what the probe scores
+              if design is None or solver_cfg.probe_every else None)
+    design = robust if design is None else design
     mr = design.irs_size
     v_init = np.ones(mr, dtype=complex) if v0 is None else phase_array(v0).copy()
     state = SscaState.initial(v_init)
@@ -464,7 +464,8 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
 
         probe = math.nan
         if solver_cfg.probe_every and t % solver_cfg.probe_every == 0:
-            probe = upper_bound_rate_closed_form(project_unit_modulus(state.v), stats, cfg)
+            # upper_bound_rate_closed_form without rebuilding F per probe
+            probe = math.log2(1.0 + robust.expected(project_unit_modulus(state.v).v)[0])
         trace.append(t, state.c0, gap, probe)
 
         if solver_cfg.tolerance > 0.0 and gap < solver_cfg.tolerance:

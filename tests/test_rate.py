@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import irsopt
-from irsopt.beamforming import mrt_equivalent_beamformer, mrt_policy
+from irsopt.beamforming import Beamformer, mrt_equivalent_beamformer, mrt_policy
 from irsopt.channel import (
     PhysicalChannelSampler,
     CsiSample,
@@ -18,7 +18,6 @@ from irsopt.rate import (
     RateReport,
     ergodic_rate_mc,
     error_power_constant,
-    expected_signal_power_closed_form,
     g0,
     gamma_ub,
     gamma_ub_gradient,
@@ -197,16 +196,21 @@ def test_sinr_denominator_increasing_in_power(preset_cfg, preset_stats):
     assert sinr_denominator(v, preset_stats, louder) > base
 
 
+def _explicit_denominator(v, stats, cfg):
+    """sum_k p_k * gk(v) + sigma^2, one interferer at a time."""
+    return cfg.noise_watt + sum(cfg.powers_watt[k] * gk(v, stats, k)
+                                for k in range(1, stats.n_bs))
+
+
 def test_denominator_quadratic_matches_sum(preset_cfg, preset_stats):
     rng = np.random.default_rng(5)
-    factor, const = interference_quadratic(preset_stats, preset_cfg)
+    factor, _ = interference_quadratic(preset_stats, preset_cfg)
     n_cols = sum(preset_stats.bs_sizes[k] for k in range(1, preset_stats.n_bs))
     assert factor.shape == (preset_stats.irs_size, n_cols)
-    for _ in range(5):
-        v = phase_array(random_phase_vector(rng, preset_stats.irs_size))
-        via_factor = const + float(np.linalg.norm(factor.conj().T @ v) ** 2)
-        assert np.isclose(via_factor, sinr_denominator(v, preset_stats, preset_cfg),
-                          rtol=1e-12)
+    for v in [phase_array(random_phase_vector(rng, preset_stats.irs_size))
+              for _ in range(5)] + [random_relaxed(rng, preset_stats.irs_size)]:
+        assert np.isclose(sinr_denominator(v, preset_stats, preset_cfg),
+                          _explicit_denominator(v, preset_stats, preset_cfg), rtol=1e-12)
     # F F^H is the dense sum_k (p_k/Mk) glos_k glos_k^H it replaces
     dense = sum(preset_cfg.powers_watt[k] / preset_stats.bs_sizes[k]
                 * preset_stats.cascaded_los[k] @ preset_stats.cascaded_los[k].conj().T
@@ -263,14 +267,34 @@ def test_upper_bound_monotone_in_power(preset_cfg, preset_stats):
 
 
 def test_expected_signal_power_closed_form_vs_sampling(small_cfg):
+    # DesignObjective.expected against the mean of evaluate over full
+    # (g_hat, h_hat) draws from the estimate law
     cfg = small_cfg.replace(delta1=0.4, delta2=0.1)
     stats = build_statistics(cfg)
+    design = DesignObjective.from_scenario(stats, cfg)
     rng = np.random.default_rng(7)
-    v = random_phase_vector(rng, stats.irs_size)
+    v = random_phase_vector(rng, stats.irs_size).v
     n = 100_000
-    sampled = float(np.mean(_design_signal_power(v, stats, cfg, 91, n)))
-    closed = expected_signal_power_closed_form(v, stats)
-    assert abs(sampled - closed) / closed < 0.02
+    values, _ = design.evaluate(v, *combine_draws(v, *design_draws(stats, cfg, 91, n)))
+    closed, _ = design.expected(v)
+    assert abs(float(np.mean(values)) - closed) / closed < 0.02
+
+
+def test_upper_bound_at_relaxed_v_is_the_exact_expectation(small_cfg):
+    # ||v||^2 != Mr: the sigma_g^2 term of the mean scales with ||v||^2
+    cfg = small_cfg.replace(delta1=0.3, delta2=0.2)
+    stats = build_statistics(cfg)
+    rng = np.random.default_rng(17)
+    m0 = stats.bs_sizes[0]
+    c = stats.delta2_abs ** 2 + stats.irs_size * stats.delta1_abs ** 2
+    for v in (0.5 * random_phase_vector(rng, stats.irs_size).v,
+              random_relaxed(rng, stats.irs_size)):
+        signal = (np.linalg.norm(stats.cascaded_los[0].conj().T @ v) ** 2
+                  + m0 * (stats.estimate_g_var * np.linalg.norm(v) ** 2
+                          + stats.estimate_h_var) + c)
+        want = math.log2(1 + cfg.powers_watt[0] * signal
+                         / _explicit_denominator(v, stats, cfg))
+        assert upper_bound_rate_closed_form(v, stats, cfg) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +466,13 @@ def _bad_input_cases(stats):
         "long design": (([np.ones(stats.irs_size + 1)], [policy]), {}, "design 0 has"),
         "policy count": (([v, v], [policy]), {}, "1 policies for 2 designs"),
         "no samples": (([v], [policy]), {"n_samples": 0}, "n_samples"),
+        "nan design": (([v, np.full(stats.irs_size, math.nan)], [policy, policy]), {},
+                       "design 1 has non-finite"),
     }
 
 
 @pytest.mark.parametrize("case", ["no designs", "short design", "long design",
-                                  "policy count", "no samples"])
+                                  "policy count", "no samples", "nan design"])
 def test_batched_evaluator_rejects_bad_input(small_cfg, small_stats, case):
     (vs, policies), overrides, message = _bad_input_cases(small_stats)[case]
     kwargs = {"n_samples": 8, "rng": 1, **overrides}
@@ -698,6 +724,22 @@ def test_gamma_scale_invariance(small_cfg):
 # ---------------------------------------------------------------------------
 # phase-shift vector type
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["phase vector", "from phases", "beamformer",
+                                  "g0 beamformer"])
+def test_modulus_and_norm_checks_reject_nan(small_cfg, small_stats, case):
+    sample = sample_estimated_csi(small_stats, small_cfg, 1)
+    v = PhaseShiftVector.ones(small_stats.irs_size)
+    make, message = {
+        "phase vector": (lambda: PhaseShiftVector([math.nan, 1.0]), "unit modulus"),
+        "from phases": (lambda: PhaseShiftVector.from_phases([math.nan, 0.0]), "unit modulus"),
+        "beamformer": (lambda: Beamformer([math.nan, 0.0]), "unit-norm"),
+        "g0 beamformer": (lambda: g0(v, [math.nan, 0.0, 0.0, 0.0], sample, 0.0, 0.0),
+                          "unit-norm"),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        make()
+
 
 def test_phase_vector_forms():
     # deployable designs only; relaxed solver iterates are plain arrays

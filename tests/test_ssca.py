@@ -6,7 +6,7 @@ import pytest
 import irsopt
 from irsopt import ssca
 from irsopt.channel import CsiSample
-from irsopt.rate import PhaseShiftVector
+from irsopt.rate import PhaseShiftVector, gk
 from irsopt.ssca import (
     DesignObjective,
     SolverConfig,
@@ -237,6 +237,18 @@ def test_state_feasibility_enforced():
         SscaState(t=0, v=np.array([1.5 + 0.0j]), c0=0.0, c1=np.zeros(1, dtype=complex))
 
 
+@pytest.mark.parametrize("where", ["state", "run"])
+def test_nan_iterate_rejected(small_cfg, small_stats, where):
+    v0 = np.ones(small_stats.irs_size, dtype=complex)
+    v0[0] = math.nan
+    with pytest.raises(ValueError, match="relaxed set"):
+        if where == "state":
+            SscaState.initial(v0)
+        else:
+            run(SolverConfig(iterations=2, samples_per_iter=2, seed=1), small_stats,
+                small_cfg, v0=v0)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
@@ -297,6 +309,21 @@ def test_run_probe_and_trace_csv(tmp_path, small_cfg, small_stats):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,c0,fixed_point_gap,ub_rate_probe"
     assert len(lines) == 21
+
+
+@pytest.mark.parametrize("robust", [True, False], ids=["own design", "non-robust design"])
+def test_probe_is_the_robust_upper_bound_rate(small_cfg, robust):
+    # the probe scores the robust UB rate whatever design the solver runs
+    scenario = small_cfg.replace(delta1=0.3, delta2=0.2)
+    stats = irsopt.build_statistics(scenario)
+    design = None if robust else DesignObjective.from_scenario(stats, scenario, robust=False)
+    cfg = SolverConfig(iterations=12, samples_per_iter=3, seed=4, probe_every=12)
+    result = run(cfg, stats, scenario, design=design)
+    want = irsopt.upper_bound_rate_closed_form(result.v, stats, scenario)
+    assert result.trace.ub_rate[-1] == want
+    if not robust:
+        value, _ = design.expected(result.v.v)
+        assert not math.isclose(math.log2(1.0 + value), want, rel_tol=1e-9)
 
 
 def test_run_early_stop_on_gap(small_cfg, small_stats):
@@ -547,13 +574,24 @@ def test_run_draws_mr_plus_two_m0_values_per_sample(preset_cfg, monkeypatch, sid
 @pytest.mark.parametrize("side", [1, 8])
 @pytest.mark.parametrize("delta", [1e-6, 0.3, 0.6, 1.0])
 def test_expected_value_is_the_closed_form_upper_bound(preset_cfg, side, delta):
+    # the formula written out per term, for unit-modulus v (||v||^2 = Mr):
+    # p0 (||G^H v||^2 + M0 (Mr sigma_g^2 + sigma_h^2) + delta2^2 + Mr delta1^2)
+    # over sum_k p_k gk + sigma^2
     cfg = preset_cfg.replace(irs_grid=(side, side), delta1=delta, delta2=delta)
     stats = irsopt.build_statistics(cfg)
     design = DesignObjective.from_scenario(stats, cfg)
+    mr, m0 = stats.irs_size, stats.bs_sizes[0]
     rng = np.random.default_rng(31)
     for _ in range(3):
-        v = PhaseShiftVector.from_phases(rng.uniform(0, 2 * math.pi, stats.irs_size))
+        v = PhaseShiftVector.from_phases(rng.uniform(0, 2 * math.pi, mr))
+        num = cfg.powers_watt[0] * (
+            np.linalg.norm(stats.cascaded_los[0].conj().T @ v.v) ** 2
+            + m0 * (mr * stats.estimate_g_var + stats.estimate_h_var)
+            + stats.delta2_abs ** 2 + mr * stats.delta1_abs ** 2)
+        den = cfg.noise_watt + sum(cfg.powers_watt[k] * gk(v, stats, k)
+                                   for k in range(1, stats.n_bs))
         value, ascent = design.expected(v.v)
-        assert ascent.shape == (stats.irs_size,)
+        assert ascent.shape == (mr,)
+        assert value == pytest.approx(num / den, rel=1e-12)
         ub = irsopt.upper_bound_rate_closed_form(v, stats, cfg)
-        assert abs(math.log2(1.0 + value) / ub - 1.0) <= 1e-12
+        assert ub == pytest.approx(math.log2(1.0 + num / den), rel=1e-12)
