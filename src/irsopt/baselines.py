@@ -107,15 +107,16 @@ def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
     the average over a multi-draw scheme's designs are paired by
     construction.
     """
-    check_seed(eval_rng)    # before any design is spent on a bad seed
+    check_seed(eval_rng)    # before any design is spent on a bad seed or size
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if len(solver_cfgs) != len(specs):
         raise ValueError(f"{len(solver_cfgs)} solver settings for {len(specs)} schemes")
     designs = [design_scheme(spec, stats, cfg, solver_cfg, draw=draw)
                for spec, solver_cfg in zip(specs, solver_cfgs)
                for draw in range(spec.phase_draws)]
     per_design = iter(ergodic_rates_mc([v for v, _ in designs], [p for _, p in designs],
-                                       stats, cfg, n_samples, eval_rng,
-                                       return_samples=True))
+                                       stats, cfg, n_samples, eval_rng))
     return [_average([next(per_design) for _ in range(spec.phase_draws)], return_samples)
             for spec in specs]
 

@@ -46,7 +46,8 @@ Three sampling routes exist, each for one consumer:
     in M0 dimensions with the exact conditional law: O(Mr + M0) draws per
     slot instead of O(Mr * M0).  The draws do not depend on the design, so
     they are made once for the whole stack and every design is evaluated
-    on the same draws.
+    on the same draws; u is never formed, so h_ru is the only (n, Mr)
+    array.
   - `draw(n)` returns the full (n, Mr, M0) channels, errors and, on
     request, the interferers' links; it is the oracle for the
     interference-power check and for the tests of `draw_combined`.
@@ -304,13 +305,16 @@ class PhysicalChannelSampler:
         self._streams = named_children(rng, names)
 
     def _irs_user_channel(self, n: int) -> np.ndarray:
-        """h_ru = sqrt(a_ru) * (w_los * los_ru + w_nlos * CN(0,1)), (n, Mr)."""
+        """h_ru = sqrt(a_ru) * (w_los * los_ru + w_nlos * CN(0,1)), (n, Mr),
+        built in the scatter draw's own array: the same operations in the
+        same order as the expression, with no (n, Mr) temporary."""
         s = self._stats
         w_los, w_nlos = rician_weights(s.rician_irs_user)
-        return math.sqrt(s.alpha_irs_user) * (
-            w_los * s.los_irs_user[None, :]
-            + w_nlos * crandn(self._streams["irs-user"], (n, s.irs_size), 1.0)
-        )
+        h_ru = crandn(self._streams["irs-user"], (n, s.irs_size), 1.0)
+        h_ru *= w_nlos
+        h_ru += w_los * s.los_irs_user
+        h_ru *= math.sqrt(s.alpha_irs_user)
+        return h_ru
 
     def _bs_irs_channel(self, k: int, n: int) -> np.ndarray:
         """H_kr = sqrt(a_kr) * (w_los * los + w_nlos * CN(0,1)), (n, Mr, Mk)."""
@@ -383,12 +387,13 @@ class PhysicalChannelSampler:
         parts of z and n_g, h_true and the direct-link error, is drawn once
         when the first pair is requested, so every design of the stack sees
         the same draws and n slots cost n * (Mr + 4 * M0) Gaussian values
-        whatever S is.  Each design then gets its own u, ||u||, y and n_g
-        scale, one design at a time: u lives in one reused (n, Mr) buffer,
-        and the last design multiplies h_ru in place, so a stack of one
-        needs no buffer.  h_ru, h_true and the direct-link error are
-        bit-identical to `draw(n)`'s; the bs-irs/0 and err/g streams are
-        drawn in (n, M0) instead of (n, Mr, M0), so those values differ.
+        whatever S is.  Each design then gets its own ||u||, y and n_g
+        scale, one design at a time, and u itself is never formed:
+        ||u||^2 = sum_j |h_ru,j|^2 |v_j|^2 and L^H u = (diag(v) L^*)^T h_ru,
+        so no (n, Mr) array besides h_ru is held for any S.  h_ru, h_true
+        and the direct-link error are bit-identical to `draw(n)`'s; the
+        bs-irs/0 and err/g streams are drawn in (n, M0) instead of
+        (n, Mr, M0), so those values differ.
         """
         s = self._stats
         m0 = s.bs_sizes[0]
@@ -412,15 +417,12 @@ class PhysicalChannelSampler:
         sigma_g_sq, delta1_sq = float(s.sigma_g_sq[0]), s.delta1_abs ** 2
         share_g = 0.0 if sigma_g_sq == 0.0 else delta1_sq / sigma_g_sq
         n_g_var = delta1_sq * max(1.0 - share_g, 0.0)           # per unit ||v||^2
-        buffer = np.empty_like(h_ru) if len(vs) > 1 else None
-        for i, v in enumerate(vs):
-            # h_ru is not read after the last design, which overwrites it
-            u = h_ru if i == len(vs) - 1 else buffer
-            np.multiply(h_ru, v, out=u)
-            parts = u.view(float)           # (n, 2 Mr) real and imaginary parts
-            u_norm = np.sqrt(np.einsum("ij,ij->i", parts, parts))  # no (n, Mr) temporary
+        parts = h_ru.view(float).reshape(n, s.irs_size, 2)    # real and imaginary parts
+        for v in vs:
+            u_norm = np.sqrt(np.einsum("ijk,ijk,j->i", parts, parts, np.abs(v) ** 2))
             scatter = z * (w_nlos * u_norm)[:, None]
-            y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (u @ los_conj) + scatter)
+            y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (h_ru @ (v[:, None] * los_conj))
+                                                + scatter)
             n_g = n_g_std * math.sqrt(n_g_var * float(np.vdot(v, v).real) / 2.0)
             los_term = v @ cascaded_los_conj                    # glos_0^H v, (M0,)
             e_hat = (1.0 - share_g) * y + share_g * los_term - n_g + h_hat

@@ -86,7 +86,7 @@ class RateReport:
     signal_power: float                 # p0 * E|signal|^2, linear watts
     interference_power: tuple[float, ...]   # p_k * gk per interferer
     noise_power: float
-    rate_samples: Optional[np.ndarray] = None   # per-sample rates when requested
+    rate_samples: Optional[np.ndarray] = None   # per-sample rates; evaluate_schemes: on request
 
     def __post_init__(self):
         if self.mc_stderr < 0:
@@ -224,7 +224,7 @@ BeamformingPolicy = Callable[[np.ndarray], np.ndarray]
 
 def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPolicy],
                      stats: ChannelStatistics, cfg: ScenarioConfig, n_samples: int,
-                     rng: int, return_samples: bool = False) -> list[RateReport]:
+                     rng: int) -> list[RateReport]:
     """Monte Carlo ergodic rates of a stack of designs on one shared draw set.
 
     `vs` holds S phase-shift designs and `policies` the beamforming policy
@@ -240,7 +240,8 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
     true channel; the interference-plus-noise term uses its exact
     expectation (sinr_denominator), per the worst-case-noise reading of the
     rate.  Each design is reduced to its row of per-sample rates before the
-    next one is drawn, so memory does not grow with S beyond that row.
+    next one is drawn, so memory does not grow with S beyond that row; the
+    row is the report's `rate_samples`.
     """
     if len(vs) == 0:
         raise ValueError("no designs to evaluate")
@@ -286,17 +287,15 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
                 cfg.powers_watt[k] * gk(varr, stats, k) for k in range(1, stats.n_bs)
             ),
             noise_power=cfg.noise_watt,
-            rate_samples=row if return_samples else None,
+            rate_samples=row,
         ))
     return reports
 
 
 def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,
-                    cfg: ScenarioConfig, n_samples: int, rng: int,
-                    return_samples: bool = False) -> RateReport:
+                    cfg: ScenarioConfig, n_samples: int, rng: int) -> RateReport:
     """Monte Carlo ergodic rate of one design: `ergodic_rates_mc` on a stack
     of one.  It draws the same values as any stack that holds v under the
     same seed and `n_samples`, so its report equals that design's row of a
     stacked evaluation."""
-    return ergodic_rates_mc([v], [policy], stats, cfg, n_samples, rng,
-                            return_samples=return_samples)[0]
+    return ergodic_rates_mc([v], [policy], stats, cfg, n_samples, rng)[0]

@@ -75,19 +75,18 @@ def stepsize_omega(t: int, b: float) -> float:
 class SolverConfig:
     """Knobs of the stochastic solver.
 
-    tau_reg = None auto-calibrates the proximal weight from the first
-    iteration's gradient sample (1e-2 times its mean entry magnitude), so
-    the proximal term stays comparable to the linear term across the wide
-    dynamic range of channel gains.
+    The solver starts at v = 1 and runs all T iterations.  The proximal
+    weight tau is calibrated from the first iteration's gradient sample
+    (1e-2 times its mean entry magnitude), so the proximal term stays
+    comparable to the linear term across the wide dynamic range of channel
+    gains; `SscaResult.tau_reg` reports it.
     """
 
     iterations: int = 500               # T
     samples_per_iter: int = 10          # L
-    tau_reg: Optional[float] = None     # surrogate concavity weight
     rho_exponent: float = 0.6           # a in (0.5, 1]
     omega_exponent: float = 0.9         # b in (a, 1]
     seed: int = 0
-    tolerance: float = 0.0              # fixed-point gap early stop; 0 = run all T
     probe_every: int = 0                # UB-rate probe period in the trace; 0 = off
 
     def __post_init__(self):
@@ -98,10 +97,6 @@ class SolverConfig:
             raise ValueError(f"rho exponent must lie in (0.5, 1], got {a}")
         if not (a < b <= 1.0):
             raise ValueError(f"omega exponent must lie in ({a}, 1], got {b}")
-        if self.tau_reg is not None and not self.tau_reg > 0:
-            raise ValueError(f"tau_reg must be positive, got {self.tau_reg}")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
         check_seed(self.seed)
 
 
@@ -422,9 +417,11 @@ def _auto_tau(c1: np.ndarray) -> float:
 
 def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
         design: Optional[DesignObjective] = None,
-        v0: Optional[PhaseLike] = None,
         audit: bool = False) -> SscaResult:
     """Run the full stochastic solver and return the deployable design.
+
+    The iterate starts at v = 1 and the run lasts all T iterations; tau is
+    calibrated after the first coefficient update (`_auto_tau`).
 
     Per iteration: L * (Mr + 2*M0) Gaussian draws (`DesignObjective.sample`
     draws only what the ratio reads), one L*Mr*M0-flop product with the LoS
@@ -436,13 +433,11 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     robust = (DesignObjective.from_scenario(stats, cfg)     # what the probe scores
               if design is None or solver_cfg.probe_every else None)
     design = robust if design is None else design
-    mr = design.irs_size
-    v_init = np.ones(mr, dtype=complex) if v0 is None else phase_array(v0).copy()
-    state = SscaState.initial(v_init)
+    state = SscaState.initial(np.ones(design.irs_size, dtype=complex))
 
     streams = dict(zip(("design/g", "design/h"),
                        named_child(solver_cfg.seed, "solver").spawn(2)))
-    tau_reg = solver_cfg.tau_reg
+    tau_reg = None
     trace = SscaTrace()
 
     for t in range(1, solver_cfg.iterations + 1):
@@ -467,9 +462,6 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
             # upper_bound_rate_closed_form without rebuilding F per probe
             probe = math.log2(1.0 + robust.expected(project_unit_modulus(state.v).v)[0])
         trace.append(t, state.c0, gap, probe)
-
-        if solver_cfg.tolerance > 0.0 and gap < solver_cfg.tolerance:
-            break
 
     return SscaResult(v=project_unit_modulus(state.v), trace=trace, state=state,
                       tau_reg=float(tau_reg))

@@ -83,6 +83,28 @@ def design_draws(stats, cfg, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return full_matrix_sample(irsopt.DesignObjective.from_scenario(stats, cfg), streams, n)
 
 
+def edge_scenario(preset_cfg: irsopt.ScenarioConfig, regime: str) -> irsopt.ScenarioConfig:
+    """The preset on a 4x4 IRS with delta = 0.3, moved into one edge regime."""
+    base = preset_cfg.replace(irs_grid=(4, 4), delta1=0.3, delta2=0.3)
+    single_bs = base.replace(
+        bs_positions=base.bs_positions[:1], bs_grids=base.bs_grids[:1],
+        powers_dbm=base.powers_dbm[:1], rician_bs_irs=base.rician_bs_irs[:1],
+        angles_bs_irs=base.angles_bs_irs[:1], name="single-bs")
+    return {
+        "no-bs-irs-los": base.replace(rician_bs_irs=(0.0, 0.0, 0.0)),
+        "k-0": base.replace(rician_bs_irs=(0.0, 0.0, 0.0), rician_irs_user=0.0),
+        "single-bs": single_bs,
+        "irs-1x1": base.replace(irs_grid=(1, 1)),
+        "one-bs-antenna": base.replace(bs_grids=((1, 1),) * 3),
+        "v0-zero": base,
+        "delta-0": base.replace(delta1=0.0, delta2=0.0),
+        "delta-1": base.replace(delta1=1.0, delta2=1.0),        # sigma_g = sigma_h = 0
+        "k-inf-delta-0": base.replace(rician_bs_irs=(math.inf, 3.0, 3.0),
+                                      rician_irs_user=math.inf,
+                                      delta1=0.0, delta2=0.0),      # sigma_g = 0
+    }[regime]
+
+
 def paired_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """(mean difference, its standard error, t statistic) for paired samples."""
     d = np.asarray(a) - np.asarray(b)

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import irsopt
+from irsopt import baselines
 from irsopt.baselines import (
     SCHEMES,
     SchemeSpec,
@@ -18,7 +20,7 @@ from irsopt.rate import ergodic_rate_mc, gk
 from irsopt.ssca import SolverConfig
 from irsopt.streams import child_seed
 
-from conftest import paired_t
+from conftest import edge_scenario, paired_t
 
 
 def test_scheme_registry_is_exactly_the_five_presets():
@@ -111,8 +113,7 @@ def test_evaluate_scheme_single_draw_equals_plain_evaluation(small_cfg, small_st
     report = evaluate_scheme(spec, small_stats, small_cfg, solver, n_samples, 11,
                              return_samples=return_samples)
     v, _ = design_scheme(spec, small_stats, small_cfg, solver)
-    plain = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, n_samples, 11,
-                            return_samples=True)
+    plain = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, n_samples, 11)
     assert report.to_dict() == plain.to_dict()
     if return_samples:
         assert report.rate_samples.tobytes() == plain.rate_samples.tobytes()
@@ -140,6 +141,35 @@ def test_evaluate_schemes_needs_one_solver_setting_per_scheme(small_cfg, small_s
     with pytest.raises(ValueError, match="1 solver settings for 2 schemes"):
         evaluate_schemes([scheme("proposed"), scheme("robust-no-intf")], small_stats,
                          small_cfg, [solver], 8, 1)
+
+
+def test_evaluate_schemes_rejects_no_samples_before_designing(small_cfg, small_stats,
+                                                              monkeypatch):
+    def no_design(*args, **kwargs):
+        raise AssertionError("a design was made before the sample count was checked")
+
+    monkeypatch.setattr(baselines, "run_ssca", no_design)
+    solver = SolverConfig(iterations=2, samples_per_iter=1)
+    with pytest.raises(ValueError, match="n_samples"):
+        evaluate_schemes([scheme("proposed")], small_stats, small_cfg, [solver], 0, 1)
+
+
+@pytest.mark.parametrize("regime", ["k-0", "k-inf-delta-0", "delta-0", "delta-1",
+                                    "irs-1x1", "one-bs-antenna", "single-bs"])
+def test_evaluate_schemes_edge_regimes(preset_cfg, regime):
+    cfg = edge_scenario(preset_cfg, regime)
+    stats = build_statistics(cfg)
+    names = sorted(SCHEMES)
+    solvers = [SolverConfig(iterations=20, samples_per_iter=10,
+                            seed=child_seed(3, f"design/{name}")) for name in names]
+    reports = evaluate_schemes([scheme(name) for name in names], stats, cfg, solvers,
+                               600, child_seed(3, "eval"))
+    for report in reports:
+        assert all(math.isfinite(x) for x in (report.ub_rate, report.mc_rate,
+                                              report.mc_stderr))
+        assert report.ub_rate >= report.mc_rate - 3 * report.mc_stderr
+        assert len(report.interference_power) == stats.n_bs - 1
+        assert all(p >= 0.0 for p in report.interference_power)
 
 
 def test_evaluation_fairness_shared_draws(small_cfg, small_stats):

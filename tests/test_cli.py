@@ -138,6 +138,19 @@ def test_cli_solve_and_eval(tmp_path):
     assert payload["reports"]["robust-with-intf"]["n_samples"] == 60
 
 
+def test_cli_solve_and_eval_reruns_are_byte_identical(tmp_path):
+    solve = ["solve", "--preset", "paper-fig3", "--iters", "20", "--samples-per-iter", "3",
+             "--seed", "5", "--probe-every", "5"]
+    evaluate = ["eval", "--preset", "paper-fig3", "--iters", "8", "--samples-per-iter", "2",
+                "--samples", "80", "--schemes", "proposed,robust-with-intf", "--seed", "5"]
+    for run in ("a", "b"):
+        assert main(solve + ["--out", str(tmp_path / run / "solve")]) == 0
+        assert main(evaluate + ["--out", str(tmp_path / run / "eval")]) == 0
+    for artifact in ("solve/trace.csv", "solve/design.json", "eval/eval.json"):
+        assert (tmp_path / "a" / artifact).read_bytes() == \
+            (tmp_path / "b" / artifact).read_bytes(), artifact
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = main(["eval", "--preset", "nope", "--out", str(tmp_path)])
     assert rc == 2

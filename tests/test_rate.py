@@ -306,8 +306,7 @@ def test_ergodic_deterministic_single_bs():
     stats = build_statistics(cfg)
     stats = dataclasses.replace(stats, alpha_direct=np.array([0.0]))
     v = PhaseShiftVector.ones(stats.irs_size)
-    report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, 20, 3,
-                             return_samples=True)
+    report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, 20, 3)
     expected = math.log2(
         1 + cfg.powers_watt[0]
         * np.linalg.norm(stats.cascaded_los[0].conj().T @ v.v) ** 2 / cfg.noise_watt)
@@ -333,8 +332,7 @@ def test_perfect_csi_beats_imperfect_paired(small_cfg):
         cfg = small_cfg.replace(delta1=delta, delta2=delta)
         stats = build_statistics(cfg)
         v = PhaseShiftVector.ones(stats.irs_size)
-        results[delta] = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, 3000, 17,
-                                         return_samples=True)
+        results[delta] = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, 3000, 17)
     diff, se, t = paired_t(results[0.0].rate_samples, results[0.7].rate_samples)
     assert t > 3.0, f"perfect CSI should win: diff={diff}, t={t}"
 
@@ -346,7 +344,8 @@ def test_ergodic_report_fields(small_cfg, small_stats):
     assert report.signal_power > 0
     assert len(report.interference_power) == 2
     assert report.noise_power == small_cfg.noise_watt
-    assert report.rate_samples is None
+    assert report.rate_samples.shape == (500,)
+    assert report.mc_rate == np.mean(report.rate_samples)
     payload = report.to_dict()
     assert set(payload) == {"ub_rate", "mc_rate", "mc_stderr", "n_samples",
                             "signal_power", "interference_power", "noise_power"}
@@ -354,10 +353,8 @@ def test_ergodic_report_fields(small_cfg, small_stats):
 
 def test_ergodic_determinism(small_cfg, small_stats):
     v = PhaseShiftVector.ones(small_stats.irs_size)
-    a = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 600, 23,
-                        return_samples=True)
-    b = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 600, 23,
-                        return_samples=True)
+    a = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 600, 23)
+    b = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 600, 23)
     np.testing.assert_array_equal(a.rate_samples, b.rate_samples)
 
 
@@ -397,7 +394,7 @@ def test_combined_draw_equals_physical_path_when_exact(small_cfg):
     assert math.isfinite(cfg.rician_irs_user) and stats.sigma_g_sq[0] > 0
     v = random_phase_vector(np.random.default_rng(41), stats.irs_size)
     n = 1500    # three chunks, the last one partial
-    report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 43, return_samples=True)
+    report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 43)
     np.testing.assert_allclose(report.rate_samples, _physical_rates(v, stats, cfg, 43, n),
                                rtol=1e-10, atol=0.0)
     assert np.ptp(report.rate_samples) > 0.1     # h_ru really is random
@@ -517,12 +514,10 @@ def test_stacked_evaluation_equals_one_design_evaluations(small_cfg, n_designs, 
             return policy(e_hat)
 
         policies = [mrt_policy(v) for v in stack[:-1]] + [spy]
-        stacked = irsopt.ergodic_rates_mc(stack, policies, stats, cfg, n, 71,
-                                          return_samples=True)
+        stacked = irsopt.ergodic_rates_mc(stack, policies, stats, cfg, n, 71)
         assert len(stacked) == len(stack)
         for v, report in zip(stack, stacked):
-            single = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 71,
-                                     return_samples=True)
+            single = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 71)
             assert report.ub_rate == single.ub_rate
             assert report.interference_power == single.interference_power
             np.testing.assert_allclose(report.rate_samples, single.rate_samples,
@@ -572,6 +567,23 @@ def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
         finally:
             tracemalloc.stop()
     assert peaks[14] < 1.5 * peaks[1], peaks
+
+
+def test_one_design_heap_is_about_h_ru(preset_cfg):
+    # Mr = 1024, one 512-sample chunk: h_ru (8 MiB) is the only (n, Mr) array;
+    # u = h_ru * v beside it, or h_ru built through temporaries, would reach 2x
+    cfg = preset_cfg.replace(irs_grid=(32, 32))
+    stats = build_statistics(cfg)
+    v = random_phase_vector(np.random.default_rng(6), stats.irs_size)
+    policy = mrt_policy(v)
+    tracemalloc.start()
+    try:
+        ergodic_rate_mc(v, policy, stats, cfg, 512, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h_ru_bytes = 512 * stats.irs_size * np.dtype(complex).itemsize
+    assert peak <= 1.75 * h_ru_bytes, peak / h_ru_bytes
 
 
 def test_rate_report_validation():
@@ -716,8 +728,8 @@ def test_gamma_scale_invariance(small_cfg):
                       gamma_ub(v, sample, stats_b, cfg_b), rtol=1e-9)
     assert np.isclose(upper_bound_rate_closed_form(v, stats_a, cfg_a),
                       upper_bound_rate_closed_form(v, stats_b, cfg_b), rtol=1e-9)
-    ra = ergodic_rate_mc(v, mrt_policy(v), stats_a, cfg_a, 400, 29, return_samples=True)
-    rb = ergodic_rate_mc(v, mrt_policy(v), stats_b, cfg_b, 400, 29, return_samples=True)
+    ra = ergodic_rate_mc(v, mrt_policy(v), stats_a, cfg_a, 400, 29)
+    rb = ergodic_rate_mc(v, mrt_policy(v), stats_b, cfg_b, 400, 29)
     np.testing.assert_allclose(ra.rate_samples, rb.rate_samples, rtol=1e-9)
 
 
