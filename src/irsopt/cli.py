@@ -134,9 +134,13 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
     are evaluated in one batched call, so they share one draw set.  The
     evaluation seed is also shared across sweep points, so same-shaped
     channel draws coincide there too (common random numbers); design seeds
-    are derived per scheme.
+    are derived per scheme; the manifest records each scheme's design seed
+    and the shared solver settings without the seed they replace.
     """
     os.makedirs(out_dir, exist_ok=True)
+    solvers = _scheme_solvers(spec.solver, spec.seed, spec.schemes)
+    solver_settings = dataclasses.asdict(spec.solver)
+    del solver_settings["seed"]
     manifest = {
         "scenario": scenario.to_dict(),
         "config_hash": scenario.config_hash(),
@@ -144,7 +148,8 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
                   "schemes": list(spec.schemes)},
         "n_samples": spec.n_samples,
         "seed": spec.seed,
-        "solver": dataclasses.asdict(spec.solver),
+        "solver": solver_settings,
+        "design_seeds": {name: solver.seed for name, solver in zip(spec.schemes, solvers)},
         "versions": {"irsopt": __version__, "numpy": np.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
     }
@@ -157,7 +162,6 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
         raise RuntimeError(f"cannot write manifest {manifest_path}: {exc}") from exc
 
     eval_seed = child_seed(spec.seed, "eval")
-    solvers = _scheme_solvers(spec.solver, spec.seed, spec.schemes)
     rows: list[dict] = []
     csv_path = os.path.join(out_dir, "results.csv")
     try:

@@ -28,6 +28,7 @@ from .channel import ChannelStatistics, CsiSample, PhysicalChannelSampler
 from .config import ScenarioConfig
 
 _MC_CHUNK = 512
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def _quadratic_denominator(factor: Optional[np.ndarray], const: float,
     """||F^H v||^2 + d and F^H v (None when F is None)."""
     if factor is None:
         return const, None
-    proj = factor.conj().T @ v
+    proj = np.conj(np.conj(v) @ factor)
     return float(np.real(np.vdot(proj, proj))) + const, proj
 
 
@@ -212,7 +213,13 @@ def upper_bound_rate_closed_form(v: PhaseLike, stats: ChannelStatistics,
     + M0*(sigma_g^2 ||v||^2 + sigma_h^2) + delta2^2 + Mr*delta1^2)."""
     from .ssca import DesignObjective   # ssca imports this module
     value, _ = DesignObjective.from_scenario(stats, cfg).expected(phase_array(v))
-    return math.log2(1.0 + value)
+    return _log2_1p(value)
+
+
+def _log2_1p(x: float) -> float:
+    """log2(1 + x) without rounding 1 + x first, which costs low rates
+    their last digits."""
+    return math.log1p(x) / _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +278,7 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
             w = policies[i](e_hat)                                 # (m, M0)
             signal = np.abs(np.einsum("ni,ni->n", x.conj(), w)) ** 2
             signal_sums[i] += float(np.sum(signal))
-            rates[i, done:done + m] = np.log2(1.0 + p0 * signal / dens[i])
+            rates[i, done:done + m] = np.log1p(p0 * signal / dens[i]) / _LN2
         done += m
 
     reports = []

@@ -26,13 +26,15 @@ what makes the closed-form surrogate maximizer an ascent step; the plain
 derivative convention of `UbQuadraticRatio.grad` is its conjugate.  The
 objective gamma itself, with its sampling law, is `DesignObjective`.
 
-A draw enters gamma only through e = g_hat^H v + h_hat and g_hat e, so each
-sample draws those two from their exact joint law: Mr + 2*M0 Gaussian
-values, O(L*(Mr + M0)) draws per iteration where the full (L, Mr, M0)
-estimate would cost L*Mr*M0.  The one product with the LoS mean G stays at
-L*Mr*M0 flops.  The expectation of gamma has a closed form
-(`DesignObjective.expected`); the stochastic iteration is the paper's
-method, and the closed form is kept as its oracle.
+A draw enters gamma only through ||e||^2 and g_hat e, with
+e = g_hat^H v + h_hat, and gamma and its ascent are affine in the two at
+fixed v, so the coefficient step reads only their L-draw means.
+`DesignObjective.sample` draws those means from their exact law: Mr + 2*L*M0
+Gaussian values and two Mr x M0 products with the LoS mean G per iteration,
+where L full estimates would draw L*Mr*M0 values and spend L*Mr*M0 flops on
+G.  An iteration costs O(Mr*(M0 + sum_k Mk) + L*M0) in all.  The expectation
+of gamma has a closed form (`DesignObjective.expected`); the stochastic
+iteration is the paper's method, and the closed form is kept as its oracle.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from .config import ScenarioConfig
 from .rate import (
     PhaseShiftVector,
     PhaseLike,
+    _log2_1p,
     _quadratic_denominator,
     error_power_constant,
     interference_quadratic,
@@ -141,9 +144,10 @@ class DesignObjective:
     enters as the (Mr, sum_k Mk) factor F of B = F F^H (`denom_quad`, None
     for a constant denominator), so v^H B v = ||F^H v||^2, B v = F (F^H v),
     and `evaluate` handles L draws in O(L*Mr + Mr*sum_k Mk) from their
-    e = g_hat^H v + h_hat and g_hat e, which `sample` draws in
-    L*(Mr + 2*M0) values.  `expected` is the closed-form mean of gamma and
-    its ascent.
+    e = g_hat^H v + h_hat and g_hat e.  The solver scores the L-draw means
+    of ||e||^2 and g_hat e instead, which `sample` draws in Mr + 2*L*M0
+    values, and `expected` is the closed-form mean of gamma and its ascent;
+    both feed the same ratio.
 
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
@@ -193,46 +197,58 @@ class DesignObjective:
     def irs_size(self) -> int:
         return self.g_mean.shape[0]
 
-    def sample(self, streams: dict, v: np.ndarray,
-               n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw, for n estimated-CSI samples at the iterate v, the two
-        quantities `evaluate` reads: e = g_hat^H v + h_hat (n, M0) and
-        g_hat e (n, Mr), from their exact joint law.  No (n, Mr, M0) draw
-        is made.
+    def sample(self, streams: dict, v: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+        """The mean over n estimated-CSI draws at the iterate v of the two
+        quantities the ratio reads, ||e||^2 and g_hat e with
+        e = g_hat^H v + h_hat, drawn from their exact joint law: returns
+        (mean ||e_l||^2, mean g_hat_l e_l (Mr,)).  The ratio is affine in
+        the two at fixed v, so they give the n-draw mean of its value and
+        ascent (`update_coefficients`).
 
         With g_hat = G + sigma_g S (S i.i.d. CN(0, 1)), q = v / ||v|| and
         P = I - q q^H, z = S^H q ~ CN(0, I_M0) is independent of P S, so
+        per draw
 
             e       = G^H v + sigma_g ||v|| z + h_hat
-            g_hat e = G e + sigma_g (q (z^H e) + ||e|| P w),   w ~ CN(0, I_Mr),
+            g_hat e = G e + sigma_g (q (z^H e) + ||e|| P w),   w ~ CN(0, I_Mr).
 
-        and at v = 0, g_hat e = G e + sigma_g ||e|| w.  That is Mr + 2*M0
-        draws per sample; the one product G e costs n*Mr*M0 flops.
+        Given the e_l, the mean of the independent ||e_l|| w_l is
+        CN(0, (sum_l ||e_l||^2 / n^2) I_Mr), so one w scaled by
+        sqrt(sum_l ||e_l||^2) / n stands for all n of them:
+
+            mean g_hat e = G e_bar + sigma_g (q mean(z_l^H e_l) + s P w),
+            s = sqrt(sum_l ||e_l||^2) / n,
+
+        and at v = 0 the q term drops.  That is Mr + 2*n*M0 Gaussian values
+        and two Mr x M0 products with G, whatever n is.
         """
+        if n < 1:
+            raise ValueError("at least one sample per iteration is required")
         mr, m0 = self.g_mean.shape
         sigma = math.sqrt(self.g_var)
         v_norm = float(np.linalg.norm(v))
         z = crandn(streams["design/g"], (n, m0), 1.0)
-        w = crandn(streams["design/g"], (n, mr), 1.0)
+        w = crandn(streams["design/g"], (mr,), 1.0)
         e = crandn(streams["design/h"], (n, m0), self.h_var)
-        e += self.g_mean.conj().T @ v + self.h_mean
+        e += np.conj(np.conj(v) @ self.g_mean) + self.h_mean        # G^H v + h_mean
         e += (sigma * v_norm) * z
-        e_norm = np.sqrt(np.sum(e.real ** 2 + e.imag ** 2, axis=1))
-        ge = e @ self.g_mean.T                                      # G e
-        ge += (sigma * e_norm)[:, None] * w
+        total = float(np.sum(e.real ** 2 + e.imag ** 2))
+        spread = sigma * math.sqrt(total) / n
+        ge = self.g_mean @ np.mean(e, axis=0)                        # G e_bar
+        ge += spread * w
         if v_norm > 0.0:
-            # sigma (q (z^H e) + ||e|| P w) = sigma ||e|| w + c q, where
-            # c = sigma (z^H e - ||e|| q^H w)
+            # sigma (q mean(z^H e) + s P w) = sigma s w + c q, where
+            # c = sigma mean(z^H e) - sigma s q^H w
             q = v / v_norm
-            along = np.sum(z.conj() * e, axis=1) - e_norm * (w @ q.conj())
-            ge += (sigma * along)[:, None] * q
-        return e, ge
+            along = sigma * np.vdot(z, e) / n - spread * np.vdot(q, w)
+            ge += along * q
+        return total / n, ge
 
     def evaluate(self, v: np.ndarray, e: np.ndarray,
                  ge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """gamma(v) and its steepest-ascent direction for L draws, given
         through e = g_hat^H v + h_hat (L, M0) and g_hat e (L, Mr), the only
-        parts of a draw the ratio reads (`sample` draws them directly).
+        parts of a draw the ratio reads.
 
         Returns (values (L,), ascents (L, Mr)).  The ascent is the conjugate
         of the formal derivative d gamma / d v_n (conjugate coordinates held
@@ -251,16 +267,17 @@ class DesignObjective:
             E g_hat e   = G m + M0 sigma_g^2 v.
         """
         m0 = self.g_mean.shape[1]
-        mean_e = self.g_mean.conj().T @ v + self.h_mean
+        mean_e = np.conj(np.conj(v) @ self.g_mean) + self.h_mean
         power = (float(np.real(np.vdot(mean_e, mean_e)))
                  + m0 * (self.g_var * float(np.real(np.vdot(v, v))) + self.h_var))
         mean_ge = self.g_mean @ mean_e + (m0 * self.g_var) * v
-        values, ascents = self._ratio(v, np.array([power]), mean_ge[None])
-        return float(values[0]), ascents[0]
+        value, ascent = self._ratio(v, power, mean_ge)
+        return float(value), ascent
 
-    def _ratio(self, v: np.ndarray, power: np.ndarray,
-               ge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ratio and its ascent from ||e||^2 (L,) and g_hat e (L, Mr)."""
+    def _ratio(self, v: np.ndarray, power, ge: np.ndarray) -> tuple:
+        """The ratio and its ascent from ||e||^2 (L,) and g_hat e (L, Mr),
+        or from one pair (a float and (Mr,)).  Both are affine in the pair
+        at fixed v, so a mean pair gives the mean value and ascent."""
         p0, denom_quad, denom_const = self.p0, self.denom_quad, self.denom_const
         num = p0 * (power + self.err_const)
         signal_dir = p0 * ge
@@ -268,7 +285,7 @@ class DesignObjective:
         if proj is None:
             return num / den, signal_dir / den
         bv = denom_quad @ proj                                       # B v
-        return num / den, (signal_dir * den - num[:, None] * bv[None]) / den ** 2
+        return num / den, (signal_dir * den - np.multiply.outer(num, bv)) / den ** 2
 
     def ratio(self, sample: CsiSample) -> "UbQuadraticRatio":
         """Single-draw view of the objective (the solver uses `evaluate`)."""
@@ -307,21 +324,20 @@ class UbQuadraticRatio:
 # Algorithm steps
 # ---------------------------------------------------------------------------
 
-def update_coefficients(state: SscaState, e: np.ndarray, ge: np.ndarray,
+def update_coefficients(state: SscaState, power: float, ge: np.ndarray,
                         rho: float, design: DesignObjective) -> SscaState:
-    """Blend the sample means of the objective and its ascent gradient over
-    the draws e = g_hat^H v + h_hat (L, M0) and g_hat e (L, Mr), both taken
-    at the previous iterate v, into the running averages."""
+    """Blend the sample means of the objective and its ascent gradient into
+    the running averages.  The draws enter through their means
+    power = mean_l ||e_l||^2 and ge = mean_l g_hat_l e_l (Mr,), taken at the
+    previous iterate v (`DesignObjective.sample`): the ratio is affine in
+    the pair at fixed v, so one ratio at the mean pair is the mean of the
+    per-draw values and ascents."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    if e.shape[0] == 0:
-        raise ValueError("at least one sample per iteration is required")
-    values, ascents = design.evaluate(state.v, e, ge)
-    mean_val = float(np.mean(values))
-    mean_grad = np.mean(ascents, axis=0)
+    mean_val, mean_grad = design._ratio(state.v, power, ge)
     return replace(
         state,
-        c0=rho * mean_val + (1.0 - rho) * state.c0,
+        c0=rho * float(mean_val) + (1.0 - rho) * state.c0,
         c1=rho * mean_grad + (1.0 - rho) * state.c1,
     )
 
@@ -423,12 +439,13 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     The iterate starts at v = 1 and the run lasts all T iterations; tau is
     calibrated after the first coefficient update (`_auto_tau`).
 
-    Per iteration: L * (Mr + 2*M0) Gaussian draws (`DesignObjective.sample`
-    draws only what the ratio reads), one L*Mr*M0-flop product with the LoS
-    mean G, and O(L*Mr + Mr * sum_k Mk) for the ratio, its gradient and B v,
-    with B = F F^H applied through its (Mr, sum_k Mk) factor F, never
-    formed.  Identical configurations and seeds reproduce the iterates
-    bit-for-bit.
+    Per iteration: Mr + 2*L*M0 Gaussian draws (`DesignObjective.sample`
+    draws the L-draw means the coefficient step reads), two Mr*M0-flop
+    products with the LoS mean G, and O(Mr * sum_k Mk) for the ratio, its
+    gradient and B v, with B = F F^H applied through its (Mr, sum_k Mk)
+    factor F, never formed: O(Mr*(M0 + sum_k Mk) + L*M0) in all.  No
+    (L, Mr) array is built.  Identical configurations and seeds reproduce
+    the iterates bit-for-bit.
     """
     robust = (DesignObjective.from_scenario(stats, cfg)     # what the probe scores
               if design is None or solver_cfg.probe_every else None)
@@ -441,10 +458,10 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     trace = SscaTrace()
 
     for t in range(1, solver_cfg.iterations + 1):
-        e, ge = design.sample(streams, state.v, solver_cfg.samples_per_iter)
+        power, ge = design.sample(streams, state.v, solver_cfg.samples_per_iter)
         rho = stepsize_rho(t, solver_cfg.rho_exponent)
         state = replace(state, t=t)
-        state = update_coefficients(state, e, ge, rho, design)
+        state = update_coefficients(state, power, ge, rho, design)
         if tau_reg is None:
             tau_reg = _auto_tau(state.c1)
         v_prev = state.v
@@ -460,7 +477,7 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
         probe = math.nan
         if solver_cfg.probe_every and t % solver_cfg.probe_every == 0:
             # upper_bound_rate_closed_form without rebuilding F per probe
-            probe = math.log2(1.0 + robust.expected(project_unit_modulus(state.v).v)[0])
+            probe = _log2_1p(robust.expected(project_unit_modulus(state.v).v)[0])
         trace.append(t, state.c0, gap, probe)
 
     return SscaResult(v=project_unit_modulus(state.v), trace=trace, state=state,

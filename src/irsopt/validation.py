@@ -15,14 +15,13 @@ from .channel import (ChannelStatistics, PhysicalChannelSampler, build_statistic
 from .config import ScenarioConfig
 from .beamforming import mrt_policy
 from .rate import (
-    _MC_CHUNK,
     ergodic_rate_mc,
     gk,
     phase_array,
     sinr_denominator,
     PhaseShiftVector,
 )
-from .ssca import DesignObjective
+from .ssca import DesignObjective, SscaState, update_coefficients
 from .streams import child_seed, named_child, named_children
 
 
@@ -53,19 +52,17 @@ def check_interference_power_oracle(cfg: ScenarioConfig, seed: int):
 
 
 def check_expected_objective_oracle(cfg: ScenarioConfig, seed: int):
-    """Closed-form E gamma(v) (`DesignObjective.expected`) vs the mean of
-    `evaluate` over the solver's estimate draws.  The value only: at this
-    draw count the mean ascent is too noisy for a norm check."""
+    """Closed-form E gamma(v) (`DesignObjective.expected`) vs the solver's
+    sampled mean of gamma: one coefficient step at rho = 1 over the
+    solver's estimate draws.  The value only: at this draw count the mean
+    ascent is too noisy for a norm check."""
     stats = build_statistics(cfg)
     rng = named_child(seed, "validate/g0")
     v = _random_phase(stats, rng).v
     design = DesignObjective.from_scenario(stats, cfg)
     streams = named_children(child_seed(seed, "validate/g0/d"), ("design/g", "design/h"))
-    n_draws, total = 20000, 0.0
-    for start in range(0, n_draws, _MC_CHUNK):
-        e, ge = design.sample(streams, v, min(_MC_CHUNK, n_draws - start))
-        total += float(np.sum(design.evaluate(v, e, ge)[0]))
-    sampled = total / n_draws
+    power, ge = design.sample(streams, v, 20000)
+    sampled = update_coefficients(SscaState.initial(v), power, ge, 1.0, design).c0
     closed, _ = design.expected(v)
     gap = abs(sampled - closed) / max(closed, 1e-30)
     return gap < 0.05, f"sampled {sampled:.4e} vs closed form {closed:.4e}"

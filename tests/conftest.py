@@ -60,7 +60,7 @@ def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 def full_matrix_sample(design, streams: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference law: n full estimated-CSI draws (g_hat (n, Mr, M0),
     h_hat (n, M0)) from the design's Gaussian law, as the solver drew them
-    before `DesignObjective.sample` drew (e, g_hat e) directly."""
+    before `DesignObjective.sample` drew what the ratio reads directly."""
     g = crandn(streams["design/g"], (n,) + design.g_mean.shape, design.g_var)
     g += design.g_mean
     h = crandn(streams["design/h"], (n, design.h_mean.shape[0]), design.h_var)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import irsopt
-from irsopt.baselines import evaluate_scheme, scheme
+from irsopt.baselines import design_scheme, evaluate_scheme, scheme
 from irsopt.channel import build_statistics
 from irsopt.cli import (
     CSV_COLUMNS,
@@ -94,6 +94,26 @@ def test_run_sweep_deterministic_bytes(tmp_path, preset_cfg):
     run_sweep(_tiny_sweep(seed=5), cfg, str(out_b))
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+
+
+def test_manifest_alone_rebuilds_a_scheme_design(tmp_path, preset_cfg):
+    # the manifest records each scheme's design seed, so a row's design and
+    # its ub_rate come back from manifest.json alone
+    cfg = preset_cfg.replace(bs_grids=((2, 2),) * 3)
+    spec = _tiny_sweep(seed=11, schemes=("proposed", "robust-no-intf"), values=(3.0,))
+    run_sweep(spec, cfg, str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "seed" not in manifest["solver"]
+    assert manifest["design_seeds"] == {name: child_seed(11, f"design/{name}")
+                                        for name in spec.schemes}
+    with open(tmp_path / "results.csv", newline="") as fh:
+        row = next(r for r in csv.DictReader(fh) if r["scheme"] == "robust-no-intf")
+    point = apply_sweep_value(irsopt.ScenarioConfig.from_dict(manifest["scenario"]),
+                              manifest["sweep"]["param"], float(row["sweep_value"]))
+    solver = SolverConfig(**manifest["solver"], seed=manifest["design_seeds"][row["scheme"]])
+    stats = build_statistics(point)
+    v, _ = design_scheme(scheme(row["scheme"]), stats, point, solver)
+    assert repr(irsopt.upper_bound_rate_closed_form(v, stats, point)) == row["ub_rate"]
 
 
 def test_run_sweep_rows_equal_evaluate_scheme_reports(tmp_path, preset_cfg):

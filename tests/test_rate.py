@@ -297,6 +297,27 @@ def test_upper_bound_at_relaxed_v_is_the_exact_expectation(small_cfg):
         assert upper_bound_rate_closed_form(v, stats, cfg) == pytest.approx(want, rel=1e-12)
 
 
+def test_rates_keep_their_last_digits_at_low_sinr():
+    # log2(1 + x) rounds 1 + x before the logarithm; log1p(x) / ln 2 does not
+    rng = np.random.default_rng(27)
+    cfg = random_scenario(rng, "low-sinr")
+    stats = build_statistics(cfg)
+    v = random_phase_vector(rng, stats.irs_size)
+    x, _ = DesignObjective.from_scenario(stats, cfg).expected(v.v)
+    assert 0.05 < x < 0.2
+    want = math.log1p(x) / math.log(2)
+    assert math.log2(1.0 + x) != want       # the case tells the two forms apart
+    assert upper_bound_rate_closed_form(v, stats, cfg) == want
+    # below the rounding of 1 + x, log2(1 + x) is 0 while the rate is x / ln 2
+    quiet = cfg.replace(noise_dbm=cfg.noise_dbm + 200.0)
+    report = ergodic_rate_mc(v, mrt_policy(v), stats, quiet, 50, 3)
+    x, _ = DesignObjective.from_scenario(stats, quiet).expected(v.v)
+    assert 1.0 + x == 1.0
+    assert report.ub_rate == pytest.approx(x / math.log(2), rel=1e-12)
+    assert np.all(report.rate_samples > 0.0)
+    assert report.ub_rate >= report.mc_rate - 3 * report.mc_stderr
+
+
 # ---------------------------------------------------------------------------
 # ergodic rate
 # ---------------------------------------------------------------------------

@@ -74,9 +74,12 @@ def _toy_design(rng, mr=2, m0=2, g_var=0.5, h_var=0.5):
 
 
 def _full_draws(design, seed, n, v):
-    """Reference full draws (g (L, Mr, M0), h (L, M0)) and their (e, g e) at v."""
+    """Reference full draws (g (L, Mr, M0), h (L, M0)) and the mean pair
+    (mean ||e||^2, mean g e (Mr,)) of their (e, g e) at v, which
+    `update_coefficients` reads."""
     g, h = full_matrix_sample(design, named_children(seed, ["design/g", "design/h"]), n)
-    return g, h, *combine_draws(v, g, h)
+    e, ge = combine_draws(v, g, h)
+    return g, h, float(np.mean(np.sum(np.abs(e) ** 2, axis=1))), np.mean(ge, axis=0)
 
 
 def _per_draw(design, g, h):
@@ -88,9 +91,9 @@ def test_update_coefficients_first_iteration_erases_history():
     rng = np.random.default_rng(0)
     design = _toy_design(rng)
     state = SscaState.initial(np.ones(2, dtype=complex))
-    g, h, e, ge = _full_draws(design, 5, 6, state.v)
-    assert e.shape == (6, 2) and ge.shape == (6, 2)
-    state = update_coefficients(state, e, ge, rho=1.0, design=design)
+    g, h, power, ge = _full_draws(design, 5, 6, state.v)
+    assert ge.shape == (2,)
+    state = update_coefficients(state, power, ge, rho=1.0, design=design)
     ratios = _per_draw(design, g, h)
     vals = [r.value(state.v) for r in ratios]
     assert np.isclose(state.c0, np.mean(vals), rtol=1e-12)
@@ -102,8 +105,8 @@ def test_update_coefficients_single_sample():
     rng = np.random.default_rng(1)
     design = _toy_design(rng)
     state = SscaState.initial(np.ones(2, dtype=complex))
-    g, h, e, ge = _full_draws(design, 6, 1, state.v)
-    state = update_coefficients(state, e, ge, rho=1.0, design=design)
+    g, h, power, ge = _full_draws(design, 6, 1, state.v)
+    state = update_coefficients(state, power, ge, rho=1.0, design=design)
     assert np.isclose(state.c0, _per_draw(design, g, h)[0].value(np.ones(2)), rtol=1e-12)
 
 
@@ -112,9 +115,9 @@ def test_update_coefficients_blend():
     design = _toy_design(rng)
     prev = SscaState(t=4, v=np.full(2, 0.5 + 0.0j), c0=1.5,
                      c1=np.array([0.2 + 0.1j, -0.3j]))
-    g, h, e, ge = _full_draws(design, 7, 3, prev.v)
+    g, h, power, ge = _full_draws(design, 7, 3, prev.v)
     rho = 0.25
-    new = update_coefficients(prev, e, ge, rho=rho, design=design)
+    new = update_coefficients(prev, power, ge, rho=rho, design=design)
     ratios = _per_draw(design, g, h)
     vals = np.mean([r.value(prev.v) for r in ratios])
     grads = np.mean([r.ascent(prev.v) for r in ratios], axis=0)
@@ -358,8 +361,9 @@ def test_design_objective_variants(preset_cfg, preset_stats):
 # ---------------------------------------------------------------------------
 
 def _dense_reference_run(solver_cfg, stats, cfg, design):
-    """SSCA with the dense Mr x Mr interference matrix and one ratio per
-    (e, g_hat e) draw, on the solver's streams."""
+    """SSCA with the dense Mr x Mr interference matrix, written out from
+    the sampled mean pair (mean ||e||^2, mean g_hat e) on the solver's
+    streams."""
     mr = stats.irs_size
     dense = np.zeros((mr, mr), dtype=complex)
     if design.denom_quad is not None:       # the design keeps the interference terms
@@ -370,15 +374,12 @@ def _dense_reference_run(solver_cfg, stats, cfg, design):
     streams = dict(zip(("design/g", "design/h"),
                        named_child(solver_cfg.seed, "solver").spawn(2)))
     for t in range(1, solver_cfg.iterations + 1):
-        vals, grads = [], np.zeros(mr, dtype=complex)
-        for e, ge in zip(*design.sample(streams, v, solver_cfg.samples_per_iter)):
-            num = design.p0 * (np.real(np.vdot(e, e)) + design.err_const)
-            den = np.real(v.conj() @ dense @ v) + design.denom_const
-            vals.append(num / den)
-            grads += (design.p0 * ge * den - num * (dense @ v)) / den ** 2
+        power, ge = design.sample(streams, v, solver_cfg.samples_per_iter)
+        num = design.p0 * (power + design.err_const)
+        den = np.real(v.conj() @ dense @ v) + design.denom_const
         rho = stepsize_rho(t, solver_cfg.rho_exponent)
-        c0 = rho * np.mean(vals) + (1 - rho) * c0
-        c1 = rho * grads / len(vals) + (1 - rho) * c1
+        c0 = rho * num / den + (1 - rho) * c0
+        c1 = rho * (design.p0 * ge * den - num * (dense @ v)) / den ** 2 + (1 - rho) * c1
         tau = 1e-2 * np.mean(np.abs(c1)) if tau is None else tau
         omega = stepsize_omega(t, solver_cfg.omega_exponent)
         v = (1 - omega) * v + omega * (tau * v + c1) / np.abs(tau * v + c1)
@@ -435,58 +436,87 @@ def test_design_objective_holds_no_dense_interference_matrix(preset_cfg):
 
 
 # ---------------------------------------------------------------------------
-# exact-law draws of (e, g_hat e) against the full-matrix reference law
+# exact-law n-draw means of (||e||^2, g_hat e) against the full-matrix
+# reference law
 # ---------------------------------------------------------------------------
 
-def _draw_stats(design, v, n, seed, full, chunk=1000):
-    """values (n,), ascents (n, Mr) and the second moments ||e||^2,
-    ||g_hat e||^2 and |v^H g_hat e|^2 (n,) of n draws at v, from
-    `DesignObjective.sample` or, with full=True, from the reference law."""
+def _mean_draws(design, v, n, reps, seed, full, chunk=200):
+    """reps independent n-draw means at v: mean ||e||^2 (reps,) and mean
+    g_hat e (reps, Mr), from `DesignObjective.sample` or, with full=True,
+    from n reference draws each."""
     streams = named_children(seed, ["design/g", "design/h"])
-    parts = []
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
-        if full:
-            e, ge = combine_draws(v, *full_matrix_sample(design, streams, m))
-        else:
-            e, ge = design.sample(streams, v, m)
-        values, ascents = design.evaluate(v, e, ge)
-        parts.append((values, ascents, np.sum(np.abs(e) ** 2, axis=1),
-                      np.sum(np.abs(ge) ** 2, axis=1), np.abs(ge @ v.conj()) ** 2))
-    return [np.concatenate(column) for column in zip(*parts)]
+    if not full:
+        pairs = [design.sample(streams, v, n) for _ in range(reps)]
+        return np.array([power for power, _ in pairs]), np.stack([ge for _, ge in pairs])
+    powers, ges = [], []
+    for start in range(0, reps, chunk):
+        m = min(chunk, reps - start)
+        e, ge = combine_draws(v, *full_matrix_sample(design, streams, m * n))
+        powers.append(np.mean(np.sum(np.abs(e) ** 2, axis=1).reshape(m, n), axis=1))
+        ges.append(np.mean(ge.reshape(m, n, -1), axis=1))
+    return np.concatenate(powers), np.concatenate(ges)
 
 
-def _mean_t(a, b):
+def _mean_t(a, b, scale=None):
     """Two-sample t statistics of the per-coordinate means (real and
-    imaginary parts separately)."""
+    imaginary parts separately).  The standard error is floored at 1e-12
+    times `scale` (default: the largest magnitude), so a deterministic law
+    is compared up to rounding."""
     def parts(x):
         x = np.asarray(x).reshape(x.shape[0], -1)
         return np.concatenate([x.real, x.imag], axis=1) if np.iscomplexobj(x) else x
     a, b = parts(a), parts(b)
     se = np.sqrt(np.var(a, axis=0, ddof=1) / a.shape[0] + np.var(b, axis=0, ddof=1) / b.shape[0])
+    if scale is None:
+        scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    se = np.maximum(se, 1e-12 * scale)
     return (np.mean(a, axis=0) - np.mean(b, axis=0)) / np.where(se > 0, se, np.inf)
+
+
+def _assert_mean_law(design, v, seed, sizes=((1, 5000), (10, 1000))):
+    """For each (n, reps): reps n-draw means from `sample` against as many
+    means of n reference draws.  Both match the closed-form first moments,
+    and they agree, by two-sample t statistics within 4, on the means and
+    on the centered second moments var P, E||ge - E ge||^2 and
+    E|v^H (ge - E ge)|^2, where P is the mean ||e||^2 and ge the mean
+    g_hat e.  Returns the per-rep columns of the last size."""
+    m0 = design.g_mean.shape[1]
+    mean_e = design.g_mean.conj().T @ v + design.h_mean
+    mean_power = (np.linalg.norm(mean_e) ** 2
+                  + m0 * (design.g_var * np.linalg.norm(v) ** 2 + design.h_var))
+    mean_ge = design.g_mean @ mean_e + m0 * design.g_var * v
+    # the closed-form pair is what `expected` scores
+    value, ascent = design.expected(v)
+    exact = update_coefficients(SscaState.initial(v), mean_power, mean_ge, 1.0, design)
+    assert exact.c0 == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(exact.c1, ascent, rtol=1e-12, atol=1e-12 * np.max(np.abs(ascent)))
+    for n, reps in sizes:
+        columns = []
+        for full in (False, True):
+            power, ge = _mean_draws(design, v, n, reps, seed + full, full)
+            assert np.all(np.isfinite(power)) and np.all(np.isfinite(ge))
+            assert np.max(np.abs(_mean_t(power, np.full(reps, mean_power)))) <= 4, (n, full)
+            assert np.max(np.abs(_mean_t(ge, np.tile(mean_ge, (reps, 1))))) <= 4, (n, full)
+            dev = ge - mean_ge
+            columns.append((power, ge, (power - mean_power) ** 2,
+                            np.sum(np.abs(dev) ** 2, axis=1), np.abs(dev @ v.conj()) ** 2))
+        # rounding scales of the five columns, for a deterministic law
+        ge_sq = np.linalg.norm(mean_ge) ** 2
+        scales = (None, None, mean_power ** 2, ge_sq, ge_sq * np.linalg.norm(v) ** 2)
+        for name, got, want, scale in zip(("P", "ge", "var P", "E||dev||^2", "E|v^H dev|^2"),
+                                          *columns, scales):
+            assert np.max(np.abs(_mean_t(got, want, scale))) <= 4, (name, n)
+    return columns
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.6])
 def test_sample_law_matches_full_matrix_reference(preset_cfg, delta):
-    cfg = preset_cfg.replace(delta1=delta, delta2=delta)
+    # a weak direct link, so the cascaded terms carry the law: on the preset
+    # itself sigma_h^2 is 1e4 times sigma_g^2 ||v||^2 and ||G^H v||^2 / M0
+    cfg = preset_cfg.replace(delta1=delta, delta2=delta, exp_direct=6.0)
     stats = irsopt.build_statistics(cfg)
     design = DesignObjective.from_scenario(stats, cfg)
-    v = random_relaxed(np.random.default_rng(23), stats.irs_size)
-    n = 20_000
-    new = _draw_stats(design, v, n, 501, full=False)
-    ref = _draw_stats(design, v, n, 502, full=True)
-    # first moments: the two laws agree and both match the closed form
-    value, ascent = design.expected(v)
-    for got in (new, ref):
-        assert np.max(np.abs(_mean_t(got[0], np.full(n, value)))) <= 4
-        assert np.max(np.abs(_mean_t(got[1], np.tile(ascent, (n, 1))))) <= 4
-    assert np.max(np.abs(_mean_t(new[0], ref[0]))) <= 4
-    assert np.max(np.abs(_mean_t(new[1], ref[1]))) <= 4
-    # second moments, including the component of g_hat e along v, which
-    # per-coordinate moments barely see
-    for got, want in zip(new[2:], ref[2:]):
-        assert abs(np.mean(got) / np.mean(want) - 1.0) <= 0.05
+    _assert_mean_law(design, random_relaxed(np.random.default_rng(23), stats.irs_size), 501)
 
 
 @pytest.mark.parametrize("regime", ["v0-zero", "delta-1", "k-inf-delta-0", "irs-1x1",
@@ -495,33 +525,28 @@ def test_sample_edge_regimes_match_reference_moments(preset_cfg, regime):
     cfg = edge_scenario(preset_cfg, regime)
     stats = irsopt.build_statistics(cfg)
     design = DesignObjective.from_scenario(stats, cfg)
-    mr, m0 = design.g_mean.shape
+    mr = design.irs_size
     v = (np.zeros(mr, dtype=complex) if regime == "v0-zero"
          else random_relaxed(np.random.default_rng(29), mr))
-    n = 20_000
-    new = _draw_stats(design, v, n, 601, full=False)
-    ref = _draw_stats(design, v, n, 602, full=True)
-    for column in new:
-        assert np.all(np.isfinite(column))
-    mean_e = design.g_mean.conj().T @ v + design.h_mean
-    power = (np.linalg.norm(mean_e) ** 2
-             + m0 * (design.g_var * np.linalg.norm(v) ** 2 + design.h_var))
-    assert abs(np.mean(new[2]) / power - 1.0) <= 0.05
+    new, ref = _assert_mean_law(design, v, 601)
     if regime == "v0-zero":         # no component along v = 0
         assert np.all(new[4] == 0.0) and np.all(ref[4] == 0.0)
-        new, ref = new[:4], ref[:4]
-    for got, want in zip(new[2:], ref[2:]):
-        assert abs(np.mean(got) / np.mean(want) - 1.0) <= 0.05
     assert (design.g_var == 0.0) == (regime in ("delta-1", "k-inf-delta-0"))
-    if design.g_var == 0.0:         # the estimate is its mean: g_hat e = G e exactly
-        e, ge = design.sample(named_children(603, ["design/g", "design/h"]), v, 50)
-        np.testing.assert_allclose(ge, e @ design.g_mean.T, rtol=1e-12, atol=0)
+    if design.g_var == 0.0:
+        # the estimate is its mean, so given the direct-link draws the mean
+        # pair is exact: it equals the reference's on the same design/h stream
+        def streams():
+            return named_children(603, ["design/g", "design/h"])
+        power, ge = design.sample(streams(), v, 10)
+        e, ref_ge = combine_draws(v, *full_matrix_sample(design, streams(), 10))
+        assert power == pytest.approx(np.mean(np.sum(np.abs(e) ** 2, axis=1)), rel=1e-12)
+        np.testing.assert_allclose(ge, np.mean(ref_ge, axis=0), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("side", [8, 32])
-def test_run_draws_mr_plus_two_m0_values_per_sample(preset_cfg, monkeypatch, side):
-    # the structural cost of an iteration: no (L, Mr, M0) draw, only
-    # L * (Mr + 2*M0) complex Gaussian values
+def test_run_draws_mr_plus_two_l_m0_values_per_iteration(preset_cfg, monkeypatch, side):
+    # the structural cost of an iteration: no (L, Mr, M0) or (L, Mr) draw,
+    # only one Mr-vector and two (L, M0) blocks of complex Gaussian values
     cfg = preset_cfg.replace(irs_grid=(side, side))
     stats = irsopt.build_statistics(cfg)
     shapes = []
@@ -535,8 +560,8 @@ def test_run_draws_mr_plus_two_m0_values_per_sample(preset_cfg, monkeypatch, sid
     iterations, L = 3, 10
     run(SolverConfig(iterations=iterations, samples_per_iter=L, seed=8), stats, cfg)
     mr, m0 = stats.irs_size, stats.bs_sizes[0]
-    assert all(len(shape) == 2 and shape[0] == L for shape in shapes)
-    assert sum(math.prod(shape) for shape in shapes) == iterations * L * (mr + 2 * m0)
+    assert shapes == [(L, m0), (mr,), (L, m0)] * iterations
+    assert sum(math.prod(shape) for shape in shapes) == iterations * (mr + 2 * L * m0)
 
 
 @pytest.mark.parametrize("side", [1, 8])
