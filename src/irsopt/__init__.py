@@ -27,7 +27,6 @@ from .config import (
     PRESETS,
     ScenarioConfig,
     dbm_to_watt,
-    geometry_report,
     load_scenario,
     save_scenario,
     user_position_on_bisector,
@@ -81,7 +80,6 @@ __all__ = [
     "g0",
     "gamma_ub",
     "gamma_ub_gradient",
-    "geometry_report",
     "gk",
     "load_scenario",
     "los_matrix",

@@ -161,9 +161,9 @@ class ChannelStatistics:
         for name in ("alpha_direct", "alpha_bs_irs", "tau", "sigma_g_sq"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         for mat in self.los_bs_irs:
-            if np.max(np.abs(np.abs(mat) - 1.0)) > _UNIT_MODULUS_TOL:
+            if not (np.max(np.abs(np.abs(mat) - 1.0)) <= _UNIT_MODULUS_TOL):
                 raise ValueError("BS->IRS LoS entries must have unit modulus")
-        if np.max(np.abs(np.abs(self.los_irs_user) - 1.0)) > _UNIT_MODULUS_TOL:
+        if not (np.max(np.abs(np.abs(self.los_irs_user) - 1.0)) <= _UNIT_MODULUS_TOL):
             raise ValueError("IRS->user LoS entries must have unit modulus")
         if np.any(self.tau < 0) or np.any(self.tau > 1 + 1e-15):
             raise ValueError("tau must lie in [0, 1]")

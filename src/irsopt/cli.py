@@ -5,7 +5,6 @@ Subcommands:
 * ``solve``            run the phase-shift solver once, write trace.csv
 * ``eval``             evaluate schemes at one scenario, write reports JSON
 * ``sweep``            sweep one parameter over a value list, write results.csv
-* ``validate-oracles`` quick self-checks of the closed forms against sampling
 
 All artifacts carry the seed and a scenario-content hash; rerunning with
 the same inputs reproduces them byte for byte.
@@ -25,12 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import SCHEMES, evaluate_schemes, scheme
 from .channel import build_statistics
-from .config import (
-    ScenarioConfig,
-    geometry_report,
-    load_scenario,
-    user_position_on_bisector,
-)
+from .config import ScenarioConfig, load_scenario, user_position_on_bisector
 from .rate import RateReport, upper_bound_rate_closed_form
 from .ssca import SolverConfig
 from .ssca import run as run_ssca
@@ -75,22 +69,22 @@ class SweepSpec:
 
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """Scenario at one sweep point."""
+    """Scenario at one sweep point.  The not-form checks reject NaN too; a
+    Rician factor may be +inf (pure LoS)."""
     if param == "irs-size":
-        size = int(value)
-        if size != value or size < 1:
+        if not (1 <= value < np.inf and value == int(value)):
             raise ValueError(f"IRS grid size must be a positive integer, got {value}")
-        return cfg.replace(irs_grid=(size, size))
+        return cfg.replace(irs_grid=(int(value), int(value)))
     if param == "rician-k":
-        if value < 0:
+        if not (value >= 0):
             raise ValueError("Rician factor must be >= 0")
         serving = (float(value),) + cfg.rician_bs_irs[1:]
         return cfg.replace(rician_bs_irs=serving, rician_irs_user=float(value))
     if param == "error-std":
         return cfg.replace(delta1=float(value), delta2=float(value))
     if param == "user-distance":
-        if value <= 0:
-            raise ValueError("user distance must be positive")
+        if not (0 < value < np.inf):
+            raise ValueError(f"user distance must be positive and finite, got {value}")
         # move the user radially from the serving BS; on the default layout
         # this is the perpendicular bisector of the two interferers
         origin = np.asarray(cfg.bs_positions[0])
@@ -137,6 +131,8 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
     are derived per scheme; the manifest records each scheme's design seed
     and the shared solver settings without the seed they replace.
     """
+    # every point is checked before any artifact is written or design is run
+    points = [apply_sweep_value(scenario, spec.param, value) for value in spec.values]
     os.makedirs(out_dir, exist_ok=True)
     solvers = _scheme_solvers(spec.solver, spec.seed, spec.schemes)
     solver_settings = dataclasses.asdict(spec.solver)
@@ -168,8 +164,7 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            for value in spec.values:
-                cfg = apply_sweep_value(scenario, spec.param, value)
+            for value, cfg in zip(spec.values, points):
                 reports = evaluate_schemes([scheme(name) for name in spec.schemes],
                                            build_statistics(cfg), cfg, solvers,
                                            spec.n_samples, eval_seed)
@@ -226,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated value list")
     p_sweep.add_argument("--schemes", default=",".join(sorted(SCHEMES)))
     p_sweep.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
-
-    p_val = sub.add_parser("validate-oracles",
-                           help="self-check closed forms against sampling")
-    _add_scenario_args(p_val)
 
     return parser
 
@@ -322,19 +313,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    from .validation import run_validation
-
-    cfg = _load(args)
-    report = geometry_report(cfg)
-    print(f"scenario {cfg.name} ({cfg.config_hash()})")
-    if "residual_irs_user" in report:
-        print(f"  quoted-distance residuals: bs0-irs {report['residual_bs0_irs']:+.2f} m, "
-              f"irs-user {report['residual_irs_user']:+.2f} m")
-    ok = run_validation(cfg, seed=args.seed)
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -342,7 +320,6 @@ def main(argv=None) -> int:
         "solve": cmd_solve,
         "eval": cmd_eval,
         "sweep": cmd_sweep,
-        "validate-oracles": cmd_validate,
     }
     try:
         return handlers[args.command](args)

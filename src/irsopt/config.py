@@ -114,9 +114,14 @@ class ScenarioConfig:
         for e in (self.exp_direct, self.exp_bs_irs, self.exp_irs_user):
             if not (e > 0 and np.isfinite(e)):
                 raise ValueError(f"path-loss exponents must be positive, got {e}")
+        if not np.isfinite(np.hstack(self.bs_positions + (self.irs_position,
+                                                          self.user_position))).all():
+            raise ValueError("positions must be finite")
+        if not np.isfinite(np.hstack(self.angles_bs_irs + (self.angles_irs_user,))).all():
+            raise ValueError("angles must be finite")
         # the not (x >= 0) form rejects NaN too
-        if not (self.spacing > 0):
-            raise ValueError(f"element spacing must be positive, got {self.spacing}")
+        if not (0 < self.spacing < math.inf):
+            raise ValueError(f"element spacing must be positive and finite, got {self.spacing}")
         if not (self.delta1 >= 0 and self.delta2 >= 0):
             raise ValueError("error std-devs must be non-negative")
         if self.error_units not in ERROR_UNITS:
@@ -242,7 +247,9 @@ def paper_fig3_preset() -> ScenarioConfig:
     triangle of side 600 m, IRS near the triangle's mid edge, user placed
     on the perpendicular bisector of the interferers at 200*sqrt(3) m from
     every BS (the circumcenter).  4x4 BS arrays, 8x8 IRS, 30 dBm transmit
-    power, -90 dBm noise.
+    power, -90 dBm noise.  The layout is usually quoted with BS0-IRS 250 m
+    and IRS-user 20 + 100*sqrt(3) m, while these positions give 300.67 m
+    and 153.21 m; the path losses use the distances of the positions.
     """
     return ScenarioConfig(
         name="paper-fig3",
@@ -271,18 +278,6 @@ def paper_fig3_preset() -> ScenarioConfig:
 
 PRESETS = {"paper-fig3": paper_fig3_preset}
 
-# Distances the default layout is normally quoted with.  The BS-user
-# distances are exact by construction; the IRS ones are listed so that the
-# residual between quoted and recomputed values can be reported instead of
-# silently ignored.
-PRESET_REFERENCE_DISTANCES = {
-    "paper-fig3": {
-        "bs_user": (200.0 * SQRT3,) * 3,
-        "bs0_irs": 250.0,
-        "irs_user": 20.0 + 100.0 * SQRT3,
-    }
-}
-
 
 def load_scenario(source: str) -> ScenarioConfig:
     """Load a scenario from a preset name or a JSON file path."""
@@ -305,21 +300,3 @@ def save_scenario(cfg: ScenarioConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def geometry_report(cfg: ScenarioConfig) -> dict:
-    """Recomputed link distances, plus residuals against the preset's quoted
-    distances when the scenario is a known preset."""
-    report = {
-        "d_bs_user": [cfg.d_bs_user(k) for k in range(cfg.n_bs)],
-        "d_bs_irs": [cfg.d_bs_irs(k) for k in range(cfg.n_bs)],
-        "d_irs_user": cfg.d_irs_user,
-    }
-    ref = PRESET_REFERENCE_DISTANCES.get(cfg.name)
-    if ref is not None:
-        report["residual_bs_user"] = [
-            cfg.d_bs_user(k) - ref["bs_user"][k] for k in range(min(cfg.n_bs, len(ref["bs_user"])))
-        ]
-        report["residual_bs0_irs"] = cfg.d_bs_irs(0) - ref["bs0_irs"]
-        report["residual_irs_user"] = cfg.d_irs_user - ref["irs_user"]
-    return report

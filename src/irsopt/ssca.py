@@ -95,6 +95,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 1 or self.samples_per_iter < 1:
             raise ValueError("iterations and samples_per_iter must be >= 1")
+        if self.probe_every < 0:
+            raise ValueError(f"probe_every must be >= 0, got {self.probe_every}")
         a, b = self.rho_exponent, self.omega_exponent
         if not (0.5 < a <= 1.0):
             raise ValueError(f"rho exponent must lie in (0.5, 1], got {a}")

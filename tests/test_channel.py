@@ -144,6 +144,15 @@ def test_los_unit_modulus_invariant(preset_stats):
     for mat in preset_stats.los_bs_irs:
         assert np.max(np.abs(np.abs(mat) - 1.0)) < 1e-12
     assert np.max(np.abs(np.abs(preset_stats.los_irs_user) - 1.0)) < 1e-12
+    # a NaN entry fails every comparison, so it must fail a not (x <= tol) check
+    bad = preset_stats.los_irs_user.copy()
+    bad[0] = np.nan
+    with pytest.raises(ValueError, match="unit modulus"):
+        dataclasses.replace(preset_stats, los_irs_user=bad)
+    bad = preset_stats.los_bs_irs[0].copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="unit modulus"):
+        dataclasses.replace(preset_stats, los_bs_irs=(bad,) + tuple(preset_stats.los_bs_irs[1:]))
 
 
 def test_normalized_delta_conversion(preset_cfg):

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import math
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +65,13 @@ def test_apply_sweep_value(preset_cfg):
         apply_sweep_value(preset_cfg, "rician-k", -1.0)
     with pytest.raises(ValueError):
         apply_sweep_value(preset_cfg, "user-distance", 0.0)
+    # non-finite sizes and distances raise ValueError, not OverflowError or a NaN user
+    for param, value in (("irs-size", math.inf), ("irs-size", math.nan),
+                         ("user-distance", math.nan), ("user-distance", math.inf)):
+        with pytest.raises(ValueError):
+            apply_sweep_value(preset_cfg, param, value)
+    # an infinite Rician factor is pure LoS, not an error
+    assert apply_sweep_value(preset_cfg, "rician-k", math.inf).rician_irs_user == math.inf
 
 
 def test_run_sweep_artifacts(tmp_path, preset_cfg):
@@ -179,11 +190,21 @@ def test_cli_error_paths(tmp_path, capsys):
                "--values", "4", "--schemes", "", "--out", str(tmp_path)])
     assert rc == 2
     assert "scheme list" in capsys.readouterr().err
+    bad_out = tmp_path / "bad-value"
+    rc = main(["sweep", "--preset", "paper-fig3", "--sweep", "irs-size",
+               "--values", "4,inf", "--schemes", "proposed", "--out", str(bad_out)])
+    assert rc == 2
+    assert "IRS grid size" in capsys.readouterr().err
+    assert not bad_out.exists()              # rejected before any point runs
+    with pytest.raises(SystemExit) as exc:       # argparse rejects unknown commands
+        main(["no-such-command"])
+    assert exc.value.code == 2
 
 
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+    assert "{solve,eval,sweep}" in build_parser().format_usage()
 
 
 def test_scenario_file_flow(tmp_path):
@@ -205,17 +226,13 @@ def test_scenario_file_flow(tmp_path):
     assert float(rows[1]["mc_rate"]) < float(rows[0]["mc_rate"])
 
 
-def test_run_validation_small_scenario_passes(small_cfg, capsys):
-    from irsopt.validation import ALL_CHECKS, run_validation
-
-    assert run_validation(small_cfg)
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(ALL_CHECKS) == 6
-    assert all(line.strip().startswith("PASS") for line in lines)
-
-
-def test_main_validate_oracles_on_scenario_file(small_cfg, tmp_path, capsys):
-    path = str(tmp_path / "small.json")
-    irsopt.save_scenario(small_cfg, path)
-    assert main(["validate-oracles", "--scenario", path]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+def test_readme_command_line_block_parses():
+    # every irsopt line of the README's "Command line" block must name a
+    # subcommand and flags the parser still has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [line for line in lines if line.startswith("irsopt ")]
+    assert commands
+    for line in commands:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])

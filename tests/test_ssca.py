@@ -59,6 +59,8 @@ def test_solver_config_validation():
         SolverConfig(rho_exponent=0.6, omega_exponent=1.1)
     with pytest.raises(ValueError):
         SolverConfig(iterations=0)
+    with pytest.raises(ValueError, match="probe_every"):
+        SolverConfig(probe_every=-5)            # t % -5 == 0 would still probe
     SolverConfig(rho_exponent=0.51, omega_exponent=1.0)   # boundary values pass
 
 
