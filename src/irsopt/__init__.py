@@ -51,8 +51,7 @@ from .ssca import (
     project_unit_modulus,
     run,
     solve_surrogate,
-    stepsize_omega,
-    stepsize_rho,
+    stepsize,
     update_coefficients,
 )
 
@@ -94,8 +93,7 @@ __all__ = [
     "sinr_denominator",
     "solve_surrogate",
     "steering_vector",
-    "stepsize_omega",
-    "stepsize_rho",
+    "stepsize",
     "update_coefficients",
     "upper_bound_rate_closed_form",
     "user_position_on_bisector",

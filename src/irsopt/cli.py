@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .baselines import SCHEMES, evaluate_schemes, scheme
 from .channel import build_statistics
-from .config import ScenarioConfig, load_scenario, user_position_on_bisector
+from .config import ScenarioConfig, load_scenario
 from .rate import RateReport, upper_bound_rate_closed_form
 from .ssca import SolverConfig
 from .ssca import run as run_ssca
@@ -59,13 +59,20 @@ class SweepSpec:
                              f"choose from {SWEEP_PARAMS}")
         if len(self.values) == 0:
             raise ValueError("sweep value list must not be empty")
-        if len(self.schemes) == 0:
-            raise ValueError("scheme list must not be empty")
-        for name in self.schemes:
-            scheme(name)  # raises on unknown names
+        _check_schemes(self.schemes)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         check_seed(self.seed)
+
+
+def _check_schemes(names: tuple[str, ...]) -> None:
+    """A scheme list must be non-empty, known and free of repeats."""
+    if len(names) == 0:
+        raise ValueError("scheme list must not be empty")
+    for i, name in enumerate(names):
+        scheme(name)  # raises on unknown names
+        if name in names[:i]:
+            raise ValueError(f"scheme {name!r} is listed twice")
 
 
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
@@ -85,13 +92,12 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
     if param == "user-distance":
         if not (0 < value < np.inf):
             raise ValueError(f"user distance must be positive and finite, got {value}")
-        # move the user radially from the serving BS; on the default layout
-        # this is the perpendicular bisector of the two interferers
+        # move the user radially from the serving BS (a valid scenario keeps
+        # them apart); on the default layout this is the perpendicular
+        # bisector of the two interferers
         origin = np.asarray(cfg.bs_positions[0])
         current = np.asarray(cfg.user_position) - origin
-        nrm = np.linalg.norm(current)
-        direction = current / nrm if nrm > 0 else np.asarray(user_position_on_bisector(1.0))
-        new_pos = origin + float(value) * direction
+        new_pos = origin + float(value) * (current / np.linalg.norm(current))
         return cfg.replace(user_position=tuple(new_pos))
     raise ValueError(f"unknown sweep parameter {param!r}")
 
@@ -269,8 +275,7 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     stats = build_statistics(cfg)
     names = _parse_schemes(args.schemes)
-    if not names:
-        raise ValueError("scheme list must not be empty")
+    _check_schemes(names)
     specs = [scheme(name) for name in names]
     solvers = _scheme_solvers(SolverConfig(iterations=args.iters,
                                            samples_per_iter=args.samples_per_iter),

@@ -12,9 +12,10 @@ signal power; gk is the exact expectation of interferer k's power under
 maximum-ratio transmission towards its own user; both stay as per-term
 oracles.  The objective built from them, p0 * g0 at the matched-filter
 beamformer over sum_k p_k*gk + sigma^2, and its closed-form mean live in
-`ssca.DesignObjective`: `gamma_ub` and `gamma_ub_gradient` are one-draw
-views of `evaluate`, `upper_bound_rate_closed_form` is log2(1 + `expected`),
-and `sinr_denominator` evaluates `interference_quadratic`.
+`ssca.DesignObjective`: `gamma_ub` and `gamma_ub_gradient` score one
+draw's (||e||^2, g_hat e) through its ratio, `upper_bound_rate_closed_form`
+is log2(1 + `expected`), and `sinr_denominator` evaluates
+`interference_quadratic`.
 """
 from __future__ import annotations
 

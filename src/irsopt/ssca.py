@@ -16,10 +16,15 @@ whose per-coordinate maximizer on the active constraint is
     u_n = (tau * v_n + c1_n) / |tau * v_n + c1_n|.
 
 The iterate then moves by a convex combination v <- (1-w_t) v + w_t u.
-Stepsizes rho_t = t^-a and w_t = t^-b with 0.5 < a < b <= 1 satisfy the
-usual diminishing/summability conditions and w_t/rho_t -> 0.  Iterates
-live in the relaxed set |v_n| <= 1; the deployed configuration is the
-unit-modulus projection of the final iterate.
+Stepsizes rho_t = t^-a and w_t = t^-b (`stepsize`) with 0.5 < a < b <= 1
+satisfy the usual diminishing/summability conditions and w_t/rho_t -> 0.
+Iterates live in the relaxed set |v_n| <= 1; the deployed configuration is
+the unit-modulus projection of the final iterate.
+
+`run` keeps v, c0 and c1 in local variables and calls the three steps once
+per iteration: `DesignObjective.sample`, `update_coefficients` (v, c0, c1 ->
+c0, c1) and `solve_surrogate` (v, c1 -> u).  `SscaState` only records the
+final iterate.
 
 `c1` stores the conjugate (ascent) form of the sampled gradient, which is
 what makes the closed-form surrogate maximizer an ascent step; the plain
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -59,19 +64,14 @@ from .rate import (
 from .streams import check_seed, crandn, named_child
 
 
-def stepsize_rho(t: int, a: float) -> float:
-    """Coefficient-averaging stepsize t^-a; needs sum rho = inf and
-    sum rho^2 < inf, hence a in (0.5, 1]."""
+def stepsize(t: int, exponent: float) -> float:
+    """Stepsize t^-exponent at iteration t >= 1.  The coefficient average
+    takes rho_t = t^-a and needs sum rho = inf and sum rho^2 < inf, hence
+    a in (0.5, 1]; the iterate average takes omega_t = t^-b with b > a, so
+    that omega/rho -> 0."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
-    return float(t) ** (-a)
-
-
-def stepsize_omega(t: int, b: float) -> float:
-    """Iterate-averaging stepsize t^-b with b > a so that omega/rho -> 0."""
-    if t < 1:
-        raise ValueError(f"iteration index must be >= 1, got {t}")
-    return float(t) ** (-b)
+    return float(t) ** (-exponent)
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,16 @@ class SolverConfig:
         check_seed(self.seed)
 
 
+def _check_relaxed(v: np.ndarray) -> None:
+    if not (np.max(np.abs(v)) <= 1.0 + 1e-12):  # rejects NaN too
+        raise ValueError("iterate leaves the relaxed set |v_n| <= 1")
+
+
 @dataclass(frozen=True)
 class SscaState:
-    """Solver iterate after iteration t (t = 0 is the initial point)."""
+    """Record of the solver after iteration t: the iterate and the running
+    averages that `run` keeps in local variables (`SscaResult.state`, and
+    the point `surrogate_value` expands around)."""
 
     t: int
     v: np.ndarray               # relaxed iterate, |v_n| <= 1
@@ -116,16 +123,9 @@ class SscaState:
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=complex).reshape(-1)
-        c1 = np.asarray(self.c1, dtype=complex).reshape(-1)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "c1", c1)
-        if not (np.max(np.abs(v)) <= 1.0 + 1e-12):  # rejects NaN too
-            raise ValueError("iterate leaves the relaxed set |v_n| <= 1")
-
-    @classmethod
-    def initial(cls, v0: np.ndarray) -> "SscaState":
-        v0 = np.asarray(v0, dtype=complex).reshape(-1)
-        return cls(t=0, v=v0, c0=0.0, c1=np.zeros(v0.shape[0], dtype=complex))
+        object.__setattr__(self, "c1", np.asarray(self.c1, dtype=complex).reshape(-1))
+        _check_relaxed(v)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +145,10 @@ class DesignObjective:
     v-independent interference and noise terms.  B is never formed: it
     enters as the (Mr, sum_k Mk) factor F of B = F F^H (`denom_quad`, None
     for a constant denominator), so v^H B v = ||F^H v||^2, B v = F (F^H v),
-    and `evaluate` handles L draws in O(L*Mr + Mr*sum_k Mk) from their
-    e = g_hat^H v + h_hat and g_hat e.  The solver scores the L-draw means
-    of ||e||^2 and g_hat e instead, which `sample` draws in Mr + 2*L*M0
-    values, and `expected` is the closed-form mean of gamma and its ascent;
-    both feed the same ratio.
+    and the ratio costs O(Mr*sum_k Mk) per pair (||e||^2, g_hat e) with
+    e = g_hat^H v + h_hat.  The solver scores the L-draw mean pair, which
+    `sample` draws in Mr + 2*L*M0 values; `expected` scores the closed-form
+    mean pair, and a single draw's view (`ratio`) scores its own pair.
 
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
@@ -246,20 +245,6 @@ class DesignObjective:
             ge += along * q
         return total / n, ge
 
-    def evaluate(self, v: np.ndarray, e: np.ndarray,
-                 ge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """gamma(v) and its steepest-ascent direction for L draws, given
-        through e = g_hat^H v + h_hat (L, M0) and g_hat e (L, Mr), the only
-        parts of a draw the ratio reads.
-
-        Returns (values (L,), ascents (L, Mr)).  The ascent is the conjugate
-        of the formal derivative d gamma / d v_n (conjugate coordinates held
-        fixed), so gamma(v + dv) ~ gamma(v) + 2 Re{sum_n conj(ascent_n) dv_n}.
-        B v and the denominator do not depend on the draw and are computed
-        once.
-        """
-        return self._ratio(v, np.sum(e.real ** 2 + e.imag ** 2, axis=1), ge)
-
     def expected(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         """E gamma(v) and E ascent(v) over the sampling law, in closed form.
         The denominator is draw-free and the ratio is linear in ||e||^2 and
@@ -276,10 +261,13 @@ class DesignObjective:
         value, ascent = self._ratio(v, power, mean_ge)
         return float(value), ascent
 
-    def _ratio(self, v: np.ndarray, power, ge: np.ndarray) -> tuple:
-        """The ratio and its ascent from ||e||^2 (L,) and g_hat e (L, Mr),
-        or from one pair (a float and (Mr,)).  Both are affine in the pair
-        at fixed v, so a mean pair gives the mean value and ascent."""
+    def _ratio(self, v: np.ndarray, power: float, ge: np.ndarray) -> tuple:
+        """gamma(v) and its steepest-ascent direction from one pair,
+        ||e||^2 and g_hat e (Mr,).  The ascent is the conjugate of the formal
+        derivative d gamma / d v_n (conjugate coordinates held fixed), so
+        gamma(v + dv) ~ gamma(v) + 2 Re{sum_n conj(ascent_n) dv_n}.  Both
+        are affine in the pair at fixed v, so a mean pair gives the mean
+        value and ascent."""
         p0, denom_quad, denom_const = self.p0, self.denom_quad, self.denom_const
         num = p0 * (power + self.err_const)
         signal_dir = p0 * ge
@@ -287,36 +275,35 @@ class DesignObjective:
         if proj is None:
             return num / den, signal_dir / den
         bv = denom_quad @ proj                                       # B v
-        return num / den, (signal_dir * den - np.multiply.outer(num, bv)) / den ** 2
+        return num / den, (signal_dir * den - num * bv) / den ** 2
 
     def ratio(self, sample: CsiSample) -> "UbQuadraticRatio":
-        """Single-draw view of the objective (the solver uses `evaluate`)."""
+        """Single-draw view of the objective."""
         return UbQuadraticRatio(self, sample)
 
 
 @dataclass(frozen=True)
 class UbQuadraticRatio:
-    """One CSI draw's view of `DesignObjective.evaluate`.  `grad` is the
-    formal derivative d gamma / d v_n (conjugate coordinates held fixed), so
-    that gamma(v + dv) ~ gamma(v) + 2 Re{sum_n grad_n dv_n}; `ascent` is its
-    conjugate, the steepest-ascent direction."""
+    """One CSI draw's view of `DesignObjective._ratio` at the draw's pair.
+    `grad` is the formal derivative d gamma / d v_n (conjugate coordinates
+    held fixed), so that gamma(v + dv) ~ gamma(v) + 2 Re{sum_n grad_n dv_n};
+    `ascent` is its conjugate, the steepest-ascent direction."""
 
     design: DesignObjective
     sample: CsiSample
 
-    def _evaluate(self, v: PhaseLike) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate(self, v: PhaseLike) -> tuple:
         varr = phase_array(v)
-        g_hat, h_hat = self.sample.g_hat[None], self.sample.h_hat[None]
-        e = np.conj(varr.conj() @ g_hat) + h_hat                    # g_hat^H v + h_hat
-        ge = (g_hat @ e[:, :, None])[:, :, 0]                       # g_hat e
-        return self.design.evaluate(varr, e, ge)
+        g_hat = self.sample.g_hat
+        e = np.conj(varr.conj() @ g_hat) + self.sample.h_hat        # g_hat^H v + h_hat
+        return self.design._ratio(varr, float(np.sum(e.real ** 2 + e.imag ** 2)), g_hat @ e)
 
     def value(self, v: PhaseLike) -> float:
-        return float(self._evaluate(v)[0][0])
+        return float(self._evaluate(v)[0])
 
     def ascent(self, v: PhaseLike) -> np.ndarray:
         """conj(grad): moving along this direction increases gamma."""
-        return self._evaluate(v)[1][0]
+        return self._evaluate(v)[1]
 
     def grad(self, v: PhaseLike) -> np.ndarray:
         return np.conj(self.ascent(v))
@@ -326,38 +313,34 @@ class UbQuadraticRatio:
 # Algorithm steps
 # ---------------------------------------------------------------------------
 
-def update_coefficients(state: SscaState, power: float, ge: np.ndarray,
-                        rho: float, design: DesignObjective) -> SscaState:
+def update_coefficients(v: np.ndarray, c0: float, c1: np.ndarray, power: float,
+                        ge: np.ndarray, rho: float,
+                        design: DesignObjective) -> tuple[float, np.ndarray]:
     """Blend the sample means of the objective and its ascent gradient into
-    the running averages.  The draws enter through their means
-    power = mean_l ||e_l||^2 and ge = mean_l g_hat_l e_l (Mr,), taken at the
-    previous iterate v (`DesignObjective.sample`): the ratio is affine in
-    the pair at fixed v, so one ratio at the mean pair is the mean of the
-    per-draw values and ascents."""
+    the running averages (c0, c1) and return the new pair.  The draws enter
+    through their means power = mean_l ||e_l||^2 and
+    ge = mean_l g_hat_l e_l (Mr,), taken at the iterate v
+    (`DesignObjective.sample`): the ratio is affine in the pair at fixed v,
+    so one ratio at the mean pair is the mean of the per-draw values and
+    ascents."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    mean_val, mean_grad = design._ratio(state.v, power, ge)
-    return replace(
-        state,
-        c0=rho * float(mean_val) + (1.0 - rho) * state.c0,
-        c1=rho * mean_grad + (1.0 - rho) * state.c1,
-    )
+    mean_val, mean_grad = design._ratio(v, power, ge)
+    return rho * float(mean_val) + (1.0 - rho) * c0, rho * mean_grad + (1.0 - rho) * c1
 
 
-def solve_surrogate(state: SscaState, tau_reg: float) -> np.ndarray:
-    """Closed-form maximizer of the surrogate over |u_n| <= 1: the phase of
-    tau * v_n + c1_n per coordinate.  Zero directions keep the previous
-    phase (or 1 when the previous entry is zero too)."""
+def solve_surrogate(v: np.ndarray, c1: np.ndarray, tau_reg: float) -> np.ndarray:
+    """Closed-form maximizer of the surrogate around v over |u_n| <= 1: the
+    phase of tau * v_n + c1_n per coordinate.  Zero directions keep the
+    phase of v_n (or 1 when v_n is zero too)."""
     if not tau_reg > 0:
         raise ValueError(f"tau_reg must be positive, got {tau_reg}")
-    direction = tau_reg * state.v + state.c1
+    direction = tau_reg * v + c1
     mod = np.abs(direction)
     dead = mod == 0.0
     if np.any(dead):
-        direction = direction.copy()
-        prev = state.v[dead]
-        prev_mod = np.abs(prev)
-        direction[dead] = np.where(prev_mod > 0, prev, 1.0)
+        prev = v[dead]
+        direction[dead] = np.where(np.abs(prev) > 0, prev, 1.0)
         mod = np.abs(direction)
     return direction / mod
 
@@ -368,13 +351,6 @@ def surrogate_value(u: PhaseLike, state: SscaState, tau_reg: float) -> float:
     du = phase_array(u) - state.v
     linear = 2.0 * float(np.real(np.vdot(du, state.c1)))
     return state.c0 + linear - tau_reg * float(np.real(np.vdot(du, du)))
-
-
-def advance_iterate(state: SscaState, v_bar: np.ndarray, omega: float) -> SscaState:
-    """v <- (1 - omega) v + omega v_bar; stays inside |v_n| <= 1."""
-    if not 0.0 < omega <= 1.0:
-        raise ValueError(f"omega must lie in (0, 1], got {omega}")
-    return replace(state, v=(1.0 - omega) * state.v + omega * np.asarray(v_bar))
 
 
 def project_unit_modulus(v: PhaseLike) -> PhaseShiftVector:
@@ -439,7 +415,9 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     """Run the full stochastic solver and return the deployable design.
 
     The iterate starts at v = 1 and the run lasts all T iterations; tau is
-    calibrated after the first coefficient update (`_auto_tau`).
+    calibrated after the first coefficient update (`_auto_tau`).  v, c0 and
+    c1 are local variables, every move is checked to stay in |v_n| <= 1,
+    and their final values are returned as `SscaResult.state`.
 
     Per iteration: Mr + 2*L*M0 Gaussian draws (`DesignObjective.sample`
     draws the L-draw means the coefficient step reads), two Mr*M0-flop
@@ -452,7 +430,8 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     robust = (DesignObjective.from_scenario(stats, cfg)     # what the probe scores
               if design is None or solver_cfg.probe_every else None)
     design = robust if design is None else design
-    state = SscaState.initial(np.ones(design.irs_size, dtype=complex))
+    v = np.ones(design.irs_size, dtype=complex)
+    c0, c1 = 0.0, np.zeros(design.irs_size, dtype=complex)
 
     streams = dict(zip(("design/g", "design/h"),
                        named_child(solver_cfg.seed, "solver").spawn(2)))
@@ -460,27 +439,26 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     trace = SscaTrace()
 
     for t in range(1, solver_cfg.iterations + 1):
-        power, ge = design.sample(streams, state.v, solver_cfg.samples_per_iter)
-        rho = stepsize_rho(t, solver_cfg.rho_exponent)
-        state = replace(state, t=t)
-        state = update_coefficients(state, power, ge, rho, design)
+        power, ge = design.sample(streams, v, solver_cfg.samples_per_iter)
+        c0, c1 = update_coefficients(v, c0, c1, power, ge,
+                                     stepsize(t, solver_cfg.rho_exponent), design)
         if tau_reg is None:
-            tau_reg = _auto_tau(state.c1)
-        v_prev = state.v
-        v_bar = solve_surrogate(state, tau_reg)
-        gap = float(np.linalg.norm(v_bar - v_prev))
+            tau_reg = _auto_tau(c1)
+        v_bar = solve_surrogate(v, c1, tau_reg)
+        gap = float(np.linalg.norm(v_bar - v))
         if audit:
-            trace.audit.append({
-                "t": t, "v_prev": v_prev.copy(), "c0": state.c0,
-                "c1": state.c1.copy(), "tau_reg": tau_reg, "v_bar": v_bar.copy(),
-            })
-        state = advance_iterate(state, v_bar, stepsize_omega(t, solver_cfg.omega_exponent))
+            trace.audit.append({"t": t, "v_prev": v, "c0": c0, "c1": c1,
+                                "tau_reg": tau_reg, "v_bar": v_bar})
+        omega = stepsize(t, solver_cfg.omega_exponent)
+        v = (1.0 - omega) * v + omega * v_bar
+        _check_relaxed(v)
 
         probe = math.nan
         if solver_cfg.probe_every and t % solver_cfg.probe_every == 0:
             # upper_bound_rate_closed_form without rebuilding F per probe
-            probe = _log2_1p(robust.expected(project_unit_modulus(state.v).v)[0])
-        trace.append(t, state.c0, gap, probe)
+            probe = _log2_1p(robust.expected(project_unit_modulus(v).v)[0])
+        trace.append(t, c0, gap, probe)
 
-    return SscaResult(v=project_unit_modulus(state.v), trace=trace, state=state,
+    return SscaResult(v=project_unit_modulus(v), trace=trace,
+                      state=SscaState(solver_cfg.iterations, v, c0, c1),
                       tau_reg=float(tau_reg))

@@ -71,7 +71,7 @@ def full_matrix_sample(design, streams: dict, n: int) -> tuple[np.ndarray, np.nd
 def combine_draws(v: np.ndarray, g_hat: np.ndarray,
                   h_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e, g_hat e) of stacked full draws, e = g_hat^H v + h_hat: what
-    `DesignObjective.evaluate` reads of a draw."""
+    the design ratio reads of a draw, through ||e||^2 and g_hat e."""
     e = np.conj(v.conj() @ g_hat) + h_hat
     return e, (g_hat @ e[:, :, None])[:, :, 0]
 

@@ -45,6 +45,22 @@ def test_sweep_spec_validation():
         _tiny_sweep(schemes=("nope",))
     with pytest.raises(ValueError, match="unknown sweep parameter"):
         SweepSpec(param="power", values=(1.0,), schemes=("proposed",))
+    with pytest.raises(ValueError, match="'proposed' is listed twice"):
+        _tiny_sweep(schemes=("proposed", "robust-with-intf", "proposed"))
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_repeated_scheme_is_rejected_before_any_work(tmp_path, capsys, command):
+    # a repeated scheme would be designed and evaluated twice, and keyed once
+    # in eval.json and in the manifest's design seeds
+    out = tmp_path / "out"
+    argv = [command, "--preset", "paper-fig3", "--schemes", "proposed,proposed",
+            "--iters", "2", "--samples", "10", "--out", str(out)]
+    if command == "sweep":
+        argv += ["--sweep", "irs-size", "--values", "2"]
+    assert main(argv) == 2
+    assert "'proposed' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_apply_sweep_value(preset_cfg):

@@ -267,17 +267,20 @@ def test_upper_bound_monotone_in_power(preset_cfg, preset_stats):
 
 
 def test_expected_signal_power_closed_form_vs_sampling(small_cfg):
-    # DesignObjective.expected against the mean of evaluate over full
-    # (g_hat, h_hat) draws from the estimate law
+    # DesignObjective.expected against the ratio at the mean pair of full
+    # (g_hat, h_hat) draws from the estimate law; the ratio is affine in the
+    # pair at fixed v, so that is the mean of the per-draw values
     cfg = small_cfg.replace(delta1=0.4, delta2=0.1)
     stats = build_statistics(cfg)
     design = DesignObjective.from_scenario(stats, cfg)
     rng = np.random.default_rng(7)
     v = random_phase_vector(rng, stats.irs_size).v
     n = 100_000
-    values, _ = design.evaluate(v, *combine_draws(v, *design_draws(stats, cfg, 91, n)))
+    e, ge = combine_draws(v, *design_draws(stats, cfg, 91, n))
+    value, _ = design._ratio(v, float(np.mean(np.sum(np.abs(e) ** 2, axis=1))),
+                             np.mean(ge, axis=0))
     closed, _ = design.expected(v)
-    assert abs(float(np.mean(values)) - closed) / closed < 0.02
+    assert abs(value - closed) / closed < 0.02
 
 
 def test_upper_bound_at_relaxed_v_is_the_exact_expectation(small_cfg):
@@ -666,7 +669,7 @@ def test_gamma_strictly_positive(small_cfg):
 @pytest.mark.parametrize("deltas", [(0.0, 0.0), (0.3, 0.2)])
 def test_single_draw_views_equal_batched_kernel_bitwise(small_cfg, deltas):
     # gamma_ub, gamma_ub_gradient and DesignObjective.ratio are views of
-    # DesignObjective.evaluate on a one-draw stack, not copies of the formula
+    # DesignObjective._ratio at the draw's pair, not copies of the formula
     cfg = small_cfg.replace(delta1=deltas[0], delta2=deltas[1])
     stats = build_statistics(cfg)
     design = DesignObjective.from_scenario(stats, cfg)
@@ -674,14 +677,15 @@ def test_single_draw_views_equal_batched_kernel_bitwise(small_cfg, deltas):
     for trial in range(3):
         sample = sample_estimated_csi(stats, cfg, 700 + trial)
         v = random_relaxed(rng, stats.irs_size)
-        values, ascents = design.evaluate(
-            v, *combine_draws(v, sample.g_hat[None], sample.h_hat[None]))
+        e = np.conj(v.conj() @ sample.g_hat) + sample.h_hat
+        value, ascent = design._ratio(v, float(np.sum(e.real ** 2 + e.imag ** 2)),
+                                      sample.g_hat @ e)
         ratio = design.ratio(sample)
-        assert ratio.value(v) == values[0] == gamma_ub(v, sample, stats, cfg)
-        assert ratio.ascent(v).tobytes() == ascents[0].tobytes()
-        assert ratio.grad(v).tobytes() == np.conj(ascents[0]).tobytes()
+        assert ratio.value(v) == value == gamma_ub(v, sample, stats, cfg)
+        assert ratio.ascent(v).tobytes() == ascent.tobytes()
+        assert ratio.grad(v).tobytes() == np.conj(ascent).tobytes()
         assert gamma_ub_gradient(v, sample, stats, cfg).tobytes() == \
-            np.conj(ascents[0]).tobytes()
+            np.conj(ascent).tobytes()
 
 
 def test_gradient_matches_finite_differences(small_cfg):

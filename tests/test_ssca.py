@@ -11,12 +11,10 @@ from irsopt.ssca import (
     DesignObjective,
     SolverConfig,
     SscaState,
-    advance_iterate,
     project_unit_modulus,
     run,
     solve_surrogate,
-    stepsize_omega,
-    stepsize_rho,
+    stepsize,
     surrogate_value,
     update_coefficients,
 )
@@ -30,24 +28,24 @@ from conftest import combine_draws, edge_scenario, full_matrix_sample, random_re
 # ---------------------------------------------------------------------------
 
 def test_stepsize_values():
-    assert stepsize_rho(1, 0.6) == 1.0
-    assert stepsize_omega(1, 0.9) == 1.0
+    assert stepsize(1, 0.6) == 1.0
+    assert stepsize(1, 0.9) == 1.0
     # log-domain cross-check
-    assert np.isclose(stepsize_omega(1024, 0.9), math.exp(-0.9 * math.log(1024)),
+    assert np.isclose(stepsize(1024, 0.9), math.exp(-0.9 * math.log(1024)),
                       rtol=1e-12)
-    assert np.isclose(stepsize_omega(1024, 0.9), 1.95e-3, rtol=5e-3)
+    assert np.isclose(stepsize(1024, 0.9), 1.95e-3, rtol=5e-3)
 
 
 def test_stepsize_ratio_vanishes():
     a, b = 0.6, 0.9
-    ratios = [stepsize_omega(t, b) / stepsize_rho(t, a) for t in (1, 10, 100, 1000)]
+    ratios = [stepsize(t, b) / stepsize(t, a) for t in (1, 10, 100, 1000)]
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
     assert np.isclose(ratios[-1], 1000.0 ** (a - b), rtol=1e-12)
 
 
 def test_stepsize_requires_t_ge_1():
     with pytest.raises(ValueError):
-        stepsize_rho(0, 0.6)
+        stepsize(0, 0.6)
 
 
 def test_solver_config_validation():
@@ -92,39 +90,40 @@ def _per_draw(design, g, h):
 def test_update_coefficients_first_iteration_erases_history():
     rng = np.random.default_rng(0)
     design = _toy_design(rng)
-    state = SscaState.initial(np.ones(2, dtype=complex))
-    g, h, power, ge = _full_draws(design, 5, 6, state.v)
+    v = np.ones(2, dtype=complex)
+    g, h, power, ge = _full_draws(design, 5, 6, v)
     assert ge.shape == (2,)
-    state = update_coefficients(state, power, ge, rho=1.0, design=design)
+    c0, c1 = update_coefficients(v, 0.0, np.zeros(2, dtype=complex), power, ge,
+                                 rho=1.0, design=design)
     ratios = _per_draw(design, g, h)
-    vals = [r.value(state.v) for r in ratios]
-    assert np.isclose(state.c0, np.mean(vals), rtol=1e-12)
-    grads = np.mean([r.ascent(np.ones(2, dtype=complex)) for r in ratios], axis=0)
-    np.testing.assert_allclose(state.c1, grads, rtol=1e-12)
+    vals = [r.value(v) for r in ratios]
+    assert np.isclose(c0, np.mean(vals), rtol=1e-12)
+    grads = np.mean([r.ascent(v) for r in ratios], axis=0)
+    np.testing.assert_allclose(c1, grads, rtol=1e-12)
 
 
 def test_update_coefficients_single_sample():
     rng = np.random.default_rng(1)
     design = _toy_design(rng)
-    state = SscaState.initial(np.ones(2, dtype=complex))
-    g, h, power, ge = _full_draws(design, 6, 1, state.v)
-    state = update_coefficients(state, power, ge, rho=1.0, design=design)
-    assert np.isclose(state.c0, _per_draw(design, g, h)[0].value(np.ones(2)), rtol=1e-12)
+    v = np.ones(2, dtype=complex)
+    g, h, power, ge = _full_draws(design, 6, 1, v)
+    c0, _ = update_coefficients(v, 0.0, np.zeros(2, dtype=complex), power, ge,
+                                rho=1.0, design=design)
+    assert np.isclose(c0, _per_draw(design, g, h)[0].value(v), rtol=1e-12)
 
 
 def test_update_coefficients_blend():
     rng = np.random.default_rng(2)
     design = _toy_design(rng)
-    prev = SscaState(t=4, v=np.full(2, 0.5 + 0.0j), c0=1.5,
-                     c1=np.array([0.2 + 0.1j, -0.3j]))
-    g, h, power, ge = _full_draws(design, 7, 3, prev.v)
+    v, c1_prev = np.full(2, 0.5 + 0.0j), np.array([0.2 + 0.1j, -0.3j])
+    g, h, power, ge = _full_draws(design, 7, 3, v)
     rho = 0.25
-    new = update_coefficients(prev, power, ge, rho=rho, design=design)
+    c0, c1 = update_coefficients(v, 1.5, c1_prev, power, ge, rho=rho, design=design)
     ratios = _per_draw(design, g, h)
-    vals = np.mean([r.value(prev.v) for r in ratios])
-    grads = np.mean([r.ascent(prev.v) for r in ratios], axis=0)
-    assert np.isclose(new.c0, rho * vals + (1 - rho) * 1.5, rtol=1e-12)
-    np.testing.assert_allclose(new.c1, rho * grads + (1 - rho) * prev.c1, rtol=1e-12)
+    vals = np.mean([r.value(v) for r in ratios])
+    grads = np.mean([r.ascent(v) for r in ratios], axis=0)
+    assert np.isclose(c0, rho * vals + (1 - rho) * 1.5, rtol=1e-12)
+    np.testing.assert_allclose(c1, rho * grads + (1 - rho) * c1_prev, rtol=1e-12)
 
 
 def test_coefficient_average_approaches_mean_gradient():
@@ -154,11 +153,10 @@ def test_coefficient_average_approaches_mean_gradient():
 
     L = 20_000
     streams = named_children(2002, ["design/g", "design/h"])
-    state = SscaState.initial(v0)
-    state = update_coefficients(state, *design.sample(streams, v0, L), rho=1.0,
-                                design=design)
+    _, c1 = update_coefficients(v0, 0.0, np.zeros(2, dtype=complex),
+                                *design.sample(streams, v0, L), rho=1.0, design=design)
     for n in range(2):
-        assert abs(state.c1[n] - oracle_mean[n]) < 4 * oracle_sd[n] / math.sqrt(L)
+        assert abs(c1[n] - oracle_mean[n]) < 4 * oracle_sd[n] / math.sqrt(L)
 
 
 # ---------------------------------------------------------------------------
@@ -166,33 +164,27 @@ def test_coefficient_average_approaches_mean_gradient():
 # ---------------------------------------------------------------------------
 
 def test_solve_surrogate_aligned_fixed_point():
-    state = SscaState(t=1, v=np.array([1.0 + 0.0j]), c0=0.0,
-                      c1=np.array([0.0 + 0.0j]))
-    out = solve_surrogate(state, tau_reg=1.0)
+    out = solve_surrogate(np.array([1.0 + 0.0j]), np.array([0.0 + 0.0j]), tau_reg=1.0)
     np.testing.assert_allclose(out, [1.0 + 0.0j], rtol=1e-15)
 
 
 def test_solve_surrogate_normalizes_direction():
-    state = SscaState(t=1, v=np.array([1.0 + 0.0j]), c0=0.0,
-                      c1=np.array([0.5j]))
-    out = solve_surrogate(state, tau_reg=0.5)
+    out = solve_surrogate(np.array([1.0 + 0.0j]), np.array([0.5j]), tau_reg=0.5)
     np.testing.assert_allclose(out, [(1 + 1j) / math.sqrt(2)], rtol=1e-12)
 
 
 def test_solve_surrogate_zero_direction_tiebreak():
     # tau*v + c1 = 0 on the first coordinate; second coordinate is zero too
-    state = SscaState(t=1, v=np.array([0.5 + 0.0j, 0.0j]), c0=0.0,
-                      c1=np.array([-0.5 + 0.0j, 0.0j]))
-    out = solve_surrogate(state, tau_reg=1.0)
+    out = solve_surrogate(np.array([0.5 + 0.0j, 0.0j]), np.array([-0.5 + 0.0j, 0.0j]),
+                          tau_reg=1.0)
     np.testing.assert_allclose(out[0], 1.0 + 0.0j, rtol=1e-12)   # keeps v's phase
     np.testing.assert_allclose(out[1], 1.0 + 0.0j, rtol=1e-12)   # falls back to 1
     assert np.all(np.abs(np.abs(out) - 1.0) < 1e-12)
 
 
 def test_solve_surrogate_requires_positive_tau():
-    state = SscaState.initial(np.ones(2, dtype=complex))
     with pytest.raises(ValueError):
-        solve_surrogate(state, tau_reg=0.0)
+        solve_surrogate(np.ones(2, dtype=complex), np.zeros(2, dtype=complex), tau_reg=0.0)
 
 
 def test_surrogate_maximizer_beats_random_points():
@@ -203,24 +195,11 @@ def test_surrogate_maximizer_beats_random_points():
             t=1, v=random_relaxed(rng, mr), c0=rng.normal(),
             c1=0.05 * (rng.standard_normal(mr) + 1j * rng.standard_normal(mr)))
         tau = 1e-3
-        v_bar = solve_surrogate(state, tau)
+        v_bar = solve_surrogate(state.v, state.c1, tau)
         best = surrogate_value(v_bar, state, tau)
         for _ in range(200):
             u = rng.uniform(0, 1, mr) * np.exp(1j * rng.uniform(0, 2 * math.pi, mr))
             assert surrogate_value(u, state, tau) <= best + 1e-12
-
-
-def test_advance_iterate():
-    state = SscaState(t=1, v=np.array([0.5 + 0.0j, 1.0j]), c0=0.0,
-                      c1=np.zeros(2, dtype=complex))
-    v_bar = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-    out = advance_iterate(state, v_bar, omega=1.0)
-    np.testing.assert_array_equal(out.v, v_bar)
-    out = advance_iterate(state, v_bar, omega=0.25)
-    np.testing.assert_allclose(out.v, 0.75 * state.v + 0.25 * v_bar, rtol=1e-15)
-    assert np.all(np.abs(out.v) <= 1.0 + 1e-12)
-    with pytest.raises(ValueError):
-        advance_iterate(state, v_bar, omega=0.0)
 
 
 def test_project_unit_modulus():
@@ -240,15 +219,33 @@ def test_state_feasibility_enforced():
         SscaState(t=0, v=np.array([1.5 + 0.0j]), c0=0.0, c1=np.zeros(1, dtype=complex))
 
 
-@pytest.mark.parametrize("where", ["state", "advance"])
-def test_nan_iterate_rejected(small_stats, where):
-    v = np.ones(small_stats.irs_size, dtype=complex)
-    v[0] = math.nan
+@pytest.mark.parametrize("where", ["state", "run"])
+def test_nan_iterate_rejected(small_cfg, small_stats, monkeypatch, where):
+    if where == "state":
+        v = np.ones(small_stats.irs_size, dtype=complex)
+        v[0] = math.nan
+        with pytest.raises(ValueError, match="relaxed set"):
+            SscaState(t=0, v=v, c0=0.0, c1=np.zeros_like(v))
+        return
+    # a NaN surrogate point cannot enter a run's iterate: the run stops in
+    # the iteration that produced it, before the next draw
+    solve, sample = ssca.solve_surrogate, DesignObjective.sample
+    calls = {"solve": 0, "sample": 0}
+
+    def nan_at_3(v, c1, tau_reg):
+        calls["solve"] += 1
+        u = solve(v, c1, tau_reg)
+        return np.full_like(u, math.nan) if calls["solve"] == 3 else u
+
+    def counting(self, streams, v, n):
+        calls["sample"] += 1
+        return sample(self, streams, v, n)
+
+    monkeypatch.setattr(ssca, "solve_surrogate", nan_at_3)
+    monkeypatch.setattr(DesignObjective, "sample", counting)
     with pytest.raises(ValueError, match="relaxed set"):
-        if where == "state":
-            SscaState.initial(v)
-        else:   # a NaN surrogate point cannot enter a run's iterate
-            advance_iterate(SscaState.initial(np.ones_like(v)), v, 0.5)
+        run(SolverConfig(iterations=10, samples_per_iter=2, seed=3), small_stats, small_cfg)
+    assert calls == {"solve": 3, "sample": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +376,11 @@ def _dense_reference_run(solver_cfg, stats, cfg, design):
         power, ge = design.sample(streams, v, solver_cfg.samples_per_iter)
         num = design.p0 * (power + design.err_const)
         den = np.real(v.conj() @ dense @ v) + design.denom_const
-        rho = stepsize_rho(t, solver_cfg.rho_exponent)
+        rho = stepsize(t, solver_cfg.rho_exponent)
         c0 = rho * num / den + (1 - rho) * c0
         c1 = rho * (design.p0 * ge * den - num * (dense @ v)) / den ** 2 + (1 - rho) * c1
         tau = 1e-2 * np.mean(np.abs(c1)) if tau is None else tau
-        omega = stepsize_omega(t, solver_cfg.omega_exponent)
+        omega = stepsize(t, solver_cfg.omega_exponent)
         v = (1 - omega) * v + omega * (tau * v + c1) / np.abs(tau * v + c1)
         c0s.append(c0)
     return v, np.array(c0s)
@@ -489,9 +486,9 @@ def _assert_mean_law(design, v, seed, sizes=((1, 5000), (10, 1000))):
     mean_ge = design.g_mean @ mean_e + m0 * design.g_var * v
     # the closed-form pair is what `expected` scores
     value, ascent = design.expected(v)
-    exact = update_coefficients(SscaState.initial(v), mean_power, mean_ge, 1.0, design)
-    assert exact.c0 == pytest.approx(value, rel=1e-12)
-    np.testing.assert_allclose(exact.c1, ascent, rtol=1e-12, atol=1e-12 * np.max(np.abs(ascent)))
+    c0, c1 = update_coefficients(v, 0.0, np.zeros_like(v), mean_power, mean_ge, 1.0, design)
+    assert c0 == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(c1, ascent, rtol=1e-12, atol=1e-12 * np.max(np.abs(ascent)))
     for n, reps in sizes:
         columns = []
         for full in (False, True):

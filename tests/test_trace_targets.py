@@ -28,3 +28,23 @@ def test_every_traced_layer_exists(monkeypatch):
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_ssca_layers_are_called_once_per_iteration(monkeypatch, small_cfg, small_stats):
+    # the benchmark times the solver layer by layer: a loop that stops
+    # calling one of these names would read 0 for it without any error
+    from irsopt import ssca
+
+    layertrace = _load_layertrace(monkeypatch)
+    tracer = layertrace.Tracer()
+    iterations = 7
+    try:
+        tracer.install(layertrace.TARGETS)
+        ssca.run(ssca.SolverConfig(iterations=iterations, samples_per_iter=3, seed=2),
+                 small_stats, small_cfg)
+    finally:
+        tracer.uninstall()
+    calls = {name: entry["calls"] for name, entry in tracer.span_stats().items()}
+    for name in ("ssca.update_coefficients", "ssca.solve_surrogate",
+                 "ssca.DesignObjective.sample"):
+        assert calls.get(name) == iterations, (name, calls)
