@@ -45,13 +45,15 @@ class SchemeSpec:
     robust: bool                    # account for the CSI error in the design
     use_interference: bool          # keep interference terms in the design denominator
     phase_source: str = PHASE_SOURCE_SSCA
-    phase_draws: int = 1            # independent draws to average (random source)
+    phase_draws: int = 1            # draws to average; an SSCA design would repeat, so 1
 
     def __post_init__(self):
         if self.phase_source not in (PHASE_SOURCE_SSCA, PHASE_SOURCE_RANDOM):
             raise ValueError(f"unknown phase source {self.phase_source!r}")
-        if self.phase_draws < 1:
-            raise ValueError("phase_draws must be >= 1")
+        limit = math.inf if self.phase_source == PHASE_SOURCE_RANDOM else 1
+        if not 1 <= self.phase_draws <= limit:
+            raise ValueError(f"phase_draws must lie in [1, {limit}] for the "
+                             f"{self.phase_source} phase source, got {self.phase_draws}")
 
 
 SCHEMES: dict[str, SchemeSpec] = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CsiSample
-from .rate import BeamformingPolicy, PhaseLike, phase_array
+from .rate import BeamformingPolicy, PhaseLike, _beam_array, phase_array
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,9 @@ class Beamformer:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.w, dtype=complex, copy=True).reshape(-1)
+        arr = _beam_array(np.array(self.w, dtype=complex, copy=True))   # checks ||w|| = 1
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
-        nrm = np.linalg.norm(arr)
-        if not (abs(nrm - 1.0) <= 1e-9):  # rejects NaN too
-            raise ValueError(f"beamformer must be unit-norm, got ||w|| = {nrm}")
 
     def __len__(self) -> int:
         return self.w.shape[0]

@@ -139,7 +139,9 @@ class ChannelStatistics:
 
     Index 0 of per-BS arrays is the serving BS.  LoS matrices have
     unit-modulus entries; `cascaded_los[k]` already carries the amplitude
-    sqrt(alpha_bs_irs[k] * alpha_irs_user * tau[k]).
+    sqrt(alpha_bs_irs[k] * alpha_irs_user * tau[k]).  `los_bs_irs[k]` is the
+    rank-one a_rx a_tx^H of `los_matrix`, so `cascaded_los[k]` = g_k b_k^H
+    is too, and `rate.interference_quadratic` keeps one column g_k per BS.
     """
 
     bs_sizes: tuple[int, ...]               # antennas per BS

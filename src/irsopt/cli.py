@@ -155,32 +155,24 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
         "versions": {"irsopt": __version__, "numpy": np.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    try:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write manifest {manifest_path}: {exc}") from exc
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
     eval_seed = child_seed(spec.seed, "eval")
     rows: list[dict] = []
-    csv_path = os.path.join(out_dir, "results.csv")
-    try:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for value, cfg in zip(spec.values, points):
-                reports = evaluate_schemes([scheme(name) for name in spec.schemes],
-                                           build_statistics(cfg), cfg, solvers,
-                                           spec.n_samples, eval_seed)
-                for name, report in zip(spec.schemes, reports):
-                    row = _row(scenario.name, spec, value, name, report, cfg.config_hash())
-                    writer.writerow(row)
-                    rows.append(row)
-                fh.flush()                   # partial results survive interruption
-    except OSError as exc:
-        raise RuntimeError(f"cannot write results {csv_path}: {exc}") from exc
+    with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        for value, cfg in zip(spec.values, points):
+            reports = evaluate_schemes([scheme(name) for name in spec.schemes],
+                                       build_statistics(cfg), cfg, solvers,
+                                       spec.n_samples, eval_seed)
+            for name, report in zip(spec.schemes, reports):
+                row = _row(scenario.name, spec, value, name, report, cfg.config_hash())
+                writer.writerow(row)
+                rows.append(row)
+            fh.flush()                   # partial results survive interruption
     return rows
 
 
@@ -321,14 +313,10 @@ def cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": cmd_solve,
-        "eval": cmd_eval,
-        "sweep": cmd_sweep,
-    }
+    handler = {"solve": cmd_solve, "eval": cmd_eval, "sweep": cmd_sweep}[args.command]
     try:
-        return handlers[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+        return handler(args)
+    except (ValueError, OSError) as exc:    # bad input or an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,14 @@ def user_position_on_bisector(distance: float) -> tuple[float, float]:
     if distance <= 0:
         raise ValueError(f"distance must be positive, got {distance}")
     return (distance * SQRT3 / 2.0, distance / 2.0)
+
+
+def _grid_axis(c) -> int:
+    """One grid axis as an int: 8.0 passes; 8.5, inf, "8" or true are errors, never cast."""
+    integral = isinstance(c, numbers.Integral) or (isinstance(c, float) and c.is_integer())
+    if integral and not isinstance(c, bool):
+        return int(c)
+    raise ValueError(f"array grid entries must be integers, got {c!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +94,8 @@ class ScenarioConfig:
         object.__setattr__(self, "irs_position", tuple(float(c) for c in self.irs_position))
         object.__setattr__(self, "user_position", tuple(float(c) for c in self.user_position))
         object.__setattr__(self, "bs_grids",
-                           tuple((int(m), int(n)) for m, n in self.bs_grids))
-        object.__setattr__(self, "irs_grid", tuple(int(c) for c in self.irs_grid))
+                           tuple((_grid_axis(m), _grid_axis(n)) for m, n in self.bs_grids))
+        object.__setattr__(self, "irs_grid", tuple(_grid_axis(c) for c in self.irs_grid))
         object.__setattr__(self, "powers_dbm", tuple(float(p) for p in self.powers_dbm))
         object.__setattr__(self, "rician_bs_irs", tuple(float(k) for k in self.rician_bs_irs))
         object.__setattr__(self, "angles_bs_irs",
@@ -200,6 +209,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed scenario file: a {type(data).__name__}, not an object")
         try:
             return cls(
                 name=data.get("name", "custom"),
@@ -225,6 +236,8 @@ class ScenarioConfig:
             )
         except KeyError as exc:
             raise ValueError(f"scenario file is missing required key {exc}") from exc
+        except TypeError as exc:             # e.g. a number where a list belongs
+            raise ValueError(f"malformed scenario file: {exc}") from exc
 
     def config_hash(self) -> str:
         """Short stable hash of the scenario content (not the name)."""

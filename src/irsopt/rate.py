@@ -15,12 +15,12 @@ beamformer over sum_k p_k*gk + sigma^2, and its closed-form mean live in
 `ssca.DesignObjective`: `gamma_ub` and `gamma_ub_gradient` score one
 draw's (||e||^2, g_hat e) through its ratio, `upper_bound_rate_closed_form`
 is log2(1 + `expected`), and `sinr_denominator` evaluates
-`interference_quadratic`.
+`interference_quadratic`, whose (Mr, K) factor the reports also read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -69,8 +69,7 @@ def phase_array(v: PhaseLike) -> np.ndarray:
 
 
 def _beam_array(w) -> np.ndarray:
-    arr = getattr(w, "w", w)
-    arr = np.asarray(arr, dtype=complex).reshape(-1)
+    arr = np.asarray(getattr(w, "w", w), dtype=complex).reshape(-1)
     nrm = np.linalg.norm(arr)
     if not (abs(nrm - 1.0) <= 1e-9):  # rejects NaN too
         raise ValueError(f"beamformer must be unit-norm, got ||w|| = {nrm}")
@@ -98,15 +97,8 @@ class RateReport:
             raise ValueError("power breakdown terms must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "ub_rate": self.ub_rate,
-            "mc_rate": self.mc_rate,
-            "mc_stderr": self.mc_stderr,
-            "n_samples": self.n_samples,
-            "signal_power": self.signal_power,
-            "interference_power": list(self.interference_power),
-            "noise_power": self.noise_power,
-        }
+        """Every field but the per-sample rates."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rate_samples"}
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +129,8 @@ def g0(v: PhaseLike, w, sample: CsiSample, delta1: float, delta2: float) -> floa
 
 def gk(v: PhaseLike, stats: ChannelStatistics, k: int) -> float:
     """Expected interference power from BS k under own-user MRT:
-    ||v^H glos_k||^2 / Mk + a_kr*a_ru*Mr*(1 - tau_k) + a_k0."""
+    ||v^H glos_k||^2 / Mk + a_kr*a_ru*Mr*(1 - tau_k) + a_k0, the closed
+    form that acceptance criterion 1 checks against physical draws."""
     if k == 0:
         raise ValueError("k = 0 is the serving link; use g0")
     if not 1 <= k < stats.n_bs:
@@ -157,18 +150,18 @@ def interference_quadratic(stats: ChannelStatistics,
                            cfg: ScenarioConfig) -> tuple[Optional[np.ndarray], float]:
     """The interference-plus-noise power sum_k p_k * gk(v) + sigma^2 as a
     low-rank quadratic form: (F, d) with denominator ||F^H v||^2 + d, i.e.
-    B = F F^H.  F stacks the columns sqrt(p_k/Mk) * glos_k of the
-    interferers with tau_k > 0, shape (Mr, sum_k Mk); it is None when no
-    interferer has a LoS component (pure constant denominator)."""
+    B = F F^H.  Each cascaded LoS is rank one, glos_k = g_k b_k^H with
+    unit-modulus b_k (||b_k||^2 = Mk), so (p_k/Mk) glos_k glos_k^H
+    = p_k g_k g_k^H and F has one column sqrt(p_k) * g_k per interferer,
+    in interferer order: shape (Mr, K).  Column 0 of glos_k is g_k times a
+    unit phase, which F F^H does not see; an interferer without LoS
+    (tau_k = 0) gets a zero column.  F is None only without interferers."""
     powers = cfg.powers_watt
     d = cfg.noise_watt
-    columns = []
     for k in range(1, stats.n_bs):
         d += powers[k] * _interferer_floor(stats, k)
-        if stats.tau[k] > 0:
-            columns.append(math.sqrt(powers[k] / stats.bs_sizes[k]) * stats.cascaded_los[k])
-    factor = np.concatenate(columns, axis=1) if columns else None
-    return factor, float(d)
+    columns = [math.sqrt(powers[k]) * stats.cascaded_los[k][:, 0] for k in range(1, stats.n_bs)]
+    return (np.stack(columns, axis=1) if columns else None), float(d)
 
 
 def _quadratic_denominator(factor: Optional[np.ndarray], const: float,
@@ -246,10 +239,12 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
     their Gaussian draw count does not grow with S.  A policy maps e_hat
     (n, M0) to unit-norm rows (n, M0).  The signal term |x^H w|^2 uses the
     true channel; the interference-plus-noise term uses its exact
-    expectation (sinr_denominator), per the worst-case-noise reading of the
-    rate.  Each design is reduced to its row of per-sample rates before the
-    next one is drawn, so memory does not grow with S beyond that row; the
-    row is the report's `rate_samples`.
+    expectation, per the worst-case-noise reading of the rate: sigma^2 plus
+    the report's powers p_k * gk(v), read off one projection F^H v of each
+    design with the (Mr, K) factor F of `interference_quadratic`.  Each
+    design is reduced to its row of per-sample rates before the next one
+    is drawn, so memory does not grow with S beyond that row; the row is
+    the report's `rate_samples`.
     """
     if len(vs) == 0:
         raise ValueError("no designs to evaluate")
@@ -266,7 +261,12 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
         if not np.all(np.isfinite(varr)):
             raise ValueError(f"design {i} has non-finite phase shifts")
     stack = np.stack(varrs)
-    dens = [sinr_denominator(varr, stats, cfg) for varr in varrs]
+    # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K)
+    factor, _ = interference_quadratic(stats, cfg)
+    proj = stack.conj() @ factor if factor is not None else np.zeros((len(varrs), 0))
+    floors = [cfg.powers_watt[k] * _interferer_floor(stats, k) for k in range(1, stats.n_bs)]
+    intf = proj.real ** 2 + proj.imag ** 2 + floors
+    dens = cfg.noise_watt + np.sum(intf, axis=1)
     p0 = cfg.powers_watt[0]
 
     sampler = PhysicalChannelSampler(stats, rng, include_interference=False)
@@ -283,7 +283,7 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
         done += m
 
     reports = []
-    for varr, row, signal_sum in zip(varrs, rates, signal_sums):
+    for varr, row, signal_sum, powers in zip(varrs, rates, signal_sums, intf):
         stderr = float(np.std(row, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
         reports.append(RateReport(
             ub_rate=upper_bound_rate_closed_form(varr, stats, cfg),
@@ -291,9 +291,7 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
             mc_stderr=stderr,
             n_samples=n_samples,
             signal_power=p0 * signal_sum / n_samples,
-            interference_power=tuple(
-                cfg.powers_watt[k] * gk(varr, stats, k) for k in range(1, stats.n_bs)
-            ),
+            interference_power=tuple(map(float, powers)),
             noise_power=cfg.noise_watt,
             rate_samples=row,
         ))

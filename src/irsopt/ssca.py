@@ -37,9 +37,9 @@ fixed v, so the coefficient step reads only their L-draw means.
 `DesignObjective.sample` draws those means from their exact law: Mr + 2*L*M0
 Gaussian values and two Mr x M0 products with the LoS mean G per iteration,
 where L full estimates would draw L*Mr*M0 values and spend L*Mr*M0 flops on
-G.  An iteration costs O(Mr*(M0 + sum_k Mk) + L*M0) in all.  The expectation
-of gamma has a closed form (`DesignObjective.expected`); the stochastic
-iteration is the paper's method, and the closed form is kept as its oracle.
+G.  An iteration costs O(Mr*(M0 + K) + L*M0) in all, K interferers.  The
+expectation of gamma has a closed form (`DesignObjective.expected`); the
+stochastic iteration is the paper's method, and the closed form its oracle.
 """
 from __future__ import annotations
 
@@ -143,12 +143,13 @@ class DesignObjective:
     interference-plus-noise power.  c = delta2^2 + Mr*delta1^2 (`err_const`),
     B = sum_k (p_k/Mk) glos_k glos_k^H, and d (`denom_const`) collects the
     v-independent interference and noise terms.  B is never formed: it
-    enters as the (Mr, sum_k Mk) factor F of B = F F^H (`denom_quad`, None
-    for a constant denominator), so v^H B v = ||F^H v||^2, B v = F (F^H v),
-    and the ratio costs O(Mr*sum_k Mk) per pair (||e||^2, g_hat e) with
-    e = g_hat^H v + h_hat.  The solver scores the L-draw mean pair, which
-    `sample` draws in Mr + 2*L*M0 values; `expected` scores the closed-form
-    mean pair, and a single draw's view (`ratio`) scores its own pair.
+    enters as the (Mr, K) factor F of B = F F^H, one column per interferer
+    (`denom_quad`, None for a constant denominator), so v^H B v =
+    ||F^H v||^2, B v = F (F^H v), and the ratio costs O(Mr*K) per pair
+    (||e||^2, g_hat e) with e = g_hat^H v + h_hat.  The solver scores the
+    L-draw mean pair, which `sample` draws in Mr + 2*L*M0 values;
+    `expected` scores the closed-form mean pair, and a single draw's view
+    (`ratio`) scores its own pair.
 
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
@@ -163,7 +164,7 @@ class DesignObjective:
     h_mean: np.ndarray                  # (M0,)
     h_var: float
     err_const: float
-    denom_quad: Optional[np.ndarray]    # (Mr, r) factor F of B = F F^H, or None
+    denom_quad: Optional[np.ndarray]    # (Mr, K) factor F of B = F F^H, or None
     denom_const: float
 
     @classmethod
@@ -421,11 +422,10 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
 
     Per iteration: Mr + 2*L*M0 Gaussian draws (`DesignObjective.sample`
     draws the L-draw means the coefficient step reads), two Mr*M0-flop
-    products with the LoS mean G, and O(Mr * sum_k Mk) for the ratio, its
-    gradient and B v, with B = F F^H applied through its (Mr, sum_k Mk)
-    factor F, never formed: O(Mr*(M0 + sum_k Mk) + L*M0) in all.  No
-    (L, Mr) array is built.  Identical configurations and seeds reproduce
-    the iterates bit-for-bit.
+    products with the LoS mean G, and O(Mr * K) for the ratio, its
+    gradient and B v, with B = F F^H applied through its (Mr, K) factor F,
+    never formed: O(Mr*(M0 + K) + L*M0) in all, and no (L, Mr) array.
+    Identical configurations and seeds reproduce the iterates bit-for-bit.
     """
     robust = (DesignObjective.from_scenario(stats, cfg)     # what the probe scores
               if design is None or solver_cfg.probe_every else None)

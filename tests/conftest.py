@@ -83,6 +83,10 @@ def design_draws(stats, cfg, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return full_matrix_sample(irsopt.DesignObjective.from_scenario(stats, cfg), streams, n)
 
 
+EDGE_REGIMES = ("no-bs-irs-los", "k-0", "single-bs", "irs-1x1", "one-bs-antenna",
+                "v0-zero", "delta-0", "delta-1", "k-inf-delta-0")
+
+
 def edge_scenario(preset_cfg: irsopt.ScenarioConfig, regime: str) -> irsopt.ScenarioConfig:
     """The preset on a 4x4 IRS with delta = 0.3, moved into one edge regime."""
     base = preset_cfg.replace(irs_grid=(4, 4), delta1=0.3, delta2=0.3)
@@ -103,6 +107,18 @@ def edge_scenario(preset_cfg: irsopt.ScenarioConfig, regime: str) -> irsopt.Scen
                                       rician_irs_user=math.inf,
                                       delta1=0.0, delta2=0.0),      # sigma_g = 0
     }[regime]
+
+
+def interference_split_scenario(preset_cfg: irsopt.ScenarioConfig) -> irsopt.ScenarioConfig:
+    """The preset with interferer 1's IRS angles 0.05 rad from the serving
+    pair, the user at (300, 40) m, K = 10 on every link and delta = 0.6:
+    a geometry where ignoring interference in the design costs rate."""
+    az, el = preset_cfg.angles_bs_irs[0]
+    return preset_cfg.replace(
+        angles_bs_irs=((az, el), (az + 0.05, el + 0.05)) + preset_cfg.angles_bs_irs[2:],
+        user_position=(300.0, 40.0),
+        rician_bs_irs=(10.0,) * preset_cfg.n_bs, rician_irs_user=10.0,
+        delta1=0.6, delta2=0.6, name="interference-split")
 
 
 def paired_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:

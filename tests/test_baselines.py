@@ -20,7 +20,7 @@ from irsopt.rate import ergodic_rate_mc, gk
 from irsopt.ssca import SolverConfig
 from irsopt.streams import child_seed
 
-from conftest import edge_scenario, paired_t
+from conftest import edge_scenario, interference_split_scenario, paired_t
 
 
 def test_scheme_registry_is_exactly_the_five_presets():
@@ -40,6 +40,10 @@ def test_scheme_spec_validation():
         SchemeSpec("x", robust=True, use_interference=True, phase_source="grid")
     with pytest.raises(ValueError):
         SchemeSpec("x", robust=True, use_interference=True, phase_draws=0)
+    with pytest.raises(ValueError, match=r"\[1, 1\] for the ssca"):  # would repeat one design
+        SchemeSpec("x", robust=True, use_interference=True, phase_draws=3)
+    assert SchemeSpec("x", robust=True, use_interference=True,
+                      phase_source="random", phase_draws=3).phase_draws == 3
 
 
 def test_nonrobust_equals_proposed_when_error_free(small_cfg):
@@ -186,6 +190,22 @@ def test_evaluation_fairness_shared_draws(small_cfg, small_stats):
     # shared randomness caps the paired diff noise well below the marginal one
     d_std = np.std(a.rate_samples - b.rate_samples)
     assert d_std < 0.5 * np.std(a.rate_samples)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_interference_aware_design_wins_near_serving_los(preset_cfg, seed):
+    # an interferer's LoS close to the serving one separates the designs that
+    # keep and drop the interference terms (on the preset they tie)
+    cfg = interference_split_scenario(preset_cfg)
+    names = ("proposed", "robust-no-intf")
+    solvers = [SolverConfig(iterations=300, seed=child_seed(seed, f"design/{name}"))
+               for name in names]
+    proposed, no_intf = evaluate_schemes([scheme(name) for name in names],
+                                         build_statistics(cfg), cfg, solvers, 2000,
+                                         child_seed(seed, "eval"), return_samples=True)
+    diff, se, t = paired_t(proposed.rate_samples, no_intf.rate_samples)
+    assert t >= 3.0, f"proposed - robust-no-intf = {diff:.4f} +/- {se:.4f}, t = {t:.1f}"
+    assert proposed.ub_rate > no_intf.ub_rate
 
 
 def test_robust_not_inferior_at_elevated_error(preset_cfg):

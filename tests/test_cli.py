@@ -212,6 +212,16 @@ def test_cli_error_paths(tmp_path, capsys):
     assert rc == 2
     assert "IRS grid size" in capsys.readouterr().err
     assert not bad_out.exists()              # rejected before any point runs
+    a_file = tmp_path / "a-file"                 # --out names a file, not a directory
+    a_file.write_text("kept\n")
+    for command in (["solve", "--iters", "2"],
+                    ["eval", "--iters", "2", "--samples", "5", "--schemes", "proposed"],
+                    ["sweep", "--sweep", "irs-size", "--values", "2", "--iters", "2",
+                     "--samples", "5", "--schemes", "proposed"]):
+        rc = main(command + ["--out", str(a_file)])
+        assert rc == 2, command
+        assert capsys.readouterr().err.startswith("error: "), command
+        assert a_file.read_text() == "kept\n"
     with pytest.raises(SystemExit) as exc:       # argparse rejects unknown commands
         main(["no-such-command"])
     assert exc.value.code == 2

@@ -72,6 +72,20 @@ def test_malformed_scenario_file(tmp_path):
     incomplete.write_text(json.dumps({"name": "x"}))
     with pytest.raises(ValueError, match="missing required key"):
         load_scenario(str(incomplete))
+    # wrong types in a saved preset are loud, never a TypeError or a truncation
+    saved = tmp_path / "saved.json"
+    save_scenario(load_scenario("paper-fig3"), str(saved))
+    good = json.loads(saved.read_text())
+    edited = tmp_path / "edited.json"
+    for key, value, message in (("irs_grid", 8, "malformed scenario file"),
+                                ("noise_dbm", None, "malformed scenario file"),
+                                (None, [good], "malformed scenario file"),
+                                ("irs_grid", [8.5, 8], "grid entries must be integers"),
+                                ("bs_grids", [[4, 4], [4, 3.5], [4, 4]],
+                                 "grid entries must be integers")):
+        edited.write_text(json.dumps(value if key is None else {**good, key: value}))
+        with pytest.raises(ValueError, match=message):
+            load_scenario(str(edited))
 
 
 def test_validation_errors(preset_cfg):
@@ -90,6 +104,12 @@ def test_validation_errors(preset_cfg):
         preset_cfg.replace(user_position=preset_cfg.bs_positions[0])
     with pytest.raises(ValueError, match="grids"):
         preset_cfg.replace(irs_grid=(0, 4))
+    for irs_grid in ((8.5, 8), (8, math.inf), (math.nan, 8), ("8", 8), (True, 8)):
+        with pytest.raises(ValueError, match="grid entries must be integers"):
+            preset_cfg.replace(irs_grid=irs_grid)
+    with pytest.raises(ValueError, match="grid entries must be integers"):
+        preset_cfg.replace(bs_grids=((4, 4), (4, 4), (4.5, 4)))
+    assert preset_cfg.replace(irs_grid=(8.0, np.int64(4))).irs_grid == (8, 4)
 
 
 def _nonfinite_cases():

@@ -29,8 +29,8 @@ from irsopt.rate import (
 )
 from irsopt.ssca import DesignObjective
 from irsopt.streams import crandn
-from conftest import (combine_draws, design_draws, paired_t, random_phase_vector,
-                      random_relaxed, random_scenario)
+from conftest import (EDGE_REGIMES, combine_draws, design_draws, edge_scenario, paired_t,
+                      random_phase_vector, random_relaxed, random_scenario)
 
 
 def fd_gradient(fn, v: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -202,21 +202,37 @@ def _explicit_denominator(v, stats, cfg):
                                 for k in range(1, stats.n_bs))
 
 
+def _dense_interference(stats, cfg):
+    """sum_k (p_k/Mk) glos_k glos_k^H, the dense B that F F^H replaces."""
+    dense = np.zeros((stats.irs_size, stats.irs_size), dtype=complex)
+    for k in range(1, stats.n_bs):
+        glos = stats.cascaded_los[k]
+        dense += cfg.powers_watt[k] / stats.bs_sizes[k] * (glos @ glos.conj().T)
+    return dense
+
+
 def test_denominator_quadratic_matches_sum(preset_cfg, preset_stats):
     rng = np.random.default_rng(5)
     factor, _ = interference_quadratic(preset_stats, preset_cfg)
-    n_cols = sum(preset_stats.bs_sizes[k] for k in range(1, preset_stats.n_bs))
-    assert factor.shape == (preset_stats.irs_size, n_cols)
+    assert factor.shape == (preset_stats.irs_size, preset_stats.n_bs - 1)
     for v in [phase_array(random_phase_vector(rng, preset_stats.irs_size))
               for _ in range(5)] + [random_relaxed(rng, preset_stats.irs_size)]:
         assert np.isclose(sinr_denominator(v, preset_stats, preset_cfg),
                           _explicit_denominator(v, preset_stats, preset_cfg), rtol=1e-12)
-    # F F^H is the dense sum_k (p_k/Mk) glos_k glos_k^H it replaces
-    dense = sum(preset_cfg.powers_watt[k] / preset_stats.bs_sizes[k]
-                * preset_stats.cascaded_los[k] @ preset_stats.cascaded_los[k].conj().T
-                for k in range(1, preset_stats.n_bs))
-    np.testing.assert_allclose(factor @ factor.conj().T, dense, rtol=1e-12,
-                               atol=1e-12 * np.max(np.abs(dense)))
+    # each glos_k is rank one, so F F^H with one column per interferer is the
+    # dense sum_k (p_k/Mk) glos_k glos_k^H it replaces
+    cfgs = ([preset_cfg] + [random_scenario(rng, f"rank{i}") for i in range(30)]
+            + [edge_scenario(preset_cfg, regime) for regime in EDGE_REGIMES])
+    for cfg in cfgs:
+        stats = build_statistics(cfg)
+        factor, _ = interference_quadratic(stats, cfg)
+        if stats.n_bs == 1:
+            assert factor is None
+            continue
+        assert factor.shape == (stats.irs_size, stats.n_bs - 1)
+        dense = _dense_interference(stats, cfg)
+        np.testing.assert_allclose(factor @ factor.conj().T, dense, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(dense)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +389,22 @@ def test_ergodic_report_fields(small_cfg, small_stats):
     payload = report.to_dict()
     assert set(payload) == {"ub_rate", "mc_rate", "mc_stderr", "n_samples",
                             "signal_power", "interference_power", "noise_power"}
+
+
+def test_report_powers_are_gk_and_sum_to_the_denominator(small_cfg):
+    # interferer 1 has no BS-IRS LoS (tau_1 = 0), so its F column is zero
+    cfg = small_cfg.replace(rician_bs_irs=(3.0, 0.0, 3.0), delta1=0.3, delta2=0.3)
+    stats = build_statistics(cfg)
+    assert stats.tau[1] == 0.0 < stats.tau[2]
+    rng = np.random.default_rng(8)
+    vs = [phase_array(random_phase_vector(rng, stats.irs_size)),
+          random_relaxed(rng, stats.irs_size)]
+    reports = irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, 50, 3)
+    for v, report in zip(vs, reports):
+        closed = [cfg.powers_watt[k] * gk(v, stats, k) for k in range(1, stats.n_bs)]
+        np.testing.assert_allclose(report.interference_power, closed, rtol=1e-12, atol=0)
+        assert math.isclose(report.noise_power + sum(report.interference_power),
+                            sinr_denominator(v, stats, cfg), rel_tol=1e-12)
 
 
 def test_ergodic_determinism(small_cfg, small_stats):

@@ -414,10 +414,11 @@ def test_run_edge_regimes(preset_cfg, regime):
     for robust, include_interference in ((True, True), (False, True), (True, False)):
         design = DesignObjective.from_scenario(stats, cfg, robust=robust,
                                                include_interference=include_interference)
-        if regime in ("no-bs-irs-los", "single-bs") or not include_interference:
+        if regime == "single-bs" or not include_interference:
             assert design.denom_quad is None
-        else:
-            assert design.denom_quad.shape == (stats.irs_size, sum(stats.bs_sizes[1:]))
+        else:       # one column per interferer, zero without a BS-IRS LoS
+            assert design.denom_quad.shape == (stats.irs_size, stats.n_bs - 1)
+            assert np.any(design.denom_quad) == (regime != "no-bs-irs-los")
         result = run(solver_cfg, stats, cfg, design=design)
         c0 = np.array(result.trace.c0)
         assert c0.shape == (30,) and np.all(np.isfinite(c0)) and np.all(c0 > 0)
@@ -429,7 +430,7 @@ def test_design_objective_holds_no_dense_interference_matrix(preset_cfg):
     stats = irsopt.build_statistics(cfg)
     design = DesignObjective.from_scenario(stats, cfg)
     mr = stats.irs_size
-    assert design.denom_quad.shape == (mr, sum(stats.bs_sizes[1:]))
+    assert design.denom_quad.shape == (mr, stats.n_bs - 1)
     sizes = [value.size for value in vars(design).values() if isinstance(value, np.ndarray)]
     assert sizes and max(sizes) < mr * mr
 
