@@ -15,12 +15,13 @@ identical Monte Carlo seeds and sample counts for every scheme.
 `evaluate_schemes` designs every scheme first and then evaluates all the
 designs, each phase draw of the random-phase scheme included, in one
 batched call, so they share a single draw set by construction;
-`evaluate_scheme` is its one-scheme view.
+`evaluate_scheme` is its one-scheme view.  Its SSCA schemes are designed
+in lockstep (`ssca.run_stack`), each bit for bit as on its own.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .beamforming import mrt_policy
 from .channel import ChannelStatistics
 from .config import ScenarioConfig
 from .rate import BeamformingPolicy, PhaseShiftVector, RateReport, ergodic_rates_mc
-from .ssca import DesignObjective, SolverConfig
+from .ssca import DesignObjective, SolverConfig, run_stack
 from .ssca import run as run_ssca
 from .streams import check_seed, named_child
 
@@ -76,6 +77,12 @@ def scheme(name: str) -> SchemeSpec:
         raise ValueError(f"unknown scheme {name!r}; choose from {sorted(SCHEMES)}") from None
 
 
+def _objective(spec: SchemeSpec, stats: ChannelStatistics,
+               cfg: ScenarioConfig) -> DesignObjective:
+    return DesignObjective.from_scenario(stats, cfg, robust=spec.robust,
+                                         include_interference=spec.use_interference)
+
+
 def design_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfig,
                   solver_cfg: SolverConfig, draw: int = 0
                   ) -> tuple[PhaseShiftVector, BeamformingPolicy]:
@@ -89,10 +96,7 @@ def design_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfi
         phases = rng.uniform(0.0, 2.0 * math.pi, stats.irs_size)
         v = PhaseShiftVector.from_phases(phases)
     else:
-        design = DesignObjective.from_scenario(
-            stats, cfg, robust=spec.robust, include_interference=spec.use_interference)
-        result = run_ssca(solver_cfg, stats, cfg, design=design)
-        v = result.v
+        v = run_ssca(solver_cfg, stats, cfg, design=_objective(spec, stats, cfg)).v
     return v, mrt_policy(v)
 
 
@@ -105,17 +109,27 @@ def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
     one `ergodic_rates_mc` call under the true imperfect-CSI,
     with-interference channel model.  One report per scheme comes back.
 
-    All designs share one draw set, so the comparison between schemes and
-    the average over a multi-draw scheme's designs are paired by
-    construction.
+    SSCA schemes whose solver settings differ only in the seed are designed
+    in one `run_stack` call, each as its own `design_scheme` would.  All
+    designs share one draw set, so the comparison between schemes and the
+    average over a multi-draw scheme's designs are paired by construction.
     """
     check_seed(eval_rng)    # before any design is spent on a bad seed or size
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if len(solver_cfgs) != len(specs):
         raise ValueError(f"{len(solver_cfgs)} solver settings for {len(specs)} schemes")
-    designs = [design_scheme(spec, stats, cfg, solver_cfg, draw=draw)
-               for spec, solver_cfg in zip(specs, solver_cfgs)
+    stacks: dict[SolverConfig, list[int]] = {}      # SSCA schemes by shared settings
+    for i, spec in enumerate(specs):
+        if spec.phase_source == PHASE_SOURCE_SSCA:
+            stacks.setdefault(replace(solver_cfgs[i], seed=0), []).append(i)
+    designed = {}
+    for rows in stacks.values():        # the runs' traces are freed before the evaluation
+        designed.update((i, (r.v, mrt_policy(r.v))) for i, r in zip(rows, run_stack(
+            [solver_cfgs[i] for i in rows], stats, cfg,
+            [_objective(specs[i], stats, cfg) for i in rows])))
+    designs = [designed[i] if i in designed else design_scheme(spec, stats, cfg, solver_cfg, draw)
+               for i, (spec, solver_cfg) in enumerate(zip(specs, solver_cfgs))
                for draw in range(spec.phase_draws)]
     per_design = iter(ergodic_rates_mc([v for v, _ in designs], [p for _, p in designs],
                                        stats, cfg, n_samples, eval_rng))

@@ -244,8 +244,8 @@ def cmd_solve(args) -> int:
     solver_cfg = SolverConfig(iterations=args.iters,
                               samples_per_iter=args.samples_per_iter,
                               seed=args.seed, probe_every=args.probe_every)
+    os.makedirs(args.out, exist_ok=True)     # an unusable --out fails before the solve
     result = run_ssca(solver_cfg, stats, cfg)
-    os.makedirs(args.out, exist_ok=True)
     result.trace.to_csv(os.path.join(args.out, "trace.csv"))
     design = {
         "scenario": cfg.to_dict(),

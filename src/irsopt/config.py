@@ -58,6 +58,17 @@ def _grid_axis(c) -> int:
     raise ValueError(f"array grid entries must be integers, got {c!r}")
 
 
+class _NotANumber(ValueError):
+    """A scalar scenario field that is not a real number."""
+
+
+def _real(name: str, value) -> float:
+    """A scalar field as a float: 3 passes; true, "3" or None are errors, never cast."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise _NotANumber(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment input: geometry, array sizes, powers, fading and
@@ -102,6 +113,9 @@ class ScenarioConfig:
                            tuple((float(a), float(e)) for a, e in self.angles_bs_irs))
         object.__setattr__(self, "angles_irs_user",
                            tuple(float(a) for a in self.angles_irs_user))
+        for name in ("noise_dbm", "rician_irs_user", "exp_direct", "exp_bs_irs",
+                     "exp_irs_user", "spacing", "delta1", "delta2"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         self._validate()
 
     def _validate(self):
@@ -236,7 +250,7 @@ class ScenarioConfig:
             )
         except KeyError as exc:
             raise ValueError(f"scenario file is missing required key {exc}") from exc
-        except TypeError as exc:             # e.g. a number where a list belongs
+        except (TypeError, _NotANumber) as exc:     # e.g. a number where a list belongs
             raise ValueError(f"malformed scenario file: {exc}") from exc
 
     def config_hash(self) -> str:

@@ -164,19 +164,12 @@ def interference_quadratic(stats: ChannelStatistics,
     return (np.stack(columns, axis=1) if columns else None), float(d)
 
 
-def _quadratic_denominator(factor: Optional[np.ndarray], const: float,
-                           v: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
-    """||F^H v||^2 + d and F^H v (None when F is None)."""
-    if factor is None:
-        return const, None
-    proj = np.conj(np.conj(v) @ factor)
-    return float(np.real(np.vdot(proj, proj))) + const, proj
-
-
 def sinr_denominator(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig) -> float:
     """Interference-plus-noise power sum_k p_k * gk(v) + sigma^2, evaluated
     as ||F^H v||^2 + d from `interference_quadratic`."""
-    return _quadratic_denominator(*interference_quadratic(stats, cfg), phase_array(v))[0]
+    factor, const = interference_quadratic(stats, cfg)
+    proj = np.conj(phase_array(v)) @ factor if factor is not None else np.zeros(0)
+    return float(np.real(np.vdot(proj, proj))) + const
 
 
 # ---------------------------------------------------------------------------

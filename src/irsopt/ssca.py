@@ -21,10 +21,11 @@ satisfy the usual diminishing/summability conditions and w_t/rho_t -> 0.
 Iterates live in the relaxed set |v_n| <= 1; the deployed configuration is
 the unit-modulus projection of the final iterate.
 
-`run` keeps v, c0 and c1 in local variables and calls the three steps once
-per iteration: `DesignObjective.sample`, `update_coefficients` (v, c0, c1 ->
-c0, c1) and `solve_surrogate` (v, c1 -> u).  `SscaState` only records the
-final iterate.
+`run_stack` runs S designs in lockstep as one (S, Mr) iterate and calls the
+three steps once per iteration for the whole stack: `DesignObjective.sample`,
+`update_coefficients` (v, c0, c1 -> c0, c1) and `solve_surrogate`
+(v, c1 -> u); `run` is its stack of one.  The draws come a block of
+iterations at a time; `SscaState` only records the final iterate.
 
 `c1` stores the conjugate (ascent) form of the sampled gradient, which is
 what makes the closed-form surrogate maximizer an ascent step; the plain
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,12 +57,11 @@ from .rate import (
     PhaseShiftVector,
     PhaseLike,
     _log2_1p,
-    _quadratic_denominator,
     error_power_constant,
     interference_quadratic,
     phase_array,
 )
-from .streams import check_seed, crandn, named_child
+from .streams import check_seed, crandn_blocks, named_child
 
 
 def stepsize(t: int, exponent: float) -> float:
@@ -105,8 +105,16 @@ class SolverConfig:
         check_seed(self.seed)
 
 
+BLOCK_BYTES = 256 * 1024    # draw buffers per design: memory stays flat as Mr grows
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^H b over the last axis: one BLAS dot per row, whatever rows sit beside it."""
+    return (np.conj(a)[..., None, :] @ b[..., None])[..., 0, 0]
+
+
 def _check_relaxed(v: np.ndarray) -> None:
-    if not (np.max(np.abs(v)) <= 1.0 + 1e-12):  # rejects NaN too
+    if not (np.abs(v).max() <= 1.0 + 1e-12):  # rejects NaN too
         raise ValueError("iterate leaves the relaxed set |v_n| <= 1")
 
 
@@ -147,9 +155,9 @@ class DesignObjective:
     (`denom_quad`, None for a constant denominator), so v^H B v =
     ||F^H v||^2, B v = F (F^H v), and the ratio costs O(Mr*K) per pair
     (||e||^2, g_hat e) with e = g_hat^H v + h_hat.  The solver scores the
-    L-draw mean pair, which `sample` draws in Mr + 2*L*M0 values;
-    `expected` scores the closed-form mean pair, and a single draw's view
-    (`ratio`) scores its own pair.
+    L-draw mean pair, which `sample` draws in Mr + 2*L*M0 values, for a
+    `stack` of designs at once; `expected` scores the closed-form mean
+    pair, and a single draw's view (`ratio`) scores its own pair.
 
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
@@ -195,17 +203,31 @@ class DesignObjective:
             denom_const=const,
         )
 
+    @classmethod
+    def stack(cls, designs: Sequence["DesignObjective"]) -> "DesignObjective":
+        """S designs as one objective, every field with a leading row axis
+        (broadcast, not copied, where all share it).  A design without
+        interference terms gets zero columns of F, which change nothing."""
+        k = max((d.denom_quad.shape[1] for d in designs if d.denom_quad is not None), default=0)
+        values = {f.name: [getattr(d, f.name) for d in designs] for f in fields(cls)}
+        values["denom_quad"] = [np.zeros((d.irs_size, k), dtype=complex)
+                                if d.denom_quad is None else d.denom_quad for d in designs]
+        return cls(**{name: np.asarray(column[0])[None] if all(a is column[0] for a in column)
+                      else np.stack(column) for name, column in values.items()})
+
     @property
     def irs_size(self) -> int:
-        return self.g_mean.shape[0]
+        return self.g_mean.shape[-2]
 
-    def sample(self, streams: dict, v: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+    def sample(self, draws: tuple, v: np.ndarray, n: int) -> tuple:
         """The mean over n estimated-CSI draws at the iterate v of the two
         quantities the ratio reads, ||e||^2 and g_hat e with
         e = g_hat^H v + h_hat, drawn from their exact joint law: returns
         (mean ||e_l||^2, mean g_hat_l e_l (Mr,)).  The ratio is affine in
         the two at fixed v, so they give the n-draw mean of its value and
-        ascent (`update_coefficients`).
+        ascent (`update_coefficients`).  `draws` holds the CN(0, 1) values
+        z (n, M0), w (Mr,) and eta (n, M0), h_hat = h_mean + sigma_h eta; on
+        a `stack`, v, the draws and the results carry its row axis too.
 
         With g_hat = G + sigma_g S (S i.i.d. CN(0, 1)), q = v / ||v|| and
         P = I - q q^H, z = S^H q ~ CN(0, I_M0) is independent of P S, so
@@ -218,32 +240,29 @@ class DesignObjective:
         CN(0, (sum_l ||e_l||^2 / n^2) I_Mr), so one w scaled by
         sqrt(sum_l ||e_l||^2) / n stands for all n of them:
 
-            mean g_hat e = G e_bar + sigma_g (q mean(z_l^H e_l) + s P w),
-            s = sqrt(sum_l ||e_l||^2) / n,
+            n mean g_hat e = G sum_l e_l + sigma_g sqrt(T) w
+                             + sigma_g (||v|| sum_l z_l^H e_l - sqrt(T) v^H w) v / ||v||^2,
 
-        and at v = 0 the q term drops.  That is Mr + 2*n*M0 Gaussian values
-        and two Mr x M0 products with G, whatever n is.
+        T = sum_l ||e_l||^2, and at v = 0 the last term drops.  That is
+        Mr + 2*n*M0 Gaussian values and two Mr x M0 products with G,
+        whatever n is.
         """
         if n < 1:
             raise ValueError("at least one sample per iteration is required")
-        mr, m0 = self.g_mean.shape
-        sigma = math.sqrt(self.g_var)
-        v_norm = float(np.linalg.norm(v))
-        z = crandn(streams["design/g"], (n, m0), 1.0)
-        w = crandn(streams["design/g"], (mr,), 1.0)
-        e = crandn(streams["design/h"], (n, m0), self.h_var)
-        e += np.conj(np.conj(v) @ self.g_mean) + self.h_mean        # G^H v + h_mean
-        e += (sigma * v_norm) * z
-        total = float(np.sum(e.real ** 2 + e.imag ** 2))
-        spread = sigma * math.sqrt(total) / n
-        ge = self.g_mean @ np.mean(e, axis=0)                        # G e_bar
-        ge += spread * w
-        if v_norm > 0.0:
-            # sigma (q mean(z^H e) + s P w) = sigma s w + c q, where
-            # c = sigma mean(z^H e) - sigma s q^H w
-            q = v / v_norm
-            along = sigma * np.vdot(z, e) / n - spread * np.vdot(q, w)
-            ge += along * q
+        z, w, eta = draws
+        vh = np.conj(v)[..., None, :]                                     # v^H
+        v_sq = (vh @ v[..., None])[..., 0, 0].real
+        spread_v = np.sqrt(self.g_var * v_sq)                             # sigma_g ||v||
+        e = (np.conj(vh @ self.g_mean) + self.h_mean[..., None, :]
+             + spread_v[..., None, None] * z + np.sqrt(self.h_var)[..., None, None] * eta)
+        flat = e.reshape(e.shape[:-2] + (-1,))
+        total = _inner(flat, flat).real
+        spread = np.sqrt(self.g_var * total)                              # sigma_g sqrt(T)
+        along = ((spread_v * _inner(z.reshape(flat.shape), flat)
+                  - spread * (vh @ w[..., None])[..., 0, 0])
+                 / np.where(v_sq > 0.0, n * v_sq, np.inf))
+        ge = ((self.g_mean @ e.mean(axis=-2)[..., None])[..., 0]
+              + (spread / n)[..., None] * w + along[..., None] * v)
         return total / n, ge
 
     def expected(self, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -262,21 +281,22 @@ class DesignObjective:
         value, ascent = self._ratio(v, power, mean_ge)
         return float(value), ascent
 
-    def _ratio(self, v: np.ndarray, power: float, ge: np.ndarray) -> tuple:
+    def _ratio(self, v: np.ndarray, power, ge: np.ndarray) -> tuple:
         """gamma(v) and its steepest-ascent direction from one pair,
-        ||e||^2 and g_hat e (Mr,).  The ascent is the conjugate of the formal
-        derivative d gamma / d v_n (conjugate coordinates held fixed), so
+        ||e||^2 and g_hat e (Mr,), or from one pair per row of a `stack`.
+        The ascent is the conjugate of the formal derivative
+        d gamma / d v_n (conjugate coordinates held fixed), so
         gamma(v + dv) ~ gamma(v) + 2 Re{sum_n conj(ascent_n) dv_n}.  Both
         are affine in the pair at fixed v, so a mean pair gives the mean
-        value and ascent."""
-        p0, denom_quad, denom_const = self.p0, self.denom_quad, self.denom_const
-        num = p0 * (power + self.err_const)
-        signal_dir = p0 * ge
-        den, proj = _quadratic_denominator(denom_quad, denom_const, v)
-        if proj is None:
-            return num / den, signal_dir / den
-        bv = denom_quad @ proj                                       # B v
-        return num / den, (signal_dir * den - num * bv) / den ** 2
+        value and ascent.  Without interference terms F has no columns."""
+        factor = self.denom_quad
+        if factor is None:
+            factor = np.zeros((self.irs_size, 0), dtype=complex)
+        proj = np.conj(np.conj(v)[..., None, :] @ factor)[..., 0, :]         # F^H v
+        den = _inner(proj, proj).real + self.denom_const
+        value = self.p0 * (power + self.err_const) / den
+        bv = (factor @ proj[..., None])[..., 0]                               # B v = F (F^H v)
+        return value, (self.p0 / den)[..., None] * ge - (value / den)[..., None] * bv
 
     def ratio(self, sample: CsiSample) -> "UbQuadraticRatio":
         """Single-draw view of the objective."""
@@ -321,25 +341,25 @@ def update_coefficients(v: np.ndarray, c0: float, c1: np.ndarray, power: float,
     the running averages (c0, c1) and return the new pair.  The draws enter
     through their means power = mean_l ||e_l||^2 and
     ge = mean_l g_hat_l e_l (Mr,), taken at the iterate v
-    (`DesignObjective.sample`): the ratio is affine in the pair at fixed v,
-    so one ratio at the mean pair is the mean of the per-draw values and
-    ascents."""
+    (`DesignObjective.sample`; one row each on a `stack`): the ratio is
+    affine in the pair at fixed v, so one ratio at the mean pair is the
+    mean of the per-draw values and ascents."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     mean_val, mean_grad = design._ratio(v, power, ge)
-    return rho * float(mean_val) + (1.0 - rho) * c0, rho * mean_grad + (1.0 - rho) * c1
+    return rho * mean_val + (1.0 - rho) * c0, rho * mean_grad + (1.0 - rho) * c1
 
 
 def solve_surrogate(v: np.ndarray, c1: np.ndarray, tau_reg: float) -> np.ndarray:
     """Closed-form maximizer of the surrogate around v over |u_n| <= 1: the
-    phase of tau * v_n + c1_n per coordinate.  Zero directions keep the
-    phase of v_n (or 1 when v_n is zero too)."""
-    if not tau_reg > 0:
+    phase of tau * v_n + c1_n per coordinate (tau (S, 1) on a stack).  Zero
+    directions keep the phase of v_n (or 1 when v_n is zero too)."""
+    if not (np.asarray(tau_reg) > 0).all():
         raise ValueError(f"tau_reg must be positive, got {tau_reg}")
     direction = tau_reg * v + c1
     mod = np.abs(direction)
     dead = mod == 0.0
-    if np.any(dead):
+    if dead.any():
         prev = v[dead]
         direction[dead] = np.where(np.abs(prev) > 0, prev, 1.0)
         mod = np.abs(direction)
@@ -379,12 +399,6 @@ class SscaTrace:
     ub_rate: list[float] = field(default_factory=list)     # NaN when not probed
     audit: list[dict] = field(default_factory=list)        # filled when requested
 
-    def append(self, t: int, c0: float, gap: float, ub_rate: float = math.nan):
-        self.t.append(t)
-        self.c0.append(c0)
-        self.gap.append(gap)
-        self.ub_rate.append(ub_rate)
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -402,63 +416,82 @@ class SscaResult:
     tau_reg: float              # proximal weight actually used
 
 
-def _auto_tau(c1: np.ndarray) -> float:
-    """1e-2 times the mean gradient entry magnitude, floored away from zero."""
-    scale = float(np.mean(np.abs(c1)))
-    if scale <= 0.0 or not math.isfinite(scale):
-        return 1e-12
-    return 1e-2 * scale
+def _auto_tau(c1: np.ndarray) -> np.ndarray:
+    """1e-2 times each row's mean gradient entry magnitude, floored above 0."""
+    scale = np.mean(np.abs(c1), axis=-1, keepdims=True)
+    return np.where((scale > 0.0) & np.isfinite(scale), 1e-2 * scale, 1e-12)
 
 
 def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
         design: Optional[DesignObjective] = None,
         audit: bool = False) -> SscaResult:
-    """Run the full stochastic solver and return the deployable design.
+    """Run the full stochastic solver for the deployable design: a stack of one."""
+    return run_stack([solver_cfg], stats, cfg, [design], audit=audit)[0]
 
-    The iterate starts at v = 1 and the run lasts all T iterations; tau is
-    calibrated after the first coefficient update (`_auto_tau`).  v, c0 and
-    c1 are local variables, every move is checked to stay in |v_n| <= 1,
-    and their final values are returned as `SscaResult.state`.
 
-    Per iteration: Mr + 2*L*M0 Gaussian draws (`DesignObjective.sample`
-    draws the L-draw means the coefficient step reads), two Mr*M0-flop
-    products with the LoS mean G, and O(Mr * K) for the ratio, its
-    gradient and B v, with B = F F^H applied through its (Mr, K) factor F,
-    never formed: O(Mr*(M0 + K) + L*M0) in all, and no (L, Mr) array.
-    Identical configurations and seeds reproduce the iterates bit-for-bit.
+def run_stack(solver_cfgs: Sequence[SolverConfig], stats: ChannelStatistics,
+              cfg: ScenarioConfig, designs: Sequence[Optional[DesignObjective]],
+              audit: bool = False) -> list[SscaResult]:
+    """Run S designs in lockstep as one (S, Mr) iterate; one result per
+    design.  Row i runs `designs[i]` (None: the robust design) on the
+    streams of `solver_cfgs[i].seed`, whose other fields must agree, with
+    the arithmetic of its stack of one: its result does not depend on the
+    rows beside it.  Each row starts at v = 1, runs all T iterations,
+    calibrates tau after the first coefficient update (`_auto_tau`) and is
+    checked to stay in |v_n| <= 1 after every move.  Per iteration and
+    row: Mr + 2*L*M0 Gaussian values (`DesignObjective.sample`), drawn a
+    block of iterations at a time (at most `BLOCK_BYTES` per design) and
+    equal value for value to one draw per iteration; two Mr*M0-flop
+    products with the LoS mean G; and O(Mr * K) for the ratio, its
+    gradient and B v = F (F^H v): O(Mr*(M0 + K) + L*M0) in all.  Identical
+    configurations and seeds reproduce the iterates bit-for-bit.
     """
+    solver_cfg = solver_cfgs[0]
+    if len(designs) != len(solver_cfgs) or any(
+            replace(s, seed=solver_cfg.seed) != solver_cfg for s in solver_cfgs):
+        raise ValueError("a stack needs one design per solver setting, and settings "
+                         "that differ only in the seed")
     robust = (DesignObjective.from_scenario(stats, cfg)     # what the probe scores
-              if design is None or solver_cfg.probe_every else None)
-    design = robust if design is None else design
-    v = np.ones(design.irs_size, dtype=complex)
-    c0, c1 = 0.0, np.zeros(design.irs_size, dtype=complex)
+              if any(d is None for d in designs) or solver_cfg.probe_every else None)
+    design = DesignObjective.stack([robust if d is None else d for d in designs])
+    rows, mr, m0 = len(designs), design.irs_size, design.g_mean.shape[-1]
+    n, steps = solver_cfg.samples_per_iter, solver_cfg.iterations
+    v = np.ones((rows, mr), dtype=complex)
+    c0, c1 = np.zeros(rows), np.zeros((rows, mr), dtype=complex)
 
-    streams = dict(zip(("design/g", "design/h"),
-                       named_child(solver_cfg.seed, "solver").spawn(2)))
+    g_rngs, h_rngs = zip(*(named_child(s.seed, "solver").spawn(2) for s in solver_cfgs))
+    block = BLOCK_BYTES // (32 * (2 * n * m0 + mr))   # 2 normals + 1 complex a value
+    draws = zip(crandn_blocks(g_rngs, [(n, m0), (mr,)], steps, block),     # z, w
+                crandn_blocks(h_rngs, [(n, m0)], steps, block))            # eta
     tau_reg = None
-    trace = SscaTrace()
+    audits = [[] for _ in range(rows)]
+    history = np.full((3, steps, rows), math.nan)           # c0, gap and UB probe
 
-    for t in range(1, solver_cfg.iterations + 1):
-        power, ge = design.sample(streams, v, solver_cfg.samples_per_iter)
+    for t, (g_draws, h_draws) in enumerate(draws, start=1):
+        power, ge = design.sample(g_draws + h_draws, v, n)
         c0, c1 = update_coefficients(v, c0, c1, power, ge,
                                      stepsize(t, solver_cfg.rho_exponent), design)
         if tau_reg is None:
             tau_reg = _auto_tau(c1)
         v_bar = solve_surrogate(v, c1, tau_reg)
-        gap = float(np.linalg.norm(v_bar - v))
+        step = v_bar - v
+        history[:2, t - 1] = c0, np.sqrt(_inner(step, step).real)
         if audit:
-            trace.audit.append({"t": t, "v_prev": v, "c0": c0, "c1": c1,
-                                "tau_reg": tau_reg, "v_bar": v_bar})
+            for i, entries in enumerate(audits):
+                entries.append({"t": t, "v_prev": v[i], "c0": float(c0[i]), "c1": c1[i],
+                                "tau_reg": float(tau_reg[i, 0]), "v_bar": v_bar[i]})
         omega = stepsize(t, solver_cfg.omega_exponent)
         v = (1.0 - omega) * v + omega * v_bar
         _check_relaxed(v)
-
-        probe = math.nan
         if solver_cfg.probe_every and t % solver_cfg.probe_every == 0:
             # upper_bound_rate_closed_form without rebuilding F per probe
-            probe = _log2_1p(robust.expected(project_unit_modulus(v).v)[0])
-        trace.append(t, c0, gap, probe)
+            history[2, t - 1] = [_log2_1p(robust.expected(project_unit_modulus(row).v)[0])
+                                 for row in v]
 
-    return SscaResult(v=project_unit_modulus(v), trace=trace,
-                      state=SscaState(solver_cfg.iterations, v, c0, c1),
-                      tau_reg=float(tau_reg))
+    c0s, gaps, probes = history.transpose(0, 2, 1).tolist()
+    return [SscaResult(v=project_unit_modulus(v[i]),
+                       trace=SscaTrace(list(range(1, steps + 1)), c0s[i], gaps[i], probes[i],
+                                       audits[i]),
+                       state=SscaState(steps, v[i], float(c0[i]), c1[i]),
+                       tau_reg=float(tau_reg[i, 0]))
+            for i in range(rows)]

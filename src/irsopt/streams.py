@@ -14,8 +14,9 @@ the same Generator would not share their draws.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,3 +75,26 @@ def crandn(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     rng.standard_normal(out=part)
     np.multiply(part, scale, out=out.imag)
     return out
+
+
+def crandn_blocks(rngs: Sequence[np.random.Generator], shapes: Sequence[tuple],
+                  steps: int, block: int) -> Iterator[tuple]:
+    """Per step, one CN(0, 1) array (S, *shape) per shape, row i equal to
+    ``crandn(rngs[i], shape, 1.0)`` called once per shape and step, but
+    drawn `block` steps at a time in one ``standard_normal`` call per
+    generator.  The arrays are views that the next block overwrites."""
+    sizes = [math.prod(shape) for shape in shapes]
+    normals = np.empty((len(rngs), max(1, min(block, steps)), 2 * sum(sizes)))
+    values = np.empty(normals.shape[:2] + (sum(sizes),), dtype=complex)
+    for start in range(0, steps, normals.shape[1]):
+        draws, out = normals[:, :steps - start], values[:, :steps - start]
+        for rng, own in zip(rngs, draws):
+            rng.standard_normal(out=own)
+        parts, at = [], 0
+        for shape, size in zip(shapes, sizes):      # real parts, then imaginary parts
+            for part, first in ((out.real, 2 * at), (out.imag, 2 * at + size)):
+                np.multiply(draws[..., first:first + size], math.sqrt(0.5),
+                            out=part[..., at:at + size])
+            parts.append(out[..., at:at + size].reshape(out.shape[:2] + tuple(shape)))
+            at += size
+        yield from zip(*(part.swapaxes(0, 1) for part in parts))

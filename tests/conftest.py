@@ -68,6 +68,15 @@ def full_matrix_sample(design, streams: dict, n: int) -> tuple[np.ndarray, np.nd
     return g, h
 
 
+def sample_draws(design, streams: dict, n: int) -> tuple:
+    """One iteration's CN(0, 1) draws (z, w, eta) for
+    `DesignObjective.sample` from a {design/g, design/h} stream pair, in
+    the order the solver draws them."""
+    mr, m0 = design.g_mean.shape
+    return (crandn(streams["design/g"], (n, m0), 1.0), crandn(streams["design/g"], (mr,), 1.0),
+            crandn(streams["design/h"], (n, m0), 1.0))
+
+
 def combine_draws(v: np.ndarray, g_hat: np.ndarray,
                   h_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e, g_hat e) of stacked full draws, e = g_hat^H v + h_hat: what

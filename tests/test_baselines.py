@@ -140,6 +140,38 @@ def test_evaluate_scheme_multi_draw_interference_is_averaged(small_cfg, small_st
     assert not np.allclose(report.interference_power, per_draw[0], rtol=1e-6, atol=0.0)
 
 
+def _phases_and_ub_rates(names, stats, cfg, monkeypatch):
+    """evaluate_schemes on `names` with per-scheme design seeds: each
+    scheme's first design (as the evaluator receives it) and its UB rate."""
+    received = []
+    evaluate = baselines.ergodic_rates_mc
+
+    def spy(vs, *args):
+        received.extend(vs)
+        return evaluate(vs, *args)
+
+    monkeypatch.setattr(baselines, "ergodic_rates_mc", spy)
+    specs = [scheme(name) for name in names]
+    solvers = [SolverConfig(iterations=30, samples_per_iter=4,
+                            seed=child_seed(12, f"design/{name}")) for name in names]
+    reports = evaluate_schemes(specs, stats, cfg, solvers, 100, 13)
+    firsts = np.cumsum([0] + [spec.phase_draws for spec in specs])[:-1]
+    return {name: (received[i].v, report.ub_rate)
+            for name, i, report in zip(names, firsts, reports)}
+
+
+def test_scheme_design_does_not_depend_on_the_schemes_beside_it(preset_cfg, monkeypatch):
+    # the SSCA schemes of one call are designed in one lockstep stack
+    cfg = preset_cfg.replace(irs_grid=(4, 4), delta1=0.5, delta2=0.5)
+    stats = build_statistics(cfg)
+    names = sorted(SCHEMES)
+    together = _phases_and_ub_rates(names, stats, cfg, monkeypatch)
+    for name in ("proposed", "robust-no-intf", "nonrobust-with-intf", "nonrobust-no-intf"):
+        phases, ub_rate = _phases_and_ub_rates([name], stats, cfg, monkeypatch)[name]
+        assert np.array_equal(together[name][0], phases), name
+        assert together[name][1] == ub_rate, name
+
+
 def test_evaluate_schemes_needs_one_solver_setting_per_scheme(small_cfg, small_stats):
     solver = SolverConfig(iterations=2, samples_per_iter=1)
     with pytest.raises(ValueError, match="1 solver settings for 2 schemes"):
@@ -152,7 +184,7 @@ def test_evaluate_schemes_rejects_no_samples_before_designing(small_cfg, small_s
     def no_design(*args, **kwargs):
         raise AssertionError("a design was made before the sample count was checked")
 
-    monkeypatch.setattr(baselines, "run_ssca", no_design)
+    monkeypatch.setattr(baselines, "run_stack", no_design)
     solver = SolverConfig(iterations=2, samples_per_iter=1)
     with pytest.raises(ValueError, match="n_samples"):
         evaluate_schemes([scheme("proposed")], small_stats, small_cfg, [solver], 0, 1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import irsopt
+from irsopt import cli
 from irsopt.baselines import design_scheme, evaluate_scheme, scheme
 from irsopt.channel import build_statistics
 from irsopt.cli import (
@@ -225,6 +226,18 @@ def test_cli_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:       # argparse rejects unknown commands
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_solve_rejects_a_file_out_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_ssca", no_solve)
+    a_file = tmp_path / "a-file"
+    a_file.write_text("kept\n")
+    assert main(["solve", "--iters", "5000", "--out", str(a_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert a_file.read_text() == "kept\n"
 
 
 def test_parser_requires_subcommand():

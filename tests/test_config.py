@@ -79,6 +79,8 @@ def test_malformed_scenario_file(tmp_path):
     edited = tmp_path / "edited.json"
     for key, value, message in (("irs_grid", 8, "malformed scenario file"),
                                 ("noise_dbm", None, "malformed scenario file"),
+                                ("noise_dbm", True, "malformed scenario file"),
+                                ("delta1", "0.1", "malformed scenario file"),
                                 (None, [good], "malformed scenario file"),
                                 ("irs_grid", [8.5, 8], "grid entries must be integers"),
                                 ("bs_grids", [[4, 4], [4, 3.5], [4, 4]],
@@ -134,6 +136,20 @@ def test_validation_rejects_nan(preset_cfg, field, value, units):
     cfg = preset_cfg.replace(error_units=units)
     with pytest.raises(ValueError):
         cfg.replace(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["noise_dbm", "rician_irs_user", "exp_direct", "exp_bs_irs",
+                                   "exp_irs_user", "spacing", "delta1", "delta2"])
+def test_scalar_fields_are_floats(preset_cfg, field):
+    # an integer is stored, and hashed, as the float it stands for; a bool
+    # or a string is not a number (a JSON true would run as 1)
+    for value in (1, np.int64(1)):
+        cfg = preset_cfg.replace(**{field: value})
+        assert type(getattr(cfg, field)) is float and getattr(cfg, field) == 1.0
+        assert cfg.config_hash() == preset_cfg.replace(**{field: 1.0}).config_hash()
+    for bad in (True, np.bool_(True), "1", None):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            preset_cfg.replace(**{field: bad})
 
 
 def test_config_hash_ignores_name(preset_cfg):

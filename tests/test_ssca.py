@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irsopt
 from irsopt import ssca
@@ -13,6 +16,7 @@ from irsopt.ssca import (
     SscaState,
     project_unit_modulus,
     run,
+    run_stack,
     solve_surrogate,
     stepsize,
     surrogate_value,
@@ -20,7 +24,15 @@ from irsopt.ssca import (
 )
 from irsopt.streams import child_seed, named_child, named_children
 
-from conftest import combine_draws, edge_scenario, full_matrix_sample, random_relaxed
+from conftest import (
+    EDGE_REGIMES,
+    combine_draws,
+    edge_scenario,
+    full_matrix_sample,
+    random_relaxed,
+    random_scenario,
+    sample_draws,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +166,8 @@ def test_coefficient_average_approaches_mean_gradient():
     L = 20_000
     streams = named_children(2002, ["design/g", "design/h"])
     _, c1 = update_coefficients(v0, 0.0, np.zeros(2, dtype=complex),
-                                *design.sample(streams, v0, L), rho=1.0, design=design)
+                                *design.sample(sample_draws(design, streams, L), v0, L),
+                                rho=1.0, design=design)
     for n in range(2):
         assert abs(c1[n] - oracle_mean[n]) < 4 * oracle_sd[n] / math.sqrt(L)
 
@@ -362,7 +375,7 @@ def test_design_objective_variants(preset_cfg, preset_stats):
 def _dense_reference_run(solver_cfg, stats, cfg, design):
     """SSCA with the dense Mr x Mr interference matrix, written out from
     the sampled mean pair (mean ||e||^2, mean g_hat e) on the solver's
-    streams."""
+    streams, drawn one iteration at a time where the solver draws blocks."""
     mr = stats.irs_size
     dense = np.zeros((mr, mr), dtype=complex)
     if design.denom_quad is not None:       # the design keeps the interference terms
@@ -372,8 +385,9 @@ def _dense_reference_run(solver_cfg, stats, cfg, design):
     v, c0, c1, tau, c0s = np.ones(mr, dtype=complex), 0.0, 0.0, None, []
     streams = dict(zip(("design/g", "design/h"),
                        named_child(solver_cfg.seed, "solver").spawn(2)))
+    n = solver_cfg.samples_per_iter
     for t in range(1, solver_cfg.iterations + 1):
-        power, ge = design.sample(streams, v, solver_cfg.samples_per_iter)
+        power, ge = design.sample(sample_draws(design, streams, n), v, n)
         num = design.p0 * (power + design.err_const)
         den = np.real(v.conj() @ dense @ v) + design.denom_const
         rho = stepsize(t, solver_cfg.rho_exponent)
@@ -425,6 +439,111 @@ def test_run_edge_regimes(preset_cfg, regime):
         assert np.max(np.abs(np.abs(result.v.v) - 1.0)) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# lockstep stacks: a row is its own stack of one
+# ---------------------------------------------------------------------------
+
+# (robust, include_interference) of the stacked designs: a design with F
+# beside designs without it
+MIXED_FLAGS = ((True, True), (True, False), (False, True), (False, False))
+
+
+def _assert_rows_equal_runs_alone(results, solvers, stats, cfg, designs):
+    for solver, design, got in zip(solvers, designs, results):
+        alone = run(solver, stats, cfg, design=design)
+        assert np.array_equal(got.state.v, alone.state.v)
+        assert np.array_equal(got.state.c1, alone.state.c1)
+        assert np.array_equal(got.v.v, alone.v.v)
+        assert got.trace.c0 == alone.trace.c0 and got.trace.gap == alone.trace.gap
+        assert got.tau_reg == alone.tau_reg
+
+
+@pytest.mark.parametrize("regime", EDGE_REGIMES)
+def test_stacked_rows_equal_their_stacks_of_one(preset_cfg, regime):
+    cfg = edge_scenario(preset_cfg, regime)
+    stats = irsopt.build_statistics(cfg)
+    designs = [DesignObjective.from_scenario(stats, cfg, robust=robust,
+                                             include_interference=intf)
+               for robust, intf in MIXED_FLAGS]
+    solvers = [SolverConfig(iterations=25, samples_per_iter=3, seed=seed)
+               for seed in (5, 6, 7, 8)]
+    _assert_rows_equal_runs_alone(run_stack(solvers, stats, cfg, designs),
+                                  solvers, stats, cfg, designs)
+
+
+def test_stacked_steps_equal_their_rows(preset_cfg):
+    # each step on a stack equals the step on each row alone: a row at v = 0
+    # (its q term drops), and a row whose surrogate direction dies (it keeps
+    # v's phase) beside rows that do neither
+    cfg = edge_scenario(preset_cfg, "v0-zero")
+    stats = irsopt.build_statistics(cfg)
+    rows = [DesignObjective.from_scenario(stats, cfg, robust=robust, include_interference=intf)
+            for robust, intf in MIXED_FLAGS]
+    design = DesignObjective.stack(rows)
+    rng = np.random.default_rng(41)
+    v = np.stack([random_relaxed(rng, stats.irs_size) for _ in rows])
+    v[0] = 0.0
+    streams = named_children(43, ["design/g", "design/h"])
+    draws = [sample_draws(rows[0], streams, 4) for _ in rows]
+    stacked = tuple(np.stack(part) for part in zip(*draws))
+    power, ge = design.sample(stacked, v, 4)
+    c0, c1 = update_coefficients(v, np.ones(4), v, power, ge, 0.5, design)
+    tau = ssca._auto_tau(c1)
+    c1[1, :2] = -tau[1] * v[1, :2]                  # dead directions on row 1
+    u = solve_surrogate(v, c1, tau)
+    for i, row in enumerate(rows):
+        alone = DesignObjective.stack([row])
+        power_i, ge_i = alone.sample(tuple(part[None] for part in draws[i]), v[i:i + 1], 4)
+        c0_i, c1_i = update_coefficients(v[i:i + 1], np.ones(1), v[i:i + 1], power_i, ge_i,
+                                         0.5, alone)
+        assert power_i[0] == power[i] and np.array_equal(ge_i[0], ge[i])
+        assert c0_i[0] == c0[i] and np.array_equal(ssca._auto_tau(c1_i)[0], tau[i])
+        assert np.array_equal(solve_surrogate(v[i:i + 1], c1[i:i + 1], tau[i:i + 1])[0], u[i])
+    np.testing.assert_allclose(u[1, :2], v[1, :2] / np.abs(v[1, :2]), rtol=1e-15)
+
+
+def test_run_stack_needs_settings_that_differ_only_in_the_seed(small_cfg, small_stats):
+    solvers = [SolverConfig(iterations=5, seed=1), SolverConfig(iterations=6, seed=2)]
+    with pytest.raises(ValueError, match="differ only in the seed"):
+        run_stack(solvers, small_stats, small_cfg, [None, None])
+    with pytest.raises(ValueError, match="one design per solver setting"):
+        run_stack(solvers[:1], small_stats, small_cfg, [None, None])
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4))
+def test_stacked_iterates_stay_relaxed_and_equal_their_rows(seed, rows):
+    rng = np.random.default_rng(seed)
+    cfg = random_scenario(rng)
+    stats = irsopt.build_statistics(cfg)
+    designs = [DesignObjective.from_scenario(stats, cfg, robust=bool(rng.integers(2)),
+                                             include_interference=bool(rng.integers(2)))
+               for _ in range(rows)]
+    solvers = [SolverConfig(iterations=12, samples_per_iter=3, seed=int(rng.integers(2 ** 31)))
+               for _ in range(rows)]
+    results = run_stack(solvers, stats, cfg, designs, audit=True)
+    for result in results:
+        for entry in result.trace.audit + [{"v_prev": result.state.v}]:
+            assert np.all(np.isfinite(entry["v_prev"]))
+            assert np.max(np.abs(entry["v_prev"])) <= 1.0 + 1e-12
+    _assert_rows_equal_runs_alone(results, solvers, stats, cfg, designs)
+
+
+def test_run_heap_stays_under_a_mebibyte_at_mr_1024(preset_cfg):
+    # the block draws are capped in bytes, not in iterations, so a large IRS
+    # takes short blocks
+    cfg = preset_cfg.replace(irs_grid=(32, 32))
+    stats = irsopt.build_statistics(cfg)
+    design = DesignObjective.from_scenario(stats, cfg)
+    tracemalloc.start()
+    try:
+        run(SolverConfig(iterations=30, seed=3), stats, cfg, design=design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20, peak
+
+
 def test_design_objective_holds_no_dense_interference_matrix(preset_cfg):
     cfg = preset_cfg.replace(irs_grid=(64, 64))
     stats = irsopt.build_statistics(cfg)
@@ -446,7 +565,7 @@ def _mean_draws(design, v, n, reps, seed, full, chunk=200):
     from n reference draws each."""
     streams = named_children(seed, ["design/g", "design/h"])
     if not full:
-        pairs = [design.sample(streams, v, n) for _ in range(reps)]
+        pairs = [design.sample(sample_draws(design, streams, n), v, n) for _ in range(reps)]
         return np.array([power for power, _ in pairs]), np.stack([ge for _, ge in pairs])
     powers, ges = [], []
     for start in range(0, reps, chunk):
@@ -537,7 +656,7 @@ def test_sample_edge_regimes_match_reference_moments(preset_cfg, regime):
         # pair is exact: it equals the reference's on the same design/h stream
         def streams():
             return named_children(603, ["design/g", "design/h"])
-        power, ge = design.sample(streams(), v, 10)
+        power, ge = design.sample(sample_draws(design, streams(), 10), v, 10)
         e, ref_ge = combine_draws(v, *full_matrix_sample(design, streams(), 10))
         assert power == pytest.approx(np.mean(np.sum(np.abs(e) ** 2, axis=1)), rel=1e-12)
         np.testing.assert_allclose(ge, np.mean(ref_ge, axis=0), rtol=1e-12, atol=0)
@@ -550,13 +669,14 @@ def test_run_draws_mr_plus_two_l_m0_values_per_iteration(preset_cfg, monkeypatch
     cfg = preset_cfg.replace(irs_grid=(side, side))
     stats = irsopt.build_statistics(cfg)
     shapes = []
-    draw = ssca.crandn
+    blocks = ssca.crandn_blocks
 
-    def counting(rng, shape, var):
-        shapes.append(tuple(shape))
-        return draw(rng, shape, var)
+    def counting(rngs, block_shapes, steps, block):
+        for draws in blocks(rngs, block_shapes, steps, block):
+            shapes.extend(draw.shape[1:] for draw in draws)
+            yield draws
 
-    monkeypatch.setattr(ssca, "crandn", counting)
+    monkeypatch.setattr(ssca, "crandn_blocks", counting)
     iterations, L = 3, 10
     run(SolverConfig(iterations=iterations, samples_per_iter=L, seed=8), stats, cfg)
     mr, m0 = stats.irs_size, stats.bs_sizes[0]

@@ -8,7 +8,7 @@ from irsopt.channel import PhysicalChannelSampler
 from irsopt.rate import PhaseShiftVector, ergodic_rate_mc
 from irsopt.ssca import SolverConfig
 from irsopt.cli import SweepSpec
-from irsopt.streams import check_seed, child_seed, crandn, named_child
+from irsopt.streams import check_seed, child_seed, crandn, crandn_blocks, named_child
 
 
 @pytest.mark.parametrize("shape", [(), 7, (3, 5), (4, 16, 2), (0, 3)])
@@ -22,6 +22,24 @@ def test_crandn_bits_match_reference_formula(shape, var):
     assert out.tobytes() == expected.tobytes()
     # the stream is left where the reference formula leaves it
     assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("steps, block", [(7, 3), (7, 1), (7, 7), (7, 50), (1, 4), (5, 0)])
+def test_crandn_blocks_equal_one_crandn_call_per_shape_and_step(steps, block):
+    # the solver's block draws: the streams do not depend on the block size,
+    # and a block past the last step draws nothing
+    shapes = [(3, 2), (5,)]
+    rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    refs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    drawn = 0
+    for draws in crandn_blocks(rngs, shapes, steps, block):
+        drawn += 1
+        assert [d.shape for d in draws] == [(3, 3, 2), (3, 5)]
+        for row, ref in enumerate(refs):
+            for draw, shape in zip(draws, shapes):
+                assert draw[row].tobytes() == crandn(ref, shape, 1.0).tobytes()
+    assert drawn == steps
+    assert all(rng.standard_normal() == ref.standard_normal() for rng, ref in zip(rngs, refs))
 
 
 def test_crandn_zero_variance_and_domain():
@@ -98,7 +116,7 @@ def test_evaluate_scheme_checks_eval_seed_before_designing(small_cfg, small_stat
     def no_design(*args, **kwargs):
         raise AssertionError("a design ran before the seed check")
 
-    monkeypatch.setattr(baselines, "run_ssca", no_design)
+    monkeypatch.setattr(baselines, "run_stack", no_design)
     solver = SolverConfig(iterations=2, samples_per_iter=1)
     with pytest.raises(TypeError):
         evaluate_scheme(scheme("proposed"), small_stats, small_cfg, solver, 4,
