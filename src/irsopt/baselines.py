@@ -21,7 +21,7 @@ in lockstep (`ssca.run_stack`), each bit for bit as on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .config import ScenarioConfig
 from .rate import BeamformingPolicy, PhaseShiftVector, RateReport, ergodic_rates_mc
 from .ssca import DesignObjective, SolverConfig, run_stack
 from .ssca import run as run_ssca
-from .streams import check_seed, named_child
+from .streams import check_count, check_seed, named_child
 
 PHASE_SOURCE_SSCA = "ssca"
 PHASE_SOURCE_RANDOM = "random"
@@ -109,25 +109,21 @@ def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
     one `ergodic_rates_mc` call under the true imperfect-CSI,
     with-interference channel model.  One report per scheme comes back.
 
-    SSCA schemes whose solver settings differ only in the seed are designed
-    in one `run_stack` call, each as its own `design_scheme` would.  All
-    designs share one draw set, so the comparison between schemes and the
-    average over a multi-draw scheme's designs are paired by construction.
+    The SSCA schemes are designed in one `run_stack` call, each as its own
+    `design_scheme` would; their solver settings must differ only in the
+    seed.  All designs share one draw set, so the comparison between
+    schemes and the average over a multi-draw scheme's designs are paired
+    by construction.
     """
     check_seed(eval_rng)    # before any design is spent on a bad seed or size
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_count(n_samples, "n_samples")
     if len(solver_cfgs) != len(specs):
         raise ValueError(f"{len(solver_cfgs)} solver settings for {len(specs)} schemes")
-    stacks: dict[SolverConfig, list[int]] = {}      # SSCA schemes by shared settings
-    for i, spec in enumerate(specs):
-        if spec.phase_source == PHASE_SOURCE_SSCA:
-            stacks.setdefault(replace(solver_cfgs[i], seed=0), []).append(i)
-    designed = {}
-    for rows in stacks.values():        # the runs' traces are freed before the evaluation
-        designed.update((i, (r.v, mrt_policy(r.v))) for i, r in zip(rows, run_stack(
-            [solver_cfgs[i] for i in rows], stats, cfg,
-            [_objective(specs[i], stats, cfg) for i in rows])))
+    rows = [i for i, spec in enumerate(specs) if spec.phase_source == PHASE_SOURCE_SSCA]
+    # keeps no run's trace alive through the evaluation
+    designed = {i: (r.v, mrt_policy(r.v)) for i, r in zip(rows, run_stack(
+        [solver_cfgs[i] for i in rows], stats, cfg,
+        [_objective(specs[i], stats, cfg) for i in rows]))} if rows else {}
     designs = [designed[i] if i in designed else design_scheme(spec, stats, cfg, solver_cfg, draw)
                for i, (spec, solver_cfg) in enumerate(zip(specs, solver_cfgs))
                for draw in range(spec.phase_draws)]

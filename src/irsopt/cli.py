@@ -28,7 +28,7 @@ from .config import ScenarioConfig, load_scenario
 from .rate import RateReport, upper_bound_rate_closed_form
 from .ssca import SolverConfig
 from .ssca import run as run_ssca
-from .streams import check_seed, child_seed
+from .streams import check_count, check_seed, child_seed
 
 SWEEP_PARAMS = ("irs-size", "rician-k", "error-std", "user-distance")
 
@@ -60,9 +60,9 @@ class SweepSpec:
         if len(self.values) == 0:
             raise ValueError("sweep value list must not be empty")
         _check_schemes(self.schemes)
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        check_seed(self.seed)
+        # plain ints: json cannot write a numpy integer into the manifest
+        object.__setattr__(self, "n_samples", check_count(self.n_samples, "n_samples"))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def _check_schemes(names: tuple[str, ...]) -> None:

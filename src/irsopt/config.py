@@ -164,10 +164,6 @@ class ScenarioConfig:
         return len(self.bs_positions)
 
     @property
-    def n_interferers(self) -> int:
-        return len(self.bs_positions) - 1
-
-    @property
     def bs_sizes(self) -> tuple[int, ...]:
         """Antennas per BS, M_k * N_k."""
         return tuple(m * n for m, n in self.bs_grids)

@@ -13,9 +13,11 @@ maximum-ratio transmission towards its own user; both stay as per-term
 oracles.  The objective built from them, p0 * g0 at the matched-filter
 beamformer over sum_k p_k*gk + sigma^2, and its closed-form mean live in
 `ssca.DesignObjective`: `gamma_ub` and `gamma_ub_gradient` score one
-draw's (||e||^2, g_hat e) through its ratio, `upper_bound_rate_closed_form`
-is log2(1 + `expected`), and `sinr_denominator` evaluates
-`interference_quadratic`, whose (Mr, K) factor the reports also read.
+draw as its zero-variance law (`DesignObjective.ratio`), whose `expected`
+pair is the draw's (||e||^2, g_hat e), `upper_bound_rate_closed_form` is
+log2(1 + `expected`), and `sinr_denominator` evaluates
+`interference_quadratic`, whose (Mr, K) factor F the reports also read
+(K = n_bs - 1 columns, none without interferers).
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import numpy as np
 
 from .channel import ChannelStatistics, CsiSample, PhysicalChannelSampler
 from .config import ScenarioConfig
+from .streams import check_count
 
 _MC_CHUNK = 512
 _LN2 = math.log(2.0)
@@ -147,28 +150,29 @@ def _interferer_floor(stats: ChannelStatistics, k: int) -> float:
 
 
 def interference_quadratic(stats: ChannelStatistics,
-                           cfg: ScenarioConfig) -> tuple[Optional[np.ndarray], float]:
+                           cfg: ScenarioConfig) -> tuple[np.ndarray, float]:
     """The interference-plus-noise power sum_k p_k * gk(v) + sigma^2 as a
     low-rank quadratic form: (F, d) with denominator ||F^H v||^2 + d, i.e.
     B = F F^H.  Each cascaded LoS is rank one, glos_k = g_k b_k^H with
     unit-modulus b_k (||b_k||^2 = Mk), so (p_k/Mk) glos_k glos_k^H
     = p_k g_k g_k^H and F has one column sqrt(p_k) * g_k per interferer,
-    in interferer order: shape (Mr, K).  Column 0 of glos_k is g_k times a
-    unit phase, which F F^H does not see; an interferer without LoS
-    (tau_k = 0) gets a zero column.  F is None only without interferers."""
+    in interferer order: a C-contiguous complex (Mr, K), K = n_bs - 1 >= 0.
+    Column 0 of glos_k is g_k times a unit phase, which F F^H does not
+    see; an interferer without LoS (tau_k = 0) gets a zero column."""
     powers = cfg.powers_watt
     d = cfg.noise_watt
+    factor = np.empty((stats.irs_size, stats.n_bs - 1), dtype=complex)
     for k in range(1, stats.n_bs):
         d += powers[k] * _interferer_floor(stats, k)
-    columns = [math.sqrt(powers[k]) * stats.cascaded_los[k][:, 0] for k in range(1, stats.n_bs)]
-    return (np.stack(columns, axis=1) if columns else None), float(d)
+        factor[:, k - 1] = math.sqrt(powers[k]) * stats.cascaded_los[k][:, 0]
+    return factor, float(d)
 
 
 def sinr_denominator(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig) -> float:
     """Interference-plus-noise power sum_k p_k * gk(v) + sigma^2, evaluated
     as ||F^H v||^2 + d from `interference_quadratic`."""
     factor, const = interference_quadratic(stats, cfg)
-    proj = np.conj(phase_array(v)) @ factor if factor is not None else np.zeros(0)
+    proj = np.conj(phase_array(v)) @ factor
     return float(np.real(np.vdot(proj, proj))) + const
 
 
@@ -187,7 +191,7 @@ def gamma_ub(v: PhaseLike, sample: CsiSample, stats: ChannelStatistics,
 def gamma_ub_gradient(v: PhaseLike, sample: CsiSample, stats: ChannelStatistics,
                       cfg: ScenarioConfig) -> np.ndarray:
     """Formal complex derivative of gamma_ub per coordinate (see
-    ssca.UbQuadraticRatio.grad for the convention)."""
+    ssca.DesignObjective.grad for the convention)."""
     from .ssca import DesignObjective   # ssca imports this module
     return DesignObjective.from_scenario(stats, cfg).ratio(sample).grad(v)
 
@@ -244,8 +248,7 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
     if len(policies) != len(vs):
         raise ValueError(f"{len(policies)} policies for {len(vs)} designs; "
                          "give one policy per design")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_count(n_samples, "n_samples")
     varrs = [phase_array(v) for v in vs]
     for i, varr in enumerate(varrs):
         if varr.shape[0] != stats.irs_size:
@@ -256,7 +259,7 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
     stack = np.stack(varrs)
     # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K)
     factor, _ = interference_quadratic(stats, cfg)
-    proj = stack.conj() @ factor if factor is not None else np.zeros((len(varrs), 0))
+    proj = stack.conj() @ factor
     floors = [cfg.powers_watt[k] * _interferer_floor(stats, k) for k in range(1, stats.n_bs)]
     intf = proj.real ** 2 + proj.imag ** 2 + floors
     dens = cfg.noise_watt + np.sum(intf, axis=1)

@@ -29,8 +29,9 @@ iterations at a time; `SscaState` only records the final iterate.
 
 `c1` stores the conjugate (ascent) form of the sampled gradient, which is
 what makes the closed-form surrogate maximizer an ascent step; the plain
-derivative convention of `UbQuadraticRatio.grad` is its conjugate.  The
-objective gamma itself, with its sampling law, is `DesignObjective`.
+derivative convention of `DesignObjective.grad` is its conjugate.  The
+objective gamma itself, with its sampling law, is `DesignObjective`; one
+CSI draw is its zero-variance law (`DesignObjective.ratio`).
 
 A draw enters gamma only through ||e||^2 and g_hat e, with
 e = g_hat^H v + h_hat, and gamma and its ascent are affine in the two at
@@ -61,7 +62,7 @@ from .rate import (
     interference_quadratic,
     phase_array,
 )
-from .streams import check_seed, crandn_blocks, named_child
+from .streams import check_count, check_seed, crandn_blocks, named_child
 
 
 def stepsize(t: int, exponent: float) -> float:
@@ -93,16 +94,15 @@ class SolverConfig:
     probe_every: int = 0                # UB-rate probe period in the trace; 0 = off
 
     def __post_init__(self):
-        if self.iterations < 1 or self.samples_per_iter < 1:
-            raise ValueError("iterations and samples_per_iter must be >= 1")
-        if self.probe_every < 0:
-            raise ValueError(f"probe_every must be >= 0, got {self.probe_every}")
+        # counts and seed kept as plain ints: json cannot write numpy integers
+        for name, minimum in (("iterations", 1), ("samples_per_iter", 1), ("probe_every", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
         a, b = self.rho_exponent, self.omega_exponent
         if not (0.5 < a <= 1.0):
             raise ValueError(f"rho exponent must lie in (0.5, 1], got {a}")
         if not (a < b <= 1.0):
             raise ValueError(f"omega exponent must lie in ({a}, 1], got {b}")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 BLOCK_BYTES = 256 * 1024    # draw buffers per design: memory stays flat as Mr grows
@@ -152,18 +152,20 @@ class DesignObjective:
     B = sum_k (p_k/Mk) glos_k glos_k^H, and d (`denom_const`) collects the
     v-independent interference and noise terms.  B is never formed: it
     enters as the (Mr, K) factor F of B = F F^H, one column per interferer
-    (`denom_quad`, None for a constant denominator), so v^H B v =
-    ||F^H v||^2, B v = F (F^H v), and the ratio costs O(Mr*K) per pair
-    (||e||^2, g_hat e) with e = g_hat^H v + h_hat.  The solver scores the
-    L-draw mean pair, which `sample` draws in Mr + 2*L*M0 values, for a
-    `stack` of designs at once; `expected` scores the closed-form mean
-    pair, and a single draw's view (`ratio`) scores its own pair.
+    (`denom_quad`; None, accepted for a hand-built design, means K = 0),
+    so v^H B v = ||F^H v||^2, B v = F (F^H v), and the ratio costs
+    O(Mr*K) per pair (||e||^2, g_hat e) with e = g_hat^H v + h_hat.  The
+    solver scores the L-draw mean pair, which `sample` draws in
+    Mr + 2*L*M0 values, for a `stack` of designs at once; `expected`
+    scores the closed-form mean pair.  One CSI draw is the zero-variance
+    law at (g_hat, h_hat) (`ratio`), whose mean pair is the draw's own;
+    `value`, `ascent` and `grad` read `expected`.
 
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
-    design that ignores interference drops the denominator terms.  The
-    mean fields allow degenerate (deterministic) sampling laws for
-    small-instance validation.
+    design that ignores interference keeps zero columns of F and only the
+    noise in d.  The mean fields allow degenerate (deterministic) sampling
+    laws for small-instance validation.
     """
 
     p0: float
@@ -172,8 +174,13 @@ class DesignObjective:
     h_mean: np.ndarray                  # (M0,)
     h_var: float
     err_const: float
-    denom_quad: Optional[np.ndarray]    # (Mr, K) factor F of B = F F^H, or None
+    denom_quad: np.ndarray              # (Mr, K) factor F of B = F F^H
     denom_const: float
+
+    def __post_init__(self):
+        if self.denom_quad is None:
+            object.__setattr__(self, "denom_quad",
+                               np.zeros((self.irs_size, 0), dtype=complex))
 
     @classmethod
     def from_scenario(cls, stats: ChannelStatistics, cfg: ScenarioConfig,
@@ -188,10 +195,9 @@ class DesignObjective:
             g_var = float(stats.sigma_g_sq[0])
             h_var = stats.sigma_h_sq
             err_const = 0.0
-        if include_interference:
-            factor, const = interference_quadratic(stats, cfg)
-        else:
-            factor, const = None, cfg.noise_watt
+        factor, const = interference_quadratic(stats, cfg)
+        if not include_interference:
+            factor, const = np.zeros_like(factor), cfg.noise_watt
         return cls(
             p0=cfg.powers_watt[0],
             g_mean=stats.cascaded_los[0],
@@ -206,12 +212,9 @@ class DesignObjective:
     @classmethod
     def stack(cls, designs: Sequence["DesignObjective"]) -> "DesignObjective":
         """S designs as one objective, every field with a leading row axis
-        (broadcast, not copied, where all share it).  A design without
-        interference terms gets zero columns of F, which change nothing."""
-        k = max((d.denom_quad.shape[1] for d in designs if d.denom_quad is not None), default=0)
+        (broadcast, not copied, where all share it, such as G); F (S, Mr, K)
+        needs the same K in every design."""
         values = {f.name: [getattr(d, f.name) for d in designs] for f in fields(cls)}
-        values["denom_quad"] = [np.zeros((d.irs_size, k), dtype=complex)
-                                if d.denom_quad is None else d.denom_quad for d in designs]
         return cls(**{name: np.asarray(column[0])[None] if all(a is column[0] for a in column)
                       else np.stack(column) for name, column in values.items()})
 
@@ -288,45 +291,31 @@ class DesignObjective:
         d gamma / d v_n (conjugate coordinates held fixed), so
         gamma(v + dv) ~ gamma(v) + 2 Re{sum_n conj(ascent_n) dv_n}.  Both
         are affine in the pair at fixed v, so a mean pair gives the mean
-        value and ascent.  Without interference terms F has no columns."""
+        value and ascent.  F^H v and B v read the (Mr, K) F, or its
+        (S, Mr, K) stack."""
         factor = self.denom_quad
-        if factor is None:
-            factor = np.zeros((self.irs_size, 0), dtype=complex)
         proj = np.conj(np.conj(v)[..., None, :] @ factor)[..., 0, :]         # F^H v
         den = _inner(proj, proj).real + self.denom_const
         value = self.p0 * (power + self.err_const) / den
         bv = (factor @ proj[..., None])[..., 0]                               # B v = F (F^H v)
         return value, (self.p0 / den)[..., None] * ge - (value / den)[..., None] * bv
 
-    def ratio(self, sample: CsiSample) -> "UbQuadraticRatio":
-        """Single-draw view of the objective."""
-        return UbQuadraticRatio(self, sample)
-
-
-@dataclass(frozen=True)
-class UbQuadraticRatio:
-    """One CSI draw's view of `DesignObjective._ratio` at the draw's pair.
-    `grad` is the formal derivative d gamma / d v_n (conjugate coordinates
-    held fixed), so that gamma(v + dv) ~ gamma(v) + 2 Re{sum_n grad_n dv_n};
-    `ascent` is its conjugate, the steepest-ascent direction."""
-
-    design: DesignObjective
-    sample: CsiSample
-
-    def _evaluate(self, v: PhaseLike) -> tuple:
-        varr = phase_array(v)
-        g_hat = self.sample.g_hat
-        e = np.conj(varr.conj() @ g_hat) + self.sample.h_hat        # g_hat^H v + h_hat
-        return self.design._ratio(varr, float(np.sum(e.real ** 2 + e.imag ** 2)), g_hat @ e)
+    def ratio(self, sample: CsiSample) -> "DesignObjective":
+        """One CSI draw as the zero-variance law at (g_hat, h_hat): its
+        `expected` pair is the draw's own (||e||^2, g_hat e)."""
+        return replace(self, g_mean=sample.g_hat, g_var=0.0, h_mean=sample.h_hat, h_var=0.0)
 
     def value(self, v: PhaseLike) -> float:
-        return float(self._evaluate(v)[0])
+        """E gamma(v), the value of `expected`."""
+        return self.expected(phase_array(v))[0]
 
     def ascent(self, v: PhaseLike) -> np.ndarray:
-        """conj(grad): moving along this direction increases gamma."""
-        return self._evaluate(v)[1]
+        """E ascent(v): the conjugate of `grad`, moving along it increases gamma."""
+        return self.expected(phase_array(v))[1]
 
     def grad(self, v: PhaseLike) -> np.ndarray:
+        """The formal derivative d E gamma / d v_n (conjugate coordinates held
+        fixed), so that gamma(v + dv) ~ gamma(v) + 2 Re{sum_n grad_n dv_n}."""
         return np.conj(self.ascent(v))
 
 

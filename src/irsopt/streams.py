@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 from typing import Iterator, Sequence
 
@@ -35,6 +36,16 @@ def check_seed(seed: int) -> int:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
+
+
+def check_count(value: int, name: str, minimum: int = 1) -> int:
+    """A count as a plain int >= minimum.  Raises ValueError naming the
+    field for anything else, a float (3.0 too) or a bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def named_child(seed: int, name: str) -> np.random.Generator:

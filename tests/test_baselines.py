@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import irsopt
-from irsopt import baselines
+from irsopt import baselines, ssca
 from irsopt.baselines import (
     SCHEMES,
     SchemeSpec,
@@ -188,6 +188,21 @@ def test_evaluate_schemes_rejects_no_samples_before_designing(small_cfg, small_s
     solver = SolverConfig(iterations=2, samples_per_iter=1)
     with pytest.raises(ValueError, match="n_samples"):
         evaluate_schemes([scheme("proposed")], small_stats, small_cfg, [solver], 0, 1)
+
+
+def test_evaluate_schemes_rejects_settings_beyond_the_seed_before_iterating(
+        small_cfg, small_stats, monkeypatch):
+    # the SSCA schemes of a call form one lockstep stack, which shares every
+    # solver setting but the seed
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("an SSCA iteration ran before the settings were checked")
+
+    monkeypatch.setattr(ssca, "update_coefficients", no_iteration)
+    solvers = [SolverConfig(iterations=2, samples_per_iter=1, seed=1),
+               SolverConfig(iterations=3, samples_per_iter=1, seed=2)]
+    with pytest.raises(ValueError, match="differ only in the seed"):
+        evaluate_schemes([scheme("proposed"), scheme("robust-no-intf")], small_stats,
+                         small_cfg, solvers, 8, 1)
 
 
 @pytest.mark.parametrize("regime", ["k-0", "k-inf-delta-0", "delta-0", "delta-1",

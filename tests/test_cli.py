@@ -124,6 +124,21 @@ def test_run_sweep_deterministic_bytes(tmp_path, preset_cfg):
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
 
 
+def test_run_sweep_takes_numpy_integers(tmp_path, preset_cfg):
+    # counts and seeds are kept as plain ints, so numpy integers write the
+    # same artifacts instead of failing half-way through manifest.json
+    cfg = preset_cfg.replace(bs_grids=((2, 2),) * 3)
+    plain = _tiny_sweep(seed=5)
+    solver = SolverConfig(iterations=np.int64(15), samples_per_iter=np.int64(3),
+                          probe_every=np.int64(0))
+    numpy_ints = dataclasses.replace(plain, n_samples=np.int64(plain.n_samples),
+                                     seed=np.int64(5), solver=solver)
+    run_sweep(plain, cfg, str(tmp_path / "a"))
+    run_sweep(numpy_ints, cfg, str(tmp_path / "b"))
+    for name in ("results.csv", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_manifest_alone_rebuilds_a_scheme_design(tmp_path, preset_cfg):
     # the manifest records each scheme's design seed, so a row's design and
     # its ub_rate come back from manifest.json alone

@@ -162,7 +162,7 @@ def test_config_hash_ignores_name(preset_cfg):
 def test_presets_registry():
     assert "paper-fig3" in PRESETS
     cfg = load_scenario("paper-fig3")
-    assert cfg.n_interferers == 2
+    assert cfg.n_bs == 3
     assert cfg.irs_grid == (8, 8)
     assert cfg.bs_grids == ((4, 4),) * 3
     assert cfg.irs_size == 64

@@ -226,10 +226,8 @@ def test_denominator_quadratic_matches_sum(preset_cfg, preset_stats):
     for cfg in cfgs:
         stats = build_statistics(cfg)
         factor, _ = interference_quadratic(stats, cfg)
-        if stats.n_bs == 1:
-            assert factor is None
-            continue
         assert factor.shape == (stats.irs_size, stats.n_bs - 1)
+        assert factor.dtype == complex and factor.flags.c_contiguous
         dense = _dense_interference(stats, cfg)
         np.testing.assert_allclose(factor @ factor.conj().T, dense, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(dense)))
@@ -559,8 +557,10 @@ def _stack_scenarios(small_cfg):
 @pytest.mark.parametrize("n", [1, 513, 1100])
 @pytest.mark.parametrize("n_designs", [1, 3])
 def test_stacked_evaluation_equals_one_design_evaluations(small_cfg, n_designs, n):
-    # n crosses the 512-sample chunk boundary; the last design of a stack (v = 0
-    # here) overwrites the shared h_ru, the ones before it use the reused buffer
+    # n crosses the 512-sample chunk boundary; every design of a stack reads the
+    # same design-free draws (h_ru, h_true and the standard error parts), which
+    # draw_combined never writes, and the last design, v = 0 here, has an
+    # all-zero estimate without a direct link: the policy's dead row
     for stats, cfg, designs in _stack_scenarios(small_cfg):
         stack = designs[-n_designs:]
         dead_rows = []
@@ -700,8 +700,9 @@ def test_gamma_strictly_positive(small_cfg):
 
 @pytest.mark.parametrize("deltas", [(0.0, 0.0), (0.3, 0.2)])
 def test_single_draw_views_equal_batched_kernel_bitwise(small_cfg, deltas):
-    # gamma_ub, gamma_ub_gradient and DesignObjective.ratio are views of
-    # DesignObjective._ratio at the draw's pair, not copies of the formula
+    # DesignObjective.ratio, gamma_ub and gamma_ub_gradient score one draw as
+    # the zero-variance law at (g_hat, h_hat) through `expected`, not through
+    # a copy of the formula; that law's mean pair is the draw's own
     cfg = small_cfg.replace(delta1=deltas[0], delta2=deltas[1])
     stats = build_statistics(cfg)
     design = DesignObjective.from_scenario(stats, cfg)
@@ -709,9 +710,14 @@ def test_single_draw_views_equal_batched_kernel_bitwise(small_cfg, deltas):
     for trial in range(3):
         sample = sample_estimated_csi(stats, cfg, 700 + trial)
         v = random_relaxed(rng, stats.irs_size)
+        law = dataclasses.replace(design, g_mean=sample.g_hat, g_var=0.0,
+                                  h_mean=sample.h_hat, h_var=0.0)
+        value, ascent = law.expected(v)
         e = np.conj(v.conj() @ sample.g_hat) + sample.h_hat
-        value, ascent = design._ratio(v, float(np.sum(e.real ** 2 + e.imag ** 2)),
-                                      sample.g_hat @ e)
+        own_value, own_ascent = design._ratio(v, float(np.sum(np.abs(e) ** 2)),
+                                              sample.g_hat @ e)
+        assert value == pytest.approx(own_value, rel=1e-13)
+        np.testing.assert_allclose(ascent, own_ascent, rtol=1e-13)
         ratio = design.ratio(sample)
         assert ratio.value(v) == value == gamma_ub(v, sample, stats, cfg)
         assert ratio.ascent(v).tobytes() == ascent.tobytes()

@@ -362,9 +362,10 @@ def test_design_objective_variants(preset_cfg, preset_stats):
     assert naive.h_var > robust.h_var
     no_intf = DesignObjective.from_scenario(preset_stats, preset_cfg,
                                             include_interference=False)
-    assert no_intf.denom_quad is None
-    assert no_intf.denom_const == preset_cfg.noise_watt
     with_intf = DesignObjective.from_scenario(preset_stats, preset_cfg)
+    assert no_intf.denom_quad.shape == with_intf.denom_quad.shape
+    assert not np.any(no_intf.denom_quad)
+    assert no_intf.denom_const == preset_cfg.noise_watt
     assert with_intf.denom_const > no_intf.denom_const
 
 
@@ -378,7 +379,7 @@ def _dense_reference_run(solver_cfg, stats, cfg, design):
     streams, drawn one iteration at a time where the solver draws blocks."""
     mr = stats.irs_size
     dense = np.zeros((mr, mr), dtype=complex)
-    if design.denom_quad is not None:       # the design keeps the interference terms
+    if np.any(design.denom_quad):           # the design keeps the interference terms
         for k in range(1, stats.n_bs):
             glos = stats.cascaded_los[k]
             dense += cfg.powers_watt[k] / stats.bs_sizes[k] * (glos @ glos.conj().T)
@@ -428,11 +429,11 @@ def test_run_edge_regimes(preset_cfg, regime):
     for robust, include_interference in ((True, True), (False, True), (True, False)):
         design = DesignObjective.from_scenario(stats, cfg, robust=robust,
                                                include_interference=include_interference)
-        if regime == "single-bs" or not include_interference:
-            assert design.denom_quad is None
-        else:       # one column per interferer, zero without a BS-IRS LoS
-            assert design.denom_quad.shape == (stats.irs_size, stats.n_bs - 1)
-            assert np.any(design.denom_quad) == (regime != "no-bs-irs-los")
+        # one column per interferer, zero without a BS-IRS LoS or when the
+        # design ignores interference
+        assert design.denom_quad.shape == (stats.irs_size, stats.n_bs - 1)
+        assert np.any(design.denom_quad) == (
+            include_interference and regime not in ("no-bs-irs-los", "single-bs"))
         result = run(solver_cfg, stats, cfg, design=design)
         c0 = np.array(result.trace.c0)
         assert c0.shape == (30,) and np.all(np.isfinite(c0)) and np.all(c0 > 0)

@@ -5,10 +5,11 @@ from irsopt import baselines
 from irsopt.baselines import evaluate_scheme, scheme
 from irsopt.beamforming import mrt_policy
 from irsopt.channel import PhysicalChannelSampler
-from irsopt.rate import PhaseShiftVector, ergodic_rate_mc
+from irsopt.rate import PhaseShiftVector, ergodic_rate_mc, ergodic_rates_mc
 from irsopt.ssca import SolverConfig
 from irsopt.cli import SweepSpec
-from irsopt.streams import check_seed, child_seed, crandn, crandn_blocks, named_child
+from irsopt.streams import (check_count, check_seed, child_seed, crandn, crandn_blocks,
+                            named_child)
 
 
 @pytest.mark.parametrize("shape", [(), 7, (3, 5), (4, 16, 2), (0, 3)])
@@ -109,6 +110,52 @@ def test_configs_reject_bad_seeds_at_construction(build):
         build(1.5)
     with pytest.raises(ValueError, match="non-negative"):
         build(-1)
+
+
+def _no_design(*args, **kwargs):
+    raise AssertionError("a design ran before the count check")
+
+
+def _evaluate_count(n, stats, cfg):
+    solver = SolverConfig(iterations=2, samples_per_iter=1)
+    return evaluate_scheme(scheme("proposed"), stats, cfg, solver, n, 1)
+
+
+def _rates_count(n, stats, cfg):
+    v = PhaseShiftVector.ones(stats.irs_size)
+    return ergodic_rates_mc([v], [mrt_policy(v)], stats, cfg, n, 1)
+
+
+COUNTS = {
+    "SolverConfig.iterations": ("iterations", lambda n, stats, cfg: SolverConfig(iterations=n)),
+    "SolverConfig.samples_per_iter": (
+        "samples_per_iter", lambda n, stats, cfg: SolverConfig(samples_per_iter=n)),
+    "SolverConfig.probe_every": ("probe_every", lambda n, stats, cfg: SolverConfig(probe_every=n)),
+    "SweepSpec.n_samples": ("n_samples", lambda n, stats, cfg: SweepSpec(
+        param="error-std", values=(0.1,), schemes=("proposed",), n_samples=n)),
+    "evaluate_schemes.n_samples": ("n_samples", _evaluate_count),
+    "ergodic_rates_mc.n_samples": ("n_samples", _rates_count),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_counts_reject_floats_and_bools(small_cfg, small_stats, monkeypatch, count, value):
+    # unchecked, probe_every=1.5 probes at t = 3, a float sample count dies in
+    # numpy after every design ran, and True passes for 1
+    monkeypatch.setattr(baselines, "run_stack", _no_design)
+    name, build = COUNTS[count]
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build(value, small_stats, small_cfg)
+
+
+def test_check_count_domain():
+    assert check_count(np.int64(3), "n") == 3 and type(check_count(np.int64(3), "n")) is int
+    assert check_count(0, "n", minimum=0) == 0
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        check_count(0, "n")
+    with pytest.raises(ValueError, match="n must be an integer"):
+        check_count(np.bool_(True), "n")
 
 
 def test_evaluate_scheme_checks_eval_seed_before_designing(small_cfg, small_stats,
