@@ -39,17 +39,19 @@ Three sampling routes exist, each for one consumer:
   differ in higher moments.  It has two outputs:
 
   - `draw_combined(vs, n)` (the Monte Carlo evaluator's route) takes a
-    stack of designs and yields, per design, only what the matched-filter
-    rate reads, the true and estimated combined channels
+    stack of unit-modulus designs and yields, per design, only what the
+    matched-filter rate reads, the true and estimated combined channels
     x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat.  Given h_ru,
     the scattered part of H_0r projects onto u = h_ru * v as
     CN(0, ||u||^2 I) and the fresh cascaded error noise onto v as
     CN(0, delta1^2 (1 - delta1^2/sigma_g^2) ||v||^2 I), so both are drawn
-    in M0 dimensions with the exact conditional law: O(Mr + M0) draws per
-    slot instead of O(Mr * M0).  The draws do not depend on the design, so
-    they are made once for the whole stack and every design is evaluated
-    on the same draws; u is never formed, so h_ru is the only (n, Mr)
-    array.
+    in M0 dimensions with the exact conditional law.  h_ru itself enters
+    only through ||u||^2 = ||h_ru||^2 and the scalar LoS projection
+    t = (v * conj(a_rx))^T h_ru (H_0r's LoS a_rx a_tx^H is rank one), and
+    that pair is drawn from its exact joint law: 2 complex normals and 1
+    gamma value per slot.  That is O(M0) draws per slot, shared by every
+    design of the stack, and O(Mr * M0) work per design per chunk; no
+    (n, Mr) array is built.
   - `draw(n)` returns the full (n, Mr, M0) channels, errors and, on
     request, the interferers' links; it is the oracle for the
     interference-power check and for the tests of `draw_combined`.
@@ -66,6 +68,7 @@ from .config import ScenarioConfig
 from .streams import crandn, named_children
 
 _UNIT_MODULUS_TOL = 1e-12
+DESIGN_MODULUS_TOL = 1e-9       # largest | |v_j| - 1 | of a deployable design
 
 
 def compute_path_loss(distance: float, exponent: float) -> float:
@@ -302,7 +305,7 @@ class PhysicalChannelSampler:
                  include_interference: bool = False):
         self._stats = stats
         self._include_interference = include_interference
-        names = ["irs-user", "bs-irs/0", "direct/0", "err/g", "err/h"]
+        names = ["irs-user", "irs-user/gamma", "bs-irs/0", "direct/0", "err/g", "err/h"]
         if include_interference:
             for k in range(1, stats.n_bs):
                 names += [f"bs-irs/{k}", f"direct/{k}", f"own/{k}"]
@@ -372,32 +375,77 @@ class PhysicalChannelSampler:
         return PhysicalBatch(g_true=g_true, h_true=h_true, g_err=g_err, h_err=h_err,
                              interference=interference)
 
+    def _irs_user_scalars(self, vs: np.ndarray, n: int
+                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """What the serving link reads of h_ru, for each unit-modulus design
+        v of the stack vs (S, Mr) in turn: per slot, t = b^T h_ru with
+        b = v * conj(a_rx), a_rx = column 0 of los_bs_irs[0], and
+        ||h_ru||^2, both (n,), from their exact joint law.
+
+        Write h_ru = mu + s * xi with xi ~ CN(0, I), and q = conj(b)/sqrt(Mr),
+        a unit vector.  Then q^H h_ru = c + s * zeta1 with c = q^H mu, and
+        the part of h_ru orthogonal to q splits into its component along
+        (I - q q^H) mu, m_perp + s * zeta2 with m_perp = sqrt(||mu||^2 - |c|^2),
+        and Mr - 2 components s * CN(0, 1), whose squared norm is
+        s^2 * Gamma with Gamma ~ Gamma(Mr - 2, 1).  So t = sqrt(Mr) (c + s zeta1)
+        and ||h_ru||^2 = |c + s zeta1|^2 + |m_perp + s zeta2|^2 + s^2 Gamma;
+        Mr = 1 has no zeta2 term and Mr <= 2 no Gamma term (Gamma(0) is the
+        point mass at 0).
+
+        zeta1, zeta2 ~ CN(0, 1) and Gamma are drawn once, when the first
+        design is requested, and every design projects them with its own c:
+        2 complex normals and 1 gamma value per slot whatever S and Mr are.
+        Gamma has its own stream, because the gamma sampler consumes a
+        varying number of values and would otherwise shift the zetas.
+        """
+        s = self._stats
+        mr = s.irs_size
+        w_los, w_nlos = rician_weights(s.rician_irs_user)
+        mean = math.sqrt(s.alpha_irs_user) * w_los * s.los_irs_user       # mu
+        scale = math.sqrt(s.alpha_irs_user) * w_nlos                     # s
+        mean_sq = float(np.vdot(mean, mean).real)
+        zeta1, zeta2 = crandn(self._streams["irs-user"], (2, n), 1.0)
+        gamma = self._streams["irs-user/gamma"].standard_gamma(max(mr - 2, 0), n)
+        a_rx_conj = s.los_bs_irs[0][:, 0].conj()
+        for v in vs:
+            c = np.dot(v * a_rx_conj, mean) / math.sqrt(mr)             # q^H mu
+            along = c + scale * zeta1                                    # q^H h_ru
+            norm_sq = along.real ** 2 + along.imag ** 2 + scale ** 2 * gamma
+            if mr > 1:
+                perp = math.sqrt(max(mean_sq - abs(c) ** 2, 0.0)) + scale * zeta2
+                norm_sq += perp.real ** 2 + perp.imag ** 2
+            yield math.sqrt(mr) * along, norm_sq
+
     def draw_combined(self, vs: np.ndarray, n: int
                       ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The serving link's combined channels for a stack of phase-shift
-        designs vs (S, Mr), drawn from their exact law given h_ru: yields
+        """The serving link's combined channels for a stack of unit-modulus
+        phase-shift designs vs (S, Mr), drawn from their exact law: yields
         (x, e_hat), both (n, M0), for each design in turn, with
-        x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat as `draw`
-        would give them.
+        x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat distributed
+        as `draw` would give them.
 
         With u = h_ru * v and S the i.i.d. CN(0,1) scatter of H_0r,
         S^H u ~ CN(0, ||u||^2 I), so g_true^H v is
         sqrt(a_0r) * (w_los * L^H u + w_nlos * ||u|| * z), z ~ CN(0, I).
-        `_split_error` carried through the projection gives
+        L = a_rx a_tx^H is rank one, so L^H u = t * r for the scalar
+        t = (v * conj(a_rx))^T h_ru and a unit-modulus row r, and a
+        unit-modulus v gives ||u|| = ||h_ru||: `_irs_user_scalars` draws
+        that (t, ||h_ru||^2) pair from its exact law.  `_split_error`
+        carried through the projection gives
         g_hat^H v = (1 - s) g_true^H v + s glos_0^H v - n_g with
         n_g ~ CN(0, delta1^2 (1 - s) ||v||^2 I) and s = delta1^2 / sigma_g^2.
 
-        Everything that does not depend on the design, h_ru, the standard
-        parts of z and n_g, h_true and the direct-link error, is drawn once
-        when the first pair is requested, so every design of the stack sees
-        the same draws and n slots cost n * (Mr + 4 * M0) Gaussian values
-        whatever S is.  Each design then gets its own ||u||, y and n_g
-        scale, one design at a time, and u itself is never formed:
-        ||u||^2 = sum_j |h_ru,j|^2 |v_j|^2 and L^H u = (diag(v) L^*)^T h_ru,
-        so no (n, Mr) array besides h_ru is held for any S.  h_ru, h_true
-        and the direct-link error are bit-identical to `draw(n)`'s; the
-        bs-irs/0 and err/g streams are drawn in (n, M0) instead of
-        (n, Mr, M0), so those values differ.
+        Everything that does not depend on the design, the three h_ru
+        scalars, the standard parts of z and n_g, h_true and the
+        direct-link error, is drawn once when the first pair is requested,
+        so every design of the stack sees the same draws and n slots cost
+        n * (2 + 4 * M0) complex normals and n gamma values whatever S and
+        Mr are: O(M0) per slot.  Each design then costs O(Mr * M0) work per
+        call for its projections (its c and glos_0^H v), and no (n, Mr)
+        array is built.  Each design's law is exact; the joint
+        law of the designs is not the physical one, since they share the
+        three scalars, but they stay paired.  h_true and the direct-link
+        error are bit-identical to `draw(n)`'s; the other streams differ.
         """
         s = self._stats
         m0 = s.bs_sizes[0]
@@ -405,8 +453,9 @@ class PhysicalChannelSampler:
         if vs.ndim != 2 or vs.shape[1] != s.irs_size:
             raise ValueError(f"designs must be stacked as (S, {s.irs_size}), "
                              f"got shape {vs.shape}")
+        if not np.all(np.abs(np.abs(vs) - 1.0) <= DESIGN_MODULUS_TOL):
+            raise ValueError("designs must have unit-modulus entries")
 
-        h_ru = self._irs_user_channel(n)                        # (n, Mr)
         z = crandn(self._streams["bs-irs/0"], (n, m0), 1.0)
         h_true = crandn(self._streams["direct/0"], (n, m0), s.alpha_direct[0])
         # unit-variance real and imaginary parts: scaled by sqrt(var / 2)
@@ -416,17 +465,17 @@ class PhysicalChannelSampler:
                                            self._streams["err/h"])
 
         w_los, w_nlos = rician_weights(s.rician_bs_irs[0])
-        los_conj = s.los_bs_irs[0].conj()
+        los = s.los_bs_irs[0]
+        # L[j, i] = L[j, 0] L[0, i] / L[0, 0] for the rank-one L, so
+        # h_ru @ (v[:, None] * conj(L)) = t * row with t = (v * conj(L[:, 0]))^T h_ru
+        row = los[0].conj() * los[0, 0]
         cascaded_los_conj = s.cascaded_los[0].conj()
         sigma_g_sq, delta1_sq = float(s.sigma_g_sq[0]), s.delta1_abs ** 2
         share_g = 0.0 if sigma_g_sq == 0.0 else delta1_sq / sigma_g_sq
         n_g_var = delta1_sq * max(1.0 - share_g, 0.0)           # per unit ||v||^2
-        parts = h_ru.view(float).reshape(n, s.irs_size, 2)    # real and imaginary parts
-        for v in vs:
-            u_norm = np.sqrt(np.einsum("ijk,ijk,j->i", parts, parts, np.abs(v) ** 2))
-            scatter = z * (w_nlos * u_norm)[:, None]
-            y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (h_ru @ (v[:, None] * los_conj))
-                                                + scatter)
+        for v, (t, norm_sq) in zip(vs, self._irs_user_scalars(vs, n)):
+            scatter = z * (w_nlos * np.sqrt(norm_sq))[:, None]
+            y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (t[:, None] * row) + scatter)
             n_g = n_g_std * math.sqrt(n_g_var * float(np.vdot(v, v).real) / 2.0)
             los_term = v @ cascaded_los_conj                    # glos_0^H v, (M0,)
             e_hat = (1.0 - share_g) * y + share_g * los_term - n_g + h_hat

@@ -27,7 +27,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import ChannelStatistics, CsiSample, PhysicalChannelSampler
+from .channel import (DESIGN_MODULUS_TOL, ChannelStatistics, CsiSample,
+                      PhysicalChannelSampler)
 from .config import ScenarioConfig
 from .streams import check_count
 
@@ -46,7 +47,7 @@ class PhaseShiftVector:
         arr = np.array(self.v, dtype=complex, copy=True).reshape(-1)
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
-        if not (np.max(np.abs(np.abs(arr) - 1.0)) <= 1e-9):  # rejects NaN too
+        if not (np.max(np.abs(np.abs(arr) - 1.0)) <= DESIGN_MODULUS_TOL):  # rejects NaN too
             raise ValueError("phase-shift entries must have unit modulus")
 
     @classmethod
@@ -225,23 +226,29 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
                      rng: int) -> list[RateReport]:
     """Monte Carlo ergodic rates of a stack of designs on one shared draw set.
 
-    `vs` holds S phase-shift designs and `policies` the beamforming policy
-    of each, in the same order; one report per design comes back, in that
+    `vs` holds S unit-modulus phase-shift designs (entries within 1e-9 of
+    modulus 1, as `PhaseShiftVector` requires; anything else raises
+    ValueError naming the design) and `policies` the beamforming policy of
+    each, in the same order; one report per design comes back, in that
     order.  Each slot needs only the serving link's combined channels: the
     true x = g_true^H v + h_true and the estimated e_hat = g_hat^H v + h_hat,
-    drawn from their exact law by `PhysicalChannelSampler.draw_combined`
-    (O(Mr + M0) draws per slot; no (n, Mr, M0) array is built).  The draws
-    that do not depend on the design are made once per chunk of slots and
-    shared by every design, so the reports are paired by construction and
-    their Gaussian draw count does not grow with S.  A policy maps e_hat
-    (n, M0) to unit-norm rows (n, M0).  The signal term |x^H w|^2 uses the
-    true channel; the interference-plus-noise term uses its exact
-    expectation, per the worst-case-noise reading of the rate: sigma^2 plus
-    the report's powers p_k * gk(v), read off one projection F^H v of each
-    design with the (Mr, K) factor F of `interference_quadratic`.  Each
-    design is reduced to its row of per-sample rates before the next one
-    is drawn, so memory does not grow with S beyond that row; the row is
-    the report's `rate_samples`.
+    drawn from their exact law by `PhysicalChannelSampler.draw_combined`:
+    O(M0) draws per slot, the IRS->user channel entering through 2 complex
+    normals and 1 gamma value, and O(Mr * M0) work per design per chunk of
+    slots; no (n, Mr) or (n, Mr, M0) array is built.  The draws are made
+    once per chunk and shared by every design, so the reports are paired
+    by construction and their draw count grows with neither S nor Mr.
+    Each report's own law is exact; the joint law across designs is not
+    the physical one, which leaves paired differences unbiased and their
+    standard errors valid.  A policy maps e_hat (n, M0) to unit-norm rows
+    (n, M0).  The signal term |x^H w|^2 uses the true channel; the
+    interference-plus-noise term uses its exact expectation, per the
+    worst-case-noise reading of the rate: sigma^2 plus the report's powers
+    p_k * gk(v), read off one projection F^H v of each design with the
+    (Mr, K) factor F of `interference_quadratic`.  Each design is reduced
+    to its row of per-sample rates before the next one is drawn, so memory
+    does not grow with S beyond that row; the row is the report's
+    `rate_samples`.
     """
     if len(vs) == 0:
         raise ValueError("no designs to evaluate")
@@ -256,6 +263,9 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
                              f"the IRS has Mr = {stats.irs_size} elements")
         if not np.all(np.isfinite(varr)):
             raise ValueError(f"design {i} has non-finite phase shifts")
+        if not np.max(np.abs(np.abs(varr) - 1.0)) <= DESIGN_MODULUS_TOL:
+            raise ValueError(f"design {i} is not unit-modulus; the evaluator's "
+                             "draws are exact for unit-modulus designs only")
     stack = np.stack(varrs)
     # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K)
     factor, _ = interference_quadratic(stats, cfg)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from irsopt.channel import (
     PhysicalChannelSampler,
     CsiSample,
     build_statistics,
+    rician_weights,
     sample_estimated_csi,
 )
 from irsopt.rate import (
@@ -28,7 +30,7 @@ from irsopt.rate import (
     upper_bound_rate_closed_form,
 )
 from irsopt.ssca import DesignObjective
-from irsopt.streams import crandn
+from irsopt.streams import named_children
 from conftest import (EDGE_REGIMES, combine_draws, design_draws, edge_scenario, paired_t,
                       random_phase_vector, random_relaxed, random_scenario)
 
@@ -395,14 +397,18 @@ def test_report_powers_are_gk_and_sum_to_the_denominator(small_cfg):
     stats = build_statistics(cfg)
     assert stats.tau[1] == 0.0 < stats.tau[2]
     rng = np.random.default_rng(8)
-    vs = [phase_array(random_phase_vector(rng, stats.irs_size)),
-          random_relaxed(rng, stats.irs_size)]
+    vs = [phase_array(random_phase_vector(rng, stats.irs_size)) for _ in range(2)]
     reports = irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, 50, 3)
     for v, report in zip(vs, reports):
         closed = [cfg.powers_watt[k] * gk(v, stats, k) for k in range(1, stats.n_bs)]
         np.testing.assert_allclose(report.interference_power, closed, rtol=1e-12, atol=0)
         assert math.isclose(report.noise_power + sum(report.interference_power),
                             sinr_denominator(v, stats, cfg), rel_tol=1e-12)
+    # the evaluator takes unit-modulus designs only; the identity itself also
+    # holds at a relaxed v
+    relaxed = random_relaxed(rng, stats.irs_size)
+    assert math.isclose(_explicit_denominator(relaxed, stats, cfg),
+                        sinr_denominator(relaxed, stats, cfg), rel_tol=1e-12)
 
 
 def test_ergodic_determinism(small_cfg, small_stats):
@@ -438,19 +444,23 @@ def _physical_rates(v, stats, cfg, seed: int, n: int) -> np.ndarray:
     return np.log2(1.0 + cfg.powers_watt[0] * signal / sinr_denominator(v, stats, cfg))
 
 
-def test_combined_draw_equals_physical_path_when_exact(small_cfg):
-    # pure-LoS BS->IRS link and perfect CSI: g_true^H v = sqrt(a_0r) L^H u
-    # with no scatter or error noise left to draw, so both routes compute the
-    # same numbers from the same h_ru and h_true draws
+def test_combined_draw_matches_physical_path_in_law_when_exact(small_cfg):
+    # pure-LoS BS->IRS link and perfect CSI: the rate reads h_ru only through
+    # t = (v * conj(a_rx))^T h_ru, so the scalar draw carries all of its
+    # randomness; on independent seeds the per-sample rates of both routes
+    # must agree in mean (3 combined standard errors) and in spread (5 %)
     cfg = small_cfg.replace(rician_bs_irs=(math.inf,) + small_cfg.rician_bs_irs[1:],
                             delta1=0.0, delta2=0.0)
     stats = build_statistics(cfg)
     assert math.isfinite(cfg.rician_irs_user) and stats.sigma_g_sq[0] > 0
     v = random_phase_vector(np.random.default_rng(41), stats.irs_size)
-    n = 1500    # three chunks, the last one partial
+    n = 20_000
     report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 43)
-    np.testing.assert_allclose(report.rate_samples, _physical_rates(v, stats, cfg, 43, n),
-                               rtol=1e-10, atol=0.0)
+    rates = _physical_rates(v, stats, cfg, 44, n)
+    se = math.hypot(report.mc_stderr, np.std(rates, ddof=1) / math.sqrt(n))
+    assert abs(report.mc_rate - np.mean(rates)) < 3 * se, (report.mc_rate, np.mean(rates), se)
+    spread = np.std(report.rate_samples, ddof=1) / np.std(rates, ddof=1)
+    assert abs(spread - 1.0) < 0.05, spread
     assert np.ptp(report.rate_samples) > 0.1     # h_ru really is random
 
 
@@ -472,11 +482,12 @@ def test_combined_draw_matches_physical_sampler_in_law(delta):
         stats = build_statistics(cfg)
         v = random_phase_vector(rng, stats.irs_size)
         seed = int(rng.integers(2 ** 31))
-        # one seed: both routes share h_ru and h_true, the variables the
-        # combined law is conditioned on, and differ only in what it replaces
+        # independent seeds: the routes share no draw (the combined route
+        # draws three h_ru scalars per slot, not h_ru), so the gaps are
+        # sampling noise of both plus any difference in law
         (combined,) = PhysicalChannelSampler(stats, seed).draw_combined(v.v[None], n)
         new = _moments(*combined)
-        old = _moments(*_physical_combined(v, stats, seed, n))
+        old = _moments(*_physical_combined(v, stats, seed + 3, n))
         for name in new:
             gap = np.abs(new[name] - old[name]) / np.abs(old[name])
             assert np.all(gap < 0.05), f"scenario {i}, {name}: relative gaps {gap}"
@@ -487,6 +498,52 @@ def test_combined_draw_matches_physical_sampler_in_law(delta):
         se = math.hypot(report.mc_stderr, np.std(rates, ddof=1) / math.sqrt(n))
         assert abs(report.mc_rate - np.mean(rates)) < 3 * se, (
             f"scenario {i}: {report.mc_rate} vs {np.mean(rates)} (se {se})")
+
+
+def _z_scores(draws: np.ndarray, mean, var: float) -> tuple[float, float]:
+    """z of the sample mean against `mean` (known variance `var` > 0) and of
+    the sample variance E|x - mean|^2 against `var` (its standard error from
+    the sample)."""
+    n = draws.shape[0]
+    dev_sq = np.abs(draws - mean) ** 2
+    z_mean = abs(np.mean(draws) - mean) / math.sqrt(var / n)
+    z_var = abs(np.mean(dev_sq) - var) / (np.std(dev_sq, ddof=1) / math.sqrt(n))
+    return float(z_mean), float(z_var)
+
+
+@pytest.mark.parametrize("regime", EDGE_REGIMES + ("irs-2",))
+def test_irs_user_scalars_match_their_closed_form_moments(preset_cfg, regime):
+    # h_ru = mu + s xi, b = v * conj(a_rx), unit-modulus v: t = b^T h_ru has
+    # E t = b^T mu and Var t = s^2 Mr; ||h_ru||^2 has mean ||mu||^2 + s^2 Mr
+    # and variance s^4 Mr + 2 s^2 ||mu||^2.  |z| < 5 on n = 20,000 draws, for
+    # a random design and the LoS-aligned one (no mean orthogonal to q)
+    if regime == "irs-2":
+        cfg = edge_scenario(preset_cfg, "v0-zero").replace(irs_grid=(1, 2))
+    else:
+        cfg = edge_scenario(preset_cfg, regime)
+    stats = build_statistics(cfg)
+    mr = stats.irs_size
+    w_los, w_nlos = rician_weights(stats.rician_irs_user)
+    mean = math.sqrt(stats.alpha_irs_user) * w_los * stats.los_irs_user
+    s_sq = stats.alpha_irs_user * w_nlos ** 2
+    mean_sq = float(np.vdot(mean, mean).real)
+    designs = np.stack([random_phase_vector(np.random.default_rng(81), mr).v,
+                        _los_aligned_design(stats)])
+    n = 20_000
+    draws = PhysicalChannelSampler(stats, 83)._irs_user_scalars(designs, n)
+    for v, (t, norm_sq) in zip(designs, draws):
+        b = v * stats.los_bs_irs[0][:, 0].conj()
+        if s_sq == 0.0:                 # pure-LoS IRS->user link: nothing random
+            np.testing.assert_allclose(t, b @ mean, rtol=1e-12)
+            np.testing.assert_allclose(norm_sq, mean_sq, rtol=1e-12)
+            continue
+        scores = {
+            "t": _z_scores(t, b @ mean, s_sq * mr),
+            "||h_ru||^2": _z_scores(norm_sq, mean_sq + s_sq * mr,
+                                    s_sq ** 2 * mr + 2 * s_sq * mean_sq),
+        }
+        for name, (z_mean, z_var) in scores.items():
+            assert z_mean < 5 and z_var < 5, (name, z_mean, z_var)
 
 
 def test_evaluator_never_builds_full_physical_batch(small_cfg, small_stats, monkeypatch):
@@ -519,11 +576,14 @@ def _bad_input_cases(stats):
         "no samples": (([v], [policy]), {"n_samples": 0}, "n_samples"),
         "nan design": (([v, np.full(stats.irs_size, math.nan)], [policy, policy]), {},
                        "design 1 has non-finite"),
+        "relaxed design": (([v, 0.5 * v.v], [policy, policy]), {},
+                           "design 1 is not unit-modulus"),
     }
 
 
 @pytest.mark.parametrize("case", ["no designs", "short design", "long design",
-                                  "policy count", "no samples", "nan design"])
+                                  "policy count", "no samples", "nan design",
+                                  "relaxed design"])
 def test_batched_evaluator_rejects_bad_input(small_cfg, small_stats, case):
     (vs, policies), overrides, message = _bad_input_cases(small_stats)[case]
     kwargs = {"n_samples": 8, "rng": 1, **overrides}
@@ -536,21 +596,29 @@ def test_draw_combined_rejects_unstacked_or_wrong_length_designs(small_stats):
     for vs in (np.ones(small_stats.irs_size), np.ones((2, small_stats.irs_size + 1))):
         with pytest.raises(ValueError, match="stacked as"):
             next(sampler.draw_combined(vs, 4))
+    relaxed = np.ones((2, small_stats.irs_size), dtype=complex)
+    relaxed[1, 0] = 1.0 + 1e-6
+    with pytest.raises(ValueError, match="unit-modulus"):
+        next(sampler.draw_combined(relaxed, 4))
+
+
+def _los_aligned_design(stats) -> np.ndarray:
+    """The unit-modulus design whose h_ru projection q is along the
+    IRS->user LoS mean (conj(v) * a_rx = los_ru): the mean has no part
+    orthogonal to q, the clamped end of the scalar law."""
+    return stats.los_irs_user.conj() * stats.los_bs_irs[0][:, 0]
 
 
 def _stack_scenarios(small_cfg):
-    """(stats, cfg, designs): a unit-modulus design, a relaxed one with
-    ||v||^2 != Mr and v = 0, at delta1 = 0.4.  Without a direct link the
-    zero design's estimated channel is exactly zero, the policy's dead row."""
+    """(stats, cfg, designs): two random unit-modulus designs and the
+    LoS-aligned one, at delta1 = 0.4, with and without a direct link."""
     cfg = small_cfg.replace(delta1=0.4, delta2=0.0)
     stats = build_statistics(cfg)
     no_direct = dataclasses.replace(
         stats, alpha_direct=np.concatenate(([0.0], stats.alpha_direct[1:])))
     rng = np.random.default_rng(61)
-    relaxed = random_relaxed(rng, stats.irs_size)
-    assert abs(np.vdot(relaxed, relaxed).real - stats.irs_size) > 1.0
-    designs = [random_phase_vector(rng, stats.irs_size).v, relaxed,
-               np.zeros(stats.irs_size, dtype=complex)]
+    designs = [random_phase_vector(rng, stats.irs_size).v for _ in range(2)]
+    designs.append(_los_aligned_design(stats))
     return [(stats, cfg, designs), (no_direct, cfg, designs)]
 
 
@@ -558,19 +626,12 @@ def _stack_scenarios(small_cfg):
 @pytest.mark.parametrize("n_designs", [1, 3])
 def test_stacked_evaluation_equals_one_design_evaluations(small_cfg, n_designs, n):
     # n crosses the 512-sample chunk boundary; every design of a stack reads the
-    # same design-free draws (h_ru, h_true and the standard error parts), which
-    # draw_combined never writes, and the last design, v = 0 here, has an
-    # all-zero estimate without a direct link: the policy's dead row
+    # same design-free draws (the three h_ru scalars, h_true and the standard
+    # error parts), which draw_combined never writes
     for stats, cfg, designs in _stack_scenarios(small_cfg):
         stack = designs[-n_designs:]
-        dead_rows = []
-
-        def spy(e_hat, policy=mrt_policy(stack[-1])):
-            dead_rows.append(int(np.sum(np.linalg.norm(e_hat, axis=1) == 0.0)))
-            return policy(e_hat)
-
-        policies = [mrt_policy(v) for v in stack[:-1]] + [spy]
-        stacked = irsopt.ergodic_rates_mc(stack, policies, stats, cfg, n, 71)
+        stacked = irsopt.ergodic_rates_mc(stack, [mrt_policy(v) for v in stack],
+                                          stats, cfg, n, 71)
         assert len(stacked) == len(stack)
         for v, report in zip(stack, stacked):
             single = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 71)
@@ -581,34 +642,51 @@ def test_stacked_evaluation_equals_one_design_evaluations(small_cfg, n_designs, 
             for field in ("mc_rate", "mc_stderr", "signal_power"):
                 assert getattr(report, field) == pytest.approx(getattr(single, field),
                                                                rel=1e-12, abs=0.0)
-        if stats.alpha_direct[0] == 0.0:
-            assert sum(dead_rows) == n          # every slot of v = 0 hit the fallback
-            assert np.all(stacked[-1].rate_samples == 0.0)
+
+
+class _CountingGenerator:
+    """A Generator that counts the normal and gamma values it hands out; any
+    other draw method is missing, so an uncounted draw fails loudly."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._rng.standard_normal(*args, **kwargs)
+        self._counts["normal"] += np.size(out)
+        return out
+
+    def standard_gamma(self, *args, **kwargs):
+        out = self._rng.standard_gamma(*args, **kwargs)
+        self._counts["gamma"] += np.size(out)
+        return out
 
 
 @pytest.mark.parametrize("n_designs", [1, 6])
-def test_stacked_designs_draw_one_set_of_gaussians(small_cfg, small_stats, monkeypatch,
-                                                   n_designs):
-    counted = []
+def test_stacked_designs_draw_one_set_of_gaussians(small_cfg, monkeypatch, n_designs):
+    # n (2 + 4 M0) complex normals and n gamma values, whatever S and Mr are
+    counts = {"normal": 0, "gamma": 0}
 
-    def counting_crandn(rng, shape, var):
-        out = crandn(rng, shape, var)
-        counted.append(out.size)
-        return out
+    def counting_children(seed, names):
+        return {name: _CountingGenerator(rng, counts)
+                for name, rng in named_children(seed, names).items()}
 
-    monkeypatch.setattr(irsopt.channel, "crandn", counting_crandn)
+    monkeypatch.setattr(irsopt.channel, "named_children", counting_children)
     rng = np.random.default_rng(3)
-    vs = [random_phase_vector(rng, small_stats.irs_size) for _ in range(n_designs)]
     n = 700                                         # two chunks
-    irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], small_stats, small_cfg,
-                            n, 9)
-    m0 = small_stats.bs_sizes[0]
-    assert sum(counted) == n * (small_stats.irs_size + 4 * m0)
+    for irs_grid in ((1, 1), (1, 2), (3, 3), (16, 16)):
+        cfg = small_cfg.replace(irs_grid=irs_grid)
+        stats = build_statistics(cfg)
+        vs = [random_phase_vector(rng, stats.irs_size) for _ in range(n_designs)]
+        counts.update(normal=0, gamma=0)
+        irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, n, 9)
+        m0 = stats.bs_sizes[0]
+        assert counts == {"normal": 2 * n * (2 + 4 * m0), "gamma": n}, irs_grid
 
 
 def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
-    # Mr = 256, one 512-sample chunk: holding a per-design (n, Mr) array, or
-    # h_ru beside u for a single design, would show against this bound
+    # Mr = 256, one 512-sample chunk: holding a per-design (n, Mr) or (n, M0)
+    # array for every design at once would show against this bound
     cfg = preset_cfg.replace(irs_grid=(16, 16))
     stats = build_statistics(cfg)
     rng = np.random.default_rng(5)
@@ -625,9 +703,10 @@ def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
     assert peaks[14] < 1.5 * peaks[1], peaks
 
 
-def test_one_design_heap_is_about_h_ru(preset_cfg):
-    # Mr = 1024, one 512-sample chunk: h_ru (8 MiB) is the only (n, Mr) array;
-    # u = h_ru * v beside it, or h_ru built through temporaries, would reach 2x
+def test_one_design_heap_holds_no_irs_sized_array(preset_cfg):
+    # Mr = 1024, one 512-sample chunk: h_ru enters through three scalars per
+    # slot, so the peak stays below a quarter of one (512, Mr) complex array
+    # (8 MiB) and any (n, Mr) array fails the bound
     cfg = preset_cfg.replace(irs_grid=(32, 32))
     stats = build_statistics(cfg)
     v = random_phase_vector(np.random.default_rng(6), stats.irs_size)
@@ -638,8 +717,30 @@ def test_one_design_heap_is_about_h_ru(preset_cfg):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    h_ru_bytes = 512 * stats.irs_size * np.dtype(complex).itemsize
-    assert peak <= 1.75 * h_ru_bytes, peak / h_ru_bytes
+    irs_sized_bytes = 512 * stats.irs_size * np.dtype(complex).itemsize
+    assert peak < irs_sized_bytes / 4, peak / irs_sized_bytes
+
+
+def test_evaluation_time_per_sample_does_not_grow_with_the_irs(preset_cfg):
+    # per-chunk work does not depend on Mr outside each design's O(Mr * M0)
+    # projections, so Mr = 64 -> 1024 (16x) may cost at most 2.5x per sample,
+    # the bound acceptance criterion 9 sets for the solver; best of 3 runs
+    n = 2048
+    per_sample = {}
+    for side in (8, 32):
+        cfg = preset_cfg.replace(irs_grid=(side, side))
+        stats = build_statistics(cfg)
+        v = random_phase_vector(np.random.default_rng(7), stats.irs_size)
+        policy = mrt_policy(v)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            ergodic_rate_mc(v, policy, stats, cfg, n, 5)
+            best = min(best, time.perf_counter() - start)
+        per_sample[stats.irs_size] = best / n
+    assert stats.bs_sizes[0] == 16
+    ratio = per_sample[1024] / per_sample[64]
+    assert ratio <= 2.5, (ratio, per_sample)
 
 
 def test_rate_report_validation():
