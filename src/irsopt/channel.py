@@ -224,12 +224,12 @@ def build_statistics(cfg: ScenarioConfig) -> ChannelStatistics:
     tau = np.array([rician_combination_factor(cfg.rician_bs_irs[k], cfg.rician_irs_user)
                     for k in range(n)])
 
-    los_irs_user = steering_vector(*cfg.angles_irs_user, cfg.irs_grid, cfg.spacing)
-    los_bs_irs = tuple(
-        los_matrix(cfg.angles_bs_irs[k], cfg.irs_grid,
-                   cfg.angles_bs_irs[k], cfg.bs_grids[k], cfg.spacing)
-        for k in range(n)
-    )
+    # the one place angles leave the config's degrees
+    los_irs_user = steering_vector(*map(math.radians, cfg.angles_irs_user_deg),
+                                   cfg.irs_grid, cfg.spacing)
+    angles_bs_irs = [tuple(map(math.radians, pair)) for pair in cfg.angles_bs_irs_deg]
+    los_bs_irs = tuple(los_matrix(angles, cfg.irs_grid, angles, grid, cfg.spacing)
+                       for angles, grid in zip(angles_bs_irs, cfg.bs_grids))
     cascaded_los = tuple(
         math.sqrt(alpha_bs_irs[k] * alpha_irs_user * tau[k])
         * (los_irs_user.conj()[:, None] * los_bs_irs[k])

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .baselines import SCHEMES, evaluate_schemes, scheme
 from .channel import build_statistics
-from .config import ScenarioConfig, load_scenario
+from .config import ScenarioConfig, load_scenario, write_json
 from .rate import RateReport, upper_bound_rate_closed_form
 from .ssca import SolverConfig
 from .ssca import run as run_ssca
@@ -155,9 +154,7 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
         "versions": {"irsopt": __version__, "numpy": np.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
     eval_seed = child_seed(spec.seed, "eval")
     rows: list[dict] = []
@@ -254,9 +251,7 @@ def cmd_solve(args) -> int:
         "tau_reg": result.tau_reg,
         "phases_rad": list(np.angle(result.v.v)),
     }
-    with open(os.path.join(args.out, "design.json"), "w", encoding="utf-8") as fh:
-        json.dump(design, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "design.json"), design)
     print(f"final fixed-point gap: {result.trace.gap[-1]:.3e}")
     print(f"upper-bound rate: {upper_bound_rate_closed_form(result.v, stats, cfg):.4f} bit/s/Hz")
     print(f"artifacts written to {args.out}")
@@ -287,9 +282,7 @@ def cmd_eval(args) -> int:
         "reports": reports,
     }
     path = os.path.join(args.out, "eval.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
     print(f"reports written to {path}")
     return 0
 

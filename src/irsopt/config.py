@@ -1,9 +1,10 @@
 """Scenario configuration, presets and JSON loading.
 
-Positions are 2-D coordinates in meters.  Powers are entered in dBm and
-exposed in linear watts, angles are stored in radians.  Scenario JSON
-files use degrees and dBm (converted on read/write), so files stay
-human-editable.
+Every field is kept in the units its scenario file holds, so a file loads
+and saves back unchanged: positions are 2-D coordinates in meters, powers
+are in dBm (exposed in linear watts by properties) and angles in degrees
+(converted to radians only where `channel.build_statistics` builds the
+steering vectors).  `FILE_KEYS` maps each field to its file key.
 
 CSI error magnitudes ``delta1``/``delta2`` can be given in two unit
 conventions, selected by ``error_units``:
@@ -20,6 +21,7 @@ import hashlib
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,23 +52,40 @@ def user_position_on_bisector(distance: float) -> tuple[float, float]:
     return (distance * SQRT3 / 2.0, distance / 2.0)
 
 
-def _grid_axis(c) -> int:
+class _WrongType(ValueError):
+    """A scenario field whose value does not have the field's type."""
+
+
+def _grid_axis(name: str, c) -> int:
     """One grid axis as an int: 8.0 passes; 8.5, inf, "8" or true are errors, never cast."""
     integral = isinstance(c, numbers.Integral) or (isinstance(c, float) and c.is_integer())
     if integral and not isinstance(c, bool):
         return int(c)
-    raise ValueError(f"array grid entries must be integers, got {c!r}")
-
-
-class _NotANumber(ValueError):
-    """A scalar scenario field that is not a real number."""
+    raise _WrongType(f"{name}: array grid entries must be integers, got {c!r}")
 
 
 def _real(name: str, value) -> float:
-    """A scalar field as a float: 3 passes; true, "3" or None are errors, never cast."""
+    """A number as a float: 3 passes; true, "3" or None are errors, never cast."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
-    raise _NotANumber(f"{name} must be a real number, got {value!r}")
+    raise _WrongType(f"{name} must be a real number, got {value!r}")
+
+
+def _typed(name: str, kind, value):
+    """``value`` as the field type ``kind``: a float goes through `_real`, an
+    int through `_grid_axis`, and a sequence (tuple, list or numpy array)
+    becomes a tuple of the declared length whose entries are typed the same
+    way.  Anything else is an error naming the field, never a cast."""
+    if kind is float:
+        return _real(name, value)
+    if kind is int:
+        return _grid_axis(name, value)
+    entry, *rest = typing.get_args(kind)            # tuple[X, ...] or tuple[X, X]
+    if not isinstance(value, (tuple, list, np.ndarray)):
+        raise _WrongType(f"{name} must be a sequence, got {value!r}")
+    if rest != [Ellipsis] and len(value) != 1 + len(rest):
+        raise _WrongType(f"{name}: expected {1 + len(rest)} numbers, got {value!r}")
+    return tuple(_typed(name, entry, v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -91,8 +110,8 @@ class ScenarioConfig:
     exp_direct: float = 3.7                     # path-loss exponent, BS->user
     exp_bs_irs: float = 2.0                     # path-loss exponent, BS->IRS
     exp_irs_user: float = 3.0                   # path-loss exponent, IRS->user
-    angles_bs_irs: tuple[tuple[float, float], ...] = ()   # (azimuth, elevation) rad
-    angles_irs_user: tuple[float, float] = (0.0, 0.0)
+    angles_bs_irs_deg: tuple[tuple[float, float], ...] = ()   # (azimuth, elevation)
+    angles_irs_user_deg: tuple[float, float] = (0.0, 0.0)
     spacing: float = 0.5                        # element spacing over wavelength
     delta1: float = 0.0                         # cascaded-channel error std
     delta2: float = 0.0                         # direct-channel error std
@@ -100,29 +119,16 @@ class ScenarioConfig:
     name: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "bs_positions",
-                           tuple((float(x), float(y)) for x, y in self.bs_positions))
-        object.__setattr__(self, "irs_position", tuple(float(c) for c in self.irs_position))
-        object.__setattr__(self, "user_position", tuple(float(c) for c in self.user_position))
-        object.__setattr__(self, "bs_grids",
-                           tuple((_grid_axis(m), _grid_axis(n)) for m, n in self.bs_grids))
-        object.__setattr__(self, "irs_grid", tuple(_grid_axis(c) for c in self.irs_grid))
-        object.__setattr__(self, "powers_dbm", tuple(float(p) for p in self.powers_dbm))
-        object.__setattr__(self, "rician_bs_irs", tuple(float(k) for k in self.rician_bs_irs))
-        object.__setattr__(self, "angles_bs_irs",
-                           tuple((float(a), float(e)) for a, e in self.angles_bs_irs))
-        object.__setattr__(self, "angles_irs_user",
-                           tuple(float(a) for a in self.angles_irs_user))
-        for name in ("noise_dbm", "rician_irs_user", "exp_direct", "exp_bs_irs",
-                     "exp_irs_user", "spacing", "delta1", "delta2"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for name, kind in _FIELD_TYPES.items():
+            if kind is not str:
+                object.__setattr__(self, name, _typed(name, kind, getattr(self, name)))
         self._validate()
 
     def _validate(self):
         n = len(self.bs_positions)
         if n < 1:
             raise ValueError("at least the serving BS must be present")
-        for field_name in ("bs_grids", "powers_dbm", "rician_bs_irs", "angles_bs_irs"):
+        for field_name in ("bs_grids", "powers_dbm", "rician_bs_irs", "angles_bs_irs_deg"):
             got = len(getattr(self, field_name))
             if got != n:
                 raise ValueError(f"{field_name} has {got} entries for {n} BSs")
@@ -140,7 +146,7 @@ class ScenarioConfig:
         if not np.isfinite(np.hstack(self.bs_positions + (self.irs_position,
                                                           self.user_position))).all():
             raise ValueError("positions must be finite")
-        if not np.isfinite(np.hstack(self.angles_bs_irs + (self.angles_irs_user,))).all():
+        if not np.isfinite(np.hstack(self.angles_bs_irs_deg + (self.angles_irs_user_deg,))).all():
             raise ValueError("angles must be finite")
         # the not (x >= 0) form rejects NaN too
         if not (0 < self.spacing < math.inf):
@@ -194,59 +200,21 @@ class ScenarioConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-facing dict: angles in degrees, powers in dBm."""
-        return {
-            "name": self.name,
-            "bs_positions_m": [list(p) for p in self.bs_positions],
-            "irs_position_m": list(self.irs_position),
-            "user_position_m": list(self.user_position),
-            "bs_grids": [list(g) for g in self.bs_grids],
-            "irs_grid": list(self.irs_grid),
-            "powers_dbm": list(self.powers_dbm),
-            "noise_dbm": self.noise_dbm,
-            "rician_bs_irs": list(self.rician_bs_irs),
-            "rician_irs_user": self.rician_irs_user,
-            "pathloss_exp_direct": self.exp_direct,
-            "pathloss_exp_bs_irs": self.exp_bs_irs,
-            "pathloss_exp_irs_user": self.exp_irs_user,
-            "angles_bs_irs_deg": [[math.degrees(a) for a in pair] for pair in self.angles_bs_irs],
-            "angles_irs_user_deg": [math.degrees(a) for a in self.angles_irs_user],
-            "element_spacing": self.spacing,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "error_units": self.error_units,
-        }
+        """JSON-facing dict: every field under its `FILE_KEYS` key."""
+        return {key: getattr(self, field) for field, key in FILE_KEYS.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """Inverse of `to_dict`; a key of `OPTIONAL_KEYS` may be missing and
+        then takes its field's default."""
         if not isinstance(data, dict):
             raise ValueError(f"malformed scenario file: a {type(data).__name__}, not an object")
+        for key in FILE_KEYS.values():
+            if key not in data and key not in OPTIONAL_KEYS:
+                raise ValueError(f"scenario file is missing required key {key!r}")
         try:
-            return cls(
-                name=data.get("name", "custom"),
-                bs_positions=tuple(tuple(p) for p in data["bs_positions_m"]),
-                irs_position=tuple(data["irs_position_m"]),
-                user_position=tuple(data["user_position_m"]),
-                bs_grids=tuple(tuple(g) for g in data["bs_grids"]),
-                irs_grid=tuple(data["irs_grid"]),
-                powers_dbm=tuple(data["powers_dbm"]),
-                noise_dbm=data["noise_dbm"],
-                rician_bs_irs=tuple(data["rician_bs_irs"]),
-                rician_irs_user=data["rician_irs_user"],
-                exp_direct=data["pathloss_exp_direct"],
-                exp_bs_irs=data["pathloss_exp_bs_irs"],
-                exp_irs_user=data["pathloss_exp_irs_user"],
-                angles_bs_irs=tuple(tuple(math.radians(a) for a in pair)
-                                    for pair in data["angles_bs_irs_deg"]),
-                angles_irs_user=tuple(math.radians(a) for a in data["angles_irs_user_deg"]),
-                spacing=data.get("element_spacing", 0.5),
-                delta1=data.get("delta1", 0.0),
-                delta2=data.get("delta2", 0.0),
-                error_units=data.get("error_units", "normalized"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"scenario file is missing required key {exc}") from exc
-        except (TypeError, _NotANumber) as exc:     # e.g. a number where a list belongs
+            return cls(**{field: data[key] for field, key in FILE_KEYS.items() if key in data})
+        except _WrongType as exc:
             raise ValueError(f"malformed scenario file: {exc}") from exc
 
     def config_hash(self) -> str:
@@ -257,6 +225,34 @@ class ScenarioConfig:
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)
+
+
+# each field's declared type, which __post_init__ holds its value to
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+
+# The scenario-file schema: each ScenarioConfig field and its file key.
+FILE_KEYS = {
+    "bs_positions": "bs_positions_m",
+    "irs_position": "irs_position_m",
+    "user_position": "user_position_m",
+    "bs_grids": "bs_grids",
+    "irs_grid": "irs_grid",
+    "powers_dbm": "powers_dbm",
+    "noise_dbm": "noise_dbm",
+    "rician_bs_irs": "rician_bs_irs",
+    "rician_irs_user": "rician_irs_user",
+    "exp_direct": "pathloss_exp_direct",
+    "exp_bs_irs": "pathloss_exp_bs_irs",
+    "exp_irs_user": "pathloss_exp_irs_user",
+    "angles_bs_irs_deg": "angles_bs_irs_deg",
+    "angles_irs_user_deg": "angles_irs_user_deg",
+    "spacing": "element_spacing",
+    "delta1": "delta1",
+    "delta2": "delta2",
+    "error_units": "error_units",
+    "name": "name",
+}
+OPTIONAL_KEYS = frozenset(("element_spacing", "delta1", "delta2", "error_units", "name"))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +284,8 @@ def paper_fig3_preset() -> ScenarioConfig:
         exp_direct=3.7,
         exp_bs_irs=2.0,
         exp_irs_user=3.0,
-        angles_bs_irs=((math.pi / 3, math.pi / 3),
-                       (math.pi / 8, math.pi / 8),
-                       (math.pi / 8, math.pi / 8)),
-        angles_irs_user=(math.pi / 6, math.pi / 6),
+        angles_bs_irs_deg=((60.0, 60.0), (22.5, 22.5), (22.5, 22.5)),
+        angles_irs_user_deg=(30.0, 30.0),
         spacing=0.5,
         delta1=1e-6,
         delta2=1e-6,
@@ -319,7 +313,13 @@ def load_scenario(source: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-def save_scenario(cfg: ScenarioConfig, path: str) -> None:
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` in the one format of every JSON artifact: indented,
+    keys sorted, a trailing newline; equal payloads give equal bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_scenario(cfg: ScenarioConfig, path: str) -> None:
+    write_json(path, cfg.to_dict())

@@ -33,9 +33,11 @@ def random_scenario(rng: np.random.Generator, name: str = "rand",
         exp_direct=rng.uniform(3.0, 4.0),
         exp_bs_irs=rng.uniform(2.0, 2.5),
         exp_irs_user=rng.uniform(2.5, 3.5),
-        angles_bs_irs=tuple((rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi / 2))
-                            for _ in range(n_int + 1)),
-        angles_irs_user=(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi / 2)),
+        angles_bs_irs_deg=tuple((math.degrees(rng.uniform(0, math.pi / 2)),
+                                 math.degrees(rng.uniform(0, math.pi / 2)))
+                                for _ in range(n_int + 1)),
+        angles_irs_user_deg=(math.degrees(rng.uniform(0, math.pi / 2)),
+                             math.degrees(rng.uniform(0, math.pi / 2))),
         delta1=rng.uniform(0, max_delta),
         delta2=rng.uniform(0, max_delta),
         error_units="normalized",
@@ -102,7 +104,7 @@ def edge_scenario(preset_cfg: irsopt.ScenarioConfig, regime: str) -> irsopt.Scen
     single_bs = base.replace(
         bs_positions=base.bs_positions[:1], bs_grids=base.bs_grids[:1],
         powers_dbm=base.powers_dbm[:1], rician_bs_irs=base.rician_bs_irs[:1],
-        angles_bs_irs=base.angles_bs_irs[:1], name="single-bs")
+        angles_bs_irs_deg=base.angles_bs_irs_deg[:1], name="single-bs")
     return {
         "no-bs-irs-los": base.replace(rician_bs_irs=(0.0, 0.0, 0.0)),
         "k-0": base.replace(rician_bs_irs=(0.0, 0.0, 0.0), rician_irs_user=0.0),
@@ -122,9 +124,10 @@ def interference_split_scenario(preset_cfg: irsopt.ScenarioConfig) -> irsopt.Sce
     """The preset with interferer 1's IRS angles 0.05 rad from the serving
     pair, the user at (300, 40) m, K = 10 on every link and delta = 0.6:
     a geometry where ignoring interference in the design costs rate."""
-    az, el = preset_cfg.angles_bs_irs[0]
+    az, el = preset_cfg.angles_bs_irs_deg[0]
+    step = math.degrees(0.05)
     return preset_cfg.replace(
-        angles_bs_irs=((az, el), (az + 0.05, el + 0.05)) + preset_cfg.angles_bs_irs[2:],
+        angles_bs_irs_deg=((az, el), (az + step, el + step)) + preset_cfg.angles_bs_irs_deg[2:],
         user_position=(300.0, 40.0),
         rician_bs_irs=(10.0,) * preset_cfg.n_bs, rician_irs_user=10.0,
         delta1=0.6, delta2=0.6, name="interference-split")

@@ -69,8 +69,8 @@ def test_interference_flag_irrelevant_without_interferers(small_cfg):
         noise_dbm=small_cfg.noise_dbm,
         rician_bs_irs=(small_cfg.rician_bs_irs[0],),
         rician_irs_user=small_cfg.rician_irs_user,
-        angles_bs_irs=(small_cfg.angles_bs_irs[0],),
-        angles_irs_user=small_cfg.angles_irs_user,
+        angles_bs_irs_deg=(small_cfg.angles_bs_irs_deg[0],),
+        angles_irs_user_deg=small_cfg.angles_irs_user_deg,
         delta1=0.3, delta2=0.3,
     )
     stats = build_statistics(cfg)

@@ -1,12 +1,19 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irsopt
+from conftest import random_scenario
 from irsopt.config import (
+    FILE_KEYS,
+    OPTIONAL_KEYS,
     PRESETS,
+    ScenarioConfig,
     dbm_to_watt,
     load_scenario,
     save_scenario,
@@ -56,9 +63,8 @@ def test_scenario_json_roundtrip(tmp_path, preset_cfg):
     assert loaded.bs_positions == preset_cfg.bs_positions
     assert loaded.bs_grids == preset_cfg.bs_grids
     assert loaded.powers_dbm == preset_cfg.powers_dbm
-    np.testing.assert_allclose(loaded.angles_bs_irs, preset_cfg.angles_bs_irs, rtol=1e-12)
-    np.testing.assert_allclose(loaded.angles_irs_user, preset_cfg.angles_irs_user,
-                               rtol=1e-12)
+    assert loaded.angles_bs_irs_deg == preset_cfg.angles_bs_irs_deg
+    assert loaded.angles_irs_user_deg == preset_cfg.angles_irs_user_deg
     assert loaded.delta1 == preset_cfg.delta1
     assert loaded.error_units == preset_cfg.error_units
 
@@ -84,7 +90,15 @@ def test_malformed_scenario_file(tmp_path):
                                 (None, [good], "malformed scenario file"),
                                 ("irs_grid", [8.5, 8], "grid entries must be integers"),
                                 ("bs_grids", [[4, 4], [4, 3.5], [4, 4]],
-                                 "grid entries must be integers")):
+                                 "grid entries must be integers"),
+                                # numbers inside lists are checked, not cast
+                                ("powers_dbm", ["30", True, 30], "powers_dbm must be a real"),
+                                ("rician_bs_irs", [3, "3", False], "rician_bs_irs must be a real"),
+                                ("irs_position_m", ["600", 0], "irs_position must be a real"),
+                                ("bs_positions_m", [[0, 0], [600, None], [300, 500]],
+                                 "bs_positions must be a real"),
+                                ("angles_irs_user_deg", [30, 30, 30], "expected 2 numbers"),
+                                ("noise_dbm", [-90], "noise_dbm must be a real")):
         edited.write_text(json.dumps(value if key is None else {**good, key: value}))
         with pytest.raises(ValueError, match=message):
             load_scenario(str(edited))
@@ -93,7 +107,7 @@ def test_malformed_scenario_file(tmp_path):
 def test_validation_errors(preset_cfg):
     with pytest.raises(ValueError, match="at least the serving BS"):
         preset_cfg.replace(bs_positions=(), bs_grids=(), powers_dbm=(),
-                           rician_bs_irs=(), angles_bs_irs=())
+                           rician_bs_irs=(), angles_bs_irs_deg=())
     with pytest.raises(ValueError, match="entries for"):
         preset_cfg.replace(powers_dbm=(30.0, 30.0))
     with pytest.raises(ValueError, match="Rician factors"):
@@ -112,6 +126,15 @@ def test_validation_errors(preset_cfg):
     with pytest.raises(ValueError, match="grid entries must be integers"):
         preset_cfg.replace(bs_grids=((4, 4), (4, 4), (4.5, 4)))
     assert preset_cfg.replace(irs_grid=(8.0, np.int64(4))).irs_grid == (8, 4)
+    for powers in ((True, "30", 30.0), (30.0, 30.0, None)):
+        with pytest.raises(ValueError, match="powers_dbm must be a real number"):
+            preset_cfg.replace(powers_dbm=powers)
+    with pytest.raises(ValueError, match="user_position: expected 2 numbers"):
+        preset_cfg.replace(user_position=(300.0, 100.0, 0.0))
+    # lists and arrays are stored as tuples of floats, as a file's lists are
+    cfg = preset_cfg.replace(powers_dbm=np.array([30, 30, 30]),
+                             angles_bs_irs_deg=[[60, 60], [22.5, 22.5], (22.5, 22.5)])
+    assert cfg == preset_cfg and type(cfg.powers_dbm[0]) is float
 
 
 def _nonfinite_cases():
@@ -122,9 +145,10 @@ def _nonfinite_cases():
         for field, value in (("bs_positions", ((0.0, 0.0), (600.0, 0.0), (300.0, x))),
                              ("irs_position", (300.0, x)),
                              ("user_position", (x, 0.0)),
-                             ("angles_bs_irs", ((0.0, 0.0),) * 2 + ((x, 0.0),)),
-                             ("angles_irs_user", (x, 0.0))):
-            cases.append(pytest.param(field, value, id=f"{field}-{x}"))
+                             ("angles_bs_irs_deg", ((0.0, 0.0),) * 2 + ((x, 0.0),)),
+                             ("angles_irs_user_deg", (x, 0.0))):
+            # an id names the quantity, without the field's unit suffix
+            cases.append(pytest.param(field, value, id=f"{field.removesuffix('_deg')}-{x}"))
     return cases
 
 
@@ -150,6 +174,48 @@ def test_scalar_fields_are_floats(preset_cfg, field):
     for bad in (True, np.bool_(True), "1", None):
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             preset_cfg.replace(**{field: bad})
+
+
+def test_file_keys_cover_every_field():
+    fields = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+    assert set(FILE_KEYS) == set(fields)
+    assert len(set(FILE_KEYS.values())) == len(FILE_KEYS)
+    optional = {field for field, key in FILE_KEYS.items() if key in OPTIONAL_KEYS}
+    assert OPTIONAL_KEYS <= set(FILE_KEYS.values())
+    assert all(fields[field].default is not dataclasses.MISSING for field in optional)
+
+
+def _json_cycle(cfg: ScenarioConfig) -> ScenarioConfig:
+    return ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_json_round_trip_is_lossless(seed):
+    cfg = random_scenario(np.random.default_rng(seed))
+    loaded = _json_cycle(cfg)
+    assert loaded == cfg
+    assert loaded.config_hash() == cfg.config_hash()
+
+
+@pytest.mark.parametrize("units", ["normalized", "absolute"])
+def test_preset_json_round_trip_is_lossless(preset_cfg, units):
+    cfg = preset_cfg.replace(error_units=units)
+    assert _json_cycle(cfg) == cfg
+    assert _json_cycle(cfg).config_hash() == cfg.config_hash()
+
+
+def test_saved_scenario_file_saves_back_byte_for_byte(tmp_path, preset_cfg):
+    # a hand-edited file keeps every angle as written, so saving what was
+    # loaded reproduces the file
+    path, again = tmp_path / "edited.json", tmp_path / "again.json"
+    save_scenario(preset_cfg, str(path))
+    data = json.loads(path.read_text())
+    data["angles_bs_irs_deg"] = [[60.0, 30.1], [17.3, 41.9], [12.7, 60.0]]
+    data["angles_irs_user_deg"] = [30.1, 12.7]
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    save_scenario(load_scenario(str(path)), str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_config_hash_ignores_name(preset_cfg):

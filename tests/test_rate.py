@@ -64,8 +64,8 @@ def _single_bs_cfg(irs_grid=(2, 2), bs_grid=(2, 2), rician=3.0, delta=0.0):
         noise_dbm=-90.0,
         rician_bs_irs=(rician,),
         rician_irs_user=rician,
-        angles_bs_irs=((0.4, 0.9),),
-        angles_irs_user=(1.0, 0.5),
+        angles_bs_irs_deg=((math.degrees(0.4), math.degrees(0.9)),),
+        angles_irs_user_deg=(math.degrees(1.0), math.degrees(0.5)),
         delta1=delta,
         delta2=delta,
     )
