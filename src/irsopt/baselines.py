@@ -12,11 +12,12 @@ matched-filter beamformer.  The flags only change the *design* objective:
 
 Evaluation is always the same: true error variances, full interference,
 identical Monte Carlo seeds and sample counts for every scheme.
-`evaluate_schemes` designs every scheme first and then evaluates all the
-designs, each phase draw of the random-phase scheme included, in one
-batched call, so they share a single draw set by construction;
-`evaluate_scheme` is its one-scheme view.  Its SSCA schemes are designed
-in lockstep (`ssca.run_stack`), each bit for bit as on its own.
+`evaluate_schemes` designs every scheme first (`design_schemes`) and then
+evaluates all the designs, each phase draw of the random-phase scheme
+included, in one batched call (`evaluate_designs`), so they share a single
+draw set by construction; `evaluate_scheme` is its one-scheme view.  The
+SSCA schemes are designed in lockstep (`ssca.run_stack`), each bit for bit
+as on its own, and a sweep designs the points of one shape together.
 """
 from __future__ import annotations
 
@@ -117,20 +118,42 @@ def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
     """
     check_seed(eval_rng)    # before any design is spent on a bad seed or size
     check_count(n_samples, "n_samples")
+    (designs,) = design_schemes(specs, solver_cfgs, [(stats, cfg)])
+    return evaluate_designs(designs, stats, cfg, n_samples, eval_rng, return_samples)
+
+
+def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConfig],
+                   points: Sequence[tuple[ChannelStatistics, ScenarioConfig]]
+                   ) -> list[list[list[PhaseShiftVector]]]:
+    """Every scheme's designs at every (stats, cfg) point: per point, per
+    scheme, its `phase_draws` phase-shift vectors.  The SSCA designs of all
+    the points form one `run_stack` call, so the points must share Mr, M0
+    and K; each row is bit for bit its own `design_scheme`."""
     if len(solver_cfgs) != len(specs):
         raise ValueError(f"{len(solver_cfgs)} solver settings for {len(specs)} schemes")
-    rows = [i for i, spec in enumerate(specs) if spec.phase_source == PHASE_SOURCE_SSCA]
+    rows = [(p, i) for p in range(len(points))
+            for i, spec in enumerate(specs) if spec.phase_source == PHASE_SOURCE_SSCA]
     # keeps no run's trace alive through the evaluation
-    designed = {i: (r.v, mrt_policy(r.v)) for i, r in zip(rows, run_stack(
-        [solver_cfgs[i] for i in rows], stats, cfg,
-        [_objective(specs[i], stats, cfg) for i in rows]))} if rows else {}
-    designs = [designed[i] if i in designed else design_scheme(spec, stats, cfg, solver_cfg, draw)
-               for i, (spec, solver_cfg) in enumerate(zip(specs, solver_cfgs))
-               for draw in range(spec.phase_draws)]
-    per_design = iter(ergodic_rates_mc([v for v, _ in designs], [p for _, p in designs],
+    designed = {row: [r.v] for row, r in zip(rows, run_stack(
+        [solver_cfgs[i] for _, i in rows],
+        [_objective(specs[i], *points[p]) for p, i in rows]))} if rows else {}
+    return [[designed.get((p, i)) or [design_scheme(spec, stats, cfg, solver_cfg, draw)[0]
+                                      for draw in range(spec.phase_draws)]
+             for i, (spec, solver_cfg) in enumerate(zip(specs, solver_cfgs))]
+            for p, (stats, cfg) in enumerate(points)]
+
+
+def evaluate_designs(designs: Sequence[Sequence[PhaseShiftVector]], stats: ChannelStatistics,
+                     cfg: ScenarioConfig, n_samples: int, eval_rng: int,
+                     return_samples: bool = False) -> list[RateReport]:
+    """One report per scheme from its designs (`design_schemes` at one
+    point), all evaluated in one `ergodic_rates_mc` call at the
+    matched-filter beamformer, so they share one draw set."""
+    flat = [v for per_scheme in designs for v in per_scheme]
+    per_design = iter(ergodic_rates_mc(flat, [mrt_policy(v) for v in flat],
                                        stats, cfg, n_samples, eval_rng))
-    return [_average([next(per_design) for _ in range(spec.phase_draws)], return_samples)
-            for spec in specs]
+    return [_average([next(per_design) for _ in per_scheme], return_samples)
+            for per_scheme in designs]
 
 
 def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfig,

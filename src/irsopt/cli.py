@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .baselines import SCHEMES, evaluate_schemes, scheme
+from .baselines import SCHEMES, design_schemes, evaluate_designs, evaluate_schemes, scheme
 from .channel import build_statistics
 from .config import ScenarioConfig, load_scenario, write_json
 from .rate import RateReport, upper_bound_rate_closed_form
@@ -129,8 +129,11 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
     """Evaluate every (value, scheme) pair, streaming rows to results.csv in
     deterministic order and writing a manifest.json next to it.
 
-    At each sweep value every scheme is designed and then all the designs
-    are evaluated in one batched call, so they share one draw set.  The
+    The SSCA designs of all the points that share a shape (Mr, M0 and K:
+    one group per size on an irs-size sweep, else one) run in one lockstep
+    stack, each row bit for bit its own per-point design; then each sweep
+    value's designs are evaluated in one batched call, so they share one
+    draw set.  Rows are written only once every design is done.  The
     evaluation seed is also shared across sweep points, so same-shaped
     channel draws coincide there too (common random numbers); design seeds
     are derived per scheme; the manifest records each scheme's design seed
@@ -156,15 +159,23 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
+    specs = [scheme(name) for name in spec.schemes]
+    stats = [build_statistics(cfg) for cfg in points]
+    groups: dict[tuple, list[int]] = {}     # points of one (Mr, M0, K) shape
+    for i, point in enumerate(stats):
+        groups.setdefault((point.irs_size, point.bs_sizes[0], point.n_bs), []).append(i)
+    designs = {}
+    for members in groups.values():
+        designs.update(zip(members, design_schemes(
+            specs, solvers, [(stats[i], points[i]) for i in members])))
+
     eval_seed = child_seed(spec.seed, "eval")
     rows: list[dict] = []
     with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for value, cfg in zip(spec.values, points):
-            reports = evaluate_schemes([scheme(name) for name in spec.schemes],
-                                       build_statistics(cfg), cfg, solvers,
-                                       spec.n_samples, eval_seed)
+        for i, (value, cfg) in enumerate(zip(spec.values, points)):
+            reports = evaluate_designs(designs.pop(i), stats[i], cfg, spec.n_samples, eval_seed)
             for name, report in zip(spec.schemes, reports):
                 row = _row(scenario.name, spec, value, name, report, cfg.config_hash())
                 writer.writerow(row)

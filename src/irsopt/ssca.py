@@ -414,20 +414,28 @@ def _auto_tau(c1: np.ndarray) -> np.ndarray:
 def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
         design: Optional[DesignObjective] = None,
         audit: bool = False) -> SscaResult:
-    """Run the full stochastic solver for the deployable design: a stack of one."""
-    return run_stack([solver_cfg], stats, cfg, [design], audit=audit)[0]
+    """Run the full stochastic solver for the deployable design: a stack of
+    one, running `design` (None: the robust design) and probing the robust
+    upper-bound rate every `probe_every` iterations."""
+    robust = (DesignObjective.from_scenario(stats, cfg)
+              if design is None or solver_cfg.probe_every else None)
+    return run_stack([solver_cfg], [robust if design is None else design],
+                     probe=robust, audit=audit)[0]
 
 
-def run_stack(solver_cfgs: Sequence[SolverConfig], stats: ChannelStatistics,
-              cfg: ScenarioConfig, designs: Sequence[Optional[DesignObjective]],
+def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjective],
+              probe: Optional[DesignObjective] = None,
               audit: bool = False) -> list[SscaResult]:
     """Run S designs in lockstep as one (S, Mr) iterate; one result per
-    design.  Row i runs `designs[i]` (None: the robust design) on the
-    streams of `solver_cfgs[i].seed`, whose other fields must agree, with
-    the arithmetic of its stack of one: its result does not depend on the
-    rows beside it.  Each row starts at v = 1, runs all T iterations,
+    design.  Row i runs `designs[i]` on the streams of
+    `solver_cfgs[i].seed`, whose other fields must agree, with the
+    arithmetic of its stack of one: its result does not depend on the rows
+    beside it, which may come from other scenarios of the same shape (Mr,
+    M0 and K).  Each row starts at v = 1, runs all T iterations,
     calibrates tau after the first coefficient update (`_auto_tau`) and is
-    checked to stay in |v_n| <= 1 after every move.  Per iteration and
+    checked to stay in |v_n| <= 1 after every move.  Every `probe_every`
+    iterations the trace records the upper-bound rate that `probe` scores
+    at each row's deployed iterate (none without a probe).  Per iteration and
     row: Mr + 2*L*M0 Gaussian values (`DesignObjective.sample`), drawn a
     block of iterations at a time (at most `BLOCK_BYTES` per design) and
     equal value for value to one draw per iteration; two Mr*M0-flop
@@ -440,9 +448,8 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], stats: ChannelStatistics,
             replace(s, seed=solver_cfg.seed) != solver_cfg for s in solver_cfgs):
         raise ValueError("a stack needs one design per solver setting, and settings "
                          "that differ only in the seed")
-    robust = (DesignObjective.from_scenario(stats, cfg)     # what the probe scores
-              if any(d is None for d in designs) or solver_cfg.probe_every else None)
-    design = DesignObjective.stack([robust if d is None else d for d in designs])
+    probe_every = solver_cfg.probe_every if probe is not None else 0
+    design = DesignObjective.stack(designs)
     rows, mr, m0 = len(designs), design.irs_size, design.g_mean.shape[-1]
     n, steps = solver_cfg.samples_per_iter, solver_cfg.iterations
     v = np.ones((rows, mr), dtype=complex)
@@ -472,9 +479,9 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], stats: ChannelStatistics,
         omega = stepsize(t, solver_cfg.omega_exponent)
         v = (1.0 - omega) * v + omega * v_bar
         _check_relaxed(v)
-        if solver_cfg.probe_every and t % solver_cfg.probe_every == 0:
+        if probe_every and t % probe_every == 0:
             # upper_bound_rate_closed_form without rebuilding F per probe
-            history[2, t - 1] = [_log2_1p(robust.expected(project_unit_modulus(row).v)[0])
+            history[2, t - 1] = [_log2_1p(probe.expected(project_unit_modulus(row).v)[0])
                                  for row in v]
 
     c0s, gaps, probes = history.transpose(0, 2, 1).tolist()

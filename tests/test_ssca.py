@@ -468,7 +468,7 @@ def test_stacked_rows_equal_their_stacks_of_one(preset_cfg, regime):
                for robust, intf in MIXED_FLAGS]
     solvers = [SolverConfig(iterations=25, samples_per_iter=3, seed=seed)
                for seed in (5, 6, 7, 8)]
-    _assert_rows_equal_runs_alone(run_stack(solvers, stats, cfg, designs),
+    _assert_rows_equal_runs_alone(run_stack(solvers, designs),
                                   solvers, stats, cfg, designs)
 
 
@@ -505,10 +505,11 @@ def test_stacked_steps_equal_their_rows(preset_cfg):
 
 def test_run_stack_needs_settings_that_differ_only_in_the_seed(small_cfg, small_stats):
     solvers = [SolverConfig(iterations=5, seed=1), SolverConfig(iterations=6, seed=2)]
+    designs = [DesignObjective.from_scenario(small_stats, small_cfg)] * 2
     with pytest.raises(ValueError, match="differ only in the seed"):
-        run_stack(solvers, small_stats, small_cfg, [None, None])
+        run_stack(solvers, designs)
     with pytest.raises(ValueError, match="one design per solver setting"):
-        run_stack(solvers[:1], small_stats, small_cfg, [None, None])
+        run_stack(solvers[:1], designs)
 
 
 @settings(max_examples=8, deadline=None, database=None)
@@ -522,7 +523,7 @@ def test_stacked_iterates_stay_relaxed_and_equal_their_rows(seed, rows):
                for _ in range(rows)]
     solvers = [SolverConfig(iterations=12, samples_per_iter=3, seed=int(rng.integers(2 ** 31)))
                for _ in range(rows)]
-    results = run_stack(solvers, stats, cfg, designs, audit=True)
+    results = run_stack(solvers, designs, audit=True)
     for result in results:
         for entry in result.trace.audit + [{"v_prev": result.state.v}]:
             assert np.all(np.isfinite(entry["v_prev"]))
