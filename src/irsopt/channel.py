@@ -23,8 +23,8 @@ Three sampling routes exist, each for one consumer:
   the Gaussian model the phase-shift solver optimizes over:
   cascaded-estimate entries centered on the cascaded LoS with variance
   sigma_g^2 - delta1^2, direct-estimate entries zero-mean with variance
-  sigma_h^2 - delta2^2.  That is Mr + 2*L*M0 Gaussian values per
-  iteration, with no (L, Mr) array.
+  sigma_h^2 - delta2^2.  That is Mr + M0 + 1 Gaussian values and one
+  gamma value per iteration, whatever L is, with no (L, Mr) array.
 * `sample_estimated_csi` (one draw) takes a single estimate from the same
   Gaussian model, for single-draw objective and beamformer checks.
 * `PhysicalChannelSampler` draws the Rician/Rayleigh fading

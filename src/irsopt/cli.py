@@ -161,7 +161,7 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
 
     specs = [scheme(name) for name in spec.schemes]
     stats = [build_statistics(cfg) for cfg in points]
-    groups: dict[tuple, list[int]] = {}     # points of one (Mr, M0, K) shape
+    groups: dict[tuple, list[int]] = {}     # points of one shape: Mr, M0 and K + 1 BSs
     for i, point in enumerate(stats):
         groups.setdefault((point.irs_size, point.bs_sizes[0], point.n_bs), []).append(i)
     designs = {}

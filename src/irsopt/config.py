@@ -72,10 +72,15 @@ def _real(name: str, value) -> float:
 
 
 def _typed(name: str, kind, value):
-    """``value`` as the field type ``kind``: a float goes through `_real`, an
-    int through `_grid_axis`, and a sequence (tuple, list or numpy array)
-    becomes a tuple of the declared length whose entries are typed the same
-    way.  Anything else is an error naming the field, never a cast."""
+    """``value`` as the field type ``kind``: a str must be one, a float goes
+    through `_real`, an int through `_grid_axis`, and a sequence (tuple,
+    list or numpy array) becomes a tuple of the declared length whose
+    entries are typed the same way.  Anything else is an error naming the
+    field, never a cast."""
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise _WrongType(f"{name} must be a string, got {value!r}")
     if kind is float:
         return _real(name, value)
     if kind is int:
@@ -120,8 +125,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
-            if kind is not str:
-                object.__setattr__(self, name, _typed(name, kind, getattr(self, name)))
+            object.__setattr__(self, name, _typed(name, kind, getattr(self, name)))
         self._validate()
 
     def _validate(self):
@@ -206,9 +210,13 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         """Inverse of `to_dict`; a key of `OPTIONAL_KEYS` may be missing and
-        then takes its field's default."""
+        then takes its field's default, and a key outside `FILE_KEYS` is an
+        error (a misspelt optional key would otherwise load its default)."""
         if not isinstance(data, dict):
             raise ValueError(f"malformed scenario file: a {type(data).__name__}, not an object")
+        for key in data:
+            if key not in FILE_KEYS.values():
+                raise ValueError(f"malformed scenario file: unknown key {key!r}")
         for key in FILE_KEYS.values():
             if key not in data and key not in OPTIONAL_KEYS:
                 raise ValueError(f"scenario file is missing required key {key!r}")

@@ -36,10 +36,13 @@ CSI draw is its zero-variance law (`DesignObjective.ratio`).
 A draw enters gamma only through ||e||^2 and g_hat e, with
 e = g_hat^H v + h_hat, and gamma and its ascent are affine in the two at
 fixed v, so the coefficient step reads only their L-draw means.
-`DesignObjective.sample` draws those means from their exact law: Mr + 2*L*M0
-Gaussian values and two Mr x M0 products with the LoS mean G per iteration,
-where L full estimates would draw L*Mr*M0 values and spend L*Mr*M0 flops on
-G.  An iteration costs O(Mr*(M0 + K) + L*M0) in all, K interferers.  The
+`DesignObjective.sample` draws those means from their exact law, through
+the L draws' sums sum_l ||e_l||^2, sum_l e_l and one cross term, which a
+rotation of each draw's two Gaussian parts gives in closed law: Mr + M0 + 1
+Gaussian values, one gamma value and two Mr x M0 products with the LoS mean
+G per iteration, whatever L is, where L full estimates would draw L*Mr*M0
+values and spend L*Mr*M0 flops on G.  An iteration costs O(Mr*(M0 + K)) in
+all, K interferers, below the paper's O(L*M0*Mr).  The
 expectation of gamma has a closed form (`DesignObjective.expected`); the
 stochastic iteration is the paper's method, and the closed form its oracle.
 """
@@ -62,7 +65,7 @@ from .rate import (
     interference_quadratic,
     phase_array,
 )
-from .streams import check_count, check_seed, crandn_blocks, named_child
+from .streams import check_count, check_seed, crandn_blocks, gamma_blocks, named_child
 
 
 def stepsize(t: int, exponent: float) -> float:
@@ -105,7 +108,7 @@ class SolverConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
-BLOCK_BYTES = 256 * 1024    # draw buffers per design: memory stays flat as Mr grows
+BLOCK_BYTES = 256 * 1024    # draw buffers per stack: memory stays flat as Mr and S grow
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,8 +159,8 @@ class DesignObjective:
     so v^H B v = ||F^H v||^2, B v = F (F^H v), and the ratio costs
     O(Mr*K) per pair (||e||^2, g_hat e) with e = g_hat^H v + h_hat.  The
     solver scores the L-draw mean pair, which `sample` draws in
-    Mr + 2*L*M0 values, for a `stack` of designs at once; `expected`
-    scores the closed-form mean pair.  One CSI draw is the zero-variance
+    Mr + M0 + 1 Gaussian values and one gamma value, for a `stack` of
+    designs at once; `expected` scores the closed-form mean pair.  One CSI draw is the zero-variance
     law at (g_hat, h_hat) (`ratio`), whose mean pair is the draw's own;
     `value`, `ascent` and `grad` read `expected`.
 
@@ -229,42 +232,60 @@ class DesignObjective:
         (mean ||e_l||^2, mean g_hat_l e_l (Mr,)).  The ratio is affine in
         the two at fixed v, so they give the n-draw mean of its value and
         ascent (`update_coefficients`).  `draws` holds the CN(0, 1) values
-        z (n, M0), w (Mr,) and eta (n, M0), h_hat = h_mean + sigma_h eta; on
-        a `stack`, v, the draws and the results carry its row axis too.
+        s (M0,), w (Mr,) and nu (a scalar) and one Gamma(M0 (n - 1), 1)
+        value r; on a `stack`, v, the draws and the results carry its row
+        axis too.
 
-        With g_hat = G + sigma_g S (S i.i.d. CN(0, 1)), q = v / ||v|| and
-        P = I - q q^H, z = S^H q ~ CN(0, I_M0) is independent of P S, so
-        per draw
+        With g_hat = G + sigma_g X (X i.i.d. CN(0, 1)), q = v / ||v|| and
+        P = I - q q^H, z = X^H q ~ CN(0, I_M0) is independent of P X, so
+        per draw, with h_hat = h_mean + sigma_h eta,
 
-            e       = G^H v + sigma_g ||v|| z + h_hat
+            e       = m + a z + b eta,   m = G^H v + h_mean, a = sigma_g ||v||, b = sigma_h
             g_hat e = G e + sigma_g (q (z^H e) + ||e|| P w),   w ~ CN(0, I_Mr).
 
         Given the e_l, the mean of the independent ||e_l|| w_l is
-        CN(0, (sum_l ||e_l||^2 / n^2) I_Mr), so one w scaled by
-        sqrt(sum_l ||e_l||^2) / n stands for all n of them:
+        CN(0, (T / n^2) I_Mr) with T = sum_l ||e_l||^2, so one w scaled by
+        sqrt(T) / n stands for all n of them:
 
             n mean g_hat e = G sum_l e_l + sigma_g sqrt(T) w
                              + sigma_g (||v|| sum_l z_l^H e_l - sqrt(T) v^H w) v / ||v||^2,
 
-        T = sum_l ||e_l||^2, and at v = 0 the last term drops.  That is
-        Mr + 2*n*M0 Gaussian values and two Mr x M0 products with G,
-        whatever n is.
+        and at v = 0 the last term drops.  The n draws enter only through
+        T, sum_l e_l and sum_l z_l^H e_l.  Rotate (z_l, eta_l) to
+        xi_l = (a z_l + b eta_l) / c, c = sqrt(a^2 + b^2), and the
+        orthogonal zeta_l = (b z_l - a eta_l) / c: independent CN(0, I_M0)
+        with e_l = m + c xi_l.  Their sum is sum_l xi_l = sqrt(n) s with
+        s ~ CN(0, I_M0), and r = sum_l ||xi_l - s / sqrt(n)||^2 is
+        Gamma(M0 (n - 1), 1) and independent of s, so
+
+            mean_l e_l      = m + c s / sqrt(n)
+            T               = n ||mean_l e_l||^2 + c^2 r
+            sum_l z_l^H e_l = (a / c) (sqrt(n) s^H m + c (||s||^2 + r)) + (b / c) sqrt(T) nu,
+
+        since sum_l xi_l^H e_l = sqrt(n) s^H m + c sum_l ||xi_l||^2 and,
+        given the e_l, sum_l zeta_l^H e_l ~ CN(0, T).  At c = 0 take
+        a / c = 1 and b / c = 0; the last term above is only read times
+        a, which is then 0.  That is Mr + M0 + 1 Gaussian values, one gamma
+        value and two Mr x M0 products with G, whatever n is.
         """
         if n < 1:
             raise ValueError("at least one sample per iteration is required")
-        z, w, eta = draws
+        s, w, nu, r = draws
         vh = np.conj(v)[..., None, :]                                     # v^H
         v_sq = (vh @ v[..., None])[..., 0, 0].real
-        spread_v = np.sqrt(self.g_var * v_sq)                             # sigma_g ||v||
-        e = (np.conj(vh @ self.g_mean) + self.h_mean[..., None, :]
-             + spread_v[..., None, None] * z + np.sqrt(self.h_var)[..., None, None] * eta)
-        flat = e.reshape(e.shape[:-2] + (-1,))
-        total = _inner(flat, flat).real
+        a, b = np.sqrt(self.g_var * v_sq), np.sqrt(self.h_var)            # sigma_g ||v||, sigma_h
+        c_sq = a * a + b * b
+        c = np.sqrt(c_sq)
+        mean_e = (np.conj(vh @ self.g_mean)[..., 0, :] + self.h_mean
+                  + (c / math.sqrt(n))[..., None] * s)                     # mean_l e_l
+        total = n * _inner(mean_e, mean_e).real + c_sq * r                # T
+        # a sum_l z_l^H e_l, the only use of the cross term: 0 with a at c = 0
+        a_cross = (a / np.where(c > 0.0, c, 1.0)) * (
+            a * (math.sqrt(n) * _inner(s, mean_e) + c * r) + b * np.sqrt(total) * nu)
         spread = np.sqrt(self.g_var * total)                              # sigma_g sqrt(T)
-        along = ((spread_v * _inner(z.reshape(flat.shape), flat)
-                  - spread * (vh @ w[..., None])[..., 0, 0])
+        along = ((a_cross - spread * (vh @ w[..., None])[..., 0, 0])
                  / np.where(v_sq > 0.0, n * v_sq, np.inf))
-        ge = ((self.g_mean @ e.mean(axis=-2)[..., None])[..., 0]
+        ge = ((self.g_mean @ mean_e[..., None])[..., 0]
               + (spread / n)[..., None] * w + along[..., None] * v)
         return total / n, ge
 
@@ -436,12 +457,13 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
     checked to stay in |v_n| <= 1 after every move.  Every `probe_every`
     iterations the trace records the upper-bound rate that `probe` scores
     at each row's deployed iterate (none without a probe).  Per iteration and
-    row: Mr + 2*L*M0 Gaussian values (`DesignObjective.sample`), drawn a
-    block of iterations at a time (at most `BLOCK_BYTES` per design) and
-    equal value for value to one draw per iteration; two Mr*M0-flop
-    products with the LoS mean G; and O(Mr * K) for the ratio, its
-    gradient and B v = F (F^H v): O(Mr*(M0 + K) + L*M0) in all.  Identical
-    configurations and seeds reproduce the iterates bit-for-bit.
+    row, whatever L is: Mr + M0 + 1 Gaussian values and one gamma value
+    (`DesignObjective.sample`), drawn a block of iterations at a time (at
+    most `BLOCK_BYTES` of buffers for the whole stack) and equal value for
+    value to one draw per iteration; two Mr*M0-flop products with the LoS
+    mean G; and O(Mr * K) for the ratio, its gradient and
+    B v = F (F^H v): O(Mr*(M0 + K)) in all.  Identical configurations and
+    seeds reproduce the iterates bit-for-bit.
     """
     solver_cfg = solver_cfgs[0]
     if len(designs) != len(solver_cfgs) or any(
@@ -456,15 +478,16 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
     c0, c1 = np.zeros(rows), np.zeros((rows, mr), dtype=complex)
 
     g_rngs, h_rngs = zip(*(named_child(s.seed, "solver").spawn(2) for s in solver_cfgs))
-    block = BLOCK_BYTES // (32 * (2 * n * m0 + mr))   # 2 normals + 1 complex a value
-    draws = zip(crandn_blocks(g_rngs, [(n, m0), (mr,)], steps, block),     # z, w
-                crandn_blocks(h_rngs, [(n, m0)], steps, block))            # eta
+    # per row and iteration: 2 normals and 1 complex a Gaussian value, and 1 gamma
+    block = max(1, BLOCK_BYTES // (rows * (32 * (m0 + mr + 1) + 8)))
+    draws = zip(crandn_blocks(g_rngs, [(m0,), (mr,), ()], steps, block),   # s, w, nu
+                gamma_blocks(h_rngs, m0 * (n - 1), steps, block))          # r
     tau_reg = None
     audits = [[] for _ in range(rows)]
     history = np.full((3, steps, rows), math.nan)           # c0, gap and UB probe
 
-    for t, (g_draws, h_draws) in enumerate(draws, start=1):
-        power, ge = design.sample(g_draws + h_draws, v, n)
+    for t, (normals, r) in enumerate(draws, start=1):
+        power, ge = design.sample(normals + (r,), v, n)
         c0, c1 = update_coefficients(v, c0, c1, power, ge,
                                      stepsize(t, solver_cfg.rho_exponent), design)
         if tau_reg is None:

@@ -109,3 +109,13 @@ def crandn_blocks(rngs: Sequence[np.random.Generator], shapes: Sequence[tuple],
             parts.append(out[..., at:at + size].reshape(out.shape[:2] + tuple(shape)))
             at += size
         yield from zip(*(part.swapaxes(0, 1) for part in parts))
+
+
+def gamma_blocks(rngs: Sequence[np.random.Generator], shape: float, steps: int,
+                 block: int) -> Iterator[np.ndarray]:
+    """Per step, one Gamma(shape, 1) value per generator (S,), row i equal
+    to one ``rngs[i].standard_gamma(shape)`` call per step, but drawn
+    `block` steps at a time."""
+    for start in range(0, steps, block):
+        yield from np.stack([rng.standard_gamma(shape, min(block, steps - start))
+                             for rng in rngs], axis=-1)

@@ -71,12 +71,14 @@ def full_matrix_sample(design, streams: dict, n: int) -> tuple[np.ndarray, np.nd
 
 
 def sample_draws(design, streams: dict, n: int) -> tuple:
-    """One iteration's CN(0, 1) draws (z, w, eta) for
-    `DesignObjective.sample` from a {design/g, design/h} stream pair, in
-    the order the solver draws them."""
+    """One iteration's draws (s, w, nu, r) for `DesignObjective.sample`
+    from a {design/g, design/h} stream pair, in the order the solver draws
+    them: CN(0, 1) values s (M0,), w (Mr,) and nu (), then one
+    Gamma(M0 (n - 1), 1) value r."""
     mr, m0 = design.g_mean.shape
-    return (crandn(streams["design/g"], (n, m0), 1.0), crandn(streams["design/g"], (mr,), 1.0),
-            crandn(streams["design/h"], (n, m0), 1.0))
+    g = streams["design/g"]
+    return (crandn(g, (m0,), 1.0), crandn(g, (mr,), 1.0), crandn(g, (), 1.0),
+            streams["design/h"].standard_gamma(m0 * (n - 1), ()))
 
 
 def combine_draws(v: np.ndarray, g_hat: np.ndarray,

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import irsopt
-from irsopt import cli
-from irsopt.baselines import design_scheme, evaluate_scheme, scheme
+from irsopt import baselines, cli
+from irsopt.baselines import design_scheme, evaluate_scheme, evaluate_schemes, scheme
 from irsopt.channel import build_statistics
 from irsopt.cli import (
     CSV_COLUMNS,
@@ -177,6 +177,41 @@ def test_run_sweep_rows_equal_evaluate_scheme_reports(tmp_path, preset_cfg):
         assert float(row["ub_rate"]) == pytest.approx(report.ub_rate, rel=1e-12, abs=0.0)
         assert float(row["mc_rate"]) == pytest.approx(report.mc_rate, rel=1e-12, abs=0.0)
         assert float(row["mc_stderr"]) == pytest.approx(report.mc_stderr, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("param, values, schemes, stacks", [
+    ("error-std", (1e-6, 0.6), ("proposed", "robust-with-intf", "nonrobust-no-intf"), 1),
+    ("irs-size", (2.0, 3.0), ("proposed", "robust-no-intf"), 2),
+    ("error-std", (1e-6, 0.6), ("robust-with-intf",), 0),
+], ids=["error-std", "irs-size", "random-phase-only"])
+def test_run_sweep_designs_each_shape_in_one_stack(tmp_path, preset_cfg, monkeypatch,
+                                                   param, values, schemes, stacks):
+    # a sweep's SSCA designs form one lockstep stack per (Mr, M0, K) shape,
+    # and every row is bit for bit the per-point evaluation with its seeds
+    cfg = preset_cfg.replace(bs_grids=((2, 2),) * 3)
+    spec = dataclasses.replace(_tiny_sweep(seed=3, schemes=schemes, values=values), param=param)
+    stack_rows = []
+    run_stack = baselines.run_stack
+
+    def counting(solver_cfgs, designs, *args, **kwargs):
+        stack_rows.append(len(designs))
+        return run_stack(solver_cfgs, designs, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "run_stack", counting)
+    rows = run_sweep(spec, cfg, str(tmp_path))
+    monkeypatch.undo()
+    ssca_schemes = sum(scheme(name).phase_source == "ssca" for name in schemes)
+    assert stack_rows == [ssca_schemes * len(values) // max(stacks, 1)] * stacks
+    solvers = [dataclasses.replace(spec.solver, seed=child_seed(spec.seed, f"design/{name}"))
+               for name in schemes]
+    for i, value in enumerate(values):
+        point = apply_sweep_value(cfg, param, value)
+        reports = evaluate_schemes([scheme(name) for name in schemes], build_statistics(point),
+                                   point, solvers, spec.n_samples, child_seed(spec.seed, "eval"))
+        for row, report in zip(rows[i * len(schemes):], reports):
+            assert float(row["sweep_value"]) == value
+            assert [row[key] for key in ("ub_rate", "mc_rate", "mc_stderr")] == \
+                [repr(report.ub_rate), repr(report.mc_rate), repr(report.mc_stderr)]
 
 
 def test_cli_solve_and_eval(tmp_path):

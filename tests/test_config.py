@@ -98,7 +98,10 @@ def test_malformed_scenario_file(tmp_path):
                                 ("bs_positions_m", [[0, 0], [600, None], [300, 500]],
                                  "bs_positions must be a real"),
                                 ("angles_irs_user_deg", [30, 30, 30], "expected 2 numbers"),
-                                ("noise_dbm", [-90], "noise_dbm must be a real")):
+                                ("noise_dbm", [-90], "noise_dbm must be a real"),
+                                # a misspelt optional key is not its default
+                                ("delta_1", 0.5, "malformed scenario file: unknown key 'delta_1'"),
+                                ("name", 5, "malformed scenario file: name must be a string")):
         edited.write_text(json.dumps(value if key is None else {**good, key: value}))
         with pytest.raises(ValueError, match=message):
             load_scenario(str(edited))
@@ -131,6 +134,9 @@ def test_validation_errors(preset_cfg):
             preset_cfg.replace(powers_dbm=powers)
     with pytest.raises(ValueError, match="user_position: expected 2 numbers"):
         preset_cfg.replace(user_position=(300.0, 100.0, 0.0))
+    for name in (5, None, ("paper-fig3",)):     # the name goes into every artifact
+        with pytest.raises(ValueError, match="name must be a string"):
+            preset_cfg.replace(name=name)
     # lists and arrays are stored as tuples of floats, as a file's lists are
     cfg = preset_cfg.replace(powers_dbm=np.array([30, 30, 30]),
                              angles_bs_irs_deg=[[60, 60], [22.5, 22.5], (22.5, 22.5)])

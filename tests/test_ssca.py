@@ -532,18 +532,24 @@ def test_stacked_iterates_stay_relaxed_and_equal_their_rows(seed, rows):
 
 
 def test_run_heap_stays_under_a_mebibyte_at_mr_1024(preset_cfg):
-    # the block draws are capped in bytes, not in iterations, so a large IRS
-    # takes short blocks
+    # the block draws are capped in bytes per stack, not in iterations, so a
+    # large IRS or a tall stack takes short blocks: one design stays under
+    # 1 MiB, and an 8-row stack, whose iterates alone hold 8 x 2 x 128 KiB,
+    # under 2 MiB
     cfg = preset_cfg.replace(irs_grid=(32, 32))
     stats = irsopt.build_statistics(cfg)
-    design = DesignObjective.from_scenario(stats, cfg)
-    tracemalloc.start()
-    try:
-        run(SolverConfig(iterations=30, seed=3), stats, cfg, design=design)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 ** 20, peak
+    designs = [DesignObjective.from_scenario(stats, cfg, robust=robust, include_interference=intf)
+               for robust, intf in MIXED_FLAGS * 2]
+    peaks = []
+    for solvers in ([SolverConfig(iterations=30, seed=3)],
+                    [SolverConfig(iterations=200, seed=seed) for seed in range(8)]):
+        tracemalloc.start()
+        try:
+            run_stack(solvers, designs[:len(solvers)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2 ** 20 and peaks[1] <= 2 * 2 ** 20, peaks
 
 
 def test_design_objective_holds_no_dense_interference_matrix(preset_cfg):
@@ -654,36 +660,53 @@ def test_sample_edge_regimes_match_reference_moments(preset_cfg, regime):
         assert np.all(new[4] == 0.0) and np.all(ref[4] == 0.0)
     assert (design.g_var == 0.0) == (regime in ("delta-1", "k-inf-delta-0"))
     if design.g_var == 0.0:
-        # the estimate is its mean, so given the direct-link draws the mean
-        # pair is exact: it equals the reference's on the same design/h stream
-        def streams():
-            return named_children(603, ["design/g", "design/h"])
-        power, ge = design.sample(sample_draws(design, streams(), 10), v, 10)
-        e, ref_ge = combine_draws(v, *full_matrix_sample(design, streams(), 10))
+        # the estimate is its mean, so e_l = m + sigma_h eta_l and the mean
+        # pair is exact given the direct-link draws: replay n explicit draws
+        # eta_l = S / n + sqrt(R) u_l, with sum_l eta_l = S = sqrt(n) s and
+        # sum_l ||eta_l||^2 = ||s||^2 + R, through the reference arithmetic
+        n = 10
+        draws = sample_draws(design, named_children(603, ["design/g", "design/h"]), n)
+        power, ge = design.sample(draws, v, n)
+        s, _, _, r = draws
+        u = np.random.default_rng(607).standard_normal((n, s.shape[0], 2)) @ [1.0, 1j]
+        u -= u.mean(axis=0)
+        u /= np.linalg.norm(u)                  # sum_l u_l = 0, sum_l ||u_l||^2 = 1
+        eta = s / math.sqrt(n) + math.sqrt(r) * u
+        e, ref_ge = combine_draws(v, np.broadcast_to(design.g_mean, (n,) + design.g_mean.shape),
+                                  design.h_mean + math.sqrt(design.h_var) * eta)
         assert power == pytest.approx(np.mean(np.sum(np.abs(e) ** 2, axis=1)), rel=1e-12)
         np.testing.assert_allclose(ge, np.mean(ref_ge, axis=0), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("side", [8, 32])
-def test_run_draws_mr_plus_two_l_m0_values_per_iteration(preset_cfg, monkeypatch, side):
-    # the structural cost of an iteration: no (L, Mr, M0) or (L, Mr) draw,
-    # only one Mr-vector and two (L, M0) blocks of complex Gaussian values
+@pytest.mark.parametrize("L", [1, 10])
+def test_run_draws_mr_plus_m0_plus_one_values_per_iteration(preset_cfg, monkeypatch, side, L):
+    # the structural cost of an iteration, whatever L is: no (L, Mr, M0),
+    # (L, Mr) or (L, M0) draw, only s (M0,), w (Mr,) and nu of complex
+    # Gaussian values and one gamma value
     cfg = preset_cfg.replace(irs_grid=(side, side))
     stats = irsopt.build_statistics(cfg)
-    shapes = []
-    blocks = ssca.crandn_blocks
+    shapes, gammas = [], []
+    blocks, gamma_blocks = ssca.crandn_blocks, ssca.gamma_blocks
 
     def counting(rngs, block_shapes, steps, block):
         for draws in blocks(rngs, block_shapes, steps, block):
             shapes.extend(draw.shape[1:] for draw in draws)
             yield draws
 
+    def counting_gammas(rngs, shape, steps, block):
+        for draw in gamma_blocks(rngs, shape, steps, block):
+            gammas.append((shape, draw.shape[1:]))
+            yield draw
+
     monkeypatch.setattr(ssca, "crandn_blocks", counting)
-    iterations, L = 3, 10
+    monkeypatch.setattr(ssca, "gamma_blocks", counting_gammas)
+    iterations = 3
     run(SolverConfig(iterations=iterations, samples_per_iter=L, seed=8), stats, cfg)
     mr, m0 = stats.irs_size, stats.bs_sizes[0]
-    assert shapes == [(L, m0), (mr,), (L, m0)] * iterations
-    assert sum(math.prod(shape) for shape in shapes) == iterations * (mr + 2 * L * m0)
+    assert shapes == [(m0,), (mr,), ()] * iterations
+    assert sum(math.prod(shape) for shape in shapes) == iterations * (mr + m0 + 1)
+    assert gammas == [(m0 * (L - 1), ())] * iterations
 
 
 @pytest.mark.parametrize("side", [1, 8])

@@ -48,3 +48,33 @@ def test_ssca_layers_are_called_once_per_iteration(monkeypatch, small_cfg, small
     for name in ("ssca.update_coefficients", "ssca.solve_surrogate",
                  "ssca.DesignObjective.sample"):
         assert calls.get(name) == iterations, (name, calls)
+
+
+def test_a_sweep_designs_in_one_stack_and_calls_every_sweep_layer(monkeypatch, tmp_path,
+                                                                  preset_cfg):
+    # one lockstep stack per sweep: the solver steps run once per iteration
+    # for both points together, and every layer the benchmark reports for a
+    # sweep is still called
+    from irsopt import cli, ssca
+
+    layertrace = _load_layertrace(monkeypatch)
+    tracer = layertrace.Tracer()
+    iterations = 6
+    spec = cli.SweepSpec(param="error-std", values=(1e-6, 0.6),
+                         schemes=("proposed", "robust-with-intf", "nonrobust-no-intf"),
+                         n_samples=40, seed=2,
+                         solver=ssca.SolverConfig(iterations=iterations, samples_per_iter=3))
+    cfg = preset_cfg.replace(irs_grid=(2, 2), bs_grids=((2, 2),) * 3)
+    try:
+        tracer.install(layertrace.TARGETS)
+        cli.run_sweep(spec, cfg, str(tmp_path))
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    calls = {name: entry["calls"] for name, entry in tracer.span_stats().items()}
+    for name in ("ssca.update_coefficients", "ssca.solve_surrogate",
+                 "ssca.DesignObjective.sample"):
+        assert calls.get(name) == iterations, (name, calls)
+    for name in ("cli.run_sweep", "channel.build_statistics", "beamforming.policy",
+                 "streams.crandn", "baselines.design_scheme"):
+        assert calls.get(name, 0) >= 1, (name, calls)
