@@ -33,6 +33,7 @@ from .config import (
     watt_to_dbm,
 )
 from .rate import (
+    DesignObjective,
     PhaseShiftVector,
     RateReport,
     ergodic_rate_mc,
@@ -45,7 +46,6 @@ from .rate import (
     upper_bound_rate_closed_form,
 )
 from .ssca import (
-    DesignObjective,
     SolverConfig,
     SscaState,
     project_unit_modulus,

@@ -30,8 +30,9 @@ import numpy as np
 from .beamforming import mrt_policy
 from .channel import ChannelStatistics
 from .config import ScenarioConfig
-from .rate import BeamformingPolicy, PhaseShiftVector, RateReport, ergodic_rates_mc
-from .ssca import DesignObjective, SolverConfig, run_stack
+from .rate import (BeamformingPolicy, DesignObjective, PhaseShiftVector, RateReport,
+                   ergodic_rates_mc)
+from .ssca import SolverConfig, run_stack
 from .ssca import run as run_ssca
 from .streams import check_count, check_seed, named_child
 

@@ -18,13 +18,11 @@ Estimation errors are i.i.d. CN(0, delta1^2) / CN(0, delta2^2) per element
 
 Three sampling routes exist, each for one consumer:
 
-* `ssca.DesignObjective.sample` (solver) draws the L-draw means of
-  ||e||^2 and g_hat e, e = g_hat^H v + h_hat, from their exact law under
-  the Gaussian model the phase-shift solver optimizes over:
-  cascaded-estimate entries centered on the cascaded LoS with variance
-  sigma_g^2 - delta1^2, direct-estimate entries zero-mean with variance
-  sigma_h^2 - delta2^2.  That is Mr + M0 + 1 Gaussian values and one
-  gamma value per iteration, whatever L is, with no (L, Mr) array.
+* `rate.DesignObjective.sample` (solver) draws what the phase-shift
+  solver's objective reads of L estimates from the Gaussian model it
+  optimizes over: cascaded-estimate entries centered on the cascaded LoS
+  with variance sigma_g^2 - delta1^2, direct-estimate entries zero-mean
+  with variance sigma_h^2 - delta2^2.  Its docstring states the exact law.
 * `sample_estimated_csi` (one draw) takes a single estimate from the same
   Gaussian model, for single-draw objective and beamformer checks.
 * `PhysicalChannelSampler` draws the Rician/Rayleigh fading

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .baselines import SCHEMES, design_schemes, evaluate_designs, evaluate_schemes, scheme
 from .channel import build_statistics
-from .config import ScenarioConfig, load_scenario, write_json
+from .config import ScenarioConfig, _real, load_scenario, write_json
 from .rate import RateReport, upper_bound_rate_closed_form
 from .ssca import SolverConfig
 from .ssca import run as run_ssca
@@ -59,7 +59,8 @@ class SweepSpec:
         if len(self.values) == 0:
             raise ValueError("sweep value list must not be empty")
         _check_schemes(self.schemes)
-        # plain ints: json cannot write a numpy integer into the manifest
+        # plain floats and ints: json cannot write numpy numbers into the manifest
+        object.__setattr__(self, "values", tuple(_real("values", v) for v in self.values))
         object.__setattr__(self, "n_samples", check_count(self.n_samples, "n_samples"))
         object.__setattr__(self, "seed", check_seed(self.seed))
 

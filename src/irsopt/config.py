@@ -323,10 +323,11 @@ def load_scenario(source: str) -> ScenarioConfig:
 
 def write_json(path: str, payload: dict) -> None:
     """Write ``payload`` in the one format of every JSON artifact: indented,
-    keys sorted, a trailing newline; equal payloads give equal bytes."""
+    keys sorted, a trailing newline; equal payloads give equal bytes.  The
+    text is built first, so a payload json cannot write leaves no file."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def save_scenario(cfg: ScenarioConfig, path: str) -> None:

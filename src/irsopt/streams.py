@@ -30,11 +30,13 @@ def _name_key(name: str) -> int:
 
 def check_seed(seed: int) -> int:
     """The seed as a plain int.  Raises TypeError for anything that is not
-    an integer (a Generator, a SeedSequence or a float) and ValueError for
-    a negative one."""
+    an integer (a Generator, a SeedSequence, a float or a bool) and
+    ValueError for one outside [0, 2**128)."""
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 <= seed < 2 ** 128:       # `child_seed` stores a seed in 16 bytes
+        raise ValueError(f"seed must be non-negative and below 2**128, got {seed}")
     return seed
 
 

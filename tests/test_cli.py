@@ -48,6 +48,9 @@ def test_sweep_spec_validation():
         SweepSpec(param="power", values=(1.0,), schemes=("proposed",))
     with pytest.raises(ValueError, match="'proposed' is listed twice"):
         _tiny_sweep(schemes=("proposed", "robust-with-intf", "proposed"))
+    for value in (True, "0.1", None, 1j):
+        with pytest.raises(ValueError, match="values must be a real number"):
+            _tiny_sweep(values=(2.0, value))
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])
@@ -125,14 +128,17 @@ def test_run_sweep_deterministic_bytes(tmp_path, preset_cfg):
 
 
 def test_run_sweep_takes_numpy_integers(tmp_path, preset_cfg):
-    # counts and seeds are kept as plain ints, so numpy integers write the
-    # same artifacts instead of failing half-way through manifest.json
+    # counts and seeds are kept as plain ints and sweep values as plain
+    # floats, so numpy numbers write the same artifacts instead of failing
+    # half-way through manifest.json
     cfg = preset_cfg.replace(bs_grids=((2, 2),) * 3)
     plain = _tiny_sweep(seed=5)
     solver = SolverConfig(iterations=np.int64(15), samples_per_iter=np.int64(3),
                           probe_every=np.int64(0))
-    numpy_ints = dataclasses.replace(plain, n_samples=np.int64(plain.n_samples),
+    numpy_ints = dataclasses.replace(plain, values=(np.int64(2), np.float32(3.0)),
+                                     n_samples=np.int64(plain.n_samples),
                                      seed=np.int64(5), solver=solver)
+    assert all(type(value) is float for value in numpy_ints.values)
     run_sweep(plain, cfg, str(tmp_path / "a"))
     run_sweep(numpy_ints, cfg, str(tmp_path / "b"))
     for name in ("results.csv", "manifest.json"):
@@ -276,6 +282,21 @@ def test_cli_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:       # argparse rejects unknown commands
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--iters", "2"],
+    ["eval", "--iters", "2", "--samples", "5", "--schemes", "proposed"],
+    ["sweep", "--sweep", "irs-size", "--values", "2", "--iters", "2", "--samples", "5",
+     "--schemes", "proposed"]], ids=["solve", "eval", "sweep"])
+def test_unstorable_seed_is_rejected_before_any_output(tmp_path, capsys, command):
+    # child_seed stores a seed in 16 bytes: 2**128 once died in an OverflowError
+    # traceback in eval and sweep, and solve accepted it
+    out = tmp_path / "out"
+    assert main(command + ["--seed", str(2 ** 128), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2**128" in err
+    assert not out.exists()
 
 
 def test_solve_rejects_a_file_out_before_solving(tmp_path, capsys, monkeypatch):

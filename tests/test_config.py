@@ -19,6 +19,7 @@ from irsopt.config import (
     save_scenario,
     user_position_on_bisector,
     watt_to_dbm,
+    write_json,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -222,6 +223,16 @@ def test_saved_scenario_file_saves_back_byte_for_byte(tmp_path, preset_cfg):
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     save_scenario(load_scenario(str(path)), str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_write_json_leaves_no_file_for_a_payload_json_cannot_write(tmp_path):
+    # json.dump wrote into the open file and stopped mid-way, at '"values": ['
+    path = tmp_path / "manifest.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(str(path), {"sweep": {"values": [np.int64(4)]}})
+    assert not path.exists()
+    write_json(str(path), {"b": [1.5, 2], "a": "x"})
+    assert path.read_text() == '{\n  "a": "x",\n  "b": [\n    1.5,\n    2\n  ]\n}\n'
 
 
 def test_config_hash_ignores_name(preset_cfg):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irsopt
 from irsopt.beamforming import Beamformer, mrt_equivalent_beamformer, mrt_policy
@@ -16,6 +18,7 @@ from irsopt.channel import (
     sample_estimated_csi,
 )
 from irsopt.rate import (
+    DesignObjective,
     PhaseShiftVector,
     RateReport,
     ergodic_rate_mc,
@@ -29,7 +32,6 @@ from irsopt.rate import (
     sinr_denominator,
     upper_bound_rate_closed_form,
 )
-from irsopt.ssca import DesignObjective
 from irsopt.streams import named_children
 from conftest import (EDGE_REGIMES, combine_draws, design_draws, edge_scenario, paired_t,
                       random_phase_vector, random_relaxed, random_scenario)
@@ -314,6 +316,35 @@ def test_upper_bound_at_relaxed_v_is_the_exact_expectation(small_cfg):
         want = math.log2(1 + cfg.powers_watt[0] * signal
                          / _explicit_denominator(v, stats, cfg))
         assert upper_bound_rate_closed_form(v, stats, cfg) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), regime=st.sampled_from((None,) + EDGE_REGIMES),
+       rows=st.integers(1, 4))
+def test_one_closed_form_scores_a_stack_row_by_row(seed, regime, rows):
+    # expected and the upper-bound rate score a stack (S, Mr) of designs in
+    # one call, on one objective or on a stack of objectives; each row must
+    # be bit for bit its own single-design call
+    rng = np.random.default_rng(seed)
+    cfg = (random_scenario(rng) if regime is None
+           else edge_scenario(irsopt.load_scenario("paper-fig3"), regime))
+    stats = build_statistics(cfg)
+    vs = np.stack([random_relaxed(rng, stats.irs_size) if i % 2
+                   else random_phase_vector(rng, stats.irs_size).v for i in range(rows)])
+    designs = [DesignObjective.from_scenario(stats, cfg, robust=bool(rng.integers(2)),
+                                             include_interference=bool(rng.integers(2)))
+               for _ in range(rows)]
+    for law, own in ((designs[0], designs[:1] * rows),
+                     (DesignObjective.stack(designs), designs)):
+        values, ascents = law.expected(vs)
+        assert values.shape == (rows,) and ascents.shape == vs.shape
+        for v, value, ascent, design in zip(vs, values, ascents, own):
+            want_value, want_ascent = design.expected(v)
+            assert value == want_value
+            np.testing.assert_array_equal(ascent, want_ascent)
+    ub_rates = upper_bound_rate_closed_form(vs, stats, cfg)
+    assert ub_rates == [upper_bound_rate_closed_form(v, stats, cfg) for v in vs]
+    assert all(type(rate) is float for rate in ub_rates)
 
 
 def test_rates_keep_their_last_digits_at_low_sinr():

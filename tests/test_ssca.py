@@ -338,6 +338,27 @@ def test_probe_is_the_robust_upper_bound_rate(small_cfg, robust):
         assert not math.isclose(math.log2(1.0 + value), want, rel_tol=1e-9)
 
 
+def test_probe_scores_every_row_at_its_unit_modulus_iterate(small_cfg):
+    # one stacked probe call: each row's probe column is the robust
+    # upper-bound rate at that row's projected iterate, which the next
+    # audit entry records as v_prev (the last one is the deployed design)
+    scenario = small_cfg.replace(delta1=0.3, delta2=0.2)
+    stats = irsopt.build_statistics(scenario)
+    robust = DesignObjective.from_scenario(stats, scenario)
+    designs = [robust, DesignObjective.from_scenario(stats, scenario, robust=False),
+               DesignObjective.from_scenario(stats, scenario, include_interference=False)]
+    solvers = [SolverConfig(iterations=9, samples_per_iter=3, seed=seed, probe_every=3)
+               for seed in (1, 2, 3)]
+    for result in run_stack(solvers, designs, probe=robust, audit=True):
+        trace = result.trace
+        probed = [t for t, rate in zip(trace.t, trace.ub_rate) if not math.isnan(rate)]
+        assert probed == [3, 6, 9]
+        iterates = [trace.audit[t]["v_prev"] for t in probed[:-1]] + [result.v]
+        for t, v in zip(probed, iterates):
+            want = irsopt.upper_bound_rate_closed_form(project_unit_modulus(v), stats, scenario)
+            assert trace.ub_rate[t - 1] == want
+
+
 @pytest.mark.parametrize("delta", [1e-6, 0.6])
 def test_run_reaches_the_phase_aligned_upper_bound(preset_cfg, delta):
     # on paper-fig3 the serving cascaded LoS is rank one, and aligning the
@@ -510,6 +531,8 @@ def test_run_stack_needs_settings_that_differ_only_in_the_seed(small_cfg, small_
         run_stack(solvers, designs)
     with pytest.raises(ValueError, match="one design per solver setting"):
         run_stack(solvers[:1], designs)
+    with pytest.raises(ValueError, match="at least one design"):
+        run_stack([], [])
 
 
 @settings(max_examples=8, deadline=None, database=None)

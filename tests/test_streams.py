@@ -98,6 +98,12 @@ def test_seed_derivation_domain(derive):
         derive(9.0, "x")
     with pytest.raises(ValueError, match="non-negative"):
         derive(-1, "x")
+    derive(2 ** 128 - 1, "x")                # the largest seed child_seed can store
+    with pytest.raises(ValueError, match=r"below 2\*\*128"):
+        derive(2 ** 128, "x")
+    for flag in (True, False):               # a bool is no seed, as it is no count
+        with pytest.raises(TypeError):
+            derive(flag, "x")
 
 
 @pytest.mark.parametrize("build", [lambda seed: SolverConfig(seed=seed),
@@ -110,6 +116,10 @@ def test_configs_reject_bad_seeds_at_construction(build):
         build(1.5)
     with pytest.raises(ValueError, match="non-negative"):
         build(-1)
+    with pytest.raises(ValueError, match=r"below 2\*\*128"):
+        build(2 ** 128)
+    with pytest.raises(TypeError):
+        build(True)
 
 
 def _no_design(*args, **kwargs):
