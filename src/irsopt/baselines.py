@@ -17,12 +17,14 @@ evaluates all the designs, each phase draw of the random-phase scheme
 included, in one batched call (`evaluate_designs`), so they share a single
 draw set by construction; `evaluate_scheme` is its one-scheme view.  The
 SSCA schemes are designed in lockstep (`ssca.run_stack`), each bit for bit
-as on its own, and a sweep designs the points of one shape together.
+as on its own, and `design_schemes` takes any list of points and stacks
+those of one shape together.  Every report, a multi-draw scheme's average
+included, is summarized by `rate.RateReport.from_samples`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -128,16 +130,22 @@ def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConf
                    ) -> list[list[list[PhaseShiftVector]]]:
     """Every scheme's designs at every (stats, cfg) point: per point, per
     scheme, its `phase_draws` phase-shift vectors.  The SSCA designs of all
-    the points form one `run_stack` call, so the points must share Mr, M0
-    and K; each row is bit for bit its own `design_scheme`."""
+    the points that share a shape (Mr, M0 and K) form one `run_stack` call,
+    so a sweep over any other parameter makes one call and an irs-size
+    sweep one per size; each row is bit for bit its own `design_scheme`."""
     if len(solver_cfgs) != len(specs):
         raise ValueError(f"{len(solver_cfgs)} solver settings for {len(specs)} schemes")
     rows = [(p, i) for p in range(len(points))
             for i, spec in enumerate(specs) if spec.phase_source == PHASE_SOURCE_SSCA]
-    # keeps no run's trace alive through the evaluation
-    designed = {row: [r.v] for row, r in zip(rows, run_stack(
-        [solver_cfgs[i] for _, i in rows],
-        [_objective(specs[i], *points[p]) for p, i in rows]))} if rows else {}
+    groups: dict[tuple, list[tuple[int, int]]] = {}     # rows of one shape: Mr, M0, K + 1 BSs
+    for p, i in rows:
+        stats = points[p][0]
+        groups.setdefault((stats.irs_size, stats.bs_sizes[0], stats.n_bs), []).append((p, i))
+    designed = {}       # keeps no run's trace alive through the evaluation
+    for group in groups.values():
+        designed.update((row, [r.v]) for row, r in zip(group, run_stack(
+            [solver_cfgs[i] for _, i in group],
+            [_objective(specs[i], *points[p]) for p, i in group])))
     return [[designed.get((p, i)) or [design_scheme(spec, stats, cfg, solver_cfg, draw)[0]
                                       for draw in range(spec.phase_draws)]
              for i, (spec, solver_cfg) in enumerate(zip(specs, solver_cfgs))]
@@ -167,18 +175,11 @@ def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioCon
 
 def _average(per_draw: list[RateReport], return_samples: bool) -> RateReport:
     """One report for a scheme's phase draws: per-sample rates averaged
-    across the draws, then summarized (exact for one draw)."""
-    n_samples = per_draw[0].n_samples
-    samples = np.mean([r.rate_samples for r in per_draw], axis=0)
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return RateReport(
-        ub_rate=float(np.mean([r.ub_rate for r in per_draw])),
-        mc_rate=float(np.mean(samples)),
-        mc_stderr=stderr,
-        n_samples=n_samples,
-        signal_power=float(np.mean([r.signal_power for r in per_draw])),
-        interference_power=tuple(
-            float(p) for p in np.mean([r.interference_power for r in per_draw], axis=0)),
-        noise_power=per_draw[0].noise_power,
-        rate_samples=samples if return_samples else None,
-    )
+    across the draws, then summarized; a single draw's report as it is."""
+    report = per_draw[0] if len(per_draw) == 1 else RateReport.from_samples(
+        np.mean([r.rate_samples for r in per_draw], axis=0),
+        ub_rate=np.mean([r.ub_rate for r in per_draw]),
+        signal_power=np.mean([r.signal_power for r in per_draw]),
+        interference_power=np.mean([r.interference_power for r in per_draw], axis=0),
+        noise_power=per_draw[0].noise_power)
+    return report if return_samples else replace(report, rate_samples=None)

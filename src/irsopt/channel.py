@@ -28,7 +28,8 @@ Three sampling routes exist, each for one consumer:
 * `PhysicalChannelSampler` draws the Rician/Rayleigh fading
   physically and splits each serving-link channel into estimate + error,
   with the error built from the channel's own scattered part plus fresh
-  Gaussian noise so that (a) estimate + error reconstructs the drawn
+  Gaussian noise (`_split_law` holds the share and the noise variance,
+  for both outputs) so that (a) estimate + error reconstructs the drawn
   channel exactly, (b) the error has per-element variance delta^2, and (c)
   the error is uncorrelated with the estimate, whose per-element variance
   is then sigma^2 - delta^2 as in the Gaussian model.  For the Rayleigh
@@ -37,7 +38,8 @@ Three sampling routes exist, each for one consumer:
   differ in higher moments.  It has two outputs:
 
   - `draw_combined(vs, n)` (the Monte Carlo evaluator's route) takes a
-    stack of unit-modulus designs and yields, per design, only what the
+    stack of unit-modulus designs, checked by `design_stack`, the one
+    check the evaluator shares, and yields, per design, only what the
     matched-filter rate reads, the true and estimated combined channels
     x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat.  Given h_ru,
     the scattered part of H_0r projects onto u = h_ru * v as
@@ -51,8 +53,9 @@ Three sampling routes exist, each for one consumer:
     design of the stack, and O(Mr * M0) work per design per chunk; no
     (n, Mr) array is built.
   - `draw(n)` returns the full (n, Mr, M0) channels, errors and, on
-    request, the interferers' links; it is the oracle for the
-    interference-power check and for the tests of `draw_combined`.
+    request, the interferers' links, every Rician link from the one law
+    of `_rician`; it is the oracle for the interference-power check and
+    for the tests of `draw_combined`.
 """
 from __future__ import annotations
 
@@ -290,6 +293,46 @@ class PhysicalBatch:
         return self.h_true - self.h_err
 
 
+def design_stack(vs, irs_size: int) -> np.ndarray:
+    """The phase-shift designs vs, a (S, Mr) array or a sequence of S
+    vectors, as one complex (S, Mr) stack.  Every design must be a vector of
+    Mr finite entries within DESIGN_MODULUS_TOL of modulus 1, since the
+    evaluator's draws are exact for unit-modulus designs only; ValueError
+    names the first that is not, and an empty stack raises too."""
+    rows = [np.asarray(v, dtype=complex) for v in vs]
+    if not rows:
+        raise ValueError("no designs to evaluate")
+    for i, v in enumerate(rows):
+        if v.ndim != 1:
+            raise ValueError(f"design {i} has shape {v.shape}; designs must be "
+                             f"stacked as (S, {irs_size})")
+        if v.shape[0] != irs_size:
+            raise ValueError(f"design {i} has {v.shape[0]} phase shifts, "
+                             f"the IRS has Mr = {irs_size} elements")
+    stack = np.stack(rows)
+    # one pass over the stack; the not-form rejects NaN too
+    bad = ~np.all(np.abs(np.abs(stack) - 1.0) <= DESIGN_MODULUS_TOL, axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if not np.all(np.isfinite(stack[i])):
+            raise ValueError(f"design {i} has non-finite phase shifts")
+        raise ValueError(f"design {i} is not unit-modulus; the evaluator's "
+                         "draws are exact for unit-modulus designs only")
+    return stack
+
+
+def _split_law(sigma_sq: float, delta_sq: float) -> tuple[float, float]:
+    """How a channel of per-element zero-mean variance sigma_sq splits into
+    estimate + error with error variance delta_sq: the error is a share
+    delta^2/sigma^2 of the channel's own zero-mean part plus independent
+    CN(0, delta^2 (1 - delta^2/sigma^2)) noise; returns (share, noise
+    variance).  The error is then uncorrelated with the estimate, whose
+    variance is sigma^2 - delta^2, and for Gaussian channels exactly
+    independent of it."""
+    share = 0.0 if sigma_sq == 0.0 else delta_sq / sigma_sq
+    return share, delta_sq * max(1.0 - share, 0.0)
+
+
 class PhysicalChannelSampler:
     """Physical Rician/Rayleigh sampler: `draw_combined` feeds the Monte
     Carlo evaluator, `draw` the interference oracle and the tests.
@@ -309,45 +352,33 @@ class PhysicalChannelSampler:
                 names += [f"bs-irs/{k}", f"direct/{k}", f"own/{k}"]
         self._streams = named_children(rng, names)
 
-    def _irs_user_channel(self, n: int) -> np.ndarray:
-        """h_ru = sqrt(a_ru) * (w_los * los_ru + w_nlos * CN(0,1)), (n, Mr),
-        built in the scatter draw's own array: the same operations in the
-        same order as the expression, with no (n, Mr) temporary."""
-        s = self._stats
-        w_los, w_nlos = rician_weights(s.rician_irs_user)
-        h_ru = crandn(self._streams["irs-user"], (n, s.irs_size), 1.0)
-        h_ru *= w_nlos
-        h_ru += w_los * s.los_irs_user
-        h_ru *= math.sqrt(s.alpha_irs_user)
-        return h_ru
-
-    def _bs_irs_channel(self, k: int, n: int) -> np.ndarray:
-        """H_kr = sqrt(a_kr) * (w_los * los + w_nlos * CN(0,1)), (n, Mr, Mk)."""
-        s = self._stats
-        w_los, w_nlos = rician_weights(s.rician_bs_irs[k])
-        shape = (n, s.irs_size, s.bs_sizes[k])
-        scatter = crandn(self._streams[f"bs-irs/{k}"], shape, 1.0)
-        return math.sqrt(s.alpha_bs_irs[k]) * (w_los * s.los_bs_irs[k][None] + w_nlos * scatter)
+    def _rician(self, name: str, alpha: float, k: float, los: np.ndarray,
+                n: int) -> np.ndarray:
+        """sqrt(alpha) * (w_los * los + w_nlos * CN(0,1)), (n, *los.shape),
+        the scatter drawn from stream `name`: a Rician link of large-scale
+        gain alpha and Rician factor k."""
+        w_los, w_nlos = rician_weights(k)
+        scatter = crandn(self._streams[name], (n, *los.shape), 1.0)
+        return math.sqrt(alpha) * (w_los * los + w_nlos * scatter)
 
     @staticmethod
     def _split_error(centered: np.ndarray, sigma_sq: float, delta_sq: float,
                      stream: np.random.Generator) -> np.ndarray:
-        """Error with per-element variance delta_sq, uncorrelated with
-        (channel - error): a (delta^2/sigma^2) share of the channel's own
-        zero-mean part plus independent CN(0, delta^2 (1 - delta^2/sigma^2))
-        noise.  The resulting estimate has variance sigma^2 - delta^2 and,
-        for Gaussian channels, is exactly independent of the error."""
-        share = 0.0 if sigma_sq == 0.0 else delta_sq / sigma_sq
-        noise = crandn(stream, centered.shape, delta_sq * max(1.0 - share, 0.0))
-        return share * centered + noise
+        """The error of `_split_law` for a channel whose zero-mean part is
+        `centered`, its noise drawn from `stream`."""
+        share, noise_var = _split_law(sigma_sq, delta_sq)
+        return share * centered + crandn(stream, centered.shape, noise_var)
 
     def draw(self, n: int) -> PhysicalBatch:
         s = self._stats
         m0 = s.bs_sizes[0]
 
-        h_ru = self._irs_user_channel(n)  # shared by every cascaded link of the slot
+        # shared by every cascaded link of the slot
+        h_ru = self._rician("irs-user", s.alpha_irs_user, s.rician_irs_user,
+                            s.los_irs_user, n)
 
-        h_bs_irs0 = self._bs_irs_channel(0, n)
+        h_bs_irs0 = self._rician("bs-irs/0", s.alpha_bs_irs[0], s.rician_bs_irs[0],
+                                 s.los_bs_irs[0], n)
         g_true = h_ru.conj()[:, :, None] * h_bs_irs0          # diag(h_ru^H) H_0r
         h_true = crandn(self._streams["direct/0"], (n, m0), s.alpha_direct[0])
         g_err = self._split_error(g_true - s.cascaded_los[0][None],
@@ -360,7 +391,8 @@ class PhysicalChannelSampler:
         if self._include_interference:
             per_k = []
             for k in range(1, s.n_bs):
-                h_bs_irs = self._bs_irs_channel(k, n)
+                h_bs_irs = self._rician(f"bs-irs/{k}", s.alpha_bs_irs[k], s.rician_bs_irs[k],
+                                        s.los_bs_irs[k], n)
                 g_k = h_ru.conj()[:, :, None] * h_bs_irs
                 h_k = crandn(self._streams[f"direct/{k}"], (n, s.bs_sizes[k]),
                              s.alpha_direct[k])
@@ -447,12 +479,7 @@ class PhysicalChannelSampler:
         """
         s = self._stats
         m0 = s.bs_sizes[0]
-        vs = np.asarray(vs, dtype=complex)
-        if vs.ndim != 2 or vs.shape[1] != s.irs_size:
-            raise ValueError(f"designs must be stacked as (S, {s.irs_size}), "
-                             f"got shape {vs.shape}")
-        if not np.all(np.abs(np.abs(vs) - 1.0) <= DESIGN_MODULUS_TOL):
-            raise ValueError("designs must have unit-modulus entries")
+        vs = design_stack(vs, s.irs_size)
 
         z = crandn(self._streams["bs-irs/0"], (n, m0), 1.0)
         h_true = crandn(self._streams["direct/0"], (n, m0), s.alpha_direct[0])
@@ -468,9 +495,8 @@ class PhysicalChannelSampler:
         # h_ru @ (v[:, None] * conj(L)) = t * row with t = (v * conj(L[:, 0]))^T h_ru
         row = los[0].conj() * los[0, 0]
         cascaded_los_conj = s.cascaded_los[0].conj()
-        sigma_g_sq, delta1_sq = float(s.sigma_g_sq[0]), s.delta1_abs ** 2
-        share_g = 0.0 if sigma_g_sq == 0.0 else delta1_sq / sigma_g_sq
-        n_g_var = delta1_sq * max(1.0 - share_g, 0.0)           # per unit ||v||^2
+        # the cascaded error's share and its noise variance per unit ||v||^2
+        share_g, n_g_var = _split_law(float(s.sigma_g_sq[0]), s.delta1_abs ** 2)
         for v, (t, norm_sq) in zip(vs, self._irs_user_scalars(vs, n)):
             scatter = z * (w_nlos * np.sqrt(norm_sq))[:, None]
             y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (t[:, None] * row) + scatter)

@@ -130,18 +130,20 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
     """Evaluate every (value, scheme) pair, streaming rows to results.csv in
     deterministic order and writing a manifest.json next to it.
 
-    The SSCA designs of all the points that share a shape (Mr, M0 and K:
-    one group per size on an irs-size sweep, else one) run in one lockstep
-    stack, each row bit for bit its own per-point design; then each sweep
-    value's designs are evaluated in one batched call, so they share one
-    draw set.  Rows are written only once every design is done.  The
-    evaluation seed is also shared across sweep points, so same-shaped
-    channel draws coincide there too (common random numbers); design seeds
-    are derived per scheme; the manifest records each scheme's design seed
-    and the shared solver settings without the seed they replace.
+    The SSCA designs of all the points run in one `design_schemes` call,
+    which stacks the points of one shape (one stack per size on an
+    irs-size sweep, else one), each row bit for bit its own per-point
+    design; then each sweep value's designs are evaluated in one batched
+    call, so they share one draw set.  Rows are written only once every
+    design is done.  The evaluation seed is also shared across sweep
+    points, so same-shaped channel draws coincide there too (common random
+    numbers); design seeds are derived per scheme; the manifest records
+    each scheme's design seed and the shared solver settings without the
+    seed they replace.
     """
     # every point is checked before any artifact is written or design is run
     points = [apply_sweep_value(scenario, spec.param, value) for value in spec.values]
+    stats = [build_statistics(cfg) for cfg in points]
     os.makedirs(out_dir, exist_ok=True)
     solvers = _scheme_solvers(spec.solver, spec.seed, spec.schemes)
     solver_settings = dataclasses.asdict(spec.solver)
@@ -160,23 +162,16 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
-    specs = [scheme(name) for name in spec.schemes]
-    stats = [build_statistics(cfg) for cfg in points]
-    groups: dict[tuple, list[int]] = {}     # points of one shape: Mr, M0 and K + 1 BSs
-    for i, point in enumerate(stats):
-        groups.setdefault((point.irs_size, point.bs_sizes[0], point.n_bs), []).append(i)
-    designs = {}
-    for members in groups.values():
-        designs.update(zip(members, design_schemes(
-            specs, solvers, [(stats[i], points[i]) for i in members])))
+    designs = design_schemes([scheme(name) for name in spec.schemes], solvers,
+                             list(zip(stats, points)))
 
     eval_seed = child_seed(spec.seed, "eval")
     rows: list[dict] = []
     with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for i, (value, cfg) in enumerate(zip(spec.values, points)):
-            reports = evaluate_designs(designs.pop(i), stats[i], cfg, spec.n_samples, eval_seed)
+        for value, cfg, point_stats, point_designs in zip(spec.values, points, stats, designs):
+            reports = evaluate_designs(point_designs, point_stats, cfg, spec.n_samples, eval_seed)
             for name, report in zip(spec.schemes, reports):
                 row = _row(scenario.name, spec, value, name, report, cfg.config_hash())
                 writer.writerow(row)

@@ -19,7 +19,10 @@ sampling law (stated in `DesignObjective.sample`) and its closed-form mean
 (||e||^2, g_hat e); `upper_bound_rate_closed_form` is log2(1 + `expected`),
 and `sinr_denominator` evaluates `interference_quadratic`, whose (Mr, K)
 factor F the reports also read (K = n_bs - 1 columns, none without
-interferers).
+interferers).  `ergodic_rates_mc` checks its designs with
+`channel.design_stack`, the sampler's own check, and every `RateReport`
+of per-sample rates, a multi-draw scheme's average included, is
+summarized by `RateReport.from_samples`.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .channel import (DESIGN_MODULUS_TOL, ChannelStatistics, CsiSample,
-                      PhysicalChannelSampler)
+                      PhysicalChannelSampler, design_stack)
 from .config import ScenarioConfig
 from .streams import check_count
 
@@ -101,6 +104,18 @@ class RateReport:
         if self.signal_power < 0 or self.noise_power < 0 or any(
                 p < 0 for p in self.interference_power):
             raise ValueError("power breakdown terms must be non-negative")
+
+    @classmethod
+    def from_samples(cls, rate_samples: np.ndarray, ub_rate: float, signal_power: float,
+                     interference_power: Sequence[float], noise_power: float) -> "RateReport":
+        """The report of per-sample rates (n,): their mean and its standard
+        error, beside the given upper bound and power breakdown."""
+        n = rate_samples.shape[0]
+        stderr = float(np.std(rate_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return cls(ub_rate=float(ub_rate), mc_rate=float(np.mean(rate_samples)),
+                   mc_stderr=stderr, n_samples=n, signal_power=float(signal_power),
+                   interference_power=tuple(map(float, interference_power)),
+                   noise_power=noise_power, rate_samples=rate_samples)
 
     def to_dict(self) -> dict:
         """Every field but the per-sample rates."""
@@ -437,12 +452,13 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
     """Monte Carlo ergodic rates of a stack of designs on one shared draw set.
 
     `vs` holds S unit-modulus phase-shift designs (entries within 1e-9 of
-    modulus 1, as `PhaseShiftVector` requires; anything else raises
-    ValueError naming the design) and `policies` the beamforming policy of
-    each, in the same order; one report per design comes back, in that
-    order.  Each slot needs only the serving link's combined channels: the
-    true x = g_true^H v + h_true and the estimated e_hat = g_hat^H v + h_hat,
-    drawn from their exact law by `PhysicalChannelSampler.draw_combined`:
+    modulus 1, as `PhaseShiftVector` requires; `channel.design_stack`, the
+    sampler's own check, names any other design in a ValueError) and
+    `policies` the beamforming policy of each, in the same order; one
+    report per design comes back, in that order.  Each slot needs only the
+    serving link's combined channels: the true x = g_true^H v + h_true and
+    the estimated e_hat = g_hat^H v + h_hat, drawn from their exact law by
+    `PhysicalChannelSampler.draw_combined`:
     O(M0) draws per slot, the IRS->user channel entering through 2 complex
     normals and 1 gamma value, and O(Mr * M0) work per design per chunk of
     slots; no (n, Mr) or (n, Mr, M0) array is built.  The draws are made
@@ -458,25 +474,13 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
     (Mr, K) factor F of `interference_quadratic`.  Each design is reduced
     to its row of per-sample rates before the next one is drawn, so memory
     does not grow with S beyond that row; the row is the report's
-    `rate_samples`.
+    `rate_samples`, summarized by `RateReport.from_samples`.
     """
-    if len(vs) == 0:
-        raise ValueError("no designs to evaluate")
     if len(policies) != len(vs):
         raise ValueError(f"{len(policies)} policies for {len(vs)} designs; "
                          "give one policy per design")
     check_count(n_samples, "n_samples")
-    varrs = [phase_array(v) for v in vs]
-    for i, varr in enumerate(varrs):
-        if varr.shape[0] != stats.irs_size:
-            raise ValueError(f"design {i} has {varr.shape[0]} phase shifts, "
-                             f"the IRS has Mr = {stats.irs_size} elements")
-        if not np.all(np.isfinite(varr)):
-            raise ValueError(f"design {i} has non-finite phase shifts")
-        if not np.max(np.abs(np.abs(varr) - 1.0)) <= DESIGN_MODULUS_TOL:
-            raise ValueError(f"design {i} is not unit-modulus; the evaluator's "
-                             "draws are exact for unit-modulus designs only")
-    stack = np.stack(varrs)
+    stack = design_stack([phase_array(v) for v in vs], stats.irs_size)
     # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K)
     factor, _ = interference_quadratic(stats, cfg)
     proj = stack.conj() @ factor
@@ -486,8 +490,8 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
     p0 = cfg.powers_watt[0]
 
     sampler = PhysicalChannelSampler(stats, rng, include_interference=False)
-    rates = np.empty((len(varrs), n_samples))
-    signal_sums = [0.0] * len(varrs)
+    rates = np.empty((len(stack), n_samples))
+    signal_sums = [0.0] * len(stack)
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
@@ -498,21 +502,10 @@ def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPoli
             rates[i, done:done + m] = np.log1p(p0 * signal / dens[i]) / _LN2
         done += m
 
-    reports = []
     ub_rates = upper_bound_rate_closed_form(stack, stats, cfg)
-    for ub_rate, row, signal_sum, powers in zip(ub_rates, rates, signal_sums, intf):
-        stderr = float(np.std(row, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-        reports.append(RateReport(
-            ub_rate=ub_rate,
-            mc_rate=float(np.mean(row)),
-            mc_stderr=stderr,
-            n_samples=n_samples,
-            signal_power=p0 * signal_sum / n_samples,
-            interference_power=tuple(map(float, powers)),
-            noise_power=cfg.noise_watt,
-            rate_samples=row,
-        ))
-    return reports
+    return [RateReport.from_samples(row, ub_rate, p0 * signal_sum / n_samples, powers,
+                                    cfg.noise_watt)
+            for ub_rate, row, signal_sum, powers in zip(ub_rates, rates, signal_sums, intf)]
 
 
 def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,

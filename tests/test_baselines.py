@@ -10,6 +10,7 @@ from irsopt.baselines import (
     SCHEMES,
     SchemeSpec,
     design_scheme,
+    design_schemes,
     evaluate_scheme,
     evaluate_schemes,
     scheme,
@@ -170,6 +171,29 @@ def test_scheme_design_does_not_depend_on_the_schemes_beside_it(preset_cfg, monk
         phases, ub_rate = _phases_and_ub_rates([name], stats, cfg, monkeypatch)[name]
         assert np.array_equal(together[name][0], phases), name
         assert together[name][1] == ub_rate, name
+
+
+def test_design_schemes_over_points_of_two_shapes_equals_per_point_calls(small_cfg):
+    # points of different shapes go into one call; the designs of each shape
+    # are stacked, and every design equals its own point's call bit for bit
+    single_bs = small_cfg.replace(
+        bs_positions=small_cfg.bs_positions[:1], bs_grids=small_cfg.bs_grids[:1],
+        powers_dbm=small_cfg.powers_dbm[:1], rician_bs_irs=small_cfg.rician_bs_irs[:1],
+        angles_bs_irs_deg=small_cfg.angles_bs_irs_deg[:1])
+    cfgs = [small_cfg, small_cfg.replace(irs_grid=(2, 2)), single_bs,
+            small_cfg.replace(delta1=0.5, delta2=0.5), small_cfg.replace(bs_grids=((1, 2),) * 3)]
+    points = [(build_statistics(cfg), cfg) for cfg in cfgs]
+    names = ("proposed", "robust-with-intf", "nonrobust-no-intf")
+    specs = [scheme(name) for name in names]
+    solvers = [SolverConfig(iterations=12, samples_per_iter=3, seed=child_seed(8, name))
+               for name in names]
+    together = design_schemes(specs, solvers, points)
+    assert len(together) == len(points)
+    for point, designs in zip(points, together):
+        (alone,) = design_schemes(specs, solvers, [point])
+        assert [len(per_scheme) for per_scheme in designs] == [1, 10, 1]
+        for got, want in zip(designs, alone):
+            assert all(np.array_equal(a.v, b.v) for a, b in zip(got, want))
 
 
 def test_evaluate_schemes_needs_one_solver_setting_per_scheme(small_cfg, small_stats):

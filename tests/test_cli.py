@@ -299,6 +299,22 @@ def test_unstorable_seed_is_rejected_before_any_output(tmp_path, capsys, command
     assert not out.exists()
 
 
+def test_sweep_point_with_impossible_error_std_writes_nothing(tmp_path, capsys):
+    # an absolute delta of 1e-3 exceeds the channel std at the second point;
+    # the manifest was once written before that point's statistics were built
+    cfg = irsopt.load_scenario("paper-fig3").replace(error_units="absolute")
+    path = tmp_path / "abs.json"
+    irsopt.save_scenario(cfg, str(path))
+    out = tmp_path / "out"
+    rc = main(["sweep", "--scenario", str(path), "--sweep", "error-std",
+               "--values", "0,1e-3", "--iters", "2", "--samples", "5",
+               "--schemes", "proposed", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed" in err
+    assert not out.exists()
+
+
 def test_solve_rejects_a_file_out_before_solving(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the solve ran before --out was checked")

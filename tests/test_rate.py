@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 
@@ -623,14 +624,22 @@ def test_batched_evaluator_rejects_bad_input(small_cfg, small_stats, case):
 
 
 def test_draw_combined_rejects_unstacked_or_wrong_length_designs(small_stats):
-    sampler = PhysicalChannelSampler(small_stats, 3)
-    for vs in (np.ones(small_stats.irs_size), np.ones((2, small_stats.irs_size + 1))):
-        with pytest.raises(ValueError, match="stacked as"):
-            next(sampler.draw_combined(vs, 4))
-    relaxed = np.ones((2, small_stats.irs_size), dtype=complex)
+    # the sampler and the evaluator share one check, which names the design
+    mr = small_stats.irs_size
+    relaxed = np.ones((2, mr), dtype=complex)
     relaxed[1, 0] = 1.0 + 1e-6
-    with pytest.raises(ValueError, match="unit-modulus"):
-        next(sampler.draw_combined(relaxed, 4))
+    non_finite = np.ones((2, mr), dtype=complex)
+    non_finite[1, 2] = math.nan
+    sampler = PhysicalChannelSampler(small_stats, 3)
+    cases = ((np.ones(mr), f"design 0 has shape (); designs must be stacked as (S, {mr})"),
+             (np.ones((2, mr, 1)), f"design 0 has shape ({mr}, 1)"),
+             (np.ones((2, mr + 1)), f"design 0 has {mr + 1} phase shifts"),
+             (relaxed, "design 1 is not unit-modulus"),
+             (non_finite, "design 1 has non-finite"),
+             (np.ones((0, mr)), "no designs"))
+    for vs, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(sampler.draw_combined(vs, 4))
 
 
 def _los_aligned_design(stats) -> np.ndarray:
