@@ -17,8 +17,10 @@ evaluates all the designs, each phase draw of the random-phase scheme
 included, in one batched call (`evaluate_designs`), so they share a single
 draw set by construction; `evaluate_scheme` is its one-scheme view.  The
 SSCA schemes are designed in lockstep (`ssca.run_stack`), each bit for bit
-as on its own, and `design_schemes` takes any list of points and stacks
-those of one shape together.  Every report, a multi-draw scheme's average
+as on its own.  Both `design_schemes` and `evaluate_designs` take any list
+of points and treat those of one shape together: one lockstep stack per
+(Mr, M0, K), and one evaluation draw set per (Mr, M0), each point reading
+it with its own scale factors.  Every report, a multi-draw scheme's average
 included, is summarized by `rate.RateReport.from_samples`.
 """
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .beamforming import mrt_policy
 from .channel import ChannelStatistics
 from .config import ScenarioConfig
 from .rate import (BeamformingPolicy, DesignObjective, PhaseShiftVector, RateReport,
-                   ergodic_rates_mc)
+                   ergodic_rates_mc_points)
 from .ssca import SolverConfig, run_stack
 from .ssca import run as run_ssca
 from .streams import check_count, check_seed, named_child
@@ -121,8 +123,10 @@ def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
     """
     check_seed(eval_rng)    # before any design is spent on a bad seed or size
     check_count(n_samples, "n_samples")
-    (designs,) = design_schemes(specs, solver_cfgs, [(stats, cfg)])
-    return evaluate_designs(designs, stats, cfg, n_samples, eval_rng, return_samples)
+    points = [(stats, cfg)]
+    (reports,) = evaluate_designs(design_schemes(specs, solver_cfgs, points), points,
+                                  n_samples, eval_rng, return_samples)
+    return reports
 
 
 def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConfig],
@@ -152,17 +156,25 @@ def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConf
             for p, (stats, cfg) in enumerate(points)]
 
 
-def evaluate_designs(designs: Sequence[Sequence[PhaseShiftVector]], stats: ChannelStatistics,
-                     cfg: ScenarioConfig, n_samples: int, eval_rng: int,
-                     return_samples: bool = False) -> list[RateReport]:
-    """One report per scheme from its designs (`design_schemes` at one
-    point), all evaluated in one `ergodic_rates_mc` call at the
-    matched-filter beamformer, so they share one draw set."""
-    flat = [v for per_scheme in designs for v in per_scheme]
-    per_design = iter(ergodic_rates_mc(flat, [mrt_policy(v) for v in flat],
-                                       stats, cfg, n_samples, eval_rng))
-    return [_average([next(per_design) for _ in per_scheme], return_samples)
-            for per_scheme in designs]
+def evaluate_designs(designs: Sequence[Sequence[Sequence[PhaseShiftVector]]],
+                     points: Sequence[tuple[ChannelStatistics, ScenarioConfig]],
+                     n_samples: int, eval_rng: int,
+                     return_samples: bool = False) -> list[list[RateReport]]:
+    """Per (stats, cfg) point, one report per scheme from its designs
+    (`design_schemes`' output for the same points), all evaluated in one
+    `ergodic_rates_mc_points` call at the matched-filter beamformer: the
+    designs of a point share one draw set, and the points of one shape
+    (Mr, M0) the same draws, made once."""
+    flat = [[v for per_scheme in point_designs for v in per_scheme] for point_designs in designs]
+    per_point = ergodic_rates_mc_points(
+        [(vs, [mrt_policy(v) for v in vs], stats, cfg) for vs, (stats, cfg) in zip(flat, points)],
+        n_samples, eval_rng)
+    out = []
+    for point_designs, reports in zip(designs, per_point):
+        per_design = iter(reports)
+        out.append([_average([next(per_design) for _ in per_scheme], return_samples)
+                    for per_scheme in point_designs])
+    return out
 
 
 def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfig,

@@ -54,11 +54,13 @@ def mrt_policy(v: PhaseLike) -> BeamformingPolicy:
 
     Returns a callable mapping the estimated combined channels
     e_hat = g_hat^H v + h_hat (n, M0) to unit-norm rows e_hat / ||e_hat||
-    (n, M0).  The matched filter needs only e_hat, which the evaluator
-    draws for v; the policy reads nothing else, and v stays the argument so
-    that a policy is still built per design.  Zero combined channels (only
-    reachable in degenerate synthetic scenarios) fall back to the first
-    standard basis vector.
+    (n, M0).  The matched filter needs only e_hat; the policy reads nothing
+    else, and v stays the argument so that a policy is still built per
+    design.  Zero combined channels (reachable when the estimate is exactly
+    zero, e.g. at delta = sigma without BS->IRS LoS) fall back to the first
+    standard basis vector.  The Monte Carlo evaluator reads this beam's
+    rate in closed form (`channel.CombinedChannels.matched_filter_signal`)
+    and calls the policy only on a probe, to check that it is this one.
     """
     def policy(e_hat: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(e_hat, axis=1)

@@ -37,31 +37,33 @@ Three sampling routes exist, each for one consumer:
   cascaded channel is a product of Gaussians, so the two models still
   differ in higher moments.  It has two outputs:
 
-  - `draw_combined(vs, n)` (the Monte Carlo evaluator's route) takes a
-    stack of unit-modulus designs, checked by `design_stack`, the one
-    check the evaluator shares, and yields, per design, only what the
-    matched-filter rate reads, the true and estimated combined channels
-    x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat.  Given h_ru,
-    the scattered part of H_0r projects onto u = h_ru * v as
-    CN(0, ||u||^2 I) and the fresh cascaded error noise onto v as
-    CN(0, delta1^2 (1 - delta1^2/sigma_g^2) ||v||^2 I), so both are drawn
-    in M0 dimensions with the exact conditional law.  h_ru itself enters
-    only through ||u||^2 = ||h_ru||^2 and the scalar LoS projection
-    t = (v * conj(a_rx))^T h_ru (H_0r's LoS a_rx a_tx^H is rank one), and
-    that pair is drawn from its exact joint law: 2 complex normals and 1
-    gamma value per slot.  That is O(M0) draws per slot, shared by every
-    design of the stack, and O(Mr * M0) work per design per chunk; no
-    (n, Mr) array is built.
+  - `slot_draws(n)` (the Monte Carlo evaluator's route) draws only
+    standard values that no design and no point of one (Mr, M0) shape
+    changes: n * (2 + 4 * M0) complex normals and n gamma values.
+    `CombinedChannels` turns them into what the matched-filter rate reads
+    of one point's stack of unit-modulus designs, checked once by
+    `design_stack`, the one check the evaluator shares: the true and
+    estimated combined channels x = g_true^H v + h_true and
+    e_hat = g_hat^H v + h_hat, with the exact law of each design.  Given
+    h_ru, the scattered part of H_0r projects onto u = h_ru * v as
+    CN(0, ||u||^2 I), and h_ru itself enters only through ||u||^2 = ||h_ru||^2
+    and the scalar LoS projection t = (v * conj(a_rx))^T h_ru (H_0r's LoS
+    a_rx a_tx^H is rank one); that pair is drawn from its exact joint law
+    with 2 complex normals and 1 gamma value per slot.  Both combined
+    channels then lie in the span of the LoS row, the scatter z, h_true and
+    one design-free vector, so the rate reads them through per-slot Gram
+    scalars and O(1) arithmetic per design and slot; no (n, Mr) array is
+    built, and no (n, M0) one per design.
   - `draw(n)` returns the full (n, Mr, M0) channels, errors and, on
     request, the interferers' links, every Rician link from the one law
     of `_rician`; it is the oracle for the interference-power check and
-    for the tests of `draw_combined`.
+    for the tests of `CombinedChannels`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -324,18 +326,23 @@ def design_stack(vs, irs_size: int) -> np.ndarray:
 def _split_law(sigma_sq: float, delta_sq: float) -> tuple[float, float]:
     """How a channel of per-element zero-mean variance sigma_sq splits into
     estimate + error with error variance delta_sq: the error is a share
-    delta^2/sigma^2 of the channel's own zero-mean part plus independent
-    CN(0, delta^2 (1 - delta^2/sigma^2)) noise; returns (share, noise
+    min(delta^2/sigma^2, 1) of the channel's own zero-mean part plus
+    independent CN(0, delta^2 (1 - share)) noise; returns (share, noise
     variance).  The error is then uncorrelated with the estimate, whose
     variance is sigma^2 - delta^2, and for Gaussian channels exactly
-    independent of it."""
-    share = 0.0 if sigma_sq == 0.0 else delta_sq / sigma_sq
-    return share, delta_sq * max(1.0 - share, 0.0)
+    independent of it.  `ChannelStatistics` bounds delta^2 by
+    sigma^2 (1 + 1e-12), so the clamp only removes rounding: at
+    delta = sigma the share is exactly 1 and the noise variance exactly 0,
+    and the estimate of a channel without a mean is exactly zero rather
+    than a rounding residue the matched filter would normalize."""
+    share = 0.0 if sigma_sq == 0.0 else min(delta_sq / sigma_sq, 1.0)
+    return share, delta_sq * (1.0 - share)
 
 
 class PhysicalChannelSampler:
-    """Physical Rician/Rayleigh sampler: `draw_combined` feeds the Monte
-    Carlo evaluator, `draw` the interference oracle and the tests.
+    """Physical Rician/Rayleigh sampler: `slot_draws` feeds the Monte Carlo
+    evaluator (through `CombinedChannels`), `draw` the interference oracle
+    and the tests.
 
     Each drawn quantity has its own named stream, so draws of one quantity
     are unaffected by shape changes in another (common-random-number
@@ -405,12 +412,112 @@ class PhysicalChannelSampler:
         return PhysicalBatch(g_true=g_true, h_true=h_true, g_err=g_err, h_err=h_err,
                              interference=interference)
 
-    def _irs_user_scalars(self, vs: np.ndarray, n: int
-                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """What the serving link reads of h_ru, for each unit-modulus design
-        v of the stack vs (S, Mr) in turn: per slot, t = b^T h_ru with
-        b = v * conj(a_rx), a_rx = column 0 of los_bs_irs[0], and
-        ||h_ru||^2, both (n,), from their exact joint law.
+    def slot_draws(self, n: int) -> "SlotDraws":
+        """The Monte Carlo evaluator's draws for n slots: standard values that
+        no design and no point of this (Mr, M0) shape changes, which
+        `CombinedChannels` scales to one point's law.  That is n * (2 + 4 * M0)
+        complex normals and n gamma values whatever Mr and the designs are."""
+        s = self._stats
+        m0 = s.bs_sizes[0]
+        streams = self._streams
+        # unit-variance real and imaginary parts: scaled by sqrt(var / 2) they
+        # equal crandn(..., var) bit for bit
+        return SlotDraws(
+            zeta=crandn(streams["irs-user"], (2, n), 1.0),
+            gamma=streams["irs-user/gamma"].standard_gamma(max(s.irs_size - 2, 0), n),
+            scatter=crandn(streams["bs-irs/0"], (n, m0), 1.0),
+            direct=crandn(streams["direct/0"], (n, m0), 2.0),
+            err_g=crandn(streams["err/g"], (n, m0), 2.0),
+            err_h=crandn(streams["err/h"], (n, m0), 2.0))
+
+
+@dataclass(frozen=True)
+class SlotDraws:
+    """One chunk of the evaluator's standard draws (`slot_draws`), shared by
+    every design and every point of one (Mr, M0) shape."""
+    zeta: np.ndarray                        # (2, n) CN(0, 1): h_ru along q and across it
+    gamma: np.ndarray                       # (n,) Gamma(max(Mr - 2, 0), 1): the rest of ||h_ru||^2
+    scatter: np.ndarray                     # (n, M0) CN(0, 1): z, H_0r's scatter seen through u
+    direct: np.ndarray                      # (n, M0) unit-variance parts: h_true
+    err_g: np.ndarray                       # (n, M0) unit-variance parts: the cascaded error noise
+    err_h: np.ndarray                       # (n, M0) unit-variance parts: the direct error noise
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^H b over the last axis: one BLAS dot per row, whatever rows sit beside it."""
+    return (np.conj(a)[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+class CombinedChannels:
+    """The serving link's combined channels at one point for a stack of
+    unit-modulus designs vs (S, Mr), x = g_true^H v + h_true and
+    e_hat = g_hat^H v + h_hat, distributed as `PhysicalChannelSampler.draw`
+    would give them, and read through per-slot scalars: no (n, M0) array is
+    built per design and no (n, Mr) array at all.
+
+    With u = h_ru * v and X the i.i.d. CN(0, 1) scatter of H_0r,
+    X^H u ~ CN(0, ||u||^2 I), so g_true^H v = y = a r + b z with
+    z ~ CN(0, I_M0), a = sqrt(a_0r) w_los t and b = sqrt(a_0r) w_nlos ||h_ru||.
+    L = a_rx a_tx^H is rank one, so L^H u = t * r for the scalar
+    t = (v * conj(a_rx))^T h_ru and a unit-modulus row r, and a
+    unit-modulus v gives ||u|| = ||h_ru||: `irs_user_scalars` reads that
+    (t, ||h_ru||^2) pair off `SlotDraws` with its exact law.  `_split_law`
+    carried through the projection gives
+    e_hat = (1 - s) y + s l + k, s = delta1^2 / sigma_g^2, where
+    l = glos_0^H v is the design's only vector and
+    k = (1 - s_h) h_true - sigma_g' N_g - sigma_h' N_h (`design_free`) is
+    the same for every design: the error noises N_g, N_h ~ CN(0, I), with
+    sigma_g'^2 = delta1^2 (1 - s) ||v||^2 and ||v||^2 = Mr.  glos_0 is
+    rank one too, so l = lam * r with lam = r^H l / r^H r, and both
+    vectors lie in two-vector spans plus one design-free vector:
+
+        x = a r + b z + h_true,     e_hat = alpha r + beta z + k,
+        alpha = (1 - s) a + s lam,  beta = (1 - s) b.
+
+    The matched-filter rate reads them only through x^H e_hat and
+    ||e_hat||^2, and so through the per-slot Gram scalars of r, z, h_true
+    and k, which no design changes (`matched_filter_signal`).  Every design
+    of the stack, and every point of one (Mr, M0) shape, reads the same
+    draws; each design's law is exact, and its joint law with the others
+    is not the physical one, but they stay paired.
+    """
+
+    _BLOCK = 4      # designs per block of (block, n) arrays in `matched_filter_signal`
+
+    def __init__(self, stats: ChannelStatistics, vs):
+        s = stats
+        mr = s.irs_size
+        self.designs = design_stack(vs, mr)         # the one check of the stack
+        w_los, w_nlos = rician_weights(s.rician_bs_irs[0])
+        self._los_gain = math.sqrt(s.alpha_bs_irs[0]) * w_los
+        self._scatter_gain = math.sqrt(s.alpha_bs_irs[0]) * w_nlos
+        los = s.los_bs_irs[0]
+        # L[j, i] = L[j, 0] L[0, i] / L[0, 0] for the rank-one L, so
+        # h_ru @ (v[:, None] * conj(L)) = t * row with t = (v * conj(L[:, 0]))^T h_ru
+        self._row = los[0].conj() * los[0, 0]
+        self._row_sq = float(np.vdot(self._row, self._row).real)
+        # l = glos_0^H v = lam * row, (S,)
+        self._lam = (self.designs @ s.cascaded_los[0].conj()) @ self._row.conj() / self._row_sq
+        self._share_g, n_g_var = _split_law(float(s.sigma_g_sq[0]), s.delta1_abs ** 2)
+        share_h, n_h_var = _split_law(s.sigma_h_sq, s.delta2_abs ** 2)
+        # SlotDraws' unit-variance parts to h_true, k's keep of it and the noises
+        self._direct_scales = (math.sqrt(s.alpha_direct[0] / 2.0), 1.0 - share_h,
+                               math.sqrt(n_g_var * mr / 2.0), math.sqrt(n_h_var / 2.0))
+
+        # h_ru = mu + scale * xi; q = conj(v * conj(a_rx)) / sqrt(Mr)
+        w_los, w_nlos = rician_weights(s.rician_irs_user)
+        mean = math.sqrt(s.alpha_irs_user) * w_los * s.los_irs_user          # mu
+        self._ru_scale = math.sqrt(s.alpha_irs_user) * w_nlos
+        self._ru_along = (self.designs * los[:, 0].conj()) @ mean / math.sqrt(mr)   # q^H mu
+        self._ru_across = None if mr == 1 else np.sqrt(np.maximum(
+            float(np.vdot(mean, mean).real) - np.abs(self._ru_along) ** 2, 0.0))
+
+    def irs_user_scalars(self, draws: SlotDraws, rows=slice(None)
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """What the serving link reads of h_ru, for the designs v of
+        `designs[rows]`: per slot, t = b^T h_ru with b = v * conj(a_rx),
+        a_rx = column 0 of los_bs_irs[0], and ||h_ru||^2, both (S', n), from
+        their exact joint law.
 
         Write h_ru = mu + s * xi with xi ~ CN(0, I), and q = conj(b)/sqrt(Mr),
         a unit vector.  Then q^H h_ru = c + s * zeta1 with c = q^H mu, and
@@ -420,90 +527,65 @@ class PhysicalChannelSampler:
         s^2 * Gamma with Gamma ~ Gamma(Mr - 2, 1).  So t = sqrt(Mr) (c + s zeta1)
         and ||h_ru||^2 = |c + s zeta1|^2 + |m_perp + s zeta2|^2 + s^2 Gamma;
         Mr = 1 has no zeta2 term and Mr <= 2 no Gamma term (Gamma(0) is the
-        point mass at 0).
-
-        zeta1, zeta2 ~ CN(0, 1) and Gamma are drawn once, when the first
-        design is requested, and every design projects them with its own c:
-        2 complex normals and 1 gamma value per slot whatever S and Mr are.
-        Gamma has its own stream, because the gamma sampler consumes a
-        varying number of values and would otherwise shift the zetas.
+        point mass at 0).  Every design projects the one (zeta1, zeta2,
+        Gamma) of the slot with its own c.
         """
-        s = self._stats
-        mr = s.irs_size
-        w_los, w_nlos = rician_weights(s.rician_irs_user)
-        mean = math.sqrt(s.alpha_irs_user) * w_los * s.los_irs_user       # mu
-        scale = math.sqrt(s.alpha_irs_user) * w_nlos                     # s
-        mean_sq = float(np.vdot(mean, mean).real)
-        zeta1, zeta2 = crandn(self._streams["irs-user"], (2, n), 1.0)
-        gamma = self._streams["irs-user/gamma"].standard_gamma(max(mr - 2, 0), n)
-        a_rx_conj = s.los_bs_irs[0][:, 0].conj()
-        for v in vs:
-            c = np.dot(v * a_rx_conj, mean) / math.sqrt(mr)             # q^H mu
-            along = c + scale * zeta1                                    # q^H h_ru
-            norm_sq = along.real ** 2 + along.imag ** 2 + scale ** 2 * gamma
-            if mr > 1:
-                perp = math.sqrt(max(mean_sq - abs(c) ** 2, 0.0)) + scale * zeta2
-                norm_sq += perp.real ** 2 + perp.imag ** 2
-            yield math.sqrt(mr) * along, norm_sq
+        zeta1, zeta2 = draws.zeta
+        scale = self._ru_scale
+        along = self._ru_along[rows, None] + scale * zeta1                  # q^H h_ru
+        norm_sq = along.real ** 2 + along.imag ** 2 + scale ** 2 * draws.gamma
+        if self._ru_across is not None:
+            across = self._ru_across[rows, None] + scale * zeta2
+            norm_sq += across.real ** 2 + across.imag ** 2
+        return math.sqrt(self.designs.shape[1]) * along, norm_sq
 
-    def draw_combined(self, vs: np.ndarray, n: int
-                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The serving link's combined channels for a stack of unit-modulus
-        phase-shift designs vs (S, Mr), drawn from their exact law: yields
-        (x, e_hat), both (n, M0), for each design in turn, with
-        x = g_true^H v + h_true and e_hat = g_hat^H v + h_hat distributed
-        as `draw` would give them.
+    def design_free(self, draws: SlotDraws) -> tuple[np.ndarray, np.ndarray]:
+        """(h_true, k), both (n, M0): the true direct channel and
+        k = h_hat - n_g, the part of e_hat that no design changes."""
+        direct, keep, noise_g, noise_h = self._direct_scales
+        h_true = draws.direct * direct
+        return h_true, keep * h_true - noise_g * draws.err_g - noise_h * draws.err_h
 
-        With u = h_ru * v and S the i.i.d. CN(0,1) scatter of H_0r,
-        S^H u ~ CN(0, ||u||^2 I), so g_true^H v is
-        sqrt(a_0r) * (w_los * L^H u + w_nlos * ||u|| * z), z ~ CN(0, I).
-        L = a_rx a_tx^H is rank one, so L^H u = t * r for the scalar
-        t = (v * conj(a_rx))^T h_ru and a unit-modulus row r, and a
-        unit-modulus v gives ||u|| = ||h_ru||: `_irs_user_scalars` draws
-        that (t, ||h_ru||^2) pair from its exact law.  `_split_error`
-        carried through the projection gives
-        g_hat^H v = (1 - s) g_true^H v + s glos_0^H v - n_g with
-        n_g ~ CN(0, delta1^2 (1 - s) ||v||^2 I) and s = delta1^2 / sigma_g^2.
+    def matched_filter_signal(self, draws: SlotDraws) -> np.ndarray:
+        """|x^H w|^2 per slot for every design, (S, n), at the matched filter
+        w = e_hat / ||e_hat||: |x^H e_hat|^2 / ||e_hat||^2, and |x_0|^2 where
+        e_hat = 0, the first-basis-vector beam of `beamforming.mrt_policy`.
 
-        Everything that does not depend on the design, the three h_ru
-        scalars, the standard parts of z and n_g, h_true and the
-        direct-link error, is drawn once when the first pair is requested,
-        so every design of the stack sees the same draws and n slots cost
-        n * (2 + 4 * M0) complex normals and n gamma values whatever S and
-        Mr are: O(M0) per slot.  Each design then costs O(Mr * M0) work per
-        call for its projections (its c and glos_0^H v), and no (n, Mr)
-        array is built.  Each design's law is exact; the joint
-        law of the designs is not the physical one, since they share the
-        three scalars, but they stay paired.  h_true and the direct-link
-        error are bit-identical to `draw(n)`'s; the other streams differ.
-        """
-        s = self._stats
-        m0 = s.bs_sizes[0]
-        vs = design_stack(vs, s.irs_size)
-
-        z = crandn(self._streams["bs-irs/0"], (n, m0), 1.0)
-        h_true = crandn(self._streams["direct/0"], (n, m0), s.alpha_direct[0])
-        # unit-variance real and imaginary parts: scaled by sqrt(var / 2)
-        # they equal crandn(..., var) bit for bit
-        n_g_std = crandn(self._streams["err/g"], (n, m0), 2.0)
-        h_hat = h_true - self._split_error(h_true, s.sigma_h_sq, s.delta2_abs ** 2,
-                                           self._streams["err/h"])
-
-        w_los, w_nlos = rician_weights(s.rician_bs_irs[0])
-        los = s.los_bs_irs[0]
-        # L[j, i] = L[j, 0] L[0, i] / L[0, 0] for the rank-one L, so
-        # h_ru @ (v[:, None] * conj(L)) = t * row with t = (v * conj(L[:, 0]))^T h_ru
-        row = los[0].conj() * los[0, 0]
-        cascaded_los_conj = s.cascaded_los[0].conj()
-        # the cascaded error's share and its noise variance per unit ||v||^2
-        share_g, n_g_var = _split_law(float(s.sigma_g_sq[0]), s.delta1_abs ** 2)
-        for v, (t, norm_sq) in zip(vs, self._irs_user_scalars(vs, n)):
-            scatter = z * (w_nlos * np.sqrt(norm_sq))[:, None]
-            y = math.sqrt(s.alpha_bs_irs[0]) * (w_los * (t[:, None] * row) + scatter)
-            n_g = n_g_std * math.sqrt(n_g_var * float(np.vdot(v, v).real) / 2.0)
-            los_term = v @ cascaded_los_conj                    # glos_0^H v, (M0,)
-            e_hat = (1.0 - share_g) * y + share_g * los_term - n_g + h_hat
-            yield y + h_true, e_hat
+        Both inner products are read off the Gram scalars of r, z, h_true
+        and k (see the class docstring): with e_r = r^H e_hat,
+        e_z = z^H e_hat, e_h = h_true^H e_hat and e_k = k^H e_hat,
+        x^H e_hat = conj(a) e_r + b e_z + e_h and
+        ||e_hat||^2 = Re(conj(alpha) e_r + beta e_z + e_k).  The designs go
+        `_BLOCK` at a time, so no array grows with S beyond the result."""
+        z = draws.scatter
+        h_true, k = self.design_free(draws)
+        row, rr = self._row, self._row_sq
+        rz, rh, rk = z @ row.conj(), h_true @ row.conj(), k @ row.conj()
+        zz, zk = _inner(z, z).real, _inner(z, k)
+        hz, hk, kk = _inner(h_true, z), _inner(h_true, k), _inner(k, k).real
+        keep, share = 1.0 - self._share_g, self._share_g
+        out = np.empty((self.designs.shape[0], z.shape[0]))
+        for first in range(0, out.shape[0], self._BLOCK):
+            rows = slice(first, first + self._BLOCK)
+            t, norm_sq = self.irs_user_scalars(draws, rows)
+            a = self._los_gain * t
+            b = self._scatter_gain * np.sqrt(norm_sq)
+            alpha = keep * a + (share * self._lam[rows])[:, None]
+            beta = keep * b
+            e_r = alpha * rr + beta * rz + rk
+            e_z = alpha * rz.conj() + beta * zz + zk
+            cross = a.conj() * e_r + b * e_z + alpha * rh.conj() + beta * hz + hk
+            power = (alpha.conj() * e_r).real + beta * e_z.real + (alpha * rk.conj()).real \
+                + beta * zk.real + kk
+            live = power > 0.0
+            signal = out[rows]
+            np.divide(cross.real ** 2 + cross.imag ** 2, power, out=signal, where=live)
+            if not np.all(live):
+                dead, slot = np.nonzero(~live)
+                first_x = a[dead, slot] * row[0] + b[dead, slot] * z[slot, 0] \
+                    + h_true[slot, 0]
+                signal[dead, slot] = first_x.real ** 2 + first_x.imag ** 2
+        return out
 
 
 def sample_estimated_csi(stats: ChannelStatistics, cfg: ScenarioConfig,

@@ -127,23 +127,24 @@ def _scheme_solvers(solver: SolverConfig, seed: int,
 
 
 def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[dict]:
-    """Evaluate every (value, scheme) pair, streaming rows to results.csv in
-    deterministic order and writing a manifest.json next to it.
+    """Evaluate every (value, scheme) pair, writing its rows to results.csv
+    in deterministic order and a manifest.json next to it.
 
     The SSCA designs of all the points run in one `design_schemes` call,
     which stacks the points of one shape (one stack per size on an
     irs-size sweep, else one), each row bit for bit its own per-point
-    design; then each sweep value's designs are evaluated in one batched
-    call, so they share one draw set.  Rows are written only once every
-    design is done.  The evaluation seed is also shared across sweep
-    points, so same-shaped channel draws coincide there too (common random
-    numbers); design seeds are derived per scheme; the manifest records
-    each scheme's design seed and the shared solver settings without the
-    seed they replace.
+    design; then all the designs are evaluated in one `evaluate_designs`
+    call, so each sweep value's designs share one draw set.  The
+    evaluation seed is shared across sweep points too, so points of one
+    shape read the same channel draws (common random numbers), drawn once;
+    each point's reports equal its own evaluation's.  Rows are written only
+    once every evaluation is done.  Design seeds are derived per scheme;
+    the manifest records each scheme's design seed and the shared solver
+    settings without the seed they replace.
     """
     # every point is checked before any artifact is written or design is run
-    points = [apply_sweep_value(scenario, spec.param, value) for value in spec.values]
-    stats = [build_statistics(cfg) for cfg in points]
+    points = [(build_statistics(cfg), cfg)
+              for cfg in (apply_sweep_value(scenario, spec.param, value) for value in spec.values)]
     os.makedirs(out_dir, exist_ok=True)
     solvers = _scheme_solvers(spec.solver, spec.seed, spec.schemes)
     solver_settings = dataclasses.asdict(spec.solver)
@@ -162,21 +163,16 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
-    designs = design_schemes([scheme(name) for name in spec.schemes], solvers,
-                             list(zip(stats, points)))
+    designs = design_schemes([scheme(name) for name in spec.schemes], solvers, points)
+    reports = evaluate_designs(designs, points, spec.n_samples, child_seed(spec.seed, "eval"))
 
-    eval_seed = child_seed(spec.seed, "eval")
-    rows: list[dict] = []
+    rows = [_row(scenario.name, spec, value, name, report, cfg.config_hash())
+            for value, (_, cfg), point_reports in zip(spec.values, points, reports)
+            for name, report in zip(spec.schemes, point_reports)]
     with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for value, cfg, point_stats, point_designs in zip(spec.values, points, stats, designs):
-            reports = evaluate_designs(point_designs, point_stats, cfg, spec.n_samples, eval_seed)
-            for name, report in zip(spec.schemes, reports):
-                row = _row(scenario.name, spec, value, name, report, cfg.config_hash())
-                writer.writerow(row)
-                rows.append(row)
-            fh.flush()                   # partial results survive interruption
+        writer.writerows(rows)
     return rows
 
 

@@ -19,10 +19,13 @@ sampling law (stated in `DesignObjective.sample`) and its closed-form mean
 (||e||^2, g_hat e); `upper_bound_rate_closed_form` is log2(1 + `expected`),
 and `sinr_denominator` evaluates `interference_quadratic`, whose (Mr, K)
 factor F the reports also read (K = n_bs - 1 columns, none without
-interferers).  `ergodic_rates_mc` checks its designs with
-`channel.design_stack`, the sampler's own check, and every `RateReport`
-of per-sample rates, a multi-draw scheme's average included, is
-summarized by `RateReport.from_samples`.
+interferers).  `ergodic_rates_mc_points` evaluates stacks of designs at
+several points, drawing each chunk once per (Mr, M0) shape and reading
+each slot's matched-filter rate off per-slot Gram scalars
+(`channel.CombinedChannels`, whose `design_stack` checks each stack once);
+`ergodic_rates_mc` is its one-point view.  Every `RateReport` of
+per-sample rates, a multi-draw scheme's average included, is summarized
+by `RateReport.from_samples`.
 """
 from __future__ import annotations
 
@@ -32,8 +35,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import (DESIGN_MODULUS_TOL, ChannelStatistics, CsiSample,
-                      PhysicalChannelSampler, design_stack)
+from .channel import (DESIGN_MODULUS_TOL, ChannelStatistics, CombinedChannels, CsiSample,
+                      PhysicalChannelSampler, _inner)
 from .config import ScenarioConfig
 from .streams import check_count
 
@@ -120,12 +123,6 @@ class RateReport:
     def to_dict(self) -> dict:
         """Every field but the per-sample rates."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rate_samples"}
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^H b over the last axis: one BLAS dot per row, whatever rows sit beside it."""
-    return (np.conj(a)[..., None, :] @ b[..., None])[..., 0, 0]
-
 
 
 # ---------------------------------------------------------------------------
@@ -446,66 +443,107 @@ def _log2_1p(x: float) -> float:
 BeamformingPolicy = Callable[[np.ndarray], np.ndarray]
 
 
+def _check_matched_filter(policy: BeamformingPolicy, design: int, m0: int) -> None:
+    """The evaluator reads the matched filter's rate in closed form, so it
+    takes the policies of `beamforming.mrt_policy` only: a policy must map
+    a probe row to itself normalized and a zero row to the first basis
+    vector, or a ValueError names its design."""
+    probe = np.zeros((2, m0), dtype=complex)
+    probe[0] = np.arange(1, m0 + 1) * np.exp(1j * np.arange(m0))
+    want = np.zeros_like(probe)
+    want[0] = probe[0] / np.linalg.norm(probe[0])
+    want[1, 0] = 1.0
+    got = np.asarray(policy(probe))
+    if got.shape != want.shape or not np.allclose(got, want, rtol=0.0, atol=1e-12):
+        raise ValueError(f"design {design}'s policy is not the matched filter of "
+                         "mrt_policy, the only beamformer the evaluator reads")
+
+
+def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
+                            rng: int) -> list[list[RateReport]]:
+    """Monte Carlo ergodic rates of a stack of designs at each of several
+    points: one list of reports per point, one report per design, in order.
+
+    Each point is (vs, policies, stats, cfg): S unit-modulus phase-shift
+    designs (entries within 1e-9 of modulus 1, as `PhaseShiftVector`
+    requires; `channel.design_stack` names any other design in a
+    ValueError, once per point), the beamforming policy of each, which
+    must be `beamforming.mrt_policy`'s (a probe of each names any other
+    design), and the point's statistics and scenario.  A slot's rate reads
+    only the serving link's combined channels, the true
+    x = g_true^H v + h_true and the estimated e_hat = g_hat^H v + h_hat,
+    and at the matched filter only |x^H e_hat|^2 / ||e_hat||^2, which
+    `channel.CombinedChannels` reads off per-slot Gram scalars of
+    `PhysicalChannelSampler.slot_draws`: O(M0) draws and work per slot,
+    O(1) per design and slot and O(Mr * M0) per design and evaluation; no
+    (n, Mr) array is built.  Each 512-sample chunk is drawn once per
+    (Mr, M0) shape and read by every design of every point of that shape,
+    since they all draw the same values from one seed: a point's reports
+    equal those of its own call, the designs of one point are paired by
+    construction, and the draw count grows with neither S nor Mr nor the
+    number of points of one shape.  Each report's own law is exact; the
+    joint law across designs is not the physical one, which leaves paired
+    differences unbiased and their standard errors valid.  The signal term
+    uses the true channel; the interference-plus-noise term uses its exact
+    expectation, per the worst-case-noise reading of the rate: sigma^2 plus
+    the report's powers p_k * gk(v), read off one projection F^H v of each
+    design with the (Mr, K) factor F of `interference_quadratic`.  Each
+    point keeps one (S, n_samples) array of per-sample rates, whose rows
+    are its reports' `rate_samples`, summarized by `RateReport.from_samples`.
+    """
+    check_count(n_samples, "n_samples")
+    laws, powers = [], []
+    for vs, policies, stats, cfg in points:
+        if len(policies) != len(vs):
+            raise ValueError(f"{len(policies)} policies for {len(vs)} designs; "
+                             "give one policy per design")
+        law = CombinedChannels(stats, [phase_array(v) for v in vs])
+        for i, policy in enumerate(policies):
+            _check_matched_filter(policy, i, stats.bs_sizes[0])
+        # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K), and the denominators (S,)
+        factor, _ = interference_quadratic(stats, cfg)
+        proj = law.designs.conj() @ factor
+        floors = [cfg.powers_watt[k] * _interferer_floor(stats, k) for k in range(1, stats.n_bs)]
+        intf = proj.real ** 2 + proj.imag ** 2 + floors
+        laws.append(law)
+        powers.append((intf, cfg.noise_watt + np.sum(intf, axis=1)))
+    rates = [np.empty((len(law.designs), n_samples)) for law in laws]
+    signal_sums = [np.zeros(len(law.designs)) for law in laws]
+
+    shapes: dict[tuple, list[int]] = {}         # points of one (Mr, M0)
+    for p, (_, _, stats, _) in enumerate(points):
+        shapes.setdefault((stats.irs_size, stats.bs_sizes[0]), []).append(p)
+    for group in shapes.values():
+        # the draws read only the seed and the shape
+        sampler = PhysicalChannelSampler(points[group[0]][2], rng)
+        for start in range(0, n_samples, _MC_CHUNK):
+            draws = sampler.slot_draws(min(_MC_CHUNK, n_samples - start))
+            for p in group:
+                signal = laws[p].matched_filter_signal(draws)            # (S, chunk)
+                signal_sums[p] += np.sum(signal, axis=1)
+                p0, dens = points[p][3].powers_watt[0], powers[p][1]
+                rates[p][:, start:start + signal.shape[1]] = (
+                    np.log1p(p0 * signal / dens[:, None]) / _LN2)
+
+    reports = []
+    for law, (_, _, stats, cfg), rows, sums, (intf, _) in zip(laws, points, rates,
+                                                               signal_sums, powers):
+        p0 = cfg.powers_watt[0]
+        reports.append([
+            RateReport.from_samples(row, ub_rate, p0 * signal_sum / n_samples, power,
+                                    cfg.noise_watt)
+            for ub_rate, row, signal_sum, power in zip(
+                upper_bound_rate_closed_form(law.designs, stats, cfg), rows, sums, intf)])
+    return reports
+
+
 def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPolicy],
                      stats: ChannelStatistics, cfg: ScenarioConfig, n_samples: int,
                      rng: int) -> list[RateReport]:
-    """Monte Carlo ergodic rates of a stack of designs on one shared draw set.
-
-    `vs` holds S unit-modulus phase-shift designs (entries within 1e-9 of
-    modulus 1, as `PhaseShiftVector` requires; `channel.design_stack`, the
-    sampler's own check, names any other design in a ValueError) and
-    `policies` the beamforming policy of each, in the same order; one
-    report per design comes back, in that order.  Each slot needs only the
-    serving link's combined channels: the true x = g_true^H v + h_true and
-    the estimated e_hat = g_hat^H v + h_hat, drawn from their exact law by
-    `PhysicalChannelSampler.draw_combined`:
-    O(M0) draws per slot, the IRS->user channel entering through 2 complex
-    normals and 1 gamma value, and O(Mr * M0) work per design per chunk of
-    slots; no (n, Mr) or (n, Mr, M0) array is built.  The draws are made
-    once per chunk and shared by every design, so the reports are paired
-    by construction and their draw count grows with neither S nor Mr.
-    Each report's own law is exact; the joint law across designs is not
-    the physical one, which leaves paired differences unbiased and their
-    standard errors valid.  A policy maps e_hat (n, M0) to unit-norm rows
-    (n, M0).  The signal term |x^H w|^2 uses the true channel; the
-    interference-plus-noise term uses its exact expectation, per the
-    worst-case-noise reading of the rate: sigma^2 plus the report's powers
-    p_k * gk(v), read off one projection F^H v of each design with the
-    (Mr, K) factor F of `interference_quadratic`.  Each design is reduced
-    to its row of per-sample rates before the next one is drawn, so memory
-    does not grow with S beyond that row; the row is the report's
-    `rate_samples`, summarized by `RateReport.from_samples`.
-    """
-    if len(policies) != len(vs):
-        raise ValueError(f"{len(policies)} policies for {len(vs)} designs; "
-                         "give one policy per design")
-    check_count(n_samples, "n_samples")
-    stack = design_stack([phase_array(v) for v in vs], stats.irs_size)
-    # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K)
-    factor, _ = interference_quadratic(stats, cfg)
-    proj = stack.conj() @ factor
-    floors = [cfg.powers_watt[k] * _interferer_floor(stats, k) for k in range(1, stats.n_bs)]
-    intf = proj.real ** 2 + proj.imag ** 2 + floors
-    dens = cfg.noise_watt + np.sum(intf, axis=1)
-    p0 = cfg.powers_watt[0]
-
-    sampler = PhysicalChannelSampler(stats, rng, include_interference=False)
-    rates = np.empty((len(stack), n_samples))
-    signal_sums = [0.0] * len(stack)
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        for i, (x, e_hat) in enumerate(sampler.draw_combined(stack, m)):
-            w = policies[i](e_hat)                                 # (m, M0)
-            signal = np.abs(np.einsum("ni,ni->n", x.conj(), w)) ** 2
-            signal_sums[i] += float(np.sum(signal))
-            rates[i, done:done + m] = np.log1p(p0 * signal / dens[i]) / _LN2
-        done += m
-
-    ub_rates = upper_bound_rate_closed_form(stack, stats, cfg)
-    return [RateReport.from_samples(row, ub_rate, p0 * signal_sum / n_samples, powers,
-                                    cfg.noise_watt)
-            for ub_rate, row, signal_sum, powers in zip(ub_rates, rates, signal_sums, intf)]
+    """Monte Carlo ergodic rates of a stack of designs on one shared draw
+    set: `ergodic_rates_mc_points` at one point (vs, policies, stats, cfg),
+    one report per design, in order."""
+    return ergodic_rates_mc_points([(vs, policies, stats, cfg)], n_samples, rng)[0]
 
 
 def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import irsopt
+from irsopt.channel import _split_law, rician_weights
 from irsopt.streams import crandn, named_children
 
 
@@ -94,6 +95,31 @@ def design_draws(stats, cfg, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]
     optimizes over (that of the robust design)."""
     streams = named_children(seed, ("design/g", "design/h"))
     return full_matrix_sample(irsopt.DesignObjective.from_scenario(stats, cfg), streams, n)
+
+
+def explicit_combined(stats, law, draws) -> tuple[np.ndarray, np.ndarray]:
+    """The combined channels of every design of `law` (a
+    `channel.CombinedChannels`), x = g_true^H v + h_true and
+    e_hat = g_hat^H v + h_hat, each (S, n, M0), built as vectors from one
+    chunk's `SlotDraws` and the law's (t, ||h_ru||^2) scalars, with the
+    error split of `_split_law` and l = glos_0^H v taken from the
+    statistics: the reference the evaluator's Gram route must reproduce."""
+    t, norm_sq = law.irs_user_scalars(draws)
+    vs = law.designs
+    los = stats.los_bs_irs[0]
+    row = los[0].conj() * los[0, 0]
+    w_los, w_nlos = rician_weights(stats.rician_bs_irs[0])
+    y = math.sqrt(stats.alpha_bs_irs[0]) * (
+        w_los * t[..., None] * row + w_nlos * np.sqrt(norm_sq)[..., None] * draws.scatter)
+    h_true = draws.direct * math.sqrt(stats.alpha_direct[0] / 2.0)
+    share_h, noise_h = _split_law(stats.sigma_h_sq, stats.delta2_abs ** 2)
+    h_hat = h_true - (share_h * h_true + draws.err_h * math.sqrt(noise_h / 2.0))
+    share_g, noise_g = _split_law(float(stats.sigma_g_sq[0]), stats.delta1_abs ** 2)
+    v_sq = np.sum(np.abs(vs) ** 2, axis=1)
+    n_g = draws.err_g * np.sqrt(noise_g * v_sq / 2.0)[:, None, None]
+    los_terms = vs @ stats.cascaded_los[0].conj()
+    e_hat = (1.0 - share_g) * y + share_g * los_terms[:, None, :] - n_g + h_hat
+    return y + h_true, e_hat
 
 
 EDGE_REGIMES = ("no-bs-irs-los", "k-0", "single-bs", "irs-1x1", "one-bs-antenna",

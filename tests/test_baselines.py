@@ -145,13 +145,14 @@ def _phases_and_ub_rates(names, stats, cfg, monkeypatch):
     """evaluate_schemes on `names` with per-scheme design seeds: each
     scheme's first design (as the evaluator receives it) and its UB rate."""
     received = []
-    evaluate = baselines.ergodic_rates_mc
+    evaluate = baselines.ergodic_rates_mc_points
 
-    def spy(vs, *args):
-        received.extend(vs)
-        return evaluate(vs, *args)
+    def spy(points, *args):
+        (point,) = points
+        received.extend(point[0])
+        return evaluate(points, *args)
 
-    monkeypatch.setattr(baselines, "ergodic_rates_mc", spy)
+    monkeypatch.setattr(baselines, "ergodic_rates_mc_points", spy)
     specs = [scheme(name) for name in names]
     solvers = [SolverConfig(iterations=30, samples_per_iter=4,
                             seed=child_seed(12, f"design/{name}")) for name in names]

@@ -10,7 +10,7 @@ import pytest
 
 import irsopt
 from irsopt import baselines, cli
-from irsopt.baselines import design_scheme, evaluate_scheme, evaluate_schemes, scheme
+from irsopt.baselines import SCHEMES, design_scheme, evaluate_scheme, evaluate_schemes, scheme
 from irsopt.channel import build_statistics
 from irsopt.cli import (
     CSV_COLUMNS,
@@ -23,6 +23,7 @@ from irsopt.cli import (
 from irsopt.config import user_position_on_bisector
 from irsopt.ssca import SolverConfig
 from irsopt.streams import child_seed
+from conftest import EDGE_REGIMES, edge_scenario
 
 
 def _tiny_sweep(seed=0, schemes=("robust-with-intf",), values=(2.0, 3.0)):
@@ -350,6 +351,52 @@ def test_scenario_file_flow(tmp_path):
     assert rows[0]["scenario_id"] == "modified"
     # higher error -> lower rate
     assert float(rows[1]["mc_rate"]) < float(rows[0]["mc_rate"])
+
+
+def _no_nan_json(path: Path):
+    def constant(name):
+        assert name != "NaN", f"NaN in {path.name}"
+        return float(name)
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=constant)
+
+
+def _no_nan_csv(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        assert not any(value.strip().lower() == "nan" for value in row.values()), (path.name, row)
+    return rows
+
+
+def _assert_jensen(report: dict, where: str):
+    ub, mc, se = (float(report[k]) for k in ("ub_rate", "mc_rate", "mc_stderr"))
+    assert all(math.isfinite(x) for x in (ub, mc, se)), where
+    assert ub >= mc - 3.0 * se, (where, ub, mc, se)
+
+
+@pytest.mark.parametrize("regime", EDGE_REGIMES)
+def test_every_command_runs_in_every_edge_regime(tmp_path, preset_cfg, regime):
+    # solve, eval and a sweep to delta = sigma exit 0, write no NaN, and keep
+    # every Monte Carlo rate below its upper bound within 3 standard errors
+    path = tmp_path / "scenario.json"
+    irsopt.save_scenario(edge_scenario(preset_cfg, regime), str(path))
+    common = ["--scenario", str(path), "--iters", "8", "--samples-per-iter", "2",
+              "--seed", "1"]
+    assert main(["solve", *common, "--probe-every", "4", "--out", str(tmp_path / "solve")]) == 0
+    _no_nan_json(tmp_path / "solve" / "design.json")
+    _no_nan_csv(tmp_path / "solve" / "trace.csv")
+
+    assert main(["eval", *common, "--samples", "300", "--out", str(tmp_path / "eval")]) == 0
+    for name, report in _no_nan_json(tmp_path / "eval" / "eval.json")["reports"].items():
+        _assert_jensen(report, f"eval {name}")
+
+    assert main(["sweep", *common, "--sweep", "error-std", "--values", "0,1",
+                 "--samples", "300", "--out", str(tmp_path / "sweep")]) == 0
+    _no_nan_json(tmp_path / "sweep" / "manifest.json")
+    rows = _no_nan_csv(tmp_path / "sweep" / "results.csv")
+    assert len(rows) == 2 * len(SCHEMES)
+    for row in rows:
+        _assert_jensen(row, f"sweep {row['scheme']} at {row['sweep_value']}")
 
 
 def test_readme_command_line_block_parses():

@@ -12,17 +12,21 @@ from hypothesis import strategies as st
 import irsopt
 from irsopt.beamforming import Beamformer, mrt_equivalent_beamformer, mrt_policy
 from irsopt.channel import (
+    CombinedChannels,
     PhysicalChannelSampler,
     CsiSample,
+    _split_law,
     build_statistics,
     rician_weights,
     sample_estimated_csi,
 )
 from irsopt.rate import (
+    _MC_CHUNK,
     DesignObjective,
     PhaseShiftVector,
     RateReport,
     ergodic_rate_mc,
+    ergodic_rates_mc_points,
     error_power_constant,
     g0,
     gamma_ub,
@@ -33,9 +37,11 @@ from irsopt.rate import (
     sinr_denominator,
     upper_bound_rate_closed_form,
 )
+from irsopt.cli import SweepSpec, run_sweep
 from irsopt.streams import named_children
-from conftest import (EDGE_REGIMES, combine_draws, design_draws, edge_scenario, paired_t,
-                      random_phase_vector, random_relaxed, random_scenario)
+from conftest import (EDGE_REGIMES, combine_draws, design_draws, edge_scenario,
+                      explicit_combined, paired_t, random_phase_vector, random_relaxed,
+                      random_scenario)
 
 
 def fd_gradient(fn, v: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -468,8 +474,8 @@ def _physical_combined(v, stats, seed: int, n: int, chunk: int = 4096):
 
 
 def _physical_rates(v, stats, cfg, seed: int, n: int) -> np.ndarray:
-    """Per-sample matched-filter rates on full physical draws: the
-    evaluator's arithmetic before it moved to `draw_combined`."""
+    """Per-sample matched-filter rates on full physical draws, in chunks:
+    the reference law of the evaluator's per-sample rates."""
     x, e_hat = _physical_combined(v, stats, seed, n, chunk=512)
     w = e_hat / np.linalg.norm(e_hat, axis=1)[:, None]
     signal = np.abs(np.einsum("ni,ni->n", x.conj(), w)) ** 2
@@ -517,8 +523,9 @@ def test_combined_draw_matches_physical_sampler_in_law(delta):
         # independent seeds: the routes share no draw (the combined route
         # draws three h_ru scalars per slot, not h_ru), so the gaps are
         # sampling noise of both plus any difference in law
-        (combined,) = PhysicalChannelSampler(stats, seed).draw_combined(v.v[None], n)
-        new = _moments(*combined)
+        draws = PhysicalChannelSampler(stats, seed).slot_draws(n)
+        x, e_hat = explicit_combined(stats, CombinedChannels(stats, v.v[None]), draws)
+        new = _moments(x[0], e_hat[0])
         old = _moments(*_physical_combined(v, stats, seed + 3, n))
         for name in new:
             gap = np.abs(new[name] - old[name]) / np.abs(old[name])
@@ -562,8 +569,8 @@ def test_irs_user_scalars_match_their_closed_form_moments(preset_cfg, regime):
     designs = np.stack([random_phase_vector(np.random.default_rng(81), mr).v,
                         _los_aligned_design(stats)])
     n = 20_000
-    draws = PhysicalChannelSampler(stats, 83)._irs_user_scalars(designs, n)
-    for v, (t, norm_sq) in zip(designs, draws):
+    draws = PhysicalChannelSampler(stats, 83).slot_draws(n)
+    for v, t, norm_sq in zip(designs, *CombinedChannels(stats, designs).irs_user_scalars(draws)):
         b = v * stats.los_bs_irs[0][:, 0].conj()
         if s_sq == 0.0:                 # pure-LoS IRS->user link: nothing random
             np.testing.assert_allclose(t, b @ mean, rtol=1e-12)
@@ -610,12 +617,14 @@ def _bad_input_cases(stats):
                        "design 1 has non-finite"),
         "relaxed design": (([v, 0.5 * v.v], [policy, policy]), {},
                            "design 1 is not unit-modulus"),
+        "foreign policy": (([v, v], [policy, lambda e_hat: np.conj(policy(e_hat))]), {},
+                           "design 1's policy is not the matched filter"),
     }
 
 
 @pytest.mark.parametrize("case", ["no designs", "short design", "long design",
                                   "policy count", "no samples", "nan design",
-                                  "relaxed design"])
+                                  "relaxed design", "foreign policy"])
 def test_batched_evaluator_rejects_bad_input(small_cfg, small_stats, case):
     (vs, policies), overrides, message = _bad_input_cases(small_stats)[case]
     kwargs = {"n_samples": 8, "rng": 1, **overrides}
@@ -623,14 +632,13 @@ def test_batched_evaluator_rejects_bad_input(small_cfg, small_stats, case):
         irsopt.ergodic_rates_mc(vs, policies, small_stats, small_cfg, **kwargs)
 
 
-def test_draw_combined_rejects_unstacked_or_wrong_length_designs(small_stats):
-    # the sampler and the evaluator share one check, which names the design
+def test_combined_channels_reject_unstacked_or_wrong_length_designs(small_stats):
+    # the evaluator checks each stack once, with the check that names the design
     mr = small_stats.irs_size
     relaxed = np.ones((2, mr), dtype=complex)
     relaxed[1, 0] = 1.0 + 1e-6
     non_finite = np.ones((2, mr), dtype=complex)
     non_finite[1, 2] = math.nan
-    sampler = PhysicalChannelSampler(small_stats, 3)
     cases = ((np.ones(mr), f"design 0 has shape (); designs must be stacked as (S, {mr})"),
              (np.ones((2, mr, 1)), f"design 0 has shape ({mr}, 1)"),
              (np.ones((2, mr + 1)), f"design 0 has {mr + 1} phase shifts"),
@@ -639,7 +647,92 @@ def test_draw_combined_rejects_unstacked_or_wrong_length_designs(small_stats):
              (np.ones((0, mr)), "no designs"))
     for vs, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(sampler.draw_combined(vs, 4))
+            CombinedChannels(small_stats, vs)
+
+
+def _oracle_rates(vs, stats, cfg, n: int, seed: int) -> np.ndarray:
+    """Per-sample rates (S, n) of the designs vs on the evaluator's own
+    chunks of `slot_draws`, with x and e_hat built as vectors
+    (`explicit_combined`) and the beam of `mrt_policy`."""
+    law = CombinedChannels(stats, vs)
+    sampler = PhysicalChannelSampler(stats, seed)
+    chunks = []
+    for start in range(0, n, _MC_CHUNK):
+        x, e_hat = explicit_combined(stats, law, sampler.slot_draws(min(_MC_CHUNK, n - start)))
+        chunks.append([np.abs(np.einsum("ni,ni->n", xv.conj(), mrt_policy(v)(ev))) ** 2
+                       for v, xv, ev in zip(law.designs, x, e_hat)])
+    signal = np.concatenate(chunks, axis=1)
+    dens = np.array([sinr_denominator(v, stats, cfg) for v in law.designs])
+    return np.log1p(cfg.powers_watt[0] * signal / dens[:, None]) / math.log(2)
+
+
+def _oracle_scenario(preset_cfg, case: str):
+    if case == "preset":
+        return preset_cfg.replace(delta1=0.6, delta2=0.6)
+    if case.startswith("random-"):
+        return random_scenario(np.random.default_rng(int(case[7:])), case)
+    if case.endswith("-delta-sigma"):       # no BS->IRS LoS, delta = sigma: e_hat = 0
+        return edge_scenario(preset_cfg, case[:-len("-delta-sigma")]).replace(delta1=1.0,
+                                                                             delta2=1.0)
+    return edge_scenario(preset_cfg, case)
+
+
+@pytest.mark.parametrize("case", ("preset",) + EDGE_REGIMES + (
+    "k-0-delta-sigma", "no-bs-irs-los-delta-sigma", "random-1", "random-2", "random-3"))
+def test_gram_route_equals_the_explicit_combined_channels(preset_cfg, case):
+    # the evaluator reads x^H e_hat and ||e_hat||^2 off per-slot Gram
+    # scalars; building both vectors from the same draws and applying
+    # mrt_policy must give the same per-sample rates, over two chunks
+    cfg = _oracle_scenario(preset_cfg, case)
+    stats = build_statistics(cfg)
+    rng = np.random.default_rng(97)
+    vs = [random_phase_vector(rng, stats.irs_size).v for _ in range(2)]
+    vs.append(_los_aligned_design(stats))
+    n = _MC_CHUNK + 88
+    reports = irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, n, 31)
+    want = _oracle_rates(vs, stats, cfg, n, 31)
+    for report, row in zip(reports, want):
+        np.testing.assert_allclose(report.rate_samples, row, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("regime", ["k-0", "no-bs-irs-los"])
+def test_error_equal_to_a_mean_free_channel_leaves_a_zero_estimate(preset_cfg, regime):
+    # at delta = sigma the error is the whole scattered channel: the share
+    # is exactly 1, so without BS->IRS LoS the estimate is exactly 0, the
+    # matched filter falls back to its fixed beam, and the Monte Carlo rate
+    # stays below the upper bound (a rounding residue of the share used to
+    # give a perfect-CSI beam and a rate far above it)
+    cfg = edge_scenario(preset_cfg, regime).replace(delta1=1.0, delta2=1.0)
+    stats = build_statistics(cfg)
+    assert _split_law(float(stats.sigma_g_sq[0]), stats.delta1_abs ** 2) == (1.0, 0.0)
+    assert _split_law(stats.sigma_h_sq, stats.delta2_abs ** 2) == (1.0, 0.0)
+    v = random_phase_vector(np.random.default_rng(3), stats.irs_size)
+    law = CombinedChannels(stats, v.v[None])
+    _, e_hat = explicit_combined(stats, law, PhysicalChannelSampler(stats, 5).slot_draws(64))
+    assert not np.any(e_hat)
+    report = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, 2000, 5)
+    assert report.mc_rate <= report.ub_rate + 3 * report.mc_stderr, (
+        report.mc_rate, report.ub_rate, report.mc_stderr)
+
+
+def test_points_of_one_shape_equal_their_own_evaluations(small_cfg):
+    # two points of one shape read one draw set, a third of another shape
+    # its own; every report equals the one its point gets alone, bit for bit
+    cfgs = [small_cfg.replace(delta1=0.2, delta2=0.2),
+            small_cfg.replace(rician_irs_user=0.0, delta1=0.7, delta2=0.7),
+            small_cfg.replace(irs_grid=(2, 2))]
+    rng = np.random.default_rng(17)
+    points = []
+    for cfg in cfgs:
+        stats = build_statistics(cfg)
+        vs = [random_phase_vector(rng, stats.irs_size) for _ in range(3)]
+        points.append((vs, [mrt_policy(v) for v in vs], stats, cfg))
+    together = ergodic_rates_mc_points(points, 700, 9)
+    for point, reports in zip(points, together):
+        alone = irsopt.ergodic_rates_mc(*point, 700, 9)
+        for report, own in zip(reports, alone):
+            assert report.to_dict() == own.to_dict()
+            assert report.rate_samples.tobytes() == own.rate_samples.tobytes()
 
 
 def _los_aligned_design(stats) -> np.ndarray:
@@ -667,7 +760,7 @@ def _stack_scenarios(small_cfg):
 def test_stacked_evaluation_equals_one_design_evaluations(small_cfg, n_designs, n):
     # n crosses the 512-sample chunk boundary; every design of a stack reads the
     # same design-free draws (the three h_ru scalars, h_true and the standard
-    # error parts), which draw_combined never writes
+    # error parts), which no design writes
     for stats, cfg, designs in _stack_scenarios(small_cfg):
         stack = designs[-n_designs:]
         stacked = irsopt.ergodic_rates_mc(stack, [mrt_policy(v) for v in stack],
@@ -707,11 +800,7 @@ def test_stacked_designs_draw_one_set_of_gaussians(small_cfg, monkeypatch, n_des
     # n (2 + 4 M0) complex normals and n gamma values, whatever S and Mr are
     counts = {"normal": 0, "gamma": 0}
 
-    def counting_children(seed, names):
-        return {name: _CountingGenerator(rng, counts)
-                for name, rng in named_children(seed, names).items()}
-
-    monkeypatch.setattr(irsopt.channel, "named_children", counting_children)
+    monkeypatch.setattr(irsopt.channel, "named_children", _counting_children(counts))
     rng = np.random.default_rng(3)
     n = 700                                         # two chunks
     for irs_grid in ((1, 1), (1, 2), (3, 3), (16, 16)):
@@ -722,6 +811,52 @@ def test_stacked_designs_draw_one_set_of_gaussians(small_cfg, monkeypatch, n_des
         irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, n, 9)
         m0 = stats.bs_sizes[0]
         assert counts == {"normal": 2 * n * (2 + 4 * m0), "gamma": n}, irs_grid
+
+
+def _counting_children(counts):
+    def children(seed, names):
+        return {name: _CountingGenerator(rng, counts)
+                for name, rng in named_children(seed, names).items()}
+    return children
+
+
+@pytest.mark.parametrize("param, values, sets", [("error-std", (1e-6, 0.6), 1),
+                                                 ("irs-size", (2, 3), 2)])
+def test_a_sweep_draws_one_evaluation_set_per_shape(preset_cfg, monkeypatch, tmp_path,
+                                                    param, values, sets):
+    # the sweep points share the evaluation seed: the points of one shape
+    # read one set of n (2 + 4 M0) complex normals and n gamma values
+    counts = {"normal": 0, "gamma": 0}
+    monkeypatch.setattr(irsopt.channel, "named_children", _counting_children(counts))
+    n = 700                                         # two chunks
+    cfg = preset_cfg.replace(irs_grid=(2, 2), bs_grids=((2, 2),) * 3)
+    spec = SweepSpec(param=param, values=values, schemes=("proposed", "robust-with-intf"),
+                     n_samples=n, seed=2, solver=irsopt.SolverConfig(iterations=3,
+                                                                     samples_per_iter=2))
+    run_sweep(spec, cfg, str(tmp_path))
+    m0 = 4
+    assert counts == {"normal": sets * 2 * n * (2 + 4 * m0), "gamma": sets * n}
+
+
+def test_each_point_checks_its_design_stack_once(small_cfg, small_stats, preset_cfg,
+                                                 monkeypatch, tmp_path):
+    # one check per point's evaluation, not one per 512-sample chunk
+    checked = []
+    check = irsopt.channel.design_stack
+
+    def spy(vs, irs_size):
+        checked.append(irs_size)
+        return check(vs, irs_size)
+
+    monkeypatch.setattr(irsopt.channel, "design_stack", spy)
+    v = PhaseShiftVector.ones(small_stats.irs_size)
+    ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 2 * _MC_CHUNK + 1, 3)
+    assert checked == [small_stats.irs_size]
+    checked.clear()
+    spec = SweepSpec(param="error-std", values=(0.1, 0.5), schemes=("robust-with-intf",),
+                     n_samples=2 * _MC_CHUNK + 1, seed=4)
+    run_sweep(spec, preset_cfg.replace(irs_grid=(2, 2)), str(tmp_path))
+    assert checked == [4, 4]
 
 
 def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
