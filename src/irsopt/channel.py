@@ -39,21 +39,25 @@ Three sampling routes exist, each for one consumer:
 
   - `slot_draws(n)` (the Monte Carlo evaluator's route) draws only
     standard values that no design and no point of one (Mr, M0) shape
-    changes: n * (2 + 4 * M0) complex normals and n gamma values.
-    `CombinedChannels` turns them into what the matched-filter rate reads
-    of one point's stack of unit-modulus designs, checked once by
-    `design_stack`, the one check the evaluator shares: the true and
-    estimated combined channels x = g_true^H v + h_true and
-    e_hat = g_hat^H v + h_hat, with the exact law of each design.  Given
-    h_ru, the scattered part of H_0r projects onto u = h_ru * v as
-    CN(0, ||u||^2 I), and h_ru itself enters only through ||u||^2 = ||h_ru||^2
-    and the scalar LoS projection t = (v * conj(a_rx))^T h_ru (H_0r's LoS
-    a_rx a_tx^H is rank one); that pair is drawn from its exact joint law
-    with 2 complex normals and 1 gamma value per slot.  Both combined
-    channels then lie in the span of the LoS row, the scatter z, h_true and
-    one design-free vector, so the rate reads them through per-slot Gram
-    scalars and O(1) arithmetic per design and slot; no (n, Mr) array is
-    built, and no (n, M0) one per design.
+    changes: at most 11 complex normals and 4 gamma values per slot,
+    whatever Mr and M0 are.  `CombinedChannels` turns them into what the
+    matched-filter rate reads of one point's stack of unit-modulus
+    designs, checked once by `design_stack`, the one check the evaluator
+    shares: the true and estimated combined channels x = g_true^H v + h_true
+    and e_hat = g_hat^H v + h_hat, with the exact law of each design.
+    Given h_ru, the scattered part of H_0r projects onto u = h_ru * v as
+    CN(0, ||u||^2 I), and h_ru itself enters only through
+    ||u||^2 = ||h_ru||^2 and the scalar LoS projection
+    t = (v * conj(a_rx))^T h_ru (H_0r's LoS a_rx a_tx^H is rank one); that
+    pair is drawn from its exact joint law with 2 complex normals and 1
+    gamma value per slot.  Both combined channels then lie in the span of
+    the LoS row and three standard CN(0, I_M0) vectors (the scatter z, the
+    direct channel d and one error noise N), so the rate reads them
+    through per-slot Gram scalars and O(1) arithmetic per design and slot.
+    Those scalars are drawn from their exact joint law, not as M0-vectors:
+    each vector's two coordinates in the plane of the LoS row and e_1, and
+    the Bartlett factor of the three vectors' Gram matrix over the other
+    M0 - 2 coordinates.  No (n, Mr) or (n, M0) array is built.
   - `draw(n)` returns the full (n, Mr, M0) channels, errors and, on
     request, the interferers' links, every Rician link from the one law
     of `_rician`; it is the oracle for the interference-power check and
@@ -353,7 +357,8 @@ class PhysicalChannelSampler:
                  include_interference: bool = False):
         self._stats = stats
         self._include_interference = include_interference
-        names = ["irs-user", "irs-user/gamma", "bs-irs/0", "direct/0", "err/g", "err/h"]
+        names = ["irs-user", "irs-user/gamma", "bs-irs/0", "direct/0", "err/g", "err/h",
+                 "scatter/head", "direct/head", "error/head", "bartlett/diag", "bartlett/off"]
         if include_interference:
             for k in range(1, stats.n_bs):
                 names += [f"bs-irs/{k}", f"direct/{k}", f"own/{k}"]
@@ -415,32 +420,55 @@ class PhysicalChannelSampler:
     def slot_draws(self, n: int) -> "SlotDraws":
         """The Monte Carlo evaluator's draws for n slots: standard values that
         no design and no point of this (Mr, M0) shape changes, which
-        `CombinedChannels` scales to one point's law.  That is n * (2 + 4 * M0)
-        complex normals and n gamma values whatever Mr and the designs are."""
+        `CombinedChannels` scales to one point's law.  Per slot that is
+        2 + 3 * min(M0, 2) + 3 <= 11 complex normals and 4 gamma values,
+        whatever Mr, M0 and the designs are; `SlotDraws` states their law."""
         s = self._stats
         m0 = s.bs_sizes[0]
+        head, tail = min(m0, 2), max(m0 - 2, 0)
         streams = self._streams
-        # unit-variance real and imaginary parts: scaled by sqrt(var / 2) they
-        # equal crandn(..., var) bit for bit
+        vectors = np.zeros((3, n, 5), dtype=complex)            # z, d, N
+        for vector, name in zip(vectors, ("scatter/head", "direct/head", "error/head")):
+            vector[:, :head] = crandn(streams[name], (n, head), 1.0)
+        # the Bartlett factor R of the tail: |R_jj|^2 ~ Gamma(tail - j) and
+        # R_ij ~ CN(0, 1) for i < j, in rows i < tail only
+        diag = np.sqrt(streams["bartlett/diag"].standard_gamma(
+            np.maximum(tail - np.arange(3), 0), (n, 3)))
+        upper = crandn(streams["bartlett/off"], (n, 3), 1.0) * (tail > np.array([0, 0, 1]))
+        z, d, noise = vectors                                   # each gets its column of R
+        z[:, 2] = diag[:, 0]
+        d[:, 2], d[:, 3] = upper[:, 0], diag[:, 1]
+        noise[:, 2], noise[:, 3], noise[:, 4] = upper[:, 1], upper[:, 2], diag[:, 2]
         return SlotDraws(
             zeta=crandn(streams["irs-user"], (2, n), 1.0),
             gamma=streams["irs-user/gamma"].standard_gamma(max(s.irs_size - 2, 0), n),
-            scatter=crandn(streams["bs-irs/0"], (n, m0), 1.0),
-            direct=crandn(streams["direct/0"], (n, m0), 2.0),
-            err_g=crandn(streams["err/g"], (n, m0), 2.0),
-            err_h=crandn(streams["err/h"], (n, m0), 2.0))
+            scatter=z, direct=d, error=noise)
 
 
 @dataclass(frozen=True)
 class SlotDraws:
     """One chunk of the evaluator's standard draws (`slot_draws`), shared by
-    every design and every point of one (Mr, M0) shape."""
+    every design and every point of one (Mr, M0) shape.
+
+    The scatter z, the direct channel d and the error noise N are i.i.d.
+    CN(0, I_M0), held as five coordinates each whose inner products are
+    those of the M0-vectors.  Take an orthonormal basis of C^M0 whose first
+    two vectors are q1 = r / ||r|| and q2, spanning the LoS row r of
+    `CombinedChannels` and e_1 (q1 alone when M0 = 1).  The two leading
+    coordinates of a vector are its coordinates along q1 and q2, CN(0, 1)
+    each (the second is 0 when M0 = 1).  The other M0 - 2 coordinates of
+    the three vectors, the columns of an (M0 - 2, 3) matrix A, enter only
+    through the complex-Wishart Gram matrix A^H A = R^H R of A = V R, with
+    V an isometry and R upper triangular, independent of V with
+    |R_jj|^2 ~ Gamma(M0 - 2 - j, 1) and R_ij ~ CN(0, 1) for i < j
+    (Bartlett 1933; Goodman 1963 for the complex case), its rows
+    i >= M0 - 2 zero.  The last three coordinates of z, d and N are
+    columns 0, 1 and 2 of R."""
     zeta: np.ndarray                        # (2, n) CN(0, 1): h_ru along q and across it
     gamma: np.ndarray                       # (n,) Gamma(max(Mr - 2, 0), 1): the rest of ||h_ru||^2
-    scatter: np.ndarray                     # (n, M0) CN(0, 1): z, H_0r's scatter seen through u
-    direct: np.ndarray                      # (n, M0) unit-variance parts: h_true
-    err_g: np.ndarray                       # (n, M0) unit-variance parts: the cascaded error noise
-    err_h: np.ndarray                       # (n, M0) unit-variance parts: the direct error noise
+    scatter: np.ndarray                     # (n, 5): z, H_0r's scatter seen through u
+    direct: np.ndarray                      # (n, 5): d, h_true over its per-element std
+    error: np.ndarray                       # (n, 5): N, the error noise over its std
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -452,8 +480,8 @@ class CombinedChannels:
     """The serving link's combined channels at one point for a stack of
     unit-modulus designs vs (S, Mr), x = g_true^H v + h_true and
     e_hat = g_hat^H v + h_hat, distributed as `PhysicalChannelSampler.draw`
-    would give them, and read through per-slot scalars: no (n, M0) array is
-    built per design and no (n, Mr) array at all.
+    would give them, and read through per-slot scalars: no (n, Mr) or
+    (n, M0) array is built.
 
     With u = h_ru * v and X the i.i.d. CN(0, 1) scatter of H_0r,
     X^H u ~ CN(0, ||u||^2 I), so g_true^H v = y = a r + b z with
@@ -465,24 +493,31 @@ class CombinedChannels:
     carried through the projection gives
     e_hat = (1 - s) y + s l + k, s = delta1^2 / sigma_g^2, where
     l = glos_0^H v is the design's only vector and
-    k = (1 - s_h) h_true - sigma_g' N_g - sigma_h' N_h (`design_free`) is
-    the same for every design: the error noises N_g, N_h ~ CN(0, I), with
-    sigma_g'^2 = delta1^2 (1 - s) ||v||^2 and ||v||^2 = Mr.  glos_0 is
-    rank one too, so l = lam * r with lam = r^H l / r^H r, and both
-    vectors lie in two-vector spans plus one design-free vector:
+    k = (1 - s_h) h_true - sigma_g' N_g - sigma_h' N_h is the same for
+    every design: the error noises N_g, N_h ~ CN(0, I), with
+    sigma_g'^2 = delta1^2 (1 - s) ||v||^2 and ||v||^2 = Mr.  The two noises
+    enter only through their sum, which has the law of sigma' N with
+    sigma'^2 = sigma_g'^2 + sigma_h'^2 and one N ~ CN(0, I); h_true is
+    sqrt(a_0) d.  glos_0 is rank one too, so l = lam * r with
+    lam = r^H l / r^H r, and both vectors lie in two-vector spans plus one
+    design-free vector:
 
         x = a r + b z + h_true,     e_hat = alpha r + beta z + k,
         alpha = (1 - s) a + s lam,  beta = (1 - s) b.
 
     The matched-filter rate reads them only through x^H e_hat and
-    ||e_hat||^2, and so through the per-slot Gram scalars of r, z, h_true
-    and k, which no design changes (`matched_filter_signal`).  Every design
-    of the stack, and every point of one (Mr, M0) shape, reads the same
-    draws; each design's law is exact, and its joint law with the others
-    is not the physical one, but they stay paired.
+    ||e_hat||^2, and so through the per-slot Gram scalars of r, z, d and N,
+    which no design changes, and the fallback beam through e_1^H x
+    (`matched_filter_signal`); `SlotDraws` holds what those scalars read,
+    five coordinates per vector, drawn from their exact joint law.  Every
+    design of the stack, and every point of one (Mr, M0) shape, reads the
+    same draws; each design's law is exact, and its joint law with the
+    others is not the physical one, but they stay paired.
     """
 
-    _BLOCK = 4      # designs per block of (block, n) arrays in `matched_filter_signal`
+    # designs per block in `matched_filter_signal`: each design adds about
+    # seven (n,) arrays to a block's peak, which a heap guard bounds
+    _BLOCK = 2
 
     def __init__(self, stats: ChannelStatistics, vs):
         s = stats
@@ -494,15 +529,20 @@ class CombinedChannels:
         los = s.los_bs_irs[0]
         # L[j, i] = L[j, 0] L[0, i] / L[0, 0] for the rank-one L, so
         # h_ru @ (v[:, None] * conj(L)) = t * row with t = (v * conj(L[:, 0]))^T h_ru
-        self._row = los[0].conj() * los[0, 0]
-        self._row_sq = float(np.vdot(self._row, self._row).real)
+        row = los[0].conj() * los[0, 0]
+        self._row_sq = float(np.vdot(row, row).real)
+        self._row_norm = math.sqrt(self._row_sq)    # r^H w = ||r|| w_1 in `SlotDraws`' basis
+        # e_1 = c1 q1 + c2 q2, so e_1^H w = conj(c1) w_1 + c2 w_2 and e_1^H r = row[0]
+        c1 = row[0].conjugate() / self._row_norm
+        self._first_axis = np.array([c1.conjugate(), math.sqrt(max(1.0 - abs(c1) ** 2, 0.0))])
+        self._row_first = row[0]
         # l = glos_0^H v = lam * row, (S,)
-        self._lam = (self.designs @ s.cascaded_los[0].conj()) @ self._row.conj() / self._row_sq
+        self._lam = (self.designs @ s.cascaded_los[0].conj()) @ row.conj() / self._row_sq
         self._share_g, n_g_var = _split_law(float(s.sigma_g_sq[0]), s.delta1_abs ** 2)
         share_h, n_h_var = _split_law(s.sigma_h_sq, s.delta2_abs ** 2)
-        # SlotDraws' unit-variance parts to h_true, k's keep of it and the noises
-        self._direct_scales = (math.sqrt(s.alpha_direct[0] / 2.0), 1.0 - share_h,
-                               math.sqrt(n_g_var * mr / 2.0), math.sqrt(n_h_var / 2.0))
+        # d to h_true, k's keep of h_true, and N to the summed error noises
+        self._direct_scales = (math.sqrt(s.alpha_direct[0]), 1.0 - share_h,
+                               math.sqrt(n_g_var * mr + n_h_var))
 
         # h_ru = mu + scale * xi; q = conj(v * conj(a_rx)) / sqrt(Mr)
         w_los, w_nlos = rician_weights(s.rician_irs_user)
@@ -539,53 +579,78 @@ class CombinedChannels:
             norm_sq += across.real ** 2 + across.imag ** 2
         return math.sqrt(self.designs.shape[1]) * along, norm_sq
 
-    def design_free(self, draws: SlotDraws) -> tuple[np.ndarray, np.ndarray]:
-        """(h_true, k), both (n, M0): the true direct channel and
-        k = h_hat - n_g, the part of e_hat that no design changes."""
-        direct, keep, noise_g, noise_h = self._direct_scales
-        h_true = draws.direct * direct
-        return h_true, keep * h_true - noise_g * draws.err_g - noise_h * draws.err_h
+    def slot_scalars(self, draws: SlotDraws) -> dict:
+        """The per-slot scalars of this point that no design changes, each (n,):
+        r^H z, r^H h_true and r^H k ("rz", "rh", "rk"), ||z||^2, z^H k,
+        h_true^H z, h_true^H k and ||k||^2 ("zz", "zk", "hz", "hk", "kk"),
+        and e_1^H z and e_1^H h_true ("z0", "h0"), read off the five
+        coordinates of `SlotDraws`."""
+        direct, keep, noise = self._direct_scales
+        z = draws.scatter
+        h_true = direct * draws.direct
+        k = keep * h_true - noise * draws.error
+        norm = self._row_norm
+        return {"rz": norm * z[:, 0], "rh": norm * h_true[:, 0], "rk": norm * k[:, 0],
+                "zz": _inner(z, z).real, "zk": _inner(z, k), "hz": _inner(h_true, z),
+                "hk": _inner(h_true, k), "kk": _inner(k, k).real,
+                "z0": z[:, :2] @ self._first_axis, "h0": h_true[:, :2] @ self._first_axis}
 
-    def matched_filter_signal(self, draws: SlotDraws) -> np.ndarray:
+    def matched_filter_signal(self, draws: SlotDraws,
+                              out: Optional[np.ndarray] = None) -> np.ndarray:
         """|x^H w|^2 per slot for every design, (S, n), at the matched filter
         w = e_hat / ||e_hat||: |x^H e_hat|^2 / ||e_hat||^2, and |x_0|^2 where
         e_hat = 0, the first-basis-vector beam of `beamforming.mrt_policy`.
+        Written into `out` when given.
 
-        Both inner products are read off the Gram scalars of r, z, h_true
-        and k (see the class docstring): with e_r = r^H e_hat,
-        e_z = z^H e_hat, e_h = h_true^H e_hat and e_k = k^H e_hat,
-        x^H e_hat = conj(a) e_r + b e_z + e_h and
-        ||e_hat||^2 = Re(conj(alpha) e_r + beta e_z + e_k).  The designs go
-        `_BLOCK` at a time, so no array grows with S beyond the result."""
-        z = draws.scatter
-        h_true, k = self.design_free(draws)
-        row, rr = self._row, self._row_sq
-        rz, rh, rk = z @ row.conj(), h_true @ row.conj(), k @ row.conj()
-        zz, zk = _inner(z, z).real, _inner(z, k)
-        hz, hk, kk = _inner(h_true, z), _inner(h_true, k), _inner(k, k).real
-        keep, share = 1.0 - self._share_g, self._share_g
-        out = np.empty((self.designs.shape[0], z.shape[0]))
+        Both inner products are read off the scalars of `slot_scalars` (see
+        the class docstring): with e_r = r^H e_hat and e_z = z^H e_hat,
+        x^H e_hat = conj(a) e_r + b e_z + alpha conj(r^H h_true)
+        + beta h_true^H z + h_true^H k and
+        ||e_hat||^2 = Re(conj(alpha) (e_r + r^H k)) + beta Re(e_z + z^H k)
+        + ||k||^2.  The designs go `_BLOCK` at a time, each block's arrays
+        freed before the next, so no array grows with S beyond the result."""
+        scalars = self.slot_scalars(draws)
+        if out is None:
+            out = np.empty((self.designs.shape[0], draws.gamma.shape[0]))
         for first in range(0, out.shape[0], self._BLOCK):
             rows = slice(first, first + self._BLOCK)
-            t, norm_sq = self.irs_user_scalars(draws, rows)
-            a = self._los_gain * t
-            b = self._scatter_gain * np.sqrt(norm_sq)
-            alpha = keep * a + (share * self._lam[rows])[:, None]
-            beta = keep * b
-            e_r = alpha * rr + beta * rz + rk
-            e_z = alpha * rz.conj() + beta * zz + zk
-            cross = a.conj() * e_r + b * e_z + alpha * rh.conj() + beta * hz + hk
-            power = (alpha.conj() * e_r).real + beta * e_z.real + (alpha * rk.conj()).real \
-                + beta * zk.real + kk
-            live = power > 0.0
-            signal = out[rows]
-            np.divide(cross.real ** 2 + cross.imag ** 2, power, out=signal, where=live)
-            if not np.all(live):
-                dead, slot = np.nonzero(~live)
-                first_x = a[dead, slot] * row[0] + b[dead, slot] * z[slot, 0] \
-                    + h_true[slot, 0]
-                signal[dead, slot] = first_x.real ** 2 + first_x.imag ** 2
+            self._block_signal(draws, scalars, rows, out[rows])
         return out
+
+    def _block_signal(self, draws: SlotDraws, g: dict, rows: slice,
+                      signal: np.ndarray) -> None:
+        """`matched_filter_signal` of the designs `designs[rows]`, into `signal`."""
+        keep, share = 1.0 - self._share_g, self._share_g
+        a, b = self.irs_user_scalars(draws, rows)
+        a *= self._los_gain
+        b = np.sqrt(b, out=b)
+        b *= self._scatter_gain
+        alpha = keep * a
+        alpha += (share * self._lam[rows])[:, None]
+        beta = keep * b
+        e_r = alpha * self._row_sq
+        e_r += beta * g["rz"]
+        e_r += g["rk"]
+        e_z = alpha * g["rz"].conj()
+        e_z += beta * g["zz"]
+        e_z += g["zk"]
+        cross = a.conj() * e_r
+        cross += b * e_z
+        cross += alpha * g["rh"].conj()
+        cross += beta * g["hz"]
+        cross += g["hk"]
+        e_r += g["rk"]
+        e_z += g["zk"]
+        power = (alpha.conj() * e_r).real
+        power += beta * e_z.real
+        power += g["kk"]
+        live = power > 0.0
+        np.divide(cross.real ** 2 + cross.imag ** 2, power, out=signal, where=live)
+        if not np.all(live):
+            dead, slot = np.nonzero(~live)
+            first_x = a[dead, slot] * self._row_first + b[dead, slot] * g["z0"][slot] \
+                + g["h0"][slot]
+            signal[dead, slot] = first_x.real ** 2 + first_x.imag ** 2
 
 
 def sample_estimated_csi(stats: ChannelStatistics, cfg: ScenarioConfig,

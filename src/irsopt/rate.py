@@ -474,25 +474,28 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     x = g_true^H v + h_true and the estimated e_hat = g_hat^H v + h_hat,
     and at the matched filter only |x^H e_hat|^2 / ||e_hat||^2, which
     `channel.CombinedChannels` reads off per-slot Gram scalars of
-    `PhysicalChannelSampler.slot_draws`: O(M0) draws and work per slot,
+    `PhysicalChannelSampler.slot_draws`, drawn from their exact law: at
+    most 11 complex normals and 4 gamma values and O(1) work per slot,
     O(1) per design and slot and O(Mr * M0) per design and evaluation; no
-    (n, Mr) array is built.  Each 512-sample chunk is drawn once per
-    (Mr, M0) shape and read by every design of every point of that shape,
-    since they all draw the same values from one seed: a point's reports
-    equal those of its own call, the designs of one point are paired by
-    construction, and the draw count grows with neither S nor Mr nor the
-    number of points of one shape.  Each report's own law is exact; the
-    joint law across designs is not the physical one, which leaves paired
-    differences unbiased and their standard errors valid.  The signal term
-    uses the true channel; the interference-plus-noise term uses its exact
-    expectation, per the worst-case-noise reading of the rate: sigma^2 plus
-    the report's powers p_k * gk(v), read off one projection F^H v of each
-    design with the (Mr, K) factor F of `interference_quadratic`.  Each
-    point keeps one (S, n_samples) array of per-sample rates, whose rows
-    are its reports' `rate_samples`, summarized by `RateReport.from_samples`.
+    (n, Mr) or (n, M0) array is built.  Each 512-sample chunk is drawn once
+    per (Mr, M0) shape and read by every design of every point of that
+    shape, since they all draw the same values from one seed: a point's
+    reports equal those of its own call, the designs of one point are
+    paired by construction, and the draw count grows with neither S nor Mr
+    nor M0 nor the number of points of one shape.  Each report's own law
+    is exact; the joint law across designs is not the physical one, which
+    leaves paired differences unbiased and their standard errors valid.
+    The signal term uses the true channel; the interference-plus-noise term
+    uses its exact expectation, per the worst-case-noise reading of the
+    rate: sigma^2 plus the report's powers p_k * gk(v), read off one
+    projection F^H v of each design with the (Mr, K) factor F of
+    `interference_quadratic`.  Each point keeps one (S, n_samples) array
+    of per-sample rates, whose rows are its reports' `rate_samples`,
+    summarized by `RateReport.from_samples`; each chunk's signal is written
+    into it and turned into rates in place.
     """
     check_count(n_samples, "n_samples")
-    laws, powers = [], []
+    laws, terms = [], []            # per point: (powers (S, K), denominators, upper bounds)
     for vs, policies, stats, cfg in points:
         if len(policies) != len(vs):
             raise ValueError(f"{len(policies)} policies for {len(vs)} designs; "
@@ -506,7 +509,9 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
         floors = [cfg.powers_watt[k] * _interferer_floor(stats, k) for k in range(1, stats.n_bs)]
         intf = proj.real ** 2 + proj.imag ** 2 + floors
         laws.append(law)
-        powers.append((intf, cfg.noise_watt + np.sum(intf, axis=1)))
+        # the upper bounds come first: no chunk's draws are alive beside them
+        terms.append((intf, cfg.noise_watt + np.sum(intf, axis=1),
+                       upper_bound_rate_closed_form(law.designs, stats, cfg)))
     rates = [np.empty((len(law.designs), n_samples)) for law in laws]
     signal_sums = [np.zeros(len(law.designs)) for law in laws]
 
@@ -517,23 +522,25 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
         # the draws read only the seed and the shape
         sampler = PhysicalChannelSampler(points[group[0]][2], rng)
         for start in range(0, n_samples, _MC_CHUNK):
-            draws = sampler.slot_draws(min(_MC_CHUNK, n_samples - start))
+            stop = min(start + _MC_CHUNK, n_samples)
+            draws = sampler.slot_draws(stop - start)
             for p in group:
-                signal = laws[p].matched_filter_signal(draws)            # (S, chunk)
-                signal_sums[p] += np.sum(signal, axis=1)
-                p0, dens = points[p][3].powers_watt[0], powers[p][1]
-                rates[p][:, start:start + signal.shape[1]] = (
-                    np.log1p(p0 * signal / dens[:, None]) / _LN2)
+                # the signal, then the rate, in place in the point's rows
+                block = laws[p].matched_filter_signal(draws, out=rates[p][:, start:stop])
+                signal_sums[p] += np.sum(block, axis=1)
+                block *= points[p][3].powers_watt[0]
+                block /= terms[p][1][:, None]
+                np.log1p(block, out=block)
+                block /= _LN2
 
     reports = []
-    for law, (_, _, stats, cfg), rows, sums, (intf, _) in zip(laws, points, rates,
-                                                               signal_sums, powers):
+    for (_, _, _, cfg), rows, sums, (intf, _, ub_rates) in zip(points, rates, signal_sums,
+                                                               terms):
         p0 = cfg.powers_watt[0]
         reports.append([
             RateReport.from_samples(row, ub_rate, p0 * signal_sum / n_samples, power,
                                     cfg.noise_watt)
-            for ub_rate, row, signal_sum, power in zip(
-                upper_bound_rate_closed_form(law.designs, stats, cfg), rows, sums, intf)])
+            for ub_rate, row, signal_sum, power in zip(ub_rates, rows, sums, intf)])
     return reports
 
 

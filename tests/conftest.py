@@ -97,28 +97,64 @@ def design_draws(stats, cfg, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return full_matrix_sample(irsopt.DesignObjective.from_scenario(stats, cfg), streams, n)
 
 
-def explicit_combined(stats, law, draws) -> tuple[np.ndarray, np.ndarray]:
+def realized_vectors(stats, draws, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scatter z, the direct channel d and the error noise N of one
+    chunk's `SlotDraws`, realized as (n, M0) vectors Q [head; V R]: Q
+    unitary with first columns q1 = r / ||r|| and q2 (e_1 orthogonalized
+    against q1) and any orthonormal completion, head the draws' two leading
+    coordinates, R the Bartlett factor of their last three, and V an
+    independent Haar isometry per slot (the QR of a Gaussian, phases fixed),
+    so that each vector is CN(0, I_M0) with the inner products the draws
+    hold."""
+    rng = np.random.default_rng(seed)
+    m0 = stats.bs_sizes[0]
+    los = stats.los_bs_irs[0]
+    row = los[0].conj() * los[0, 0]
+    basis = crandn(rng, (m0, m0), 1.0)
+    basis[:, 0] = row / np.linalg.norm(row)
+    if m0 > 1:
+        e1 = np.eye(m0)[0]
+        q2 = e1 - np.vdot(basis[:, 0], e1) * basis[:, 0]
+        basis[:, 1] = q2 / np.linalg.norm(q2)
+        basis[:, 2:] = np.linalg.qr(basis)[0][:, 2:]
+    coords = np.stack([draws.scatter, draws.direct, draws.error], axis=2)    # (n, 5, 3)
+    head = coords[:, :min(m0, 2)]
+    tail_dim = max(m0 - 2, 0)
+    if tail_dim:
+        rows = min(tail_dim, 3)
+        q, r = np.linalg.qr(crandn(rng, (coords.shape[0], tail_dim, rows), 1.0))
+        phases = np.diagonal(r, axis1=1, axis2=2)
+        isometry = q * (phases / np.abs(phases))[:, None, :]
+        head = np.concatenate([head, isometry @ coords[:, 2:2 + rows]], axis=1)
+    full = basis @ head                                                       # (n, M0, 3)
+    return full[..., 0], full[..., 1], full[..., 2]
+
+
+def explicit_combined(stats, law, draws, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The combined channels of every design of `law` (a
     `channel.CombinedChannels`), x = g_true^H v + h_true and
     e_hat = g_hat^H v + h_hat, each (S, n, M0), built as vectors from one
-    chunk's `SlotDraws` and the law's (t, ||h_ru||^2) scalars, with the
-    error split of `_split_law` and l = glos_0^H v taken from the
+    chunk's `SlotDraws` (`realized_vectors`) and the law's (t, ||h_ru||^2)
+    scalars, with the error split of `_split_law` (its two noises summed
+    into one of the summed variance) and l = glos_0^H v taken from the
     statistics: the reference the evaluator's Gram route must reproduce."""
     t, norm_sq = law.irs_user_scalars(draws)
+    scatter, direct, noise = realized_vectors(stats, draws, seed)
     vs = law.designs
     los = stats.los_bs_irs[0]
     row = los[0].conj() * los[0, 0]
     w_los, w_nlos = rician_weights(stats.rician_bs_irs[0])
     y = math.sqrt(stats.alpha_bs_irs[0]) * (
-        w_los * t[..., None] * row + w_nlos * np.sqrt(norm_sq)[..., None] * draws.scatter)
-    h_true = draws.direct * math.sqrt(stats.alpha_direct[0] / 2.0)
+        w_los * t[..., None] * row + w_nlos * np.sqrt(norm_sq)[..., None] * scatter)
+    h_true = direct * math.sqrt(stats.alpha_direct[0])
     share_h, noise_h = _split_law(stats.sigma_h_sq, stats.delta2_abs ** 2)
-    h_hat = h_true - (share_h * h_true + draws.err_h * math.sqrt(noise_h / 2.0))
     share_g, noise_g = _split_law(float(stats.sigma_g_sq[0]), stats.delta1_abs ** 2)
     v_sq = np.sum(np.abs(vs) ** 2, axis=1)
-    n_g = draws.err_g * np.sqrt(noise_g * v_sq / 2.0)[:, None, None]
+    # h_hat - n_g = h_true - (share_h h_true + n_h) - n_g, n_g + n_h ~ noise
+    noise_scale = np.sqrt(noise_g * v_sq + noise_h)[:, None, None]
     los_terms = vs @ stats.cascaded_los[0].conj()
-    e_hat = (1.0 - share_g) * y + share_g * los_terms[:, None, :] - n_g + h_hat
+    e_hat = ((1.0 - share_g) * y + share_g * los_terms[:, None, :]
+             + (1.0 - share_h) * h_true - noise_scale * noise)
     return y + h_true, e_hat
 
 

@@ -38,7 +38,7 @@ from irsopt.rate import (
     upper_bound_rate_closed_form,
 )
 from irsopt.cli import SweepSpec, run_sweep
-from irsopt.streams import named_children
+from irsopt.streams import crandn, named_children
 from conftest import (EDGE_REGIMES, combine_draws, design_draws, edge_scenario,
                       explicit_combined, paired_t, random_phase_vector, random_relaxed,
                       random_scenario)
@@ -671,6 +671,9 @@ def _oracle_scenario(preset_cfg, case: str):
         return preset_cfg.replace(delta1=0.6, delta2=0.6)
     if case.startswith("random-"):
         return random_scenario(np.random.default_rng(int(case[7:])), case)
+    if case.startswith("m0-"):              # serving arrays with M0 - 2 < 3: Bartlett rows missing
+        cfg = edge_scenario(preset_cfg, "v0-zero")
+        return cfg.replace(bs_grids=((1, int(case[3:])),) + cfg.bs_grids[1:])
     if case.endswith("-delta-sigma"):       # no BS->IRS LoS, delta = sigma: e_hat = 0
         return edge_scenario(preset_cfg, case[:-len("-delta-sigma")]).replace(delta1=1.0,
                                                                              delta2=1.0)
@@ -678,7 +681,8 @@ def _oracle_scenario(preset_cfg, case: str):
 
 
 @pytest.mark.parametrize("case", ("preset",) + EDGE_REGIMES + (
-    "k-0-delta-sigma", "no-bs-irs-los-delta-sigma", "random-1", "random-2", "random-3"))
+    "k-0-delta-sigma", "no-bs-irs-los-delta-sigma", "random-1", "random-2", "random-3",
+    "m0-2", "m0-3", "m0-4", "m0-5"))
 def test_gram_route_equals_the_explicit_combined_channels(preset_cfg, case):
     # the evaluator reads x^H e_hat and ||e_hat||^2 off per-slot Gram
     # scalars; building both vectors from the same draws and applying
@@ -693,6 +697,74 @@ def test_gram_route_equals_the_explicit_combined_channels(preset_cfg, case):
     want = _oracle_rates(vs, stats, cfg, n, 31)
     for report, row in zip(reports, want):
         np.testing.assert_allclose(report.rate_samples, row, rtol=1e-9, atol=0.0)
+
+
+def _brute_slot_scalars(stats, n: int, seed: int) -> dict:
+    """The scalars of `CombinedChannels.slot_scalars` from brute-force
+    vectors: the scatter z, the standard direct channel d and the two
+    error noises N_g and N_h, one (n, M0, 4) CN(0, 1) array, with
+    k = (1 - s_h) h_true - sigma_g' N_g - sigma_h' N_h as the physical
+    error split builds it."""
+    z, d, noise_g, noise_h = np.moveaxis(
+        crandn(np.random.default_rng(seed), (n, stats.bs_sizes[0], 4), 1.0), 2, 0)
+    share_h, var_h = _split_law(stats.sigma_h_sq, stats.delta2_abs ** 2)
+    _, var_g = _split_law(float(stats.sigma_g_sq[0]), stats.delta1_abs ** 2)
+    h_true = math.sqrt(stats.alpha_direct[0]) * d
+    k = ((1.0 - share_h) * h_true - math.sqrt(var_g * stats.irs_size) * noise_g
+         - math.sqrt(var_h) * noise_h)
+    los = stats.los_bs_irs[0]
+    row = los[0].conj() * los[0, 0]
+
+    def dot(a, b):
+        return np.sum(a.conj() * b, axis=1)
+
+    return {"rz": z @ row.conj(), "rh": h_true @ row.conj(), "rk": k @ row.conj(),
+            "zz": dot(z, z).real, "zk": dot(z, k), "hz": dot(h_true, z),
+            "hk": dot(h_true, k), "kk": dot(k, k).real, "z0": z[:, 0], "h0": h_true[:, 0]}
+
+
+def _scalar_moments(scalars: dict) -> dict:
+    """Per-slot values whose means are the moments the law test compares:
+    each scalar, its squared modulus and three cross moments."""
+    out = {}
+    for name, x in scalars.items():
+        out[name] = x
+        out[f"|{name}|^2"] = np.abs(x) ** 2
+    out["rz conj(z0)"] = scalars["rz"] * scalars["z0"].conj()
+    out["rh conj(h0)"] = scalars["rh"] * scalars["h0"].conj()
+    out["zk hz"] = scalars["zk"] * scalars["hz"]
+    return out
+
+
+@pytest.mark.parametrize("m0", [1, 2, 3, 4, 16])
+def test_slot_scalars_match_brute_force_gaussians_in_law(preset_cfg, m0):
+    # the evaluator draws the Gram scalars of z, d and N from their exact
+    # law (two leading coordinates, a Bartlett factor for the rest, one
+    # noise of the summed variance); their moments must match those of
+    # brute-force M0-vectors with both error noises, |z| < 5 on n = 20,000
+    # independent draws a side.  The direct link is weakened until
+    # sigma_h^2 = Mr sigma_g^2, so the two noises carry equal variance and
+    # k, h_true and both noises all weigh in the scalars
+    cfg = edge_scenario(preset_cfg, "v0-zero").replace(
+        irs_grid=(2, 2), bs_grids=((1, m0),) * 3, delta1=0.6, delta2=0.6)
+    stats = build_statistics(cfg)
+    target = stats.irs_size * float(stats.sigma_g_sq[0])
+    cfg = cfg.replace(exp_direct=math.log(1e-3 / target) / math.log(cfg.d_bs_user(0)))
+    stats = build_statistics(cfg)
+    assert math.isclose(stats.sigma_h_sq, stats.irs_size * stats.sigma_g_sq[0], rel_tol=1e-9)
+    n = 20_000
+    law = CombinedChannels(stats, np.ones((1, stats.irs_size)))
+    drawn = _scalar_moments(law.slot_scalars(PhysicalChannelSampler(stats, 11).slot_draws(n)))
+    brute = _scalar_moments(_brute_slot_scalars(stats, n, 12))
+    scores = {}
+    for name in drawn:
+        for part, values in (("re", np.real), ("im", np.imag)):
+            a, b = values(drawn[name]), values(brute[name])
+            gap = abs(np.mean(a) - np.mean(b))
+            se = math.sqrt((np.var(a) + np.var(b)) / n)
+            scores[f"{part} {name}"] = gap / se if se > 0 else (0.0 if gap == 0 else math.inf)
+    worst = max(scores, key=scores.get)
+    assert scores[worst] < 5, (worst, scores[worst])
 
 
 @pytest.mark.parametrize("regime", ["k-0", "no-bs-irs-los"])
@@ -797,7 +869,7 @@ class _CountingGenerator:
 
 @pytest.mark.parametrize("n_designs", [1, 6])
 def test_stacked_designs_draw_one_set_of_gaussians(small_cfg, monkeypatch, n_designs):
-    # n (2 + 4 M0) complex normals and n gamma values, whatever S and Mr are
+    # 11 complex normals and 4 gamma values per slot, whatever S and Mr are
     counts = {"normal": 0, "gamma": 0}
 
     monkeypatch.setattr(irsopt.channel, "named_children", _counting_children(counts))
@@ -809,8 +881,8 @@ def test_stacked_designs_draw_one_set_of_gaussians(small_cfg, monkeypatch, n_des
         vs = [random_phase_vector(rng, stats.irs_size) for _ in range(n_designs)]
         counts.update(normal=0, gamma=0)
         irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, n, 9)
-        m0 = stats.bs_sizes[0]
-        assert counts == {"normal": 2 * n * (2 + 4 * m0), "gamma": n}, irs_grid
+        assert stats.bs_sizes[0] >= 2
+        assert counts == {"normal": 2 * n * 11, "gamma": 4 * n}, irs_grid
 
 
 def _counting_children(counts):
@@ -825,7 +897,7 @@ def _counting_children(counts):
 def test_a_sweep_draws_one_evaluation_set_per_shape(preset_cfg, monkeypatch, tmp_path,
                                                     param, values, sets):
     # the sweep points share the evaluation seed: the points of one shape
-    # read one set of n (2 + 4 M0) complex normals and n gamma values
+    # read one set of 11 n complex normals and 4 n gamma values
     counts = {"normal": 0, "gamma": 0}
     monkeypatch.setattr(irsopt.channel, "named_children", _counting_children(counts))
     n = 700                                         # two chunks
@@ -834,8 +906,24 @@ def test_a_sweep_draws_one_evaluation_set_per_shape(preset_cfg, monkeypatch, tmp
                      n_samples=n, seed=2, solver=irsopt.SolverConfig(iterations=3,
                                                                      samples_per_iter=2))
     run_sweep(spec, cfg, str(tmp_path))
-    m0 = 4
-    assert counts == {"normal": sets * 2 * n * (2 + 4 * m0), "gamma": sets * n}
+    assert counts == {"normal": sets * 2 * n * 11, "gamma": sets * 4 * n}
+
+
+def test_a_chunk_draws_the_same_values_whatever_m0(small_cfg, monkeypatch):
+    # the Gram law draws two leading coordinates per vector and a 3x3
+    # Bartlett factor, so M0 = 4 and M0 = 64 draw alike: 11 complex normals
+    # and 4 gamma values per slot; M0 = 1 has one leading coordinate
+    counts = {"normal": 0, "gamma": 0}
+    monkeypatch.setattr(irsopt.channel, "named_children", _counting_children(counts))
+    n = 300
+    drawn = {}
+    for side in (1, 2, 8):
+        stats = build_statistics(small_cfg.replace(bs_grids=((side, side),) * 3))
+        counts.update(normal=0, gamma=0)
+        PhysicalChannelSampler(stats, 4).slot_draws(n)
+        drawn[stats.bs_sizes[0]] = dict(counts)
+    assert drawn[4] == drawn[64] == {"normal": 2 * n * 11, "gamma": 4 * n}
+    assert drawn[1] == {"normal": 2 * n * 8, "gamma": 4 * n}
 
 
 def test_each_point_checks_its_design_stack_once(small_cfg, small_stats, preset_cfg,
