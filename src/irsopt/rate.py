@@ -36,12 +36,13 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .channel import (DESIGN_MODULUS_TOL, ChannelStatistics, CombinedChannels, CsiSample,
-                      PhysicalChannelSampler, _inner)
+                      PhysicalChannelSampler)
 from .config import ScenarioConfig
 from .streams import check_count
 
 _MC_CHUNK = 512
 _LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -329,22 +330,26 @@ class DesignObjective:
         if n < 1:
             raise ValueError("at least one sample per iteration is required")
         s, w, nu, r = draws
-        vh = np.conj(v)[..., None, :]                                     # v^H
-        v_sq = (vh @ v[..., None])[..., 0, 0].real
-        a, b = np.sqrt(self.g_var * v_sq), np.sqrt(self.h_var)            # sigma_g ||v||, sigma_h
-        c_sq = a * a + b * b
+        v_sq = np.vecdot(v, v).real                                       # ||v||^2
+        a_sq = self.g_var * v_sq
+        a, b = np.sqrt(a_sq), np.sqrt(self.h_var)                         # sigma_g ||v||, sigma_h
+        c_sq = a_sq + self.h_var
         c = np.sqrt(c_sq)
-        mean_e = (np.conj(vh @ self.g_mean)[..., 0, :] + self.h_mean
-                  + (c / math.sqrt(n))[..., None] * s)                     # mean_l e_l
-        total = n * _inner(mean_e, mean_e).real + c_sq * r                # T
-        # a sum_l z_l^H e_l, the only use of the cross term: 0 with a at c = 0
-        a_cross = (a / np.where(c > 0.0, c, 1.0)) * (
-            a * (math.sqrt(n) * _inner(s, mean_e) + c * r) + b * np.sqrt(total) * nu)
+        mean_e = (np.conj(v)[..., None, :] @ self.g_mean)[..., 0, :]       # v^H G
+        np.conjugate(mean_e, out=mean_e)                                  # G^H v
+        mean_e += self.h_mean
+        mean_e += (c / math.sqrt(n))[..., None] * s                       # mean_l e_l
+        total = n * np.vecdot(mean_e, mean_e).real + c_sq * r             # T
+        # a sum_l z_l^H e_l, the only use of the cross term: 0 with a at c = 0;
+        # a positive c is the root of a double, above 1e-162, so the floor replaces c = 0 only
+        a_cross = (a / np.maximum(c, _TINY)) * (
+            a * (math.sqrt(n) * np.vecdot(s, mean_e) + c * r) + b * np.sqrt(total) * nu)
         spread = np.sqrt(self.g_var * total)                              # sigma_g sqrt(T)
-        along = ((a_cross - spread * (vh @ w[..., None])[..., 0, 0])
+        along = ((a_cross - spread * np.vecdot(v, w))
                  / np.where(v_sq > 0.0, n * v_sq, np.inf))
-        ge = ((self.g_mean @ mean_e[..., None])[..., 0]
-              + (spread / n)[..., None] * w + along[..., None] * v)
+        ge = (self.g_mean @ mean_e[..., None])[..., 0]
+        ge += (spread / n)[..., None] * w
+        ge += along[..., None] * v
         return total / n, ge
 
     def expected(self, v: np.ndarray) -> tuple:
@@ -359,26 +364,30 @@ class DesignObjective:
         """
         m0 = self.g_mean.shape[-1]
         mean_e = np.conj(np.conj(v)[..., None, :] @ self.g_mean)[..., 0, :] + self.h_mean
-        power = _inner(mean_e, mean_e).real + m0 * (self.g_var * _inner(v, v).real + self.h_var)
+        power = (np.vecdot(mean_e, mean_e).real
+                 + m0 * (self.g_var * np.vecdot(v, v).real + self.h_var))
         mean_ge = ((self.g_mean @ mean_e[..., None])[..., 0]
                    + np.asarray(m0 * self.g_var)[..., None] * v)
         return self._ratio(v, power, mean_ge)
 
-    def _ratio(self, v: np.ndarray, power, ge: np.ndarray) -> tuple:
-        """gamma(v) and its steepest-ascent direction from one pair,
-        ||e||^2 and g_hat e (Mr,), or from one pair per row of a `stack`.
-        The ascent is the conjugate of the formal derivative
+    def _ratio(self, v: np.ndarray, power, ge: np.ndarray, rho: float = 1.0) -> tuple:
+        """gamma(v) and rho times its steepest-ascent direction from one
+        pair, ||e||^2 and g_hat e (Mr,), or from one pair per row of a
+        `stack`.  The ascent is the conjugate of the formal derivative
         d gamma / d v_n (conjugate coordinates held fixed), so
         gamma(v + dv) ~ gamma(v) + 2 Re{sum_n conj(ascent_n) dv_n}.  Both
         are affine in the pair at fixed v, so a mean pair gives the mean
         value and ascent.  F^H v and B v read the (Mr, K) F, or its
-        (S, Mr, K) stack."""
+        (S, Mr, K) stack; rho scales the coefficients of g_hat e and of
+        F^H v, so B v = F (F^H v) is never built and rescaled."""
         factor = self.denom_quad
-        proj = np.conj(np.conj(v)[..., None, :] @ factor)[..., 0, :]         # F^H v
-        den = _inner(proj, proj).real + self.denom_const
+        proj = np.vecdot(factor, v[..., None], axis=-2)                       # F^H v
+        den = np.vecdot(proj, proj).real + self.denom_const
         value = self.p0 * (power + self.err_const) / den
-        bv = (factor @ proj[..., None])[..., 0]                               # B v = F (F^H v)
-        return value, (self.p0 / den)[..., None] * ge - (value / den)[..., None] * bv
+        weight = rho / den
+        ascent = (self.p0 * weight)[..., None] * ge
+        ascent -= (factor @ ((value * weight)[..., None] * proj)[..., None])[..., 0]
+        return value, ascent
 
     def ratio(self, sample: CsiSample) -> "DesignObjective":
         """One CSI draw as the zero-variance law at (g_hat, h_hat): its
@@ -443,18 +452,26 @@ def _log2_1p(x: float) -> float:
 BeamformingPolicy = Callable[[np.ndarray], np.ndarray]
 
 
-def _check_matched_filter(policy: BeamformingPolicy, design: int, m0: int) -> None:
-    """The evaluator reads the matched filter's rate in closed form, so it
-    takes the policies of `beamforming.mrt_policy` only: a policy must map
-    a probe row to itself normalized and a zero row to the first basis
-    vector, or a ValueError names its design."""
+def _matched_filter_probe(m0: int) -> tuple[np.ndarray, np.ndarray]:
+    """A probe of two rows, a generic one and a zero one, and what the
+    matched filter of `beamforming.mrt_policy` maps it to: the first row
+    normalized and the first basis vector."""
     probe = np.zeros((2, m0), dtype=complex)
     probe[0] = np.arange(1, m0 + 1) * np.exp(1j * np.arange(m0))
     want = np.zeros_like(probe)
     want[0] = probe[0] / np.linalg.norm(probe[0])
     want[1, 0] = 1.0
-    got = np.asarray(policy(probe))
-    if got.shape != want.shape or not np.allclose(got, want, rtol=0.0, atol=1e-12):
+    return probe, want
+
+
+def _check_matched_filter(policy: BeamformingPolicy, design: int, probe: np.ndarray,
+                          want: np.ndarray) -> None:
+    """The evaluator reads the matched filter's rate in closed form, so it
+    takes the policies of `beamforming.mrt_policy` only: a policy must map
+    a copy of the probe (`_matched_filter_probe`) to `want` within 1e-12,
+    or a ValueError names its design."""
+    got = np.asarray(policy(probe.copy()))
+    if got.shape != want.shape or not np.abs(got - want).max() <= 1e-12:  # rejects NaN too
         raise ValueError(f"design {design}'s policy is not the matched filter of "
                          "mrt_policy, the only beamformer the evaluator reads")
 
@@ -496,13 +513,17 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     """
     check_count(n_samples, "n_samples")
     laws, terms = [], []            # per point: (powers (S, K), denominators, upper bounds)
+    probes = {}                     # per M0: the matched-filter probe and its image
     for vs, policies, stats, cfg in points:
         if len(policies) != len(vs):
             raise ValueError(f"{len(policies)} policies for {len(vs)} designs; "
                              "give one policy per design")
         law = CombinedChannels(stats, [phase_array(v) for v in vs])
+        m0 = stats.bs_sizes[0]
+        if m0 not in probes:
+            probes[m0] = _matched_filter_probe(m0)
         for i, policy in enumerate(policies):
-            _check_matched_filter(policy, i, stats.bs_sizes[0])
+            _check_matched_filter(policy, i, *probes[m0])
         # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K), and the denominators (S,)
         factor, _ = interference_quadratic(stats, cfg)
         proj = law.designs.conj() @ factor

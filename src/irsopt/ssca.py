@@ -15,7 +15,7 @@ whose per-coordinate maximizer on the active constraint is
 
     u_n = (tau * v_n + c1_n) / |tau * v_n + c1_n|.
 
-The iterate then moves by a convex combination v <- (1-w_t) v + w_t u.
+The iterate then moves by the convex combination v <- v + w_t (u - v).
 Stepsizes rho_t = t^-a and w_t = t^-b (`stepsize`) with 0.5 < a < b <= 1
 satisfy the usual diminishing/summability conditions and w_t/rho_t -> 0.
 Iterates live in the relaxed set |v_n| <= 1; the deployed configuration is
@@ -24,8 +24,10 @@ the unit-modulus projection of the final iterate.
 `run_stack` runs S designs in lockstep as one (S, Mr) iterate and calls the
 three steps once per iteration for the whole stack: `DesignObjective.sample`,
 `update_coefficients` (v, c0, c1 -> c0, c1) and `solve_surrogate`
-(v, c1 -> u); `run` is its stack of one.  The draws come a block of
-iterations at a time; `SscaState` only records the final iterate.
+(v, c1 -> u); `run` is its stack of one.  Each step works on whole rows in a
+few numpy calls and builds its result in place, leaving its inputs
+unchanged.  The draws come a block of iterations at a time;
+`SscaState` only records the final iterate.
 
 `c1` stores the conjugate (ascent) form of the sampled gradient, which is
 what makes the closed-form surrogate maximizer an ascent step; the plain
@@ -51,7 +53,7 @@ import numpy as np
 
 from .channel import ChannelStatistics
 from .config import ScenarioConfig
-from .rate import DesignObjective, PhaseLike, PhaseShiftVector, _inner, _log2_1p, phase_array
+from .rate import DesignObjective, PhaseLike, PhaseShiftVector, _log2_1p, phase_array
 from .streams import check_count, check_seed, crandn_blocks, gamma_blocks, named_child
 
 
@@ -137,8 +139,9 @@ def update_coefficients(v: np.ndarray, c0: float, c1: np.ndarray, power: float,
     mean of the per-draw values and ascents."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    mean_val, mean_grad = design._ratio(v, power, ge)
-    return rho * mean_val + (1.0 - rho) * c0, rho * mean_grad + (1.0 - rho) * c1
+    mean_val, c1_new = design._ratio(v, power, ge, rho)
+    c1_new += (1.0 - rho) * c1
+    return rho * mean_val + (1.0 - rho) * c0, c1_new
 
 
 def solve_surrogate(v: np.ndarray, c1: np.ndarray, tau_reg: float) -> np.ndarray:
@@ -147,14 +150,16 @@ def solve_surrogate(v: np.ndarray, c1: np.ndarray, tau_reg: float) -> np.ndarray
     directions keep the phase of v_n (or 1 when v_n is zero too)."""
     if not (np.asarray(tau_reg) > 0).all():
         raise ValueError(f"tau_reg must be positive, got {tau_reg}")
-    direction = tau_reg * v + c1
+    direction = tau_reg * v
+    direction += c1
     mod = np.abs(direction)
-    dead = mod == 0.0
-    if dead.any():
+    if not mod.all():
+        dead = mod == 0.0
         prev = v[dead]
         direction[dead] = np.where(np.abs(prev) > 0, prev, 1.0)
         mod = np.abs(direction)
-    return direction / mod
+    direction /= mod
+    return direction
 
 
 def surrogate_value(u: PhaseLike, state: SscaState, tau_reg: float) -> float:
@@ -245,9 +250,11 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
     (`DesignObjective.sample`), drawn a block of iterations at a time (at
     most `BLOCK_BYTES` of buffers for the whole stack) and equal value for
     value to one draw per iteration; two Mr*M0-flop products with the LoS
-    mean G; and O(Mr * K) for the ratio, its gradient and
-    B v = F (F^H v): O(Mr*(M0 + K)) in all.  Identical configurations and
-    seeds reproduce the iterates bit-for-bit.
+    mean G; and O(Mr * K) for the ratio and its gradient, which read F^H v
+    and F times its K scaled entries: O(Mr*(M0 + K)) in all.  The
+    iterate moves as v + omega (v_bar - v) in the array that holds the
+    fixed-point gap's step.  Identical configurations and seeds reproduce
+    the iterates bit-for-bit.
     """
     if len(solver_cfgs) == 0:
         raise ValueError("a stack needs at least one design")
@@ -280,13 +287,15 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
             tau_reg = _auto_tau(c1)
         v_bar = solve_surrogate(v, c1, tau_reg)
         step = v_bar - v
-        history[:2, t - 1] = c0, np.sqrt(_inner(step, step).real)
+        history[0, t - 1], history[1, t - 1] = c0, np.sqrt(np.vecdot(step, step).real)
         if audit:
             for i, entries in enumerate(audits):
                 entries.append({"t": t, "v_prev": v[i], "c0": float(c0[i]), "c1": c1[i],
                                 "tau_reg": float(tau_reg[i, 0]), "v_bar": v_bar[i]})
-        omega = stepsize(t, solver_cfg.omega_exponent)
-        v = (1.0 - omega) * v + omega * v_bar
+        # v + omega (v_bar - v), built in the step array: the audit keeps views of v
+        step *= stepsize(t, solver_cfg.omega_exponent)
+        step += v
+        v = step
         _check_relaxed(v)
         if probe_every and t % probe_every == 0:
             history[2, t - 1] = [_log2_1p(x) for x in probe.expected(_unit_modulus(v))[0]]

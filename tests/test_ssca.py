@@ -524,6 +524,125 @@ def test_stacked_steps_equal_their_rows(preset_cfg):
     np.testing.assert_allclose(u[1, :2], v[1, :2] / np.abs(v[1, :2]), rtol=1e-15)
 
 
+# ---------------------------------------------------------------------------
+# the in-place steps against their formulas written term by term
+# ---------------------------------------------------------------------------
+
+def _inner_ref(a, b):
+    return (np.conj(a)[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _reference_sample(design, draws, v, n):
+    """`DesignObjective.sample`'s formula term by term, each term a new
+    array: the reference its in-place arithmetic must reproduce."""
+    s, w, nu, r = draws
+    vh = np.conj(v)[..., None, :]
+    v_sq = (vh @ v[..., None])[..., 0, 0].real
+    a, b = np.sqrt(design.g_var * v_sq), np.sqrt(design.h_var)
+    c_sq = a * a + b * b
+    c = np.sqrt(c_sq)
+    mean_e = (np.conj(vh @ design.g_mean)[..., 0, :] + design.h_mean
+              + (c / math.sqrt(n))[..., None] * s)
+    total = n * _inner_ref(mean_e, mean_e).real + c_sq * r
+    a_cross = (a / np.where(c > 0.0, c, 1.0)) * (
+        a * (math.sqrt(n) * _inner_ref(s, mean_e) + c * r) + b * np.sqrt(total) * nu)
+    spread = np.sqrt(design.g_var * total)
+    along = ((a_cross - spread * (vh @ w[..., None])[..., 0, 0])
+             / np.where(v_sq > 0.0, n * v_sq, np.inf))
+    ge = ((design.g_mean @ mean_e[..., None])[..., 0]
+          + (spread / n)[..., None] * w + along[..., None] * v)
+    return total / n, ge
+
+
+def _reference_update(design, v, c0, c1, power, ge, rho):
+    """`update_coefficients` term by term: the ratio's value and ascent,
+    with B v = F (F^H v) built, then the blend."""
+    factor = design.denom_quad
+    proj = np.conj(np.conj(v)[..., None, :] @ factor)[..., 0, :]
+    den = _inner_ref(proj, proj).real + design.denom_const
+    value = design.p0 * (power + design.err_const) / den
+    bv = (factor @ proj[..., None])[..., 0]
+    ascent = (design.p0 / den)[..., None] * ge - (value / den)[..., None] * bv
+    return rho * value + (1.0 - rho) * c0, rho * ascent + (1.0 - rho) * c1
+
+
+def _assert_rows_close(got, want):
+    """Row by row within 1e-12 relative, the row's largest entry setting
+    the scale of entries that cancel."""
+    got, want = np.atleast_2d(got), np.atleast_2d(want)
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("regime", EDGE_REGIMES)
+def test_steps_match_their_term_by_term_formulas(preset_cfg, regime):
+    # a stack of robust and non-robust rows with and without F, a v = 0
+    # row and a zero-variance row (one CSI draw, c = 0), on the same draws
+    # as the reference; every row alone (1-D) too
+    cfg = edge_scenario(preset_cfg, regime)
+    stats = irsopt.build_statistics(cfg)
+    rows = [DesignObjective.from_scenario(stats, cfg, robust=robust, include_interference=intf)
+            for robust, intf in MIXED_FLAGS]
+    streams = named_children(71, ["design/g", "design/h"])
+    g_hat, h_hat = full_matrix_sample(rows[0], streams, 1)
+    rows.append(rows[0].ratio(CsiSample(g_hat=g_hat[0], h_hat=h_hat[0])))
+    design = DesignObjective.stack(rows)
+    assert design.g_var[-1] == design.h_var[-1] == 0.0
+    rng = np.random.default_rng(73)
+    v = np.stack([random_relaxed(rng, stats.irs_size) for _ in rows])
+    v[1] = 0.0
+    c0 = rng.uniform(0.5, 2.0, len(rows))
+    c1 = np.stack([random_relaxed(rng, stats.irs_size) for _ in rows])
+    for n in (1, 4):
+        draws = [sample_draws(rows[0], streams, n) for _ in rows]
+        stacked = tuple(np.stack(part) for part in zip(*draws))
+        power, ge = design.sample(stacked, v, n)
+        ref_power, ref_ge = _reference_sample(design, stacked, v, n)
+        np.testing.assert_allclose(power, ref_power, rtol=1e-12)
+        _assert_rows_close(ge, ref_ge)
+        for rho in (1.0, 0.3):
+            got = update_coefficients(v, c0, c1, power, ge, rho, design)
+            want = _reference_update(design, v, c0, c1, power, ge, rho)
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+            _assert_rows_close(got[1], want[1])
+        for i, row in enumerate(rows):
+            power_i, ge_i = row.sample(draws[i], v[i], n)
+            assert power_i == pytest.approx(ref_power[i], rel=1e-12)
+            _assert_rows_close(ge_i, ref_ge[i])
+            got = update_coefficients(v[i], c0[i], c1[i], power_i, ge_i, 0.3, row)
+            want = _reference_update(row, v[i], c0[i], c1[i], power_i, ge_i, 0.3)
+            assert got[0] == pytest.approx(want[0], rel=1e-12)
+            _assert_rows_close(got[1], want[1])
+
+
+def test_steps_leave_their_inputs_unchanged(preset_cfg):
+    cfg = edge_scenario(preset_cfg, "v0-zero")
+    stats = irsopt.build_statistics(cfg)
+    rows = [DesignObjective.from_scenario(stats, cfg, robust=robust, include_interference=intf)
+            for robust, intf in MIXED_FLAGS]
+    design = DesignObjective.stack(rows)
+    rng = np.random.default_rng(79)
+    v = np.stack([random_relaxed(rng, stats.irs_size) for _ in rows])
+    v[0] = 0.0
+    streams = named_children(83, ["design/g", "design/h"])
+    draws = tuple(np.stack(part) for part in zip(*[sample_draws(rows[0], streams, 4)
+                                                   for _ in rows]))
+    c0, c1 = rng.uniform(0.5, 2.0, len(rows)), np.stack(
+        [random_relaxed(rng, stats.irs_size) for _ in rows])
+    tau = ssca._auto_tau(c1)
+    c1[1, :2] = -tau[1] * v[1, :2]                  # dead directions on row 1
+    inputs = (v, c0, c1, tau) + draws
+    kept = [np.copy(x) for x in inputs]
+    power, ge = design.sample(draws, v, 4)
+    power_kept, ge_kept = np.copy(power), np.copy(ge)
+    new_c0, new_c1 = update_coefficients(v, c0, c1, power, ge, 0.5, design)
+    u = solve_surrogate(v, c1, tau)
+    for x, before in zip(inputs + (power, ge), kept + [power_kept, ge_kept]):
+        assert np.array_equal(x, before)
+    assert not any(np.shares_memory(out, x) for out in (new_c1, u) for x in inputs + (ge,))
+
+
 def test_run_stack_needs_settings_that_differ_only_in_the_seed(small_cfg, small_stats):
     solvers = [SolverConfig(iterations=5, seed=1), SolverConfig(iterations=6, seed=2)]
     designs = [DesignObjective.from_scenario(small_stats, small_cfg)] * 2
