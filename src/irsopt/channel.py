@@ -10,7 +10,12 @@ BS->user links are Rayleigh.  The cascaded BS k -> IRS -> user channel is
 
 whose LoS component is sqrt(a_kr * a_ru * tau_k) diag(conj(los_ru)) los_kr
 with tau_k = K_kr*K_ru / ((K_kr+1)(K_ru+1)).  Per element, the zero-mean
-part of G_k has variance a_kr * a_ru * (1 - tau_k).
+part of G_k has variance a_kr * a_ru * (1 - tau_k).  Every LoS link is rank
+one, los_kr = a_rx,k a_tx,k^H, so the cascaded LoS is g_k a_tx,k^H with
+g_k = sqrt(a_kr * a_ru * tau_k) conj(los_ru) * a_rx,k.  `ChannelStatistics`
+stores these factors, O(Mr + Mk) values per BS; the dense (Mr, Mk)
+matrices are views built on access for the oracles, and the solver and the
+evaluator read only the factors.
 
 The serving BS estimates its cascaded and direct channels each slot.
 Estimation errors are i.i.d. CN(0, delta1^2) / CN(0, delta2^2) per element
@@ -66,7 +71,7 @@ Three sampling routes exist, each for one consumer:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -147,11 +152,16 @@ def los_matrix(rx_angles: tuple[float, float], rx_grid: tuple[int, int],
 class ChannelStatistics:
     """Derived large-scale state shared by the solver and the evaluator.
 
-    Index 0 of per-BS arrays is the serving BS.  LoS matrices have
-    unit-modulus entries; `cascaded_los[k]` already carries the amplitude
-    sqrt(alpha_bs_irs[k] * alpha_irs_user * tau[k]).  `los_bs_irs[k]` is the
-    rank-one a_rx a_tx^H of `los_matrix`, so `cascaded_los[k]` = g_k b_k^H
-    is too, and `rate.interference_quadratic` keeps one column g_k per BS.
+    Index 0 of per-BS arrays is the serving BS.  Every LoS link is rank one
+    and is stored as its factors, O((Mr + Mk) n_bs) values in all: the
+    BS k -> IRS LoS is a_rx,k a_tx,k^H (`irs_steering[k]` (Mr,),
+    `bs_steering[k]` (Mk,), unit-modulus steering vectors with
+    a_tx,k[0] = 1), and the cascaded LoS is g_k a_tx,k^H with
+    g_k = sqrt(alpha_bs_irs[k] * alpha_irs_user * tau[k])
+    conj(los_irs_user) * a_rx,k (`cascaded_gain[k]`, derived here, exactly
+    0 at tau_k = 0).  The dense (Mr, Mk) matrices `los_bs_irs` and
+    `cascaded_los` are built on access, for the oracles that read them;
+    the solver and the evaluator read the factors only.
     """
 
     bs_sizes: tuple[int, ...]               # antennas per BS
@@ -160,20 +170,21 @@ class ChannelStatistics:
     alpha_bs_irs: np.ndarray                # (n_bs,) BS->IRS power gains
     alpha_irs_user: float                   # IRS->user power gain
     tau: np.ndarray                         # (n_bs,) cascaded LoS power fractions
-    los_bs_irs: tuple[np.ndarray, ...]      # (Mr, Mk) per BS
+    irs_steering: tuple[np.ndarray, ...]    # (Mr,) per BS: a_rx,k
+    bs_steering: tuple[np.ndarray, ...]     # (Mk,) per BS: a_tx,k
     los_irs_user: np.ndarray                # (Mr,)
-    cascaded_los: tuple[np.ndarray, ...]    # (Mr, Mk) per BS
     sigma_g_sq: np.ndarray                  # (n_bs,) per-element cascaded NLoS variance
     delta1_abs: float                       # cascaded error std, absolute units
     delta2_abs: float                       # direct error std, absolute units
     rician_bs_irs: tuple[float, ...] = ()
     rician_irs_user: float = 0.0
+    cascaded_gain: tuple[np.ndarray, ...] = field(init=False)   # (Mr,) per BS: g_k
 
     def __post_init__(self):
         for name in ("alpha_direct", "alpha_bs_irs", "tau", "sigma_g_sq"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        for mat in self.los_bs_irs:
-            if not (np.max(np.abs(np.abs(mat) - 1.0)) <= _UNIT_MODULUS_TOL):
+        for vec in self.irs_steering + self.bs_steering:
+            if not (np.max(np.abs(np.abs(vec) - 1.0)) <= _UNIT_MODULUS_TOL):
                 raise ValueError("BS->IRS LoS entries must have unit modulus")
         if not (np.max(np.abs(np.abs(self.los_irs_user) - 1.0)) <= _UNIT_MODULUS_TOL):
             raise ValueError("IRS->user LoS entries must have unit modulus")
@@ -192,10 +203,28 @@ class ChannelStatistics:
                 raise ValueError(
                     f"{name}^2 = {delta ** 2:.3e} exceeds the per-element channel "
                     f"variance {sigma_sq:.3e}: error variances exceed channel variances")
+        ru = self.los_irs_user.conj()
+        object.__setattr__(self, "cascaded_gain", tuple(
+            math.sqrt(self.alpha_bs_irs[k] * self.alpha_irs_user * self.tau[k]) * (ru * a_rx)
+            for k, a_rx in enumerate(self.irs_steering)))
 
     @property
     def n_bs(self) -> int:
         return len(self.bs_sizes)
+
+    @property
+    def los_bs_irs(self) -> tuple[np.ndarray, ...]:
+        """The dense BS k -> IRS LoS a_rx,k a_tx,k^H, (Mr, Mk) per BS, built
+        on each access."""
+        return tuple(np.outer(a_rx, a_tx.conj())
+                     for a_rx, a_tx in zip(self.irs_steering, self.bs_steering))
+
+    @property
+    def cascaded_los(self) -> tuple[np.ndarray, ...]:
+        """The dense cascaded LoS g_k a_tx,k^H, (Mr, Mk) per BS, built on
+        each access."""
+        return tuple(np.outer(g, a_tx.conj())
+                     for g, a_tx in zip(self.cascaded_gain, self.bs_steering))
 
     @property
     def sigma_h_sq(self) -> float:
@@ -235,13 +264,11 @@ def build_statistics(cfg: ScenarioConfig) -> ChannelStatistics:
     los_irs_user = steering_vector(*map(math.radians, cfg.angles_irs_user_deg),
                                    cfg.irs_grid, cfg.spacing)
     angles_bs_irs = [tuple(map(math.radians, pair)) for pair in cfg.angles_bs_irs_deg]
-    los_bs_irs = tuple(los_matrix(angles, cfg.irs_grid, angles, grid, cfg.spacing)
-                       for angles, grid in zip(angles_bs_irs, cfg.bs_grids))
-    cascaded_los = tuple(
-        math.sqrt(alpha_bs_irs[k] * alpha_irs_user * tau[k])
-        * (los_irs_user.conj()[:, None] * los_bs_irs[k])
-        for k in range(n)
-    )
+    # the factors of `los_matrix(angles, irs_grid, angles, grid, spacing)`
+    irs_steering = tuple(steering_vector(*angles, cfg.irs_grid, cfg.spacing)
+                         for angles in angles_bs_irs)
+    bs_steering = tuple(steering_vector(*angles, grid, cfg.spacing)
+                        for angles, grid in zip(angles_bs_irs, cfg.bs_grids))
     sigma_g_sq = alpha_bs_irs * alpha_irs_user * (1.0 - tau)
 
     sigma_h_sq = float(alpha_direct[0])
@@ -259,9 +286,9 @@ def build_statistics(cfg: ScenarioConfig) -> ChannelStatistics:
         alpha_bs_irs=alpha_bs_irs,
         alpha_irs_user=float(alpha_irs_user),
         tau=tau,
-        los_bs_irs=los_bs_irs,
+        irs_steering=irs_steering,
+        bs_steering=bs_steering,
         los_irs_user=los_irs_user,
-        cascaded_los=cascaded_los,
         sigma_g_sq=sigma_g_sq,
         delta1_abs=float(delta1_abs),
         delta2_abs=float(delta2_abs),
@@ -384,13 +411,14 @@ class PhysicalChannelSampler:
     def draw(self, n: int) -> PhysicalBatch:
         s = self._stats
         m0 = s.bs_sizes[0]
+        los_bs_irs = s.los_bs_irs                               # the dense views, built once
 
         # shared by every cascaded link of the slot
         h_ru = self._rician("irs-user", s.alpha_irs_user, s.rician_irs_user,
                             s.los_irs_user, n)
 
         h_bs_irs0 = self._rician("bs-irs/0", s.alpha_bs_irs[0], s.rician_bs_irs[0],
-                                 s.los_bs_irs[0], n)
+                                 los_bs_irs[0], n)
         g_true = h_ru.conj()[:, :, None] * h_bs_irs0          # diag(h_ru^H) H_0r
         h_true = crandn(self._streams["direct/0"], (n, m0), s.alpha_direct[0])
         g_err = self._split_error(g_true - s.cascaded_los[0][None],
@@ -404,7 +432,7 @@ class PhysicalChannelSampler:
             per_k = []
             for k in range(1, s.n_bs):
                 h_bs_irs = self._rician(f"bs-irs/{k}", s.alpha_bs_irs[k], s.rician_bs_irs[k],
-                                        s.los_bs_irs[k], n)
+                                        los_bs_irs[k], n)
                 g_k = h_ru.conj()[:, :, None] * h_bs_irs
                 h_k = crandn(self._streams[f"direct/{k}"], (n, s.bs_sizes[k]),
                              s.alpha_direct[k])
@@ -487,7 +515,7 @@ class CombinedChannels:
     X^H u ~ CN(0, ||u||^2 I), so g_true^H v = y = a r + b z with
     z ~ CN(0, I_M0), a = sqrt(a_0r) w_los t and b = sqrt(a_0r) w_nlos ||h_ru||.
     L = a_rx a_tx^H is rank one, so L^H u = t * r for the scalar
-    t = (v * conj(a_rx))^T h_ru and a unit-modulus row r, and a
+    t = (v * conj(a_rx))^T h_ru and the unit-modulus row r = a_tx, and a
     unit-modulus v gives ||u|| = ||h_ru||: `irs_user_scalars` reads that
     (t, ||h_ru||^2) pair off `SlotDraws` with its exact law.  `_split_law`
     carried through the projection gives
@@ -498,8 +526,8 @@ class CombinedChannels:
     sigma_g'^2 = delta1^2 (1 - s) ||v||^2 and ||v||^2 = Mr.  The two noises
     enter only through their sum, which has the law of sigma' N with
     sigma'^2 = sigma_g'^2 + sigma_h'^2 and one N ~ CN(0, I); h_true is
-    sqrt(a_0) d.  glos_0 is rank one too, so l = lam * r with
-    lam = r^H l / r^H r, and both vectors lie in two-vector spans plus one
+    sqrt(a_0) d.  glos_0 = g_0 a_tx^H is rank one too, so l = lam * r with
+    lam = g_0^H v, and both vectors lie in two-vector spans plus one
     design-free vector:
 
         x = a r + b z + h_true,     e_hat = alpha r + beta z + k,
@@ -526,18 +554,17 @@ class CombinedChannels:
         w_los, w_nlos = rician_weights(s.rician_bs_irs[0])
         self._los_gain = math.sqrt(s.alpha_bs_irs[0]) * w_los
         self._scatter_gain = math.sqrt(s.alpha_bs_irs[0]) * w_nlos
-        los = s.los_bs_irs[0]
-        # L[j, i] = L[j, 0] L[0, i] / L[0, 0] for the rank-one L, so
-        # h_ru @ (v[:, None] * conj(L)) = t * row with t = (v * conj(L[:, 0]))^T h_ru
-        row = los[0].conj() * los[0, 0]
+        # L = a_rx a_tx^H, so h_ru @ (v[:, None] * conj(L)) = t * row with
+        # t = (v * conj(a_rx))^T h_ru and row = a_tx
+        a_rx, row = s.irs_steering[0], s.bs_steering[0]
         self._row_sq = float(np.vdot(row, row).real)
         self._row_norm = math.sqrt(self._row_sq)    # r^H w = ||r|| w_1 in `SlotDraws`' basis
         # e_1 = c1 q1 + c2 q2, so e_1^H w = conj(c1) w_1 + c2 w_2 and e_1^H r = row[0]
         c1 = row[0].conjugate() / self._row_norm
         self._first_axis = np.array([c1.conjugate(), math.sqrt(max(1.0 - abs(c1) ** 2, 0.0))])
         self._row_first = row[0]
-        # l = glos_0^H v = lam * row, (S,)
-        self._lam = (self.designs @ s.cascaded_los[0].conj()) @ row.conj() / self._row_sq
+        # l = glos_0^H v = lam * row with lam = g_0^H v, (S,)
+        self._lam = self.designs @ s.cascaded_gain[0].conj()
         self._share_g, n_g_var = _split_law(float(s.sigma_g_sq[0]), s.delta1_abs ** 2)
         share_h, n_h_var = _split_law(s.sigma_h_sq, s.delta2_abs ** 2)
         # d to h_true, k's keep of h_true, and N to the summed error noises
@@ -548,7 +575,7 @@ class CombinedChannels:
         w_los, w_nlos = rician_weights(s.rician_irs_user)
         mean = math.sqrt(s.alpha_irs_user) * w_los * s.los_irs_user          # mu
         self._ru_scale = math.sqrt(s.alpha_irs_user) * w_nlos
-        self._ru_along = (self.designs * los[:, 0].conj()) @ mean / math.sqrt(mr)   # q^H mu
+        self._ru_along = (self.designs * a_rx.conj()) @ mean / math.sqrt(mr)      # q^H mu
         self._ru_across = None if mr == 1 else np.sqrt(np.maximum(
             float(np.vdot(mean, mean).real) - np.abs(self._ru_along) ** 2, 0.0))
 
@@ -556,7 +583,7 @@ class CombinedChannels:
                          ) -> tuple[np.ndarray, np.ndarray]:
         """What the serving link reads of h_ru, for the designs v of
         `designs[rows]`: per slot, t = b^T h_ru with b = v * conj(a_rx),
-        a_rx = column 0 of los_bs_irs[0], and ||h_ru||^2, both (S', n), from
+        a_rx = irs_steering[0], and ||h_ru||^2, both (S', n), from
         their exact joint law.
 
         Write h_ru = mu + s * xi with xi ~ CN(0, I), and q = conj(b)/sqrt(Mr),

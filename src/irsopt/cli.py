@@ -6,8 +6,10 @@ Subcommands:
 * ``eval``             evaluate schemes at one scenario, write reports JSON
 * ``sweep``            sweep one parameter over a value list, write results.csv
 
-All artifacts carry the seed and a scenario-content hash; rerunning with
-the same inputs reproduces them byte for byte.
+Every JSON artifact (design.json, eval.json, manifest.json) records the
+scenario and its content hash, the seed, the solver settings, each design's
+seed and the versions, through one builder (`_run_record`); rerunning with
+the same inputs reproduces every artifact byte for byte.
 """
 from __future__ import annotations
 
@@ -126,6 +128,26 @@ def _scheme_solvers(solver: SolverConfig, seed: int,
             for name in names]
 
 
+def _run_record(scenario: ScenarioConfig, seed: int, names: tuple[str, ...],
+                solvers: list[SolverConfig]) -> dict:
+    """What every JSON artifact records of the run that wrote it, so that
+    the run can be repeated from the file alone: the scenario and its hash,
+    the run seed, the solver settings the designs share (all but the seed),
+    each named design's seed and the versions.  No timing enters it, so
+    reruns write the same bytes."""
+    solver_settings = dataclasses.asdict(solvers[0])
+    del solver_settings["seed"]
+    return {
+        "scenario": scenario.to_dict(),
+        "config_hash": scenario.config_hash(),
+        "seed": seed,
+        "solver": solver_settings,
+        "design_seeds": {name: solver.seed for name, solver in zip(names, solvers)},
+        "versions": {"irsopt": __version__, "numpy": np.__version__,
+                     "python": ".".join(map(str, sys.version_info[:3]))},
+    }
+
+
 def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[dict]:
     """Evaluate every (value, scheme) pair, writing its rows to results.csv
     in deterministic order and a manifest.json next to it.
@@ -147,20 +169,10 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
               for cfg in (apply_sweep_value(scenario, spec.param, value) for value in spec.values)]
     os.makedirs(out_dir, exist_ok=True)
     solvers = _scheme_solvers(spec.solver, spec.seed, spec.schemes)
-    solver_settings = dataclasses.asdict(spec.solver)
-    del solver_settings["seed"]
-    manifest = {
-        "scenario": scenario.to_dict(),
-        "config_hash": scenario.config_hash(),
-        "sweep": {"param": spec.param, "values": list(spec.values),
-                  "schemes": list(spec.schemes)},
-        "n_samples": spec.n_samples,
-        "seed": spec.seed,
-        "solver": solver_settings,
-        "design_seeds": {name: solver.seed for name, solver in zip(spec.schemes, solvers)},
-        "versions": {"irsopt": __version__, "numpy": np.__version__,
-                     "python": ".".join(map(str, sys.version_info[:3]))},
-    }
+    manifest = _run_record(scenario, spec.seed, spec.schemes, solvers)
+    manifest["sweep"] = {"param": spec.param, "values": list(spec.values),
+                         "schemes": list(spec.schemes)}
+    manifest["n_samples"] = spec.n_samples
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
     designs = design_schemes([scheme(name) for name in spec.schemes], solvers, points)
@@ -247,13 +259,10 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)     # an unusable --out fails before the solve
     result = run_ssca(solver_cfg, stats, cfg)
     result.trace.to_csv(os.path.join(args.out, "trace.csv"))
-    design = {
-        "scenario": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": args.seed,
-        "tau_reg": result.tau_reg,
-        "phases_rad": list(np.angle(result.v.v)),
-    }
+    # the solve runs the robust design with interference, the "proposed" objective
+    design = _run_record(cfg, args.seed, ("proposed",), [solver_cfg])
+    design["tau_reg"] = result.tau_reg
+    design["phases_rad"] = list(np.angle(result.v.v))
     write_json(os.path.join(args.out, "design.json"), design)
     print(f"final fixed-point gap: {result.trace.gap[-1]:.3e}")
     print(f"upper-bound rate: {upper_bound_rate_closed_form(result.v, stats, cfg):.4f} bit/s/Hz")
@@ -277,13 +286,9 @@ def cmd_eval(args) -> int:
         reports[name] = report.to_dict()
         print(f"{name:22s} mc={report.mc_rate:.4f} +/- {report.mc_stderr:.4f}  "
               f"ub={report.ub_rate:.4f} bit/s/Hz")
-    payload = {
-        "scenario": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": args.seed,
-        "n_samples": args.samples,
-        "reports": reports,
-    }
+    payload = _run_record(cfg, args.seed, names, solvers)
+    payload["n_samples"] = args.samples
+    payload["reports"] = reports
     path = os.path.join(args.out, "eval.json")
     write_json(path, payload)
     print(f"reports written to {path}")

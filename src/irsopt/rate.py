@@ -175,18 +175,18 @@ def interference_quadratic(stats: ChannelStatistics,
                            cfg: ScenarioConfig) -> tuple[np.ndarray, float]:
     """The interference-plus-noise power sum_k p_k * gk(v) + sigma^2 as a
     low-rank quadratic form: (F, d) with denominator ||F^H v||^2 + d, i.e.
-    B = F F^H.  Each cascaded LoS is rank one, glos_k = g_k b_k^H with
-    unit-modulus b_k (||b_k||^2 = Mk), so (p_k/Mk) glos_k glos_k^H
-    = p_k g_k g_k^H and F has one column sqrt(p_k) * g_k per interferer,
-    in interferer order: a C-contiguous complex (Mr, K), K = n_bs - 1 >= 0.
-    Column 0 of glos_k is g_k times a unit phase, which F F^H does not
-    see; an interferer without LoS (tau_k = 0) gets a zero column."""
+    B = F F^H.  Each cascaded LoS is rank one, glos_k = g_k a_tx,k^H with
+    unit-modulus a_tx,k (||a_tx,k||^2 = Mk), so (p_k/Mk) glos_k glos_k^H
+    = p_k g_k g_k^H and F has one column sqrt(p_k) * g_k per interferer
+    (`ChannelStatistics.cascaded_gain`), in interferer order: a C-contiguous
+    complex (Mr, K), K = n_bs - 1 >= 0.  An interferer without LoS
+    (tau_k = 0) gets a zero column."""
     powers = cfg.powers_watt
     d = cfg.noise_watt
     factor = np.empty((stats.irs_size, stats.n_bs - 1), dtype=complex)
     for k in range(1, stats.n_bs):
         d += powers[k] * _interferer_floor(stats, k)
-        factor[:, k - 1] = math.sqrt(powers[k]) * stats.cascaded_los[k][:, 0]
+        factor[:, k - 1] = math.sqrt(powers[k]) * stats.cascaded_gain[k]
     return factor, float(d)
 
 
@@ -202,7 +202,7 @@ def sinr_denominator(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig
 # Design objective
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DesignObjective:
     """What the solver optimizes: the sampling law of the estimated CSI and
     the per-draw upper-bound ratio
@@ -223,6 +223,13 @@ class DesignObjective:
     zero-variance law at (g_hat, h_hat) (`ratio`), whose mean pair is the
     draw's own; `value`, `ascent` and `grad` read `expected`.
 
+    The estimate's mean G (Mr, M0) enters only through its factors
+    G = g b^H, `g_col` (Mr, R) and `g_row` (M0, R), so G^H v = b (g^H v)
+    and G x = g (b^H x) cost O((Mr + M0) R): `from_scenario` holds the
+    rank-one cascaded LoS as (g_0, a_tx,0), R = 1, and a general G, given
+    as `g_mean` (a single CSI draw, a hand-built law), is held as the pair
+    (G, I), R = M0.  `g_mean` reads G back, built on access.
+
     Baselines reuse this with modified ingredients: a non-robust design
     zeroes the error terms (full-variance sampling, no error constant), a
     design that ignores interference keeps zero columns of F and only the
@@ -231,7 +238,8 @@ class DesignObjective:
     """
 
     p0: float
-    g_mean: np.ndarray                  # (Mr, M0)
+    g_col: np.ndarray                   # (Mr, R) g of G = g b^H
+    g_row: np.ndarray                   # (M0, R) b
     g_var: float                        # per-element estimate variance
     h_mean: np.ndarray                  # (M0,)
     h_var: float
@@ -239,10 +247,18 @@ class DesignObjective:
     denom_quad: np.ndarray              # (Mr, K) factor F of B = F F^H
     denom_const: float
 
-    def __post_init__(self):
-        if self.denom_quad is None:
-            object.__setattr__(self, "denom_quad",
-                               np.zeros((self.irs_size, 0), dtype=complex))
+    def __init__(self, *, p0, g_var, h_mean, h_var, err_const, denom_quad, denom_const,
+                 g_mean=None, g_col=None, g_row=None):
+        """G comes as its factors `g_col` and `g_row`, or as a general
+        `g_mean`, held as (G, I); a given `g_mean` replaces the factors, so
+        `replace(objective, g_mean=...)` swaps G."""
+        if g_mean is not None:
+            g_col, g_row = g_mean, np.eye(np.shape(g_mean)[-1], dtype=complex)
+        if denom_quad is None:
+            denom_quad = np.zeros((np.shape(g_col)[-2], 0), dtype=complex)
+        self.__dict__.update(p0=p0, g_col=g_col, g_row=g_row, g_var=g_var, h_mean=h_mean,
+                             h_var=h_var, err_const=err_const, denom_quad=denom_quad,
+                             denom_const=denom_const)
 
     @classmethod
     def from_scenario(cls, stats: ChannelStatistics, cfg: ScenarioConfig,
@@ -262,7 +278,8 @@ class DesignObjective:
             factor, const = np.zeros_like(factor), cfg.noise_watt
         return cls(
             p0=cfg.powers_watt[0],
-            g_mean=stats.cascaded_los[0],
+            g_col=stats.cascaded_gain[0][:, None],
+            g_row=stats.bs_steering[0][:, None],
             g_var=max(g_var, 0.0),
             h_mean=np.zeros(stats.bs_sizes[0], dtype=complex),
             h_var=max(h_var, 0.0),
@@ -274,15 +291,34 @@ class DesignObjective:
     @classmethod
     def stack(cls, designs: Sequence["DesignObjective"]) -> "DesignObjective":
         """S designs as one objective, every field with a leading row axis
-        (broadcast, not copied, where all share it, such as G); F (S, Mr, K)
-        needs the same K in every design."""
+        (broadcast, not copied, where all share it); F (S, Mr, K) needs the
+        same K in every design.  G's factors get zero columns up to the
+        largest R, which leave G = g b^H as it is."""
         values = {f.name: [getattr(d, f.name) for d in designs] for f in fields(cls)}
+        rank = max(g.shape[-1] for g in values["g_col"])
+        for name in ("g_col", "g_row"):
+            values[name] = [np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, rank - a.shape[-1])])
+                            if a.shape[-1] < rank else a for a in values[name]]
         return cls(**{name: np.asarray(column[0])[None] if all(a is column[0] for a in column)
                       else np.stack(column) for name, column in values.items()})
 
     @property
     def irs_size(self) -> int:
-        return self.g_mean.shape[-2]
+        return self.g_col.shape[-2]
+
+    @property
+    def g_mean(self) -> np.ndarray:
+        """The dense G = g b^H, (Mr, M0) (a leading row axis on a `stack`),
+        built on each access."""
+        return self.g_col @ np.conj(np.swapaxes(self.g_row, -1, -2))
+
+    def _g_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """G^H v = b (g^H v), (M0,), for a design (Mr,) or a stack (S, Mr)."""
+        return (self.g_row @ np.vecdot(self.g_col, v[..., None], axis=-2)[..., None])[..., 0]
+
+    def _g_apply(self, x: np.ndarray) -> np.ndarray:
+        """G x = g (b^H x), (Mr,), for x (M0,) or a stack (S, M0)."""
+        return (self.g_col @ np.vecdot(self.g_row, x[..., None], axis=-2)[..., None])[..., 0]
 
     def sample(self, draws: tuple, v: np.ndarray, n: int) -> tuple:
         """The mean over n estimated-CSI draws at the iterate v of the two
@@ -324,8 +360,10 @@ class DesignObjective:
         since sum_l xi_l^H e_l = sqrt(n) s^H m + c sum_l ||xi_l||^2 and,
         given the e_l, sum_l zeta_l^H e_l ~ CN(0, T).  At c = 0 take
         a / c = 1 and b / c = 0; the last term above is only read times
-        a, which is then 0.  That is Mr + M0 + 1 Gaussian values, one gamma
-        value and two Mr x M0 products with G, whatever n is.
+        a, which is then 0.  That is Mr + M0 + 1 Gaussian values and one
+        gamma value whatever n is, and O(Mr + M0) for G^H v = b (g^H v) and
+        G mean_l e_l = g (b^H mean_l e_l) on the rank-one G of
+        `from_scenario`: O(Mr*(1 + K) + M0) per row with the ratio.
         """
         if n < 1:
             raise ValueError("at least one sample per iteration is required")
@@ -335,8 +373,7 @@ class DesignObjective:
         a, b = np.sqrt(a_sq), np.sqrt(self.h_var)                         # sigma_g ||v||, sigma_h
         c_sq = a_sq + self.h_var
         c = np.sqrt(c_sq)
-        mean_e = (np.conj(v)[..., None, :] @ self.g_mean)[..., 0, :]       # v^H G
-        np.conjugate(mean_e, out=mean_e)                                  # G^H v
+        mean_e = self._g_adjoint(v)                                       # G^H v
         mean_e += self.h_mean
         mean_e += (c / math.sqrt(n))[..., None] * s                       # mean_l e_l
         total = n * np.vecdot(mean_e, mean_e).real + c_sq * r             # T
@@ -347,7 +384,7 @@ class DesignObjective:
         spread = np.sqrt(self.g_var * total)                              # sigma_g sqrt(T)
         along = ((a_cross - spread * np.vecdot(v, w))
                  / np.where(v_sq > 0.0, n * v_sq, np.inf))
-        ge = (self.g_mean @ mean_e[..., None])[..., 0]
+        ge = self._g_apply(mean_e)                                        # G mean_l e_l
         ge += (spread / n)[..., None] * w
         ge += along[..., None] * v
         return total / n, ge
@@ -362,12 +399,11 @@ class DesignObjective:
             E ||e||^2   = ||m||^2 + M0 (sigma_g^2 ||v||^2 + sigma_h^2)
             E g_hat e   = G m + M0 sigma_g^2 v.
         """
-        m0 = self.g_mean.shape[-1]
-        mean_e = np.conj(np.conj(v)[..., None, :] @ self.g_mean)[..., 0, :] + self.h_mean
+        m0 = self.g_row.shape[-2]
+        mean_e = self._g_adjoint(v) + self.h_mean
         power = (np.vecdot(mean_e, mean_e).real
                  + m0 * (self.g_var * np.vecdot(v, v).real + self.h_var))
-        mean_ge = ((self.g_mean @ mean_e[..., None])[..., 0]
-                   + np.asarray(m0 * self.g_var)[..., None] * v)
+        mean_ge = self._g_apply(mean_e) + np.asarray(m0 * self.g_var)[..., None] * v
         return self._ratio(v, power, mean_ge)
 
     def _ratio(self, v: np.ndarray, power, ge: np.ndarray, rho: float = 1.0) -> tuple:
@@ -493,8 +529,9 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     `channel.CombinedChannels` reads off per-slot Gram scalars of
     `PhysicalChannelSampler.slot_draws`, drawn from their exact law: at
     most 11 complex normals and 4 gamma values and O(1) work per slot,
-    O(1) per design and slot and O(Mr * M0) per design and evaluation; no
-    (n, Mr) or (n, M0) array is built.  Each 512-sample chunk is drawn once
+    O(1) per design and slot and O(Mr * (1 + K) + M0) per design and
+    evaluation, reading the LoS factors; no (n, Mr) or (n, M0) array and no
+    dense LoS is built.  Each 512-sample chunk is drawn once
     per (Mr, M0) shape and read by every design of every point of that
     shape, since they all draw the same values from one seed: a point's
     reports equal those of its own call, the designs of one point are

@@ -36,9 +36,10 @@ derivative convention of `DesignObjective.grad` is its conjugate.
 The objective gamma, with its sampling law, is `rate.DesignObjective`.
 gamma and its ascent are affine in the two quantities they read of a
 draw, so the coefficient step reads only their L-draw means, which
-`DesignObjective.sample` draws from the exact law its docstring states.
-An iteration then costs O(Mr*(M0 + K)), K interferers, whatever L is,
-below the paper's O(L*M0*Mr).  The expectation of gamma has a closed form
+`DesignObjective.sample` draws from the exact law its docstring states,
+and the rank-one LoS mean G enters through its two factors.  An iteration
+then costs O(Mr*(1 + K) + M0), K interferers, whatever L is, below the
+paper's O(L*M0*Mr).  The expectation of gamma has a closed form
 (`DesignObjective.expected`); the stochastic iteration is the paper's
 method, and the closed form its oracle.
 """
@@ -249,9 +250,10 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
     row, whatever L is: Mr + M0 + 1 Gaussian values and one gamma value
     (`DesignObjective.sample`), drawn a block of iterations at a time (at
     most `BLOCK_BYTES` of buffers for the whole stack) and equal value for
-    value to one draw per iteration; two Mr*M0-flop products with the LoS
-    mean G; and O(Mr * K) for the ratio and its gradient, which read F^H v
-    and F times its K scaled entries: O(Mr*(M0 + K)) in all.  The
+    value to one draw per iteration; O(Mr + M0) for G^H v and G e through
+    the factors of the rank-one LoS mean G = g b^H; and O(Mr * K) for the
+    ratio and its gradient, which read F^H v and F times its K scaled
+    entries: O(Mr*(1 + K) + M0) in all.  The
     iterate moves as v + omega (v_bar - v) in the array that holds the
     fixed-point gap's step.  Identical configurations and seeds reproduce
     the iterates bit-for-bit.
@@ -265,7 +267,7 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
                          "that differ only in the seed")
     probe_every = solver_cfg.probe_every if probe is not None else 0
     design = DesignObjective.stack(designs)
-    rows, mr, m0 = len(designs), design.irs_size, design.g_mean.shape[-1]
+    rows, mr, m0 = len(designs), design.irs_size, design.g_row.shape[-2]
     n, steps = solver_cfg.samples_per_iter, solver_cfg.iterations
     v = np.ones((rows, mr), dtype=complex)
     c0, c1 = np.zeros(rows), np.zeros((rows, mr), dtype=complex)

@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irsopt
+from irsopt.beamforming import mrt_policy
 from irsopt.channel import (
     PhysicalChannelSampler,
     build_statistics,
@@ -14,8 +18,9 @@ from irsopt.channel import (
     sample_estimated_csi,
     steering_vector,
 )
+from irsopt.rate import ergodic_rate_mc, interference_quadratic
 
-from conftest import design_draws, random_scenario
+from conftest import EDGE_REGIMES, design_draws, edge_scenario, random_scenario
 
 SQRT3 = math.sqrt(3.0)
 
@@ -149,10 +154,14 @@ def test_los_unit_modulus_invariant(preset_stats):
     bad[0] = np.nan
     with pytest.raises(ValueError, match="unit modulus"):
         dataclasses.replace(preset_stats, los_irs_user=bad)
-    bad = preset_stats.los_bs_irs[0].copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError, match="unit modulus"):
-        dataclasses.replace(preset_stats, los_bs_irs=(bad,) + tuple(preset_stats.los_bs_irs[1:]))
+    # the BS->IRS LoS is held as its steering vectors, each of them checked
+    for name in ("irs_steering", "bs_steering"):
+        vectors = getattr(preset_stats, name)
+        for entry in (np.nan, 1.5):
+            bad = vectors[0].copy()
+            bad[0] = entry
+            with pytest.raises(ValueError, match="unit modulus"):
+                dataclasses.replace(preset_stats, **{name: (bad,) + vectors[1:]})
 
 
 def test_normalized_delta_conversion(preset_cfg):
@@ -194,6 +203,93 @@ def test_absolute_delta_within_bounds_accepted(preset_cfg):
                              error_units="absolute")
     stats = build_statistics(cfg)
     assert np.isclose(stats.delta1_abs ** 2, 0.25 * stats.sigma_g_sq[0], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rank-one LoS factors
+# ---------------------------------------------------------------------------
+
+def _dense_los(stats, cfg):
+    """The dense BS->IRS and cascaded LoS matrices built as dense arrays:
+    `los_matrix` per BS, and amplitude * conj(los_ru)[:, None] * los_matrix."""
+    angles = [tuple(map(math.radians, pair)) for pair in cfg.angles_bs_irs_deg]
+    los = [los_matrix(pair, cfg.irs_grid, pair, grid, cfg.spacing)
+           for pair, grid in zip(angles, cfg.bs_grids)]
+    cascaded = [math.sqrt(stats.alpha_bs_irs[k] * stats.alpha_irs_user * stats.tau[k])
+                * (stats.los_irs_user.conj()[:, None] * los[k]) for k in range(stats.n_bs)]
+    return los, cascaded
+
+
+def _assert_factors_are_the_matrices(cfg):
+    stats = build_statistics(cfg)
+    los, cascaded = _dense_los(stats, cfg)
+    for k in range(stats.n_bs):
+        a_rx, a_tx, g = stats.irs_steering[k], stats.bs_steering[k], stats.cascaded_gain[k]
+        assert a_rx.shape == g.shape == (stats.irs_size,)
+        assert a_tx.shape == (stats.bs_sizes[k],)
+        for got, want in ((np.outer(a_rx, a_tx.conj()), los[k]),
+                          (np.outer(g, a_tx.conj()), cascaded[k]),
+                          (stats.los_bs_irs[k], los[k]),
+                          (stats.cascaded_los[k], cascaded[k])):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        if stats.tau[k] == 0.0:
+            assert np.all(g == 0.0)
+    # F's columns are the dense matrices' columns 0, bit for bit
+    factor, _ = interference_quadratic(stats, cfg)
+    dense_columns = np.empty_like(factor)
+    for k in range(1, stats.n_bs):
+        dense_columns[:, k - 1] = math.sqrt(cfg.powers_watt[k]) * cascaded[k][:, 0]
+    assert factor.tobytes() == dense_columns.tobytes()
+    return stats
+
+
+@pytest.mark.parametrize("regime", EDGE_REGIMES)
+def test_los_factors_are_the_dense_matrices(preset_cfg, regime):
+    stats = _assert_factors_are_the_matrices(edge_scenario(preset_cfg, regime))
+    if regime in ("no-bs-irs-los", "k-0"):         # tau_k = 0 on every BS
+        assert all(np.all(g == 0.0) for g in stats.cascaded_gain)
+
+
+def test_los_factors_of_a_single_element_irs_and_single_antenna_bs(preset_cfg):
+    cfg = preset_cfg.replace(irs_grid=(1, 1), bs_grids=((1, 1),) * preset_cfg.n_bs)
+    stats = _assert_factors_are_the_matrices(cfg)
+    assert stats.cascaded_los[0].shape == (1, 1)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_los_factors_are_the_dense_matrices_on_random_scenarios(seed):
+    _assert_factors_are_the_matrices(random_scenario(np.random.default_rng(seed)))
+
+
+def test_large_irs_statistics_solve_and_evaluation_hold_no_dense_los(preset_cfg):
+    # a 64x64 IRS with 8x8 BS arrays: one dense (Mr, M0) complex array is
+    # 4 MiB, and the statistics would hold 2 n_bs = 6 of them.  The factors
+    # hold O(Mr + M0) per BS, and neither the statistics, nor a short
+    # solve, nor a one-chunk evaluation builds one dense array
+    cfg = preset_cfg.replace(irs_grid=(64, 64), bs_grids=((8, 8),) * preset_cfg.n_bs)
+    dense_bytes = 4096 * 64 * np.dtype(complex).itemsize
+    peaks = {}
+    tracemalloc.start()
+    try:
+        stats = build_statistics(cfg)
+        peaks["build_statistics"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        v = irsopt.ssca.run(irsopt.SolverConfig(iterations=5), stats, cfg).v
+        peaks["ssca.run"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ergodic_rate_mc(v, mrt_policy(v), stats, cfg, 512, 4)
+        peaks["ergodic_rate_mc"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (stats.irs_steering + stats.bs_steering
+                                  + stats.cascaded_gain + (stats.los_irs_user,)))
+    assert held < 1e6, held
+    assert sum(a.nbytes for a in stats.los_bs_irs + stats.cascaded_los) \
+        == 2 * stats.n_bs * dense_bytes
+    for name, peak in peaks.items():
+        assert peak < dense_bytes, (name, peak / dense_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,44 @@ def test_cli_solve_and_eval_reruns_are_byte_identical(tmp_path):
             (tmp_path / "b" / artifact).read_bytes(), artifact
 
 
+def test_design_and_eval_json_alone_rebuild_their_designs(tmp_path):
+    # design.json and eval.json record what manifest.json records of a run:
+    # the solver settings, each design's seed and the versions, so a design
+    # comes back from its artifact alone
+    run_keys = {"scenario", "config_hash", "seed", "solver", "design_seeds", "versions"}
+    out = tmp_path / "solve"
+    assert main(["solve", "--preset", "paper-fig3", "--iters", "12", "--samples-per-iter", "3",
+                 "--seed", "4", "--probe-every", "6", "--out", str(out)]) == 0
+    design = json.loads((out / "design.json").read_text())
+    assert set(design) == run_keys | {"tau_reg", "phases_rad"}
+    assert {k: design["solver"][k] for k in ("iterations", "samples_per_iter", "probe_every")} \
+        == {"iterations": 12, "samples_per_iter": 3, "probe_every": 6}
+    assert design["design_seeds"] == {"proposed": 4}
+    cfg = irsopt.ScenarioConfig.from_dict(design["scenario"])
+    solver = SolverConfig(**design["solver"], seed=design["design_seeds"]["proposed"])
+    result = irsopt.ssca.run(solver, build_statistics(cfg), cfg)
+    assert list(np.angle(result.v.v)) == design["phases_rad"]
+    assert result.tau_reg == design["tau_reg"]
+
+    out = tmp_path / "eval"
+    names = ("proposed", "robust-no-intf")
+    assert main(["eval", "--preset", "paper-fig3", "--iters", "6", "--samples-per-iter", "2",
+                 "--samples", "40", "--schemes", ",".join(names), "--seed", "9",
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "eval.json").read_text())
+    assert set(payload) == run_keys | {"n_samples", "reports"}
+    assert payload["versions"] == json.loads(
+        (out.parent / "solve" / "design.json").read_text())["versions"]
+    assert payload["design_seeds"] == {name: child_seed(9, f"design/{name}") for name in names}
+    cfg = irsopt.ScenarioConfig.from_dict(payload["scenario"])
+    stats = build_statistics(cfg)
+    for name in names:
+        solver = SolverConfig(**payload["solver"], seed=payload["design_seeds"][name])
+        v, _ = design_scheme(scheme(name), stats, cfg, solver)
+        assert irsopt.upper_bound_rate_closed_form(v, stats, cfg) == \
+            payload["reports"][name]["ub_rate"]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = main(["eval", "--preset", "nope", "--out", str(tmp_path)])
     assert rc == 2
