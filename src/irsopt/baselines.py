@@ -122,7 +122,7 @@ def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
     by construction.
     """
     check_seed(eval_rng)    # before any design is spent on a bad seed or size
-    check_count(n_samples, "n_samples")
+    check_count(n_samples, "n_samples", 2)
     points = [(stats, cfg)]
     (reports,) = evaluate_designs(design_schemes(specs, solver_cfgs, points), points,
                                   n_samples, eval_rng, return_samples)
@@ -136,7 +136,11 @@ def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConf
     scheme, its `phase_draws` phase-shift vectors.  The SSCA designs of all
     the points that share a shape (Mr, M0 and K) form one `run_stack` call,
     so a sweep over any other parameter makes one call and an irs-size
-    sweep one per size; each row is bit for bit its own `design_scheme`."""
+    sweep one per size; each row is bit for bit its own `design_scheme`,
+    and rows equal in seed and objective (a non-robust scheme's over
+    error-std, say) run once in it.  A random-phase design reads only the
+    scheme, its seed, the draw and Mr, so each is drawn once per call and
+    shared by the points of that Mr."""
     if len(solver_cfgs) != len(specs):
         raise ValueError(f"{len(solver_cfgs)} solver settings for {len(specs)} schemes")
     rows = [(p, i) for p in range(len(points))
@@ -150,10 +154,16 @@ def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConf
         designed.update((row, [r.v]) for row, r in zip(group, run_stack(
             [solver_cfgs[i] for _, i in group],
             [_objective(specs[i], *points[p]) for p, i in group])))
-    return [[designed.get((p, i)) or [design_scheme(spec, stats, cfg, solver_cfg, draw)[0]
-                                      for draw in range(spec.phase_draws)]
-             for i, (spec, solver_cfg) in enumerate(zip(specs, solver_cfgs))]
-            for p, (stats, cfg) in enumerate(points)]
+    drawn = {}          # a random design reads only (scheme, seed, draw, Mr): drawn once
+    for p, (stats, cfg) in enumerate(points):
+        for i, (spec, solver_cfg) in enumerate(zip(specs, solver_cfgs)):
+            if spec.phase_source == PHASE_SOURCE_RANDOM:
+                key = (spec, solver_cfg.seed, stats.irs_size)
+                if key not in drawn:
+                    drawn[key] = [design_scheme(spec, stats, cfg, solver_cfg, draw)[0]
+                                  for draw in range(spec.phase_draws)]
+                designed[p, i] = drawn[key]
+    return [[designed[p, i] for i in range(len(specs))] for p in range(len(points))]
 
 
 def evaluate_designs(designs: Sequence[Sequence[Sequence[PhaseShiftVector]]],

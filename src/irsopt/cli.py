@@ -63,7 +63,7 @@ class SweepSpec:
         _check_schemes(self.schemes)
         # plain floats and ints: json cannot write numpy numbers into the manifest
         object.__setattr__(self, "values", tuple(_real("values", v) for v in self.values))
-        object.__setattr__(self, "n_samples", check_count(self.n_samples, "n_samples"))
+        object.__setattr__(self, "n_samples", check_count(self.n_samples, "n_samples", 2))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -279,6 +279,7 @@ def cmd_eval(args) -> int:
     solvers = _scheme_solvers(SolverConfig(iterations=args.iters,
                                            samples_per_iter=args.samples_per_iter),
                               args.seed, names)
+    check_count(args.samples, "n_samples", 2)   # before --out is made
     os.makedirs(args.out, exist_ok=True)
     reports = {}
     for name, report in zip(names, evaluate_schemes(specs, stats, cfg, solvers, args.samples,

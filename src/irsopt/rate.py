@@ -112,10 +112,11 @@ class RateReport:
     @classmethod
     def from_samples(cls, rate_samples: np.ndarray, ub_rate: float, signal_power: float,
                      interference_power: Sequence[float], noise_power: float) -> "RateReport":
-        """The report of per-sample rates (n,): their mean and its standard
-        error, beside the given upper bound and power breakdown."""
+        """The report of n >= 2 per-sample rates (n,): their mean and its
+        standard error, beside the given upper bound and power breakdown.
+        One sample has no standard error, so the evaluator asks for two."""
         n = rate_samples.shape[0]
-        stderr = float(np.std(rate_samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        stderr = float(np.std(rate_samples, ddof=1) / math.sqrt(n))
         return cls(ub_rate=float(ub_rate), mc_rate=float(np.mean(rate_samples)),
                    mc_stderr=stderr, n_samples=n, signal_power=float(signal_power),
                    interference_power=tuple(map(float, interference_power)),
@@ -201,6 +202,16 @@ def sinr_denominator(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig
 # ---------------------------------------------------------------------------
 # Design objective
 # ---------------------------------------------------------------------------
+
+def same_value(a, b) -> bool:
+    """a and b hold the same value bit for bit: the same shape, dtype and
+    bytes, with no tolerance (stricter than `np.array_equal`, which takes
+    0.0 for -0.0), so either one stands in for the other."""
+    if a is b:
+        return True
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 @dataclass(frozen=True, init=False)
 class DesignObjective:
@@ -291,16 +302,24 @@ class DesignObjective:
     @classmethod
     def stack(cls, designs: Sequence["DesignObjective"]) -> "DesignObjective":
         """S designs as one objective, every field with a leading row axis
-        (broadcast, not copied, where all share it); F (S, Mr, K) needs the
-        same K in every design.  G's factors get zero columns up to the
-        largest R, which leave G = g b^H as it is."""
+        (broadcast, not copied, where every row holds the same value,
+        `same_value`); F (S, Mr, K) needs the same K in every design.  G's
+        factors get zero columns up to the largest R, which leave
+        G = g b^H as it is."""
         values = {f.name: [getattr(d, f.name) for d in designs] for f in fields(cls)}
         rank = max(g.shape[-1] for g in values["g_col"])
         for name in ("g_col", "g_row"):
             values[name] = [np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, rank - a.shape[-1])])
                             if a.shape[-1] < rank else a for a in values[name]]
-        return cls(**{name: np.asarray(column[0])[None] if all(a is column[0] for a in column)
+        return cls(**{name: np.asarray(column[0])[None]
+                      if all(same_value(a, column[0]) for a in column[1:])
                       else np.stack(column) for name, column in values.items()})
+
+    def same(self, other: "DesignObjective") -> bool:
+        """Every field the same value as in `other` (`same_value`), so the
+        two give the same results bit for bit."""
+        return all(same_value(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def irs_size(self) -> int:
@@ -548,7 +567,7 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     summarized by `RateReport.from_samples`; each chunk's signal is written
     into it and turned into rates in place.
     """
-    check_count(n_samples, "n_samples")
+    check_count(n_samples, "n_samples", 2)     # a standard error needs two samples
     laws, terms = [], []            # per point: (powers (S, K), denominators, upper bounds)
     probes = {}                     # per M0: the matched-filter probe and its image
     for vs, policies, stats, cfg in points:

@@ -241,22 +241,28 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
     `solver_cfgs[i].seed`, whose other fields must agree, with the
     arithmetic of its stack of one: its result does not depend on the rows
     beside it, which may come from other scenarios of the same shape (Mr,
-    M0 and K).  Each row starts at v = 1, runs all T iterations,
+    M0 and K).  So a row's result reads only its seed and objective, and
+    each distinct pair runs once: rows whose seeds are equal and whose
+    objectives are equal field by field (`DesignObjective.same`) run as
+    one row, and each gets its own result, trace, audit and probe lists.
+    Rows that share a seed share its one draw stream, drawn once a block
+    and copied to them; a stack whose seeds all differ draws one stream
+    per row.  Each row starts at v = 1, runs all T iterations,
     calibrates tau after the first coefficient update (`_auto_tau`) and is
     checked to stay in |v_n| <= 1 after every move.  Every `probe_every`
     iterations the trace records the upper-bound rate that `probe` scores
     at each row's deployed iterate, in one call for the whole stack (none
-    without a probe).  Per iteration and
-    row, whatever L is: Mr + M0 + 1 Gaussian values and one gamma value
+    without a probe).  Per iteration and distinct seed, whatever L is:
+    Mr + M0 + 1 Gaussian values and one gamma value
     (`DesignObjective.sample`), drawn a block of iterations at a time (at
     most `BLOCK_BYTES` of buffers for the whole stack) and equal value for
-    value to one draw per iteration; O(Mr + M0) for G^H v and G e through
-    the factors of the rank-one LoS mean G = g b^H; and O(Mr * K) for the
-    ratio and its gradient, which read F^H v and F times its K scaled
-    entries: O(Mr*(1 + K) + M0) in all.  The
-    iterate moves as v + omega (v_bar - v) in the array that holds the
-    fixed-point gap's step.  Identical configurations and seeds reproduce
-    the iterates bit-for-bit.
+    value to one draw per iteration; per row, O(Mr + M0) for G^H v and
+    G e through the factors of the rank-one LoS mean G = g b^H, and
+    O(Mr * K) for the ratio and its gradient, which read F^H v and F times
+    its K scaled entries: O(Mr*(1 + K) + M0) in all.  The iterate moves as
+    v + omega (v_bar - v) in the array that holds the fixed-point gap's
+    step.  Identical configurations and seeds reproduce the iterates
+    bit-for-bit.
     """
     if len(solver_cfgs) == 0:
         raise ValueError("a stack needs at least one design")
@@ -266,19 +272,30 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
         raise ValueError("a stack needs one design per solver setting, and settings "
                          "that differ only in the seed")
     probe_every = solver_cfg.probe_every if probe is not None else 0
-    design = DesignObjective.stack(designs)
-    rows, mr, m0 = len(designs), design.irs_size, design.g_row.shape[-2]
+    # a row's result reads only its seed and objective: each distinct pair runs once
+    firsts, index = [], []          # the distinct rows, and the one each row reads
+    for s, d in zip(solver_cfgs, designs):
+        match = next((j for j, f in enumerate(firsts) if solver_cfgs[f].seed == s.seed
+                      and designs[f].same(d)), len(firsts))
+        if match == len(firsts):
+            firsts.append(len(index))
+        index.append(match)
+    seeds = list(dict.fromkeys(solver_cfgs[f].seed for f in firsts))
+    design = DesignObjective.stack([designs[f] for f in firsts])
+    rows, mr, m0 = len(firsts), design.irs_size, design.g_row.shape[-2]
     n, steps = solver_cfg.samples_per_iter, solver_cfg.iterations
     v = np.ones((rows, mr), dtype=complex)
     c0, c1 = np.zeros(rows), np.zeros((rows, mr), dtype=complex)
 
-    g_rngs, h_rngs = zip(*(named_child(s.seed, "solver").spawn(2) for s in solver_cfgs))
+    # one draw stream per seed, read by every row of that seed
+    g_rngs, h_rngs = zip(*(named_child(seed, "solver").spawn(2) for seed in seeds))
+    streams = None if len(seeds) == rows else [seeds.index(solver_cfgs[f].seed) for f in firsts]
     # per row and iteration: 2 normals and 1 complex a Gaussian value, and 1 gamma
     block = max(1, BLOCK_BYTES // (rows * (32 * (m0 + mr + 1) + 8)))
-    draws = zip(crandn_blocks(g_rngs, [(m0,), (mr,), ()], steps, block),   # s, w, nu
-                gamma_blocks(h_rngs, m0 * (n - 1), steps, block))          # r
+    draws = zip(crandn_blocks(g_rngs, [(m0,), (mr,), ()], steps, block, streams),  # s, w, nu
+                gamma_blocks(h_rngs, m0 * (n - 1), steps, block, streams))         # r
     tau_reg = None
-    audits = [[] for _ in range(rows)]
+    audits = [[] for _ in index]
     history = np.full((3, steps, rows), math.nan)           # c0, gap and UB probe
 
     for t, (normals, r) in enumerate(draws, start=1):
@@ -291,7 +308,7 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
         step = v_bar - v
         history[0, t - 1], history[1, t - 1] = c0, np.sqrt(np.vecdot(step, step).real)
         if audit:
-            for i, entries in enumerate(audits):
+            for i, entries in zip(index, audits):
                 entries.append({"t": t, "v_prev": v[i], "c0": float(c0[i]), "c1": c1[i],
                                 "tau_reg": float(tau_reg[i, 0]), "v_bar": v_bar[i]})
         # v + omega (v_bar - v), built in the step array: the audit keeps views of v
@@ -302,10 +319,12 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
         if probe_every and t % probe_every == 0:
             history[2, t - 1] = [_log2_1p(x) for x in probe.expected(_unit_modulus(v))[0]]
 
-    c0s, gaps, probes = history.transpose(0, 2, 1).tolist()
+    # every requested row gets its own arrays and lists
+    c0s, gaps, probes = history[..., index].transpose(0, 2, 1).tolist()
+    v, c0, c1, tau_reg = v[index], c0[index], c1[index], tau_reg[index]
     return [SscaResult(v=project_unit_modulus(v[i]),
                        trace=SscaTrace(list(range(1, steps + 1)), c0s[i], gaps[i], probes[i],
                                        audits[i]),
                        state=SscaState(steps, v[i], float(c0[i]), c1[i]),
                        tau_reg=float(tau_reg[i, 0]))
-            for i in range(rows)]
+            for i in range(len(index))]

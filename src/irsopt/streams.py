@@ -17,7 +17,7 @@ import hashlib
 import math
 import numbers
 import operator
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -91,18 +91,26 @@ def crandn(rng: np.random.Generator, shape, var: float) -> np.ndarray:
 
 
 def crandn_blocks(rngs: Sequence[np.random.Generator], shapes: Sequence[tuple],
-                  steps: int, block: int) -> Iterator[tuple]:
+                  steps: int, block: int,
+                  streams: Optional[Sequence[int]] = None) -> Iterator[tuple]:
     """Per step, one CN(0, 1) array (S, *shape) per shape, row i equal to
-    ``crandn(rngs[i], shape, 1.0)`` called once per shape and step, but
-    drawn `block` steps at a time in one ``standard_normal`` call per
-    generator.  The arrays are views that the next block overwrites."""
+    ``crandn(rngs[streams[i]], shape, 1.0)`` called once per shape and step
+    (``rngs[i]`` without `streams`), but drawn `block` steps at a time in
+    one ``standard_normal`` call per generator.  Rows that read one
+    generator hold its values, drawn once and copied once per block.  The
+    arrays are views that the next block overwrites."""
+    rows = range(len(rngs)) if streams is None else streams
     sizes = [math.prod(shape) for shape in shapes]
-    normals = np.empty((len(rngs), max(1, min(block, steps)), 2 * sum(sizes)))
+    normals = np.empty((len(rows), max(1, min(block, steps)), 2 * sum(sizes)))
     values = np.empty(normals.shape[:2] + (sum(sizes),), dtype=complex)
     for start in range(0, steps, normals.shape[1]):
         draws, out = normals[:, :steps - start], values[:, :steps - start]
-        for rng, own in zip(rngs, draws):
-            rng.standard_normal(out=own)
+        drawn = {}                                  # generator -> the row that holds its draw
+        for k, own in zip(rows, draws):
+            if k in drawn:
+                own[...] = drawn[k]
+            else:
+                drawn[k] = rngs[k].standard_normal(out=own)
         parts, at = [], 0
         for shape, size in zip(shapes, sizes):      # real parts, then imaginary parts
             for part, first in ((out.real, 2 * at), (out.imag, 2 * at + size)):
@@ -114,10 +122,12 @@ def crandn_blocks(rngs: Sequence[np.random.Generator], shapes: Sequence[tuple],
 
 
 def gamma_blocks(rngs: Sequence[np.random.Generator], shape: float, steps: int,
-                 block: int) -> Iterator[np.ndarray]:
-    """Per step, one Gamma(shape, 1) value per generator (S,), row i equal
-    to one ``rngs[i].standard_gamma(shape)`` call per step, but drawn
-    `block` steps at a time."""
+                 block: int, streams: Optional[Sequence[int]] = None) -> Iterator[np.ndarray]:
+    """Per step, one Gamma(shape, 1) value per row (S,), row i equal to one
+    ``rngs[streams[i]].standard_gamma(shape)`` call per step (``rngs[i]``
+    without `streams`), but drawn `block` steps at a time, once per
+    generator, and spread to its rows once per block."""
     for start in range(0, steps, block):
-        yield from np.stack([rng.standard_gamma(shape, min(block, steps - start))
-                             for rng in rngs], axis=-1)
+        draws = np.stack([rng.standard_gamma(shape, min(block, steps - start))
+                          for rng in rngs], axis=-1)
+        yield from (draws if streams is None else draws[:, streams])

@@ -109,7 +109,7 @@ def test_evaluate_scheme_multi_draw_averaging(small_cfg, small_stats):
 
 
 @pytest.mark.parametrize("return_samples", [False, True])
-@pytest.mark.parametrize("n_samples", [1, 40])
+@pytest.mark.parametrize("n_samples", [2, 40])
 def test_evaluate_scheme_single_draw_equals_plain_evaluation(small_cfg, small_stats,
                                                              n_samples, return_samples):
     # the one-draw average reproduces the single evaluation's report bit for bit
@@ -211,8 +211,9 @@ def test_evaluate_schemes_rejects_no_samples_before_designing(small_cfg, small_s
 
     monkeypatch.setattr(baselines, "run_stack", no_design)
     solver = SolverConfig(iterations=2, samples_per_iter=1)
-    with pytest.raises(ValueError, match="n_samples"):
-        evaluate_schemes([scheme("proposed")], small_stats, small_cfg, [solver], 0, 1)
+    for n_samples in (0, 1):        # one sample has no standard error
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            evaluate_schemes([scheme("proposed")], small_stats, small_cfg, [solver], n_samples, 1)
 
 
 def test_evaluate_schemes_rejects_settings_beyond_the_seed_before_iterating(

@@ -21,6 +21,7 @@ from irsopt.cli import (
     run_sweep,
 )
 from irsopt.config import user_position_on_bisector
+from irsopt.rate import DesignObjective
 from irsopt.ssca import SolverConfig
 from irsopt.streams import child_seed
 from conftest import EDGE_REGIMES, edge_scenario
@@ -52,6 +53,8 @@ def test_sweep_spec_validation():
     for value in (True, "0.1", None, 1j):
         with pytest.raises(ValueError, match="values must be a real number"):
             _tiny_sweep(values=(2.0, value))
+    with pytest.raises(ValueError, match="n_samples must be >= 2, got 1"):
+        dataclasses.replace(_tiny_sweep(), n_samples=1)
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])
@@ -219,6 +222,42 @@ def test_run_sweep_designs_each_shape_in_one_stack(tmp_path, preset_cfg, monkeyp
             assert float(row["sweep_value"]) == value
             assert [row[key] for key in ("ub_rate", "mc_rate", "mc_stderr")] == \
                 [repr(report.ub_rate), repr(report.mc_rate), repr(report.mc_stderr)]
+
+
+def test_fig3_sweep_solves_six_rows_and_draws_its_random_phases_once(tmp_path, preset_cfg,
+                                                                    monkeypatch):
+    # the non-robust objectives do not depend on delta and a random-phase
+    # design reads only its scheme, seed, draw and Mr: of the 8 SSCA rows of
+    # the paper-fig3 sweep 6 run, and its 10 random designs serve both points
+    stacked, drawn = [], []
+    stack, design_scheme = DesignObjective.stack.__func__, baselines.design_scheme
+
+    def counting_stack(cls, designs):
+        stacked.append(len(designs))
+        return stack(cls, designs)
+
+    def counting_design(*args, **kwargs):
+        drawn.append(args)
+        return design_scheme(*args, **kwargs)
+
+    monkeypatch.setattr(DesignObjective, "stack", classmethod(counting_stack))
+    monkeypatch.setattr(baselines, "design_scheme", counting_design)
+    spec = SweepSpec(param="error-std", values=(1e-6, 0.6), schemes=tuple(sorted(SCHEMES)),
+                     n_samples=20, seed=4, solver=SolverConfig(iterations=3, samples_per_iter=2))
+    rows = run_sweep(spec, preset_cfg, str(tmp_path))
+    assert len(rows) == 10 and stacked == [6] and len(drawn) == 10
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--schemes", "proposed"],
+    ["sweep", "--sweep", "error-std", "--values", "0.1", "--schemes", "proposed"]],
+    ids=["eval", "sweep"])
+def test_one_sample_is_rejected_before_any_output(tmp_path, capsys, command):
+    # one sample has no standard error: it once printed mc=2.0712 +/- 0.0000
+    out = tmp_path / "out"
+    assert main(command + ["--iters", "3", "--samples", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: n_samples must be >= 2")
+    assert not out.exists()
 
 
 def test_cli_solve_and_eval(tmp_path):

@@ -34,6 +34,7 @@ from irsopt.rate import (
     gk,
     interference_quadratic,
     phase_array,
+    same_value,
     sinr_denominator,
     upper_bound_rate_closed_form,
 )
@@ -352,6 +353,41 @@ def test_one_closed_form_scores_a_stack_row_by_row(seed, regime, rows):
     ub_rates = upper_bound_rate_closed_form(vs, stats, cfg)
     assert ub_rates == [upper_bound_rate_closed_form(v, stats, cfg) for v in vs]
     assert all(type(rate) is float for rate in ub_rates)
+
+
+def test_same_value_is_equality_bit_for_bit():
+    # the rule that merges equal solver rows and broadcasts equal stack fields
+    a = np.array([1.0, -0.0, np.nan])
+    assert same_value(a, a.copy()) and same_value(0.5, np.float64(0.5))
+    assert not same_value(a, np.array([1.0, 0.0, np.nan]))          # -0.0 is not 0.0
+    assert not same_value(np.zeros(2), np.zeros(2, dtype=complex))
+    assert not same_value(np.zeros(2), np.zeros((1, 2)))
+    assert not same_value(np.zeros(2), np.array([0.0, 1e-300]))
+
+
+def test_fig3_rows_stack_each_shared_field_once(preset_cfg):
+    # the 8 SSCA rows of the paper-fig3 sweep each bring their own arrays; a
+    # field equal in every row is broadcast, not copied, and every row of
+    # the stack scores as its own objective bit for bit
+    rows = []
+    for delta in (1e-6, 0.6):
+        cfg = preset_cfg.replace(delta1=delta, delta2=delta)
+        stats = build_statistics(cfg)
+        rows += [DesignObjective.from_scenario(stats, cfg, robust=robust,
+                                               include_interference=intf)
+                 for robust, intf in ((True, True), (True, False), (False, True),
+                                      (False, False))]
+    stacked = DesignObjective.stack(rows)
+    assert stacked.g_col.shape == (1, 64, 1)
+    assert stacked.g_row.shape == (1, 16, 1)
+    assert stacked.h_mean.shape == (1, 16)
+    assert stacked.denom_quad.shape == (8, 64, 2)
+    vs = np.stack([random_phase_vector(np.random.default_rng(i), 64).v for i in range(8)])
+    values, ascents = stacked.expected(vs)
+    for v, value, ascent, row in zip(vs, values, ascents, rows):
+        want_value, want_ascent = DesignObjective.stack([row]).expected(v[None])
+        assert value == want_value[0]
+        assert ascent.tobytes() == want_ascent[0].tobytes()
 
 
 def test_rates_keep_their_last_digits_at_low_sinr():
@@ -807,6 +843,14 @@ def test_points_of_one_shape_equal_their_own_evaluations(small_cfg):
             assert report.rate_samples.tobytes() == own.rate_samples.tobytes()
 
 
+def test_an_evaluation_needs_two_samples(small_cfg, small_stats):
+    # one sample has no standard error; it once read as 0, an exact rate
+    v = random_phase_vector(np.random.default_rng(3), small_stats.irs_size)
+    with pytest.raises(ValueError, match="n_samples must be >= 2, got 1"):
+        ergodic_rates_mc_points([([v], [mrt_policy(v)], small_stats, small_cfg)], 1, 9)
+    assert ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 2, 9).mc_stderr > 0
+
+
 def _los_aligned_design(stats) -> np.ndarray:
     """The unit-modulus design whose h_ru projection q is along the
     IRS->user LoS mean (conj(v) * a_rx = los_ru): the mean has no part
@@ -827,7 +871,7 @@ def _stack_scenarios(small_cfg):
     return [(stats, cfg, designs), (no_direct, cfg, designs)]
 
 
-@pytest.mark.parametrize("n", [1, 513, 1100])
+@pytest.mark.parametrize("n", [2, 513, 1100])
 @pytest.mark.parametrize("n_designs", [1, 3])
 def test_stacked_evaluation_equals_one_design_evaluations(small_cfg, n_designs, n):
     # n crosses the 512-sample chunk boundary; every design of a stack reads the

@@ -677,21 +677,117 @@ def test_run_heap_stays_under_a_mebibyte_at_mr_1024(preset_cfg):
     # the block draws are capped in bytes per stack, not in iterations, so a
     # large IRS or a tall stack takes short blocks: one design stays under
     # 1 MiB, and an 8-row stack, whose iterates alone hold 8 x 2 x 128 KiB,
-    # under 2 MiB
+    # under 2 MiB, whether each row has its own seed or pairs of rows share
+    # one seed's draws
     cfg = preset_cfg.replace(irs_grid=(32, 32))
     stats = irsopt.build_statistics(cfg)
     designs = [DesignObjective.from_scenario(stats, cfg, robust=robust, include_interference=intf)
                for robust, intf in MIXED_FLAGS * 2]
     peaks = []
     for solvers in ([SolverConfig(iterations=30, seed=3)],
-                    [SolverConfig(iterations=200, seed=seed) for seed in range(8)]):
+                    [SolverConfig(iterations=200, seed=seed) for seed in range(8)],
+                    [SolverConfig(iterations=200, seed=seed // 2) for seed in range(8)]):
         tracemalloc.start()
         try:
             run_stack(solvers, designs[:len(solvers)])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 2 ** 20 and peaks[1] <= 2 * 2 ** 20, peaks
+    assert peaks[0] <= 2 ** 20 and max(peaks[1:]) <= 2 * 2 ** 20, peaks
+
+
+def _counting_stacks(monkeypatch) -> list:
+    """Record the row count of every `DesignObjective.stack` call."""
+    rows, stack = [], DesignObjective.stack.__func__
+
+    def counting(cls, designs):
+        rows.append(len(designs))
+        return stack(cls, designs)
+
+    monkeypatch.setattr(DesignObjective, "stack", classmethod(counting))
+    return rows
+
+
+def _assert_same_result(got, want):
+    """Two results equal bit for bit, traces, probes and audits included."""
+    assert np.array_equal(got.v.v, want.v.v)
+    assert np.array_equal(got.state.v, want.state.v)
+    assert np.array_equal(got.state.c1, want.state.c1)
+    assert got.state.c0 == want.state.c0 and got.tau_reg == want.tau_reg
+    assert got.trace.t == want.trace.t
+    assert got.trace.c0 == want.trace.c0 and got.trace.gap == want.trace.gap
+    assert np.array_equal(got.trace.ub_rate, want.trace.ub_rate, equal_nan=True)
+    assert len(got.trace.audit) == len(want.trace.audit)
+    for mine, own in zip(got.trace.audit, want.trace.audit):
+        assert mine.keys() == own.keys()
+        assert all(np.array_equal(mine[key], own[key]) for key in mine)
+
+
+def test_duplicate_and_shared_seed_rows_equal_their_stacks_of_one(preset_cfg, monkeypatch):
+    # a row's result reads only its seed and objective: rows equal in both
+    # (by value, not by object) run once, rows of one seed share its draws,
+    # and a lone seed keeps its own; every row is still bit for bit its
+    # stack of one, with lists of its own
+    cfg = preset_cfg.replace(irs_grid=(4, 4), delta1=0.3, delta2=0.3)
+    stats = irsopt.build_statistics(cfg)
+    robust = DesignObjective.from_scenario(stats, cfg)
+
+    def objective(robust=True, intf=True):
+        return DesignObjective.from_scenario(stats, cfg, robust=robust, include_interference=intf)
+
+    rows = [(1, objective()), (1, objective()), (1, objective(intf=False)),
+            (2, objective(robust=False)), (2, objective()), (1, objective()),
+            (3, objective(robust=False, intf=False))]
+    solvers = [SolverConfig(iterations=12, samples_per_iter=3, seed=seed, probe_every=4)
+               for seed, _ in rows]
+    designs = [design for _, design in rows]
+    stacked = _counting_stacks(monkeypatch)
+    results = run_stack(solvers, designs, probe=robust, audit=True)
+    assert stacked == [5]
+    for solver, design, got in zip(solvers, designs, results):
+        _assert_same_result(got, run_stack([solver], [design], probe=robust, audit=True)[0])
+    for i, j in ((0, 1), (0, 5)):           # the merged rows own their arrays and lists
+        a, b = results[i], results[j]
+        assert not np.shares_memory(a.state.v, b.state.v)
+        assert not np.shares_memory(a.state.c1, b.state.c1)
+        assert all(x is not y for x, y in ((a.trace.c0, b.trace.c0), (a.trace.gap, b.trace.gap),
+                                           (a.trace.ub_rate, b.trace.ub_rate),
+                                           (a.trace.audit, b.trace.audit)))
+        assert all(x is not y for x, y in zip(a.trace.audit, b.trace.audit))
+
+
+@pytest.mark.parametrize("L", [1, 10])
+def test_a_stack_draws_mr_plus_m0_plus_one_values_per_iteration_and_seed(preset_cfg,
+                                                                         monkeypatch, L):
+    # four rows, two seeds: each seed's generators hand out 2 (Mr + M0 + 1)
+    # standard normals and one gamma value per iteration, whatever the
+    # number of rows that read them
+    cfg = preset_cfg.replace(irs_grid=(8, 8))
+    stats = irsopt.build_statistics(cfg)
+    designs = [DesignObjective.from_scenario(stats, cfg, robust=robust, include_interference=intf)
+               for robust, intf in MIXED_FLAGS]
+    generators = []
+
+    def capturing(blocks):
+        def wrapped(rngs, *args):
+            generators.append(rngs)
+            return blocks(rngs, *args)
+        return wrapped
+
+    monkeypatch.setattr(ssca, "crandn_blocks", capturing(ssca.crandn_blocks))
+    monkeypatch.setattr(ssca, "gamma_blocks", capturing(ssca.gamma_blocks))
+    iterations, seeds = 7, (4, 9)
+    run_stack([SolverConfig(iterations=iterations, samples_per_iter=L, seed=seed)
+               for seed in (4, 4, 9, 4)], designs)
+    normal_rngs, gamma_rngs = generators
+    assert len(normal_rngs) == len(gamma_rngs) == len(seeds)
+    mr, m0 = stats.irs_size, stats.bs_sizes[0]
+    for seed, g_rng, h_rng in zip(seeds, normal_rngs, gamma_rngs):
+        ref_g, ref_h = named_child(seed, "solver").spawn(2)
+        ref_g.standard_normal(iterations * 2 * (mr + m0 + 1))
+        ref_h.standard_gamma(m0 * (L - 1), iterations)
+        assert g_rng.bit_generator.state == ref_g.bit_generator.state
+        assert h_rng.bit_generator.state == ref_h.bit_generator.state
 
 
 def test_design_objective_holds_no_dense_interference_matrix(preset_cfg):
@@ -831,13 +927,13 @@ def test_run_draws_mr_plus_m0_plus_one_values_per_iteration(preset_cfg, monkeypa
     shapes, gammas = [], []
     blocks, gamma_blocks = ssca.crandn_blocks, ssca.gamma_blocks
 
-    def counting(rngs, block_shapes, steps, block):
-        for draws in blocks(rngs, block_shapes, steps, block):
+    def counting(rngs, block_shapes, steps, block, *args):
+        for draws in blocks(rngs, block_shapes, steps, block, *args):
             shapes.extend(draw.shape[1:] for draw in draws)
             yield draws
 
-    def counting_gammas(rngs, shape, steps, block):
-        for draw in gamma_blocks(rngs, shape, steps, block):
+    def counting_gammas(rngs, shape, steps, block, *args):
+        for draw in gamma_blocks(rngs, shape, steps, block, *args):
             gammas.append((shape, draw.shape[1:]))
             yield draw
 

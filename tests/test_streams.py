@@ -9,7 +9,7 @@ from irsopt.rate import PhaseShiftVector, ergodic_rate_mc, ergodic_rates_mc
 from irsopt.ssca import SolverConfig
 from irsopt.cli import SweepSpec
 from irsopt.streams import (check_count, check_seed, child_seed, crandn, crandn_blocks,
-                            named_child)
+                            gamma_blocks, named_child)
 
 
 @pytest.mark.parametrize("shape", [(), 7, (3, 5), (4, 16, 2), (0, 3)])
@@ -41,6 +41,25 @@ def test_crandn_blocks_equal_one_crandn_call_per_shape_and_step(steps, block):
                 assert draw[row].tobytes() == crandn(ref, shape, 1.0).tobytes()
     assert drawn == steps
     assert all(rng.standard_normal() == ref.standard_normal() for rng, ref in zip(rngs, refs))
+
+
+@pytest.mark.parametrize("steps, block", [(7, 3), (5, 5), (1, 4)])
+def test_block_rows_of_one_generator_share_its_draws(steps, block):
+    # rows 0, 2 and 3 read generator 0 and rows 1 and 4 generator 1: each
+    # generator draws once per step, and each row holds its generator's values
+    shapes, streams = [(3, 2), (5,)], [0, 1, 0, 0, 1]
+    rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+    refs = [np.random.default_rng(seed) for seed in (1, 2)]
+    for draws in crandn_blocks(rngs, shapes, steps, block, streams):
+        assert [d.shape for d in draws] == [(5, 3, 2), (5, 5)]
+        want = [[crandn(ref, shape, 1.0) for shape in shapes] for ref in refs]
+        for row, k in enumerate(streams):
+            assert all(d[row].tobytes() == w.tobytes() for d, w in zip(draws, want[k]))
+    assert all(rng.standard_normal() == ref.standard_normal() for rng, ref in zip(rngs, refs))
+    drawn = list(gamma_blocks(rngs, 2.5, steps, block, streams))
+    want = [[ref.standard_gamma(2.5) for ref in refs] for _ in range(steps)]
+    assert [r.tolist() for r in drawn] == [[w[k] for k in streams] for w in want]
+    assert all(rng.standard_gamma(2.5) == ref.standard_gamma(2.5) for rng, ref in zip(rngs, refs))
 
 
 def test_crandn_zero_variance_and_domain():
