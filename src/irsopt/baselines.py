@@ -31,11 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .beamforming import mrt_policy
 from .channel import ChannelStatistics
 from .config import ScenarioConfig
-from .rate import (BeamformingPolicy, DesignObjective, PhaseShiftVector, RateReport,
-                   ergodic_rates_mc_points)
+from .rate import DesignObjective, PhaseShiftVector, RateReport, ergodic_rates_mc_points
 from .ssca import SolverConfig, run_stack
 from .ssca import run as run_ssca
 from .streams import check_count, check_seed, named_child
@@ -90,9 +88,9 @@ def _objective(spec: SchemeSpec, stats: ChannelStatistics,
 
 
 def design_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfig,
-                  solver_cfg: SolverConfig, draw: int = 0
-                  ) -> tuple[PhaseShiftVector, BeamformingPolicy]:
-    """Produce the scheme's (phase shifts, beamforming policy) pair.
+                  solver_cfg: SolverConfig, draw: int = 0) -> PhaseShiftVector:
+    """The scheme's phase shifts; the evaluator pairs them with the
+    matched-filter beamformer.
 
     `draw` indexes independent designs for schemes that average over
     several phase draws; deterministic given (solver seed, scheme, draw).
@@ -103,7 +101,7 @@ def design_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfi
         v = PhaseShiftVector.from_phases(phases)
     else:
         v = run_ssca(solver_cfg, stats, cfg, design=_objective(spec, stats, cfg)).v
-    return v, mrt_policy(v)
+    return v
 
 
 def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
@@ -160,7 +158,7 @@ def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConf
             if spec.phase_source == PHASE_SOURCE_RANDOM:
                 key = (spec, solver_cfg.seed, stats.irs_size)
                 if key not in drawn:
-                    drawn[key] = [design_scheme(spec, stats, cfg, solver_cfg, draw)[0]
+                    drawn[key] = [design_scheme(spec, stats, cfg, solver_cfg, draw)
                                   for draw in range(spec.phase_draws)]
                 designed[p, i] = drawn[key]
     return [[designed[p, i] for i in range(len(specs))] for p in range(len(points))]
@@ -176,9 +174,8 @@ def evaluate_designs(designs: Sequence[Sequence[Sequence[PhaseShiftVector]]],
     designs of a point share one draw set, and the points of one shape
     (Mr, M0) the same draws, made once."""
     flat = [[v for per_scheme in point_designs for v in per_scheme] for point_designs in designs]
-    per_point = ergodic_rates_mc_points(
-        [(vs, [mrt_policy(v) for v in vs], stats, cfg) for vs, (stats, cfg) in zip(flat, points)],
-        n_samples, eval_rng)
+    per_point = ergodic_rates_mc_points([(vs, *point) for vs, point in zip(flat, points)],
+                                        n_samples, eval_rng)
     out = []
     for point_designs, reports in zip(designs, per_point):
         per_design = iter(reports)

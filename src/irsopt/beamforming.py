@@ -38,7 +38,7 @@ def mrt_equivalent_beamformer(v: PhaseLike, sample: CsiSample) -> Beamformer:
     """Matched filter on the estimated combined channel.
 
     Raises ValueError on an exactly zero combined channel (probability-zero
-    under the continuous models); batched policies substitute a fixed unit
+    under the continuous models); the batched policy substitutes a fixed unit
     vector instead, see `mrt_policy`.
     """
     varr = phase_array(v)
@@ -50,17 +50,19 @@ def mrt_equivalent_beamformer(v: PhaseLike, sample: CsiSample) -> Beamformer:
 
 
 def mrt_policy(v: PhaseLike) -> BeamformingPolicy:
-    """Batched matched-filter policy for the Monte Carlo evaluator.
+    """Batched matched-filter policy, the beamformer of
+    `rate.ergodic_rate_mc(v, mrt_policy(v), ...)`.
 
     Returns a callable mapping the estimated combined channels
     e_hat = g_hat^H v + h_hat (n, M0) to unit-norm rows e_hat / ||e_hat||
     (n, M0).  The matched filter needs only e_hat; the policy reads nothing
-    else, and v stays the argument so that a policy is still built per
-    design.  Zero combined channels (reachable when the estimate is exactly
-    zero, e.g. at delta = sigma without BS->IRS LoS) fall back to the first
-    standard basis vector.  The Monte Carlo evaluator reads this beam's
-    rate in closed form (`channel.CombinedChannels.matched_filter_signal`)
-    and calls the policy only on a probe, to check that it is this one.
+    else, and v stays the argument only for that call's signature.  Zero
+    combined channels (reachable when the estimate is exactly zero, e.g.
+    at delta = sigma without BS->IRS LoS) fall back to the first standard
+    basis vector.  The Monte Carlo evaluator reads this beam's rate in
+    closed form (`channel.CombinedChannels.matched_filter_signal`) and
+    calls the policy only on a probe, to check that it is this one; the
+    batched evaluators take no policy.
     """
     def policy(e_hat: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(e_hat, axis=1)

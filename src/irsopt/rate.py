@@ -20,12 +20,14 @@ sampling law (stated in `DesignObjective.sample`) and its closed-form mean
 and `sinr_denominator` evaluates `interference_quadratic`, whose (Mr, K)
 factor F the reports also read (K = n_bs - 1 columns, none without
 interferers).  `ergodic_rates_mc_points` evaluates stacks of designs at
-several points, drawing each chunk once per (Mr, M0) shape and reading
-each slot's matched-filter rate off per-slot Gram scalars
-(`channel.CombinedChannels`, whose `design_stack` checks each stack once);
-`ergodic_rates_mc` is its one-point view.  Every `RateReport` of
-per-sample rates, a multi-draw scheme's average included, is summarized
-by `RateReport.from_samples`.
+several points, each at its fixed beamformer, the matched filter,
+drawing each chunk once per (Mr, M0) shape and reading each slot's
+matched-filter rate off per-slot Gram scalars (`channel.CombinedChannels`,
+whose `design_stack` checks each stack once); `ergodic_rates_mc` is its
+one-point view, and `ergodic_rate_mc` its one-design view, which takes
+`beamforming.mrt_policy`'s policy and checks that it is the matched
+filter.  Every `RateReport` of per-sample rates, a multi-draw scheme's
+average included, is summarized by `RateReport.from_samples`.
 """
 from __future__ import annotations
 
@@ -507,28 +509,21 @@ def _log2_1p(x: float) -> float:
 BeamformingPolicy = Callable[[np.ndarray], np.ndarray]
 
 
-def _matched_filter_probe(m0: int) -> tuple[np.ndarray, np.ndarray]:
-    """A probe of two rows, a generic one and a zero one, and what the
-    matched filter of `beamforming.mrt_policy` maps it to: the first row
-    normalized and the first basis vector."""
+def _check_matched_filter(policy, m0: int) -> None:
+    """The evaluator reads the matched filter's rate in closed form, so the
+    one policy it takes is `beamforming.mrt_policy`'s: on a probe of two
+    rows (M0 entries), a generic one and a zero one, the policy must return
+    the first row normalized and the first basis vector within 1e-12, or a
+    ValueError says it is not the matched filter."""
     probe = np.zeros((2, m0), dtype=complex)
     probe[0] = np.arange(1, m0 + 1) * np.exp(1j * np.arange(m0))
     want = np.zeros_like(probe)
     want[0] = probe[0] / np.linalg.norm(probe[0])
     want[1, 0] = 1.0
-    return probe, want
-
-
-def _check_matched_filter(policy: BeamformingPolicy, design: int, probe: np.ndarray,
-                          want: np.ndarray) -> None:
-    """The evaluator reads the matched filter's rate in closed form, so it
-    takes the policies of `beamforming.mrt_policy` only: a policy must map
-    a copy of the probe (`_matched_filter_probe`) to `want` within 1e-12,
-    or a ValueError names its design."""
-    got = np.asarray(policy(probe.copy()))
+    got = np.asarray(policy(probe))
     if got.shape != want.shape or not np.abs(got - want).max() <= 1e-12:  # rejects NaN too
-        raise ValueError(f"design {design}'s policy is not the matched filter of "
-                         "mrt_policy, the only beamformer the evaluator reads")
+        raise ValueError("the policy is not the matched filter of mrt_policy, "
+                         "the only beamformer the evaluator reads")
 
 
 def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
@@ -536,26 +531,25 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     """Monte Carlo ergodic rates of a stack of designs at each of several
     points: one list of reports per point, one report per design, in order.
 
-    Each point is (vs, policies, stats, cfg): S unit-modulus phase-shift
-    designs (entries within 1e-9 of modulus 1, as `PhaseShiftVector`
-    requires; `channel.design_stack` names any other design in a
-    ValueError, once per point), the beamforming policy of each, which
-    must be `beamforming.mrt_policy`'s (a probe of each names any other
-    design), and the point's statistics and scenario.  A slot's rate reads
-    only the serving link's combined channels, the true
-    x = g_true^H v + h_true and the estimated e_hat = g_hat^H v + h_hat,
-    and at the matched filter only |x^H e_hat|^2 / ||e_hat||^2, which
-    `channel.CombinedChannels` reads off per-slot Gram scalars of
-    `PhysicalChannelSampler.slot_draws`, drawn from their exact law: at
-    most 11 complex normals and 4 gamma values and O(1) work per slot,
-    O(1) per design and slot and O(Mr * (1 + K) + M0) per design and
-    evaluation, reading the LoS factors; no (n, Mr) or (n, M0) array and no
-    dense LoS is built.  Each 512-sample chunk is drawn once
-    per (Mr, M0) shape and read by every design of every point of that
-    shape, since they all draw the same values from one seed: a point's
-    reports equal those of its own call, the designs of one point are
-    paired by construction, and the draw count grows with neither S nor Mr
-    nor M0 nor the number of points of one shape.  Each report's own law
+    Each point is (vs, stats, cfg): S unit-modulus phase-shift designs
+    (entries within 1e-9 of modulus 1, as `PhaseShiftVector` requires;
+    `channel.design_stack` names any other design in a ValueError, once
+    per point) and the point's statistics and scenario.  Every design is
+    read at the matched filter on its estimated combined channel
+    e_hat = g_hat^H v + h_hat, the paper's per-slot beamformer.  A slot's
+    rate reads only the serving link's combined channels, the true
+    x = g_true^H v + h_true and e_hat, and at the matched filter only
+    |x^H e_hat|^2 / ||e_hat||^2, which `channel.CombinedChannels` reads off
+    per-slot Gram scalars of `PhysicalChannelSampler.slot_draws`, drawn
+    from their exact law: at most 11 complex normals and 4 gamma values and
+    O(1) work per slot, O(1) per design and slot and O(Mr * (1 + K) + M0)
+    per design and evaluation, reading the LoS factors; no (n, Mr) or
+    (n, M0) array and no dense LoS is built.  Each 512-sample chunk is
+    drawn once per (Mr, M0) shape and read by every design of every point
+    of that shape, since they all draw the same values from one seed: a
+    point's reports equal those of its own call, the designs of one point
+    are paired by construction, and the draw count grows with neither S
+    nor Mr nor M0 nor the number of points of one shape.  Each report's own law
     is exact; the joint law across designs is not the physical one, which
     leaves paired differences unbiased and their standard errors valid.
     The signal term uses the true channel; the interference-plus-noise term
@@ -569,17 +563,8 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     """
     check_count(n_samples, "n_samples", 2)     # a standard error needs two samples
     laws, terms = [], []            # per point: (powers (S, K), denominators, upper bounds)
-    probes = {}                     # per M0: the matched-filter probe and its image
-    for vs, policies, stats, cfg in points:
-        if len(policies) != len(vs):
-            raise ValueError(f"{len(policies)} policies for {len(vs)} designs; "
-                             "give one policy per design")
+    for vs, stats, cfg in points:
         law = CombinedChannels(stats, [phase_array(v) for v in vs])
-        m0 = stats.bs_sizes[0]
-        if m0 not in probes:
-            probes[m0] = _matched_filter_probe(m0)
-        for i, policy in enumerate(policies):
-            _check_matched_filter(policy, i, *probes[m0])
         # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K), and the denominators (S,)
         factor, _ = interference_quadratic(stats, cfg)
         proj = law.designs.conj() @ factor
@@ -593,11 +578,11 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     signal_sums = [np.zeros(len(law.designs)) for law in laws]
 
     shapes: dict[tuple, list[int]] = {}         # points of one (Mr, M0)
-    for p, (_, _, stats, _) in enumerate(points):
+    for p, (_, stats, _) in enumerate(points):
         shapes.setdefault((stats.irs_size, stats.bs_sizes[0]), []).append(p)
     for group in shapes.values():
         # the draws read only the seed and the shape
-        sampler = PhysicalChannelSampler(points[group[0]][2], rng)
+        sampler = PhysicalChannelSampler(points[group[0]][1], rng)
         for start in range(0, n_samples, _MC_CHUNK):
             stop = min(start + _MC_CHUNK, n_samples)
             draws = sampler.slot_draws(stop - start)
@@ -605,14 +590,13 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
                 # the signal, then the rate, in place in the point's rows
                 block = laws[p].matched_filter_signal(draws, out=rates[p][:, start:stop])
                 signal_sums[p] += np.sum(block, axis=1)
-                block *= points[p][3].powers_watt[0]
+                block *= points[p][2].powers_watt[0]
                 block /= terms[p][1][:, None]
                 np.log1p(block, out=block)
                 block /= _LN2
 
     reports = []
-    for (_, _, _, cfg), rows, sums, (intf, _, ub_rates) in zip(points, rates, signal_sums,
-                                                               terms):
+    for (_, _, cfg), rows, sums, (intf, _, ub_rates) in zip(points, rates, signal_sums, terms):
         p0 = cfg.powers_watt[0]
         reports.append([
             RateReport.from_samples(row, ub_rate, p0 * signal_sum / n_samples, power,
@@ -621,19 +605,21 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     return reports
 
 
-def ergodic_rates_mc(vs: Sequence[PhaseLike], policies: Sequence[BeamformingPolicy],
-                     stats: ChannelStatistics, cfg: ScenarioConfig, n_samples: int,
-                     rng: int) -> list[RateReport]:
+def ergodic_rates_mc(vs: Sequence[PhaseLike], stats: ChannelStatistics, cfg: ScenarioConfig,
+                     n_samples: int, rng: int) -> list[RateReport]:
     """Monte Carlo ergodic rates of a stack of designs on one shared draw
-    set: `ergodic_rates_mc_points` at one point (vs, policies, stats, cfg),
-    one report per design, in order."""
-    return ergodic_rates_mc_points([(vs, policies, stats, cfg)], n_samples, rng)[0]
+    set, each at the matched-filter beamformer: `ergodic_rates_mc_points`
+    at one point (vs, stats, cfg), one report per design, in order."""
+    return ergodic_rates_mc_points([(vs, stats, cfg)], n_samples, rng)[0]
 
 
 def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,
                     cfg: ScenarioConfig, n_samples: int, rng: int) -> RateReport:
-    """Monte Carlo ergodic rate of one design: `ergodic_rates_mc` on a stack
-    of one.  It draws the same values as any stack that holds v under the
-    same seed and `n_samples`, so its report equals that design's row of a
-    stacked evaluation."""
-    return ergodic_rates_mc([v], [policy], stats, cfg, n_samples, rng)[0]
+    """Monte Carlo ergodic rate of one design at the beamformer `policy`,
+    which must be `beamforming.mrt_policy`'s matched filter (any other
+    raises a ValueError): `ergodic_rates_mc` on a stack of one.  It draws
+    the same values as any stack that holds v under the same seed and
+    `n_samples`, so its report equals that design's row of a stacked
+    evaluation."""
+    _check_matched_filter(policy, stats.bs_sizes[0])
+    return ergodic_rates_mc([v], stats, cfg, n_samples, rng)[0]

@@ -53,8 +53,8 @@ def test_nonrobust_equals_proposed_when_error_free(small_cfg):
     cfg = small_cfg.replace(delta1=0.0, delta2=0.0)
     stats = build_statistics(cfg)
     solver = SolverConfig(iterations=40, samples_per_iter=4, seed=77)
-    v_a, _ = design_scheme(scheme("proposed"), stats, cfg, solver)
-    v_b, _ = design_scheme(scheme("nonrobust-with-intf"), stats, cfg, solver)
+    v_a = design_scheme(scheme("proposed"), stats, cfg, solver)
+    v_b = design_scheme(scheme("nonrobust-with-intf"), stats, cfg, solver)
     np.testing.assert_array_equal(v_a.v, v_b.v)
 
 
@@ -76,17 +76,17 @@ def test_interference_flag_irrelevant_without_interferers(small_cfg):
     )
     stats = build_statistics(cfg)
     solver = SolverConfig(iterations=40, samples_per_iter=4, seed=13)
-    v_a, _ = design_scheme(scheme("proposed"), stats, cfg, solver)
-    v_b, _ = design_scheme(scheme("robust-no-intf"), stats, cfg, solver)
+    v_a = design_scheme(scheme("proposed"), stats, cfg, solver)
+    v_b = design_scheme(scheme("robust-no-intf"), stats, cfg, solver)
     np.testing.assert_array_equal(v_a.v, v_b.v)
 
 
 def test_random_phase_draws_differ_but_are_deterministic(small_cfg, small_stats):
     solver = SolverConfig(iterations=10, samples_per_iter=2, seed=5)
     spec = scheme("robust-with-intf")
-    v0, _ = design_scheme(spec, small_stats, small_cfg, solver, draw=0)
-    v1, _ = design_scheme(spec, small_stats, small_cfg, solver, draw=1)
-    v0_again, _ = design_scheme(spec, small_stats, small_cfg, solver, draw=0)
+    v0 = design_scheme(spec, small_stats, small_cfg, solver, draw=0)
+    v1 = design_scheme(spec, small_stats, small_cfg, solver, draw=1)
+    v0_again = design_scheme(spec, small_stats, small_cfg, solver, draw=0)
     assert not np.allclose(v0.v, v1.v)
     np.testing.assert_array_equal(v0.v, v0_again.v)
     assert np.max(np.abs(np.abs(v0.v) - 1.0)) < 1e-12
@@ -117,7 +117,7 @@ def test_evaluate_scheme_single_draw_equals_plain_evaluation(small_cfg, small_st
     spec = scheme("proposed")
     report = evaluate_scheme(spec, small_stats, small_cfg, solver, n_samples, 11,
                              return_samples=return_samples)
-    v, _ = design_scheme(spec, small_stats, small_cfg, solver)
+    v = design_scheme(spec, small_stats, small_cfg, solver)
     plain = ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, n_samples, 11)
     assert report.to_dict() == plain.to_dict()
     if return_samples:
@@ -133,8 +133,8 @@ def test_evaluate_scheme_multi_draw_interference_is_averaged(small_cfg, small_st
     report = evaluate_scheme(spec, small_stats, small_cfg, solver, 50, 11)
     per_draw = [[small_cfg.powers_watt[k] * gk(v, small_stats, k)
                  for k in range(1, small_stats.n_bs)]
-                for v, _ in (design_scheme(spec, small_stats, small_cfg, solver, draw=d)
-                             for d in range(spec.phase_draws))]
+                for v in (design_scheme(spec, small_stats, small_cfg, solver, draw=d)
+                          for d in range(spec.phase_draws))]
     assert len(report.interference_power) == small_stats.n_bs - 1
     np.testing.assert_allclose(report.interference_power, np.mean(per_draw, axis=0),
                                rtol=1e-12)

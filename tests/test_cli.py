@@ -165,7 +165,7 @@ def test_manifest_alone_rebuilds_a_scheme_design(tmp_path, preset_cfg):
                               manifest["sweep"]["param"], float(row["sweep_value"]))
     solver = SolverConfig(**manifest["solver"], seed=manifest["design_seeds"][row["scheme"]])
     stats = build_statistics(point)
-    v, _ = design_scheme(scheme(row["scheme"]), stats, point, solver)
+    v = design_scheme(scheme(row["scheme"]), stats, point, solver)
     assert repr(irsopt.upper_bound_rate_closed_form(v, stats, point)) == row["ub_rate"]
 
 
@@ -328,7 +328,7 @@ def test_design_and_eval_json_alone_rebuild_their_designs(tmp_path):
     stats = build_statistics(cfg)
     for name in names:
         solver = SolverConfig(**payload["solver"], seed=payload["design_seeds"][name])
-        v, _ = design_scheme(scheme(name), stats, cfg, solver)
+        v = design_scheme(scheme(name), stats, cfg, solver)
         assert irsopt.upper_bound_rate_closed_form(v, stats, cfg) == \
             payload["reports"][name]["ub_rate"]
 

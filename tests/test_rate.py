@@ -472,7 +472,7 @@ def test_report_powers_are_gk_and_sum_to_the_denominator(small_cfg):
     assert stats.tau[1] == 0.0 < stats.tau[2]
     rng = np.random.default_rng(8)
     vs = [phase_array(random_phase_vector(rng, stats.irs_size)) for _ in range(2)]
-    reports = irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, 50, 3)
+    reports = irsopt.ergodic_rates_mc(vs, stats, cfg, 50, 3)
     for v, report in zip(vs, reports):
         closed = [cfg.powers_watt[k] * gk(v, stats, k) for k in range(1, stats.n_bs)]
         np.testing.assert_allclose(report.interference_power, closed, rtol=1e-12, atol=0)
@@ -642,30 +642,35 @@ def test_evaluator_never_builds_full_physical_batch(small_cfg, small_stats, monk
 
 def _bad_input_cases(stats):
     v = PhaseShiftVector.ones(stats.irs_size)
-    policy = mrt_policy(v)
     return {
-        "no designs": (([], []), {}, "no designs"),
-        "short design": (([v, np.ones(1)], [policy, policy]), {}, "design 1 has 1 phase"),
-        "long design": (([np.ones(stats.irs_size + 1)], [policy]), {}, "design 0 has"),
-        "policy count": (([v, v], [policy]), {}, "1 policies for 2 designs"),
-        "no samples": (([v], [policy]), {"n_samples": 0}, "n_samples"),
-        "nan design": (([v, np.full(stats.irs_size, math.nan)], [policy, policy]), {},
-                       "design 1 has non-finite"),
-        "relaxed design": (([v, 0.5 * v.v], [policy, policy]), {},
-                           "design 1 is not unit-modulus"),
-        "foreign policy": (([v, v], [policy, lambda e_hat: np.conj(policy(e_hat))]), {},
-                           "design 1's policy is not the matched filter"),
+        "no designs": ([], {}, "no designs"),
+        "short design": ([v, np.ones(1)], {}, "design 1 has 1 phase"),
+        "long design": ([np.ones(stats.irs_size + 1)], {}, "design 0 has"),
+        "no samples": ([v], {"n_samples": 0}, "n_samples"),
+        "nan design": ([v, np.full(stats.irs_size, math.nan)], {}, "design 1 has non-finite"),
+        "relaxed design": ([v, 0.5 * v.v], {}, "design 1 is not unit-modulus"),
     }
 
 
 @pytest.mark.parametrize("case", ["no designs", "short design", "long design",
-                                  "policy count", "no samples", "nan design",
-                                  "relaxed design", "foreign policy"])
+                                  "no samples", "nan design", "relaxed design"])
 def test_batched_evaluator_rejects_bad_input(small_cfg, small_stats, case):
-    (vs, policies), overrides, message = _bad_input_cases(small_stats)[case]
+    vs, overrides, message = _bad_input_cases(small_stats)[case]
     kwargs = {"n_samples": 8, "rng": 1, **overrides}
     with pytest.raises(ValueError, match=message):
-        irsopt.ergodic_rates_mc(vs, policies, small_stats, small_cfg, **kwargs)
+        irsopt.ergodic_rates_mc(vs, small_stats, small_cfg, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["foreign policy", "wrong shape"])
+def test_one_design_evaluator_takes_the_matched_filter_only(small_cfg, small_stats, case):
+    # the evaluator reads the matched filter's rate in closed form, so any
+    # other beamformer would be reported at a rate it does not reach
+    v = PhaseShiftVector.ones(small_stats.irs_size)
+    policy = mrt_policy(v)
+    foreign = {"foreign policy": lambda e_hat: np.conj(policy(e_hat)),
+               "wrong shape": lambda e_hat: policy(e_hat)[None]}[case]
+    with pytest.raises(ValueError, match="the policy is not the matched filter"):
+        ergodic_rate_mc(v, foreign, small_stats, small_cfg, 8, 1)
 
 
 def test_combined_channels_reject_unstacked_or_wrong_length_designs(small_stats):
@@ -729,7 +734,7 @@ def test_gram_route_equals_the_explicit_combined_channels(preset_cfg, case):
     vs = [random_phase_vector(rng, stats.irs_size).v for _ in range(2)]
     vs.append(_los_aligned_design(stats))
     n = _MC_CHUNK + 88
-    reports = irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, n, 31)
+    reports = irsopt.ergodic_rates_mc(vs, stats, cfg, n, 31)
     want = _oracle_rates(vs, stats, cfg, n, 31)
     for report, row in zip(reports, want):
         np.testing.assert_allclose(report.rate_samples, row, rtol=1e-9, atol=0.0)
@@ -834,7 +839,7 @@ def test_points_of_one_shape_equal_their_own_evaluations(small_cfg):
     for cfg in cfgs:
         stats = build_statistics(cfg)
         vs = [random_phase_vector(rng, stats.irs_size) for _ in range(3)]
-        points.append((vs, [mrt_policy(v) for v in vs], stats, cfg))
+        points.append((vs, stats, cfg))
     together = ergodic_rates_mc_points(points, 700, 9)
     for point, reports in zip(points, together):
         alone = irsopt.ergodic_rates_mc(*point, 700, 9)
@@ -847,7 +852,7 @@ def test_an_evaluation_needs_two_samples(small_cfg, small_stats):
     # one sample has no standard error; it once read as 0, an exact rate
     v = random_phase_vector(np.random.default_rng(3), small_stats.irs_size)
     with pytest.raises(ValueError, match="n_samples must be >= 2, got 1"):
-        ergodic_rates_mc_points([([v], [mrt_policy(v)], small_stats, small_cfg)], 1, 9)
+        ergodic_rates_mc_points([([v], small_stats, small_cfg)], 1, 9)
     assert ergodic_rate_mc(v, mrt_policy(v), small_stats, small_cfg, 2, 9).mc_stderr > 0
 
 
@@ -879,8 +884,7 @@ def test_stacked_evaluation_equals_one_design_evaluations(small_cfg, n_designs, 
     # error parts), which no design writes
     for stats, cfg, designs in _stack_scenarios(small_cfg):
         stack = designs[-n_designs:]
-        stacked = irsopt.ergodic_rates_mc(stack, [mrt_policy(v) for v in stack],
-                                          stats, cfg, n, 71)
+        stacked = irsopt.ergodic_rates_mc(stack, stats, cfg, n, 71)
         assert len(stacked) == len(stack)
         for v, report in zip(stack, stacked):
             single = ergodic_rate_mc(v, mrt_policy(v), stats, cfg, n, 71)
@@ -924,7 +928,7 @@ def test_stacked_designs_draw_one_set_of_gaussians(small_cfg, monkeypatch, n_des
         stats = build_statistics(cfg)
         vs = [random_phase_vector(rng, stats.irs_size) for _ in range(n_designs)]
         counts.update(normal=0, gamma=0)
-        irsopt.ergodic_rates_mc(vs, [mrt_policy(v) for v in vs], stats, cfg, n, 9)
+        irsopt.ergodic_rates_mc(vs, stats, cfg, n, 9)
         assert stats.bs_sizes[0] >= 2
         assert counts == {"normal": 2 * n * 11, "gamma": 4 * n}, irs_grid
 
@@ -1000,10 +1004,9 @@ def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
     vs = [random_phase_vector(rng, stats.irs_size) for _ in range(14)]
     peaks = {}
     for count in (1, 14):
-        policies = [mrt_policy(v) for v in vs[:count]]
         tracemalloc.start()
         try:
-            irsopt.ergodic_rates_mc(vs[:count], policies, stats, cfg, 512, 4)
+            irsopt.ergodic_rates_mc(vs[:count], stats, cfg, 512, 4)
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -152,7 +152,7 @@ def _evaluate_count(n, stats, cfg):
 
 def _rates_count(n, stats, cfg):
     v = PhaseShiftVector.ones(stats.irs_size)
-    return ergodic_rates_mc([v], [mrt_policy(v)], stats, cfg, n, 1)
+    return ergodic_rates_mc([v], stats, cfg, n, 1)
 
 
 COUNTS = {
