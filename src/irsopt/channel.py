@@ -328,17 +328,15 @@ class PhysicalBatch:
 
 def design_stack(vs, irs_size: int) -> np.ndarray:
     """The phase-shift designs vs, a (S, Mr) array or a sequence of S
-    vectors, as one complex (S, Mr) stack.  Every design must be a vector of
-    Mr finite entries within DESIGN_MODULUS_TOL of modulus 1, since the
-    evaluator's draws are exact for unit-modulus designs only; ValueError
-    names the first that is not, and an empty stack raises too."""
-    rows = [np.asarray(v, dtype=complex) for v in vs]
+    designs (`PhaseShiftVector`s or arrays, each read flattened), as one
+    complex (S, Mr) stack.  Every design must have Mr finite entries within
+    DESIGN_MODULUS_TOL of modulus 1, since the evaluator's draws are exact
+    for unit-modulus designs only; ValueError names the first that does
+    not, and an empty stack raises too."""
+    rows = [np.asarray(getattr(v, "v", v), dtype=complex).reshape(-1) for v in vs]
     if not rows:
         raise ValueError("no designs to evaluate")
     for i, v in enumerate(rows):
-        if v.ndim != 1:
-            raise ValueError(f"design {i} has shape {v.shape}; designs must be "
-                             f"stacked as (S, {irs_size})")
         if v.shape[0] != irs_size:
             raise ValueError(f"design {i} has {v.shape[0]} phase shifts, "
                              f"the IRS has Mr = {irs_size} elements")

@@ -16,18 +16,20 @@ sampling law (stated in `DesignObjective.sample`) and its closed-form mean
 (`expected`, for one design or a stack).  `gamma_ub` and
 `gamma_ub_gradient` score one draw as its zero-variance law
 (`DesignObjective.ratio`), whose `expected` pair is the draw's
-(||e||^2, g_hat e); `upper_bound_rate_closed_form` is log2(1 + `expected`),
-and `sinr_denominator` evaluates `interference_quadratic`, whose (Mr, K)
-factor F the reports also read (K = n_bs - 1 columns, none without
-interferers).  `ergodic_rates_mc_points` evaluates stacks of designs at
-several points, each at its fixed beamformer, the matched filter,
-drawing each chunk once per (Mr, M0) shape and reading each slot's
-matched-filter rate off per-slot Gram scalars (`channel.CombinedChannels`,
-whose `design_stack` checks each stack once); `ergodic_rates_mc` is its
-one-point view, and `ergodic_rate_mc` its one-design view, which takes
-`beamforming.mrt_policy`'s policy and checks that it is the matched
-filter.  Every `RateReport` of per-sample rates, a multi-draw scheme's
-average included, is summarized by `RateReport.from_samples`.
+(||e||^2, g_hat e); `upper_bound_rate_closed_form` is log2(1 + `expected`)
+of one design, and `sinr_denominator` evaluates `interference_quadratic`,
+whose (Mr, K) factor F (K = n_bs - 1 columns, none without interferers)
+is the objective's `denom_quad`.  `ergodic_rates_mc_points` evaluates
+stacks of designs at several points, each at its fixed beamformer, the
+matched filter, on each point's robust objective (F and the upper
+bounds), drawing each chunk once per (Mr, M0) shape and reading each
+slot's matched-filter rate off per-slot Gram scalars
+(`channel.CombinedChannels`, whose `design_stack` checks each stack
+once); `ergodic_rates_mc` is its one-point view, and `ergodic_rate_mc`
+its one-design view, which takes `beamforming.mrt_policy`'s policy and
+checks that it is the matched filter.  Every `RateReport` of per-sample
+rates, a multi-draw scheme's average included, is summarized by
+`RateReport.from_samples`.
 """
 from __future__ import annotations
 
@@ -58,6 +60,8 @@ class PhaseShiftVector:
         arr = np.array(self.v, dtype=complex, copy=True).reshape(-1)
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
+        if arr.size == 0:
+            raise ValueError("a phase-shift design needs at least one entry, got none")
         if not (np.max(np.abs(np.abs(arr) - 1.0)) <= DESIGN_MODULUS_TOL):  # rejects NaN too
             raise ValueError("phase-shift entries must have unit modulus")
 
@@ -305,14 +309,9 @@ class DesignObjective:
     def stack(cls, designs: Sequence["DesignObjective"]) -> "DesignObjective":
         """S designs as one objective, every field with a leading row axis
         (broadcast, not copied, where every row holds the same value,
-        `same_value`); F (S, Mr, K) needs the same K in every design.  G's
-        factors get zero columns up to the largest R, which leave
-        G = g b^H as it is."""
+        `same_value`); F (S, Mr, K) needs the same K, and G's factors
+        (S, Mr, R) and (S, M0, R) the same R, in every design."""
         values = {f.name: [getattr(d, f.name) for d in designs] for f in fields(cls)}
-        rank = max(g.shape[-1] for g in values["g_col"])
-        for name in ("g_col", "g_row"):
-            values[name] = [np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, rank - a.shape[-1])])
-                            if a.shape[-1] < rank else a for a in values[name]]
         return cls(**{name: np.asarray(column[0])[None]
                       if all(same_value(a, column[0]) for a in column[1:])
                       else np.stack(column) for name, column in values.items()})
@@ -483,17 +482,18 @@ def gamma_ub_gradient(v: PhaseLike, sample: CsiSample, stats: ChannelStatistics,
     return DesignObjective.from_scenario(stats, cfg).ratio(sample).grad(v)
 
 
-def upper_bound_rate_closed_form(v: Union[PhaseLike, np.ndarray], stats: ChannelStatistics,
-                                 cfg: ScenarioConfig) -> Union[float, list[float]]:
-    """log2(1 + E gamma(v)) with the closed-form mean of the robust design
-    objective (`DesignObjective.expected`): a float for one design (Mr,),
-    one per row for a stack (S, Mr), each equal to its row's own call.
-    The mean is exact for any v, relaxed ones included: its numerator is
+def upper_bound_rate_closed_form(v: PhaseLike, stats: ChannelStatistics,
+                                 cfg: ScenarioConfig) -> float:
+    """log2(1 + E gamma(v)) for one design v of Mr entries, read flattened
+    (ValueError for any other length), with the closed-form mean of the
+    robust design objective (`DesignObjective.expected`).  The mean is
+    exact for any v, relaxed ones included: its numerator is
     p0 * (||glos_0^H v||^2 + M0*(sigma_g^2 ||v||^2 + sigma_h^2)
     + delta2^2 + Mr*delta1^2)."""
-    varr = v.v if isinstance(v, PhaseShiftVector) else np.asarray(v, dtype=complex)
-    value, _ = DesignObjective.from_scenario(stats, cfg).expected(varr)
-    return _log2_1p(value) if varr.ndim == 1 else [_log2_1p(x) for x in value]
+    varr, mr = phase_array(v), stats.irs_size
+    if len(varr) != mr:
+        raise ValueError(f"design has {len(varr)} phase shifts, the IRS has Mr = {mr} elements")
+    return _log2_1p(DesignObjective.from_scenario(stats, cfg).expected(varr)[0])
 
 
 def _log2_1p(x: float) -> float:
@@ -532,7 +532,7 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     points: one list of reports per point, one report per design, in order.
 
     Each point is (vs, stats, cfg): S unit-modulus phase-shift designs
-    (entries within 1e-9 of modulus 1, as `PhaseShiftVector` requires;
+    (`PhaseShiftVector`s or arrays of Mr entries within 1e-9 of modulus 1;
     `channel.design_stack` names any other design in a ValueError, once
     per point) and the point's statistics and scenario.  Every design is
     read at the matched filter on its estimated combined channel
@@ -555,25 +555,28 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     The signal term uses the true channel; the interference-plus-noise term
     uses its exact expectation, per the worst-case-noise reading of the
     rate: sigma^2 plus the report's powers p_k * gk(v), read off one
-    projection F^H v of each design with the (Mr, K) factor F of
-    `interference_quadratic`.  Each point keeps one (S, n_samples) array
-    of per-sample rates, whose rows are its reports' `rate_samples`,
-    summarized by `RateReport.from_samples`; each chunk's signal is written
-    into it and turned into rates in place.
+    projection F^H v of each design.  Each point builds its robust
+    `DesignObjective.from_scenario` once: the (Mr, K) factor F is its
+    `denom_quad`, and each report's `ub_rate` is log2(1 + `expected`) of
+    that objective on the whole stack, the value
+    `upper_bound_rate_closed_form` gives the design alone.  Each point
+    keeps one (S, n_samples) array of per-sample rates, whose rows are its
+    reports' `rate_samples`, summarized by `RateReport.from_samples`; each
+    chunk's signal is written into it and turned into rates in place.
     """
     check_count(n_samples, "n_samples", 2)     # a standard error needs two samples
     laws, terms = [], []            # per point: (powers (S, K), denominators, upper bounds)
     for vs, stats, cfg in points:
-        law = CombinedChannels(stats, [phase_array(v) for v in vs])
+        law = CombinedChannels(stats, vs)
+        robust = DesignObjective.from_scenario(stats, cfg)
         # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K), and the denominators (S,)
-        factor, _ = interference_quadratic(stats, cfg)
-        proj = law.designs.conj() @ factor
+        proj = law.designs.conj() @ robust.denom_quad
         floors = [cfg.powers_watt[k] * _interferer_floor(stats, k) for k in range(1, stats.n_bs)]
         intf = proj.real ** 2 + proj.imag ** 2 + floors
         laws.append(law)
         # the upper bounds come first: no chunk's draws are alive beside them
         terms.append((intf, cfg.noise_watt + np.sum(intf, axis=1),
-                       upper_bound_rate_closed_form(law.designs, stats, cfg)))
+                      [_log2_1p(x) for x in robust.expected(law.designs)[0]]))
     rates = [np.empty((len(law.designs), n_samples)) for law in laws]
     signal_sums = [np.zeros(len(law.designs)) for law in laws]
 

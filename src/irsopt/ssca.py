@@ -227,10 +227,8 @@ def run(solver_cfg: SolverConfig, stats: ChannelStatistics, cfg: ScenarioConfig,
     """Run the full stochastic solver for the deployable design: a stack of
     one, running `design` (None: the robust design) and probing the robust
     upper-bound rate every `probe_every` iterations."""
-    robust = (DesignObjective.from_scenario(stats, cfg)
-              if design is None or solver_cfg.probe_every else None)
-    return run_stack([solver_cfg], [robust if design is None else design],
-                     probe=robust, audit=audit)[0]
+    robust = DesignObjective.from_scenario(stats, cfg)
+    return run_stack([solver_cfg], [design or robust], probe=robust, audit=audit)[0]
 
 
 def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjective],
@@ -289,7 +287,7 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
 
     # one draw stream per seed, read by every row of that seed
     g_rngs, h_rngs = zip(*(named_child(seed, "solver").spawn(2) for seed in seeds))
-    streams = None if len(seeds) == rows else [seeds.index(solver_cfgs[f].seed) for f in firsts]
+    streams = [seeds.index(solver_cfgs[f].seed) for f in firsts]
     # per row and iteration: 2 normals and 1 complex a Gaussian value, and 1 gamma
     block = max(1, BLOCK_BYTES // (rows * (32 * (m0 + mr + 1) + 8)))
     draws = zip(crandn_blocks(g_rngs, [(m0,), (mr,), ()], steps, block, streams),  # s, w, nu

@@ -17,7 +17,7 @@ import hashlib
 import math
 import numbers
 import operator
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,22 +91,20 @@ def crandn(rng: np.random.Generator, shape, var: float) -> np.ndarray:
 
 
 def crandn_blocks(rngs: Sequence[np.random.Generator], shapes: Sequence[tuple],
-                  steps: int, block: int,
-                  streams: Optional[Sequence[int]] = None) -> Iterator[tuple]:
+                  steps: int, block: int, streams: Sequence[int]) -> Iterator[tuple]:
     """Per step, one CN(0, 1) array (S, *shape) per shape, row i equal to
-    ``crandn(rngs[streams[i]], shape, 1.0)`` called once per shape and step
-    (``rngs[i]`` without `streams`), but drawn `block` steps at a time in
-    one ``standard_normal`` call per generator.  Rows that read one
-    generator hold its values, drawn once and copied once per block.  The
-    arrays are views that the next block overwrites."""
-    rows = range(len(rngs)) if streams is None else streams
+    ``crandn(rngs[streams[i]], shape, 1.0)`` called once per shape and step,
+    but drawn `block` steps at a time in one ``standard_normal`` call per
+    generator.  Rows that read one generator hold its values, drawn once
+    and copied once per block.  The arrays are views that the next block
+    overwrites."""
     sizes = [math.prod(shape) for shape in shapes]
-    normals = np.empty((len(rows), max(1, min(block, steps)), 2 * sum(sizes)))
+    normals = np.empty((len(streams), max(1, min(block, steps)), 2 * sum(sizes)))
     values = np.empty(normals.shape[:2] + (sum(sizes),), dtype=complex)
     for start in range(0, steps, normals.shape[1]):
         draws, out = normals[:, :steps - start], values[:, :steps - start]
         drawn = {}                                  # generator -> the row that holds its draw
-        for k, own in zip(rows, draws):
+        for k, own in zip(streams, draws):
             if k in drawn:
                 own[...] = drawn[k]
             else:
@@ -122,12 +120,12 @@ def crandn_blocks(rngs: Sequence[np.random.Generator], shapes: Sequence[tuple],
 
 
 def gamma_blocks(rngs: Sequence[np.random.Generator], shape: float, steps: int,
-                 block: int, streams: Optional[Sequence[int]] = None) -> Iterator[np.ndarray]:
+                 block: int, streams: Sequence[int]) -> Iterator[np.ndarray]:
     """Per step, one Gamma(shape, 1) value per row (S,), row i equal to one
-    ``rngs[streams[i]].standard_gamma(shape)`` call per step (``rngs[i]``
-    without `streams`), but drawn `block` steps at a time, once per
-    generator, and spread to its rows once per block."""
+    ``rngs[streams[i]].standard_gamma(shape)`` call per step, but drawn
+    `block` steps at a time, once per generator, and spread to its rows
+    once per block."""
     for start in range(0, steps, block):
         draws = np.stack([rng.standard_gamma(shape, min(block, steps - start))
                           for rng in rngs], axis=-1)
-        yield from (draws if streams is None else draws[:, streams])
+        yield from draws[:, streams]

@@ -330,9 +330,9 @@ def test_upper_bound_at_relaxed_v_is_the_exact_expectation(small_cfg):
 @given(seed=st.integers(0, 2 ** 32 - 1), regime=st.sampled_from((None,) + EDGE_REGIMES),
        rows=st.integers(1, 4))
 def test_one_closed_form_scores_a_stack_row_by_row(seed, regime, rows):
-    # expected and the upper-bound rate score a stack (S, Mr) of designs in
-    # one call, on one objective or on a stack of objectives; each row must
-    # be bit for bit its own single-design call
+    # expected scores a stack (S, Mr) of designs in one call, on one
+    # objective or on a stack of objectives; each row must be bit for bit
+    # its own single-design call
     rng = np.random.default_rng(seed)
     cfg = (random_scenario(rng) if regime is None
            else edge_scenario(irsopt.load_scenario("paper-fig3"), regime))
@@ -350,9 +350,26 @@ def test_one_closed_form_scores_a_stack_row_by_row(seed, regime, rows):
             want_value, want_ascent = design.expected(v)
             assert value == want_value
             np.testing.assert_array_equal(ascent, want_ascent)
-    ub_rates = upper_bound_rate_closed_form(vs, stats, cfg)
-    assert ub_rates == [upper_bound_rate_closed_form(v, stats, cfg) for v in vs]
-    assert all(type(rate) is float for rate in ub_rates)
+
+
+def test_a_stack_of_objectives_holds_one_rank_of_g(preset_stats, preset_cfg):
+    # G's factors are stacked as they are: a rank-one scenario row and a
+    # rank-M0 dense row do not stack, and the dense row stacks with its kind
+    row = DesignObjective.from_scenario(preset_stats, preset_cfg)
+    dense = dataclasses.replace(row, g_mean=row.g_mean)
+    assert row.g_col.shape[-1] == 1 < dense.g_col.shape[-1] == preset_stats.bs_sizes[0]
+    with pytest.raises(ValueError):
+        DesignObjective.stack([row, dense])
+    assert DesignObjective.stack([dense, dense]).g_col.shape == (1,) + dense.g_col.shape
+
+
+def test_upper_bound_rejects_a_design_of_the_wrong_length(preset_stats, preset_cfg):
+    # a short design, and a stack of two, which is read flattened
+    mr = preset_stats.irs_size
+    for v, n in ((np.ones(mr - 1), mr - 1), (np.ones((2, mr)), 2 * mr)):
+        message = f"design has {n} phase shifts, the IRS has Mr = {mr} elements"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            upper_bound_rate_closed_form(v, preset_stats, preset_cfg)
 
 
 def test_same_value_is_equality_bit_for_bit():
@@ -680,8 +697,7 @@ def test_combined_channels_reject_unstacked_or_wrong_length_designs(small_stats)
     relaxed[1, 0] = 1.0 + 1e-6
     non_finite = np.ones((2, mr), dtype=complex)
     non_finite[1, 2] = math.nan
-    cases = ((np.ones(mr), f"design 0 has shape (); designs must be stacked as (S, {mr})"),
-             (np.ones((2, mr, 1)), f"design 0 has shape ({mr}, 1)"),
+    cases = ((np.ones(mr), f"design 0 has 1 phase shifts, the IRS has Mr = {mr} elements"),
              (np.ones((2, mr + 1)), f"design 0 has {mr + 1} phase shifts"),
              (relaxed, "design 1 is not unit-modulus"),
              (non_finite, "design 1 has non-finite"),
@@ -689,6 +705,16 @@ def test_combined_channels_reject_unstacked_or_wrong_length_designs(small_stats)
     for vs, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             CombinedChannels(small_stats, vs)
+
+
+def test_combined_channels_read_a_phase_vector_and_its_array_alike(small_stats):
+    # the evaluator's one design check unwraps a PhaseShiftVector and reads
+    # every design flattened
+    psv = random_phase_vector(np.random.default_rng(5), small_stats.irs_size)
+    law = CombinedChannels(small_stats, [psv, psv.v, psv.v[:, None]])
+    np.testing.assert_array_equal(law.designs, np.stack([psv.v] * 3))
+    signal = law.matched_filter_signal(PhysicalChannelSampler(small_stats, 3).slot_draws(16))
+    assert signal[0].tobytes() == signal[1].tobytes() == signal[2].tobytes()
 
 
 def _oracle_rates(vs, stats, cfg, n: int, seed: int) -> np.ndarray:
@@ -1232,6 +1258,8 @@ def test_phase_vector_forms():
     for entry in (0.5 + 0.0j, 1.2 + 0.0j):
         with pytest.raises(ValueError, match="unit modulus"):
             PhaseShiftVector(np.array([entry]))
+    with pytest.raises(ValueError, match="needs at least one entry"):
+        PhaseShiftVector([])
     with pytest.raises(TypeError):
         PhaseShiftVector(np.array([1.0 + 0.0j]), form="relaxed")
     ones = PhaseShiftVector.ones(4)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -579,7 +580,8 @@ def _assert_rows_close(got, want):
 def test_steps_match_their_term_by_term_formulas(preset_cfg, regime):
     # a stack of robust and non-robust rows with and without F, a v = 0
     # row and a zero-variance row (one CSI draw, c = 0), on the same draws
-    # as the reference; every row alone (1-D) too
+    # as the reference; every row alone (1-D) too, the scenario rows on
+    # their rank-one factors of G
     cfg = edge_scenario(preset_cfg, regime)
     stats = irsopt.build_statistics(cfg)
     rows = [DesignObjective.from_scenario(stats, cfg, robust=robust, include_interference=intf)
@@ -587,7 +589,10 @@ def test_steps_match_their_term_by_term_formulas(preset_cfg, regime):
     streams = named_children(71, ["design/g", "design/h"])
     g_hat, h_hat = full_matrix_sample(rows[0], streams, 1)
     rows.append(rows[0].ratio(CsiSample(g_hat=g_hat[0], h_hat=h_hat[0])))
-    design = DesignObjective.stack(rows)
+    # one stack holds one rank R of G's factors: the scenario rows enter it
+    # as their dense G (R = M0), the rank of the one-draw row
+    design = DesignObjective.stack([replace(row, g_mean=row.g_mean) for row in rows[:-1]]
+                                   + rows[-1:])
     assert design.g_var[-1] == design.h_var[-1] == 0.0
     rng = np.random.default_rng(73)
     v = np.stack([random_relaxed(rng, stats.irs_size) for _ in rows])

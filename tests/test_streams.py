@@ -28,12 +28,12 @@ def test_crandn_bits_match_reference_formula(shape, var):
 @pytest.mark.parametrize("steps, block", [(7, 3), (7, 1), (7, 7), (7, 50), (1, 4), (5, 0)])
 def test_crandn_blocks_equal_one_crandn_call_per_shape_and_step(steps, block):
     # the solver's block draws: the streams do not depend on the block size,
-    # and a block past the last step draws nothing
+    # and a block past the last step draws nothing; row i reads generator i
     shapes = [(3, 2), (5,)]
     rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
     refs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
     drawn = 0
-    for draws in crandn_blocks(rngs, shapes, steps, block):
+    for draws in crandn_blocks(rngs, shapes, steps, block, [0, 1, 2]):
         drawn += 1
         assert [d.shape for d in draws] == [(3, 3, 2), (3, 5)]
         for row, ref in enumerate(refs):
