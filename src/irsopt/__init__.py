@@ -9,7 +9,6 @@ from .baselines import (
     SchemeSpec,
     design_scheme,
     evaluate_scheme,
-    evaluate_schemes,
     scheme,
 )
 from .beamforming import Beamformer, mrt_equivalent_beamformer, mrt_policy
@@ -18,7 +17,6 @@ from .channel import (
     CsiSample,
     build_statistics,
     compute_path_loss,
-    los_matrix,
     rician_combination_factor,
     sample_estimated_csi,
     steering_vector,
@@ -30,19 +28,16 @@ from .config import (
     load_scenario,
     save_scenario,
     user_position_on_bisector,
-    watt_to_dbm,
 )
 from .rate import (
     DesignObjective,
     PhaseShiftVector,
     RateReport,
     ergodic_rate_mc,
-    ergodic_rates_mc,
     g0,
     gamma_ub,
     gamma_ub_gradient,
     gk,
-    sinr_denominator,
     upper_bound_rate_closed_form,
 )
 from .ssca import (
@@ -73,15 +68,12 @@ __all__ = [
     "dbm_to_watt",
     "design_scheme",
     "ergodic_rate_mc",
-    "ergodic_rates_mc",
     "evaluate_scheme",
-    "evaluate_schemes",
     "g0",
     "gamma_ub",
     "gamma_ub_gradient",
     "gk",
     "load_scenario",
-    "los_matrix",
     "mrt_equivalent_beamformer",
     "mrt_policy",
     "project_unit_modulus",
@@ -90,12 +82,10 @@ __all__ = [
     "sample_estimated_csi",
     "save_scenario",
     "scheme",
-    "sinr_denominator",
     "solve_surrogate",
     "steering_vector",
     "stepsize",
     "update_coefficients",
     "upper_bound_rate_closed_form",
     "user_position_on_bisector",
-    "watt_to_dbm",
 ]

@@ -11,17 +11,17 @@ matched-filter beamformer.  The flags only change the *design* objective:
   averaged over several independent phase draws.
 
 Evaluation is always the same: true error variances, full interference,
-identical Monte Carlo seeds and sample counts for every scheme.
-`evaluate_schemes` designs every scheme first (`design_schemes`) and then
-evaluates all the designs, each phase draw of the random-phase scheme
-included, in one batched call (`evaluate_designs`), so they share a single
-draw set by construction; `evaluate_scheme` is its one-scheme view.  The
-SSCA schemes are designed in lockstep (`ssca.run_stack`), each bit for bit
-as on its own.  Both `design_schemes` and `evaluate_designs` take any list
-of points and treat those of one shape together: one lockstep stack per
-(Mr, M0, K), and one evaluation draw set per (Mr, M0), each point reading
-it with its own scale factors.  Every report, a multi-draw scheme's average
-included, is summarized by `rate.RateReport.from_samples`.
+identical Monte Carlo seeds and sample counts for every scheme.  Every
+scheme is designed first (`design_schemes`), and then all the designs,
+each phase draw of the random-phase scheme included, are evaluated in one
+batched call (`evaluate_designs`), so they share a single draw set by
+construction; `evaluate_scheme` does both for one scheme at one point.
+The SSCA schemes are designed in lockstep (`ssca.run_stack`), each bit for
+bit as on its own.  Both `design_schemes` and `evaluate_designs` take any
+list of points and treat those of one shape together: one lockstep stack
+per (Mr, M0, K), and one evaluation draw set per (Mr, M0), each point
+reading it with its own scale factors.  Every report, a multi-draw
+scheme's average included, is summarized by `rate.RateReport.from_samples`.
 """
 from __future__ import annotations
 
@@ -104,29 +104,6 @@ def design_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfi
     return v
 
 
-def evaluate_schemes(specs: Sequence[SchemeSpec], stats: ChannelStatistics,
-                     cfg: ScenarioConfig, solver_cfgs: Sequence[SolverConfig],
-                     n_samples: int, eval_rng: int,
-                     return_samples: bool = False) -> list[RateReport]:
-    """Design every scheme (each with its own solver settings, in the same
-    order) and evaluate all their designs, every phase draw included, in
-    one `ergodic_rates_mc` call under the true imperfect-CSI,
-    with-interference channel model.  One report per scheme comes back.
-
-    The SSCA schemes are designed in one `run_stack` call, each as its own
-    `design_scheme` would; their solver settings must differ only in the
-    seed.  All designs share one draw set, so the comparison between
-    schemes and the average over a multi-draw scheme's designs are paired
-    by construction.
-    """
-    check_seed(eval_rng)    # before any design is spent on a bad seed or size
-    check_count(n_samples, "n_samples", 2)
-    points = [(stats, cfg)]
-    (reports,) = evaluate_designs(design_schemes(specs, solver_cfgs, points), points,
-                                  n_samples, eval_rng, return_samples)
-    return reports
-
-
 def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConfig],
                    points: Sequence[tuple[ChannelStatistics, ScenarioConfig]]
                    ) -> list[list[list[PhaseShiftVector]]]:
@@ -172,7 +149,9 @@ def evaluate_designs(designs: Sequence[Sequence[Sequence[PhaseShiftVector]]],
     (`design_schemes`' output for the same points), all evaluated in one
     `ergodic_rates_mc_points` call at the matched-filter beamformer: the
     designs of a point share one draw set, and the points of one shape
-    (Mr, M0) the same draws, made once."""
+    (Mr, M0) the same draws, made once.  Every evaluation of designs comes
+    here: a sweep's points, an `eval`'s one point and `evaluate_scheme`'s
+    one scheme."""
     flat = [[v for per_scheme in point_designs for v in per_scheme] for point_designs in designs]
     per_point = ergodic_rates_mc_points([(vs, *point) for vs, point in zip(flat, points)],
                                         n_samples, eval_rng)
@@ -187,9 +166,16 @@ def evaluate_designs(designs: Sequence[Sequence[Sequence[PhaseShiftVector]]],
 def evaluate_scheme(spec: SchemeSpec, stats: ChannelStatistics, cfg: ScenarioConfig,
                     solver_cfg: SolverConfig, n_samples: int, eval_rng: int,
                     return_samples: bool = False) -> RateReport:
-    """Design one scheme and evaluate it: `evaluate_schemes` for one scheme."""
-    return evaluate_schemes([spec], stats, cfg, [solver_cfg], n_samples, eval_rng,
-                            return_samples=return_samples)[0]
+    """Design one scheme and evaluate it, every phase draw included, under
+    the true imperfect-CSI, with-interference channel model:
+    `design_schemes` and `evaluate_designs` at one point, as a sweep or an
+    `eval` runs them."""
+    check_seed(eval_rng)    # before any design is spent on a bad seed or size
+    check_count(n_samples, "n_samples", 2)
+    points = [(stats, cfg)]
+    ((report,),) = evaluate_designs(design_schemes([spec], [solver_cfg], points), points,
+                                    n_samples, eval_rng, return_samples)
+    return report
 
 
 def _average(per_draw: list[RateReport], return_samples: bool) -> RateReport:

@@ -30,9 +30,6 @@ class Beamformer:
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
 
-    def __len__(self) -> int:
-        return self.w.shape[0]
-
 
 def mrt_equivalent_beamformer(v: PhaseLike, sample: CsiSample) -> Beamformer:
     """Matched filter on the estimated combined channel.

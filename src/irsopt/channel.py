@@ -83,16 +83,20 @@ _UNIT_MODULUS_TOL = 1e-12
 DESIGN_MODULUS_TOL = 1e-9       # largest | |v_j| - 1 | of a deployable design
 
 
-def compute_path_loss(distance: float, exponent: float) -> float:
+def compute_path_loss(distance: float, exponent: float, link: str = "link") -> float:
     """Linear large-scale power gain 1 / (1000 * d^exp).
 
-    Equivalently -30 - 10*exp*log10(d) dB of gain.
+    Equivalently -30 - 10*exp*log10(d) dB of gain.  A distance or an
+    exponent that is not positive, or a gain that leaves the positive,
+    finite floats, raises a ValueError naming the `link`.
     """
-    if not distance > 0:
-        raise ValueError(f"distance must be positive, got {distance}")
-    if not exponent > 0:
-        raise ValueError(f"path-loss exponent must be positive, got {exponent}")
-    return 1.0 / (1000.0 * distance ** exponent)
+    try:
+        gain = 1.0 / (1000.0 * distance ** exponent) if distance > 0 and exponent > 0 else 0.0
+    except (OverflowError, ZeroDivisionError):      # d^exp above or below float range
+        gain = 0.0
+    if not 0 < gain < math.inf:                     # rejects NaN too
+        raise ValueError(f"{link}: no positive, finite gain at {distance} m, exponent {exponent}")
+    return gain
 
 
 def rician_combination_factor(k_br: float, k_ru: float) -> float:
@@ -136,16 +140,6 @@ def steering_vector(azimuth: float, elevation: float, grid: tuple[int, int],
         + n * np.sin(elevation) * np.sin(azimuth)
     )
     return np.exp(1j * phase).reshape(-1)
-
-
-def los_matrix(rx_angles: tuple[float, float], rx_grid: tuple[int, int],
-               tx_angles: tuple[float, float], tx_grid: tuple[int, int],
-               spacing: float) -> np.ndarray:
-    """Rank-one LoS matrix a_rx(rx_angles) a_tx(tx_angles)^H with
-    unit-modulus entries, shape (rx size, tx size)."""
-    a_rx = steering_vector(*rx_angles, rx_grid, spacing)
-    a_tx = steering_vector(*tx_angles, tx_grid, spacing)
-    return np.outer(a_rx, a_tx.conj())
 
 
 @dataclass(frozen=True)
@@ -252,11 +246,11 @@ def build_statistics(cfg: ScenarioConfig) -> ChannelStatistics:
     would be negative).
     """
     n = cfg.n_bs
-    alpha_direct = np.array([compute_path_loss(cfg.d_bs_user(k), cfg.exp_direct)
+    alpha_direct = np.array([compute_path_loss(cfg.d_bs_user(k), cfg.exp_direct, f"BS {k}-user")
                              for k in range(n)])
-    alpha_bs_irs = np.array([compute_path_loss(cfg.d_bs_irs(k), cfg.exp_bs_irs)
+    alpha_bs_irs = np.array([compute_path_loss(cfg.d_bs_irs(k), cfg.exp_bs_irs, f"BS {k}-IRS")
                              for k in range(n)])
-    alpha_irs_user = compute_path_loss(cfg.d_irs_user, cfg.exp_irs_user)
+    alpha_irs_user = compute_path_loss(cfg.d_irs_user, cfg.exp_irs_user, "IRS-user")
     tau = np.array([rician_combination_factor(cfg.rician_bs_irs[k], cfg.rician_irs_user)
                     for k in range(n)])
 
@@ -264,7 +258,7 @@ def build_statistics(cfg: ScenarioConfig) -> ChannelStatistics:
     los_irs_user = steering_vector(*map(math.radians, cfg.angles_irs_user_deg),
                                    cfg.irs_grid, cfg.spacing)
     angles_bs_irs = [tuple(map(math.radians, pair)) for pair in cfg.angles_bs_irs_deg]
-    # the factors of `los_matrix(angles, irs_grid, angles, grid, spacing)`
+    # the factors a_rx,k and a_tx,k of each BS k -> IRS LoS a_rx,k a_tx,k^H
     irs_steering = tuple(steering_vector(*angles, cfg.irs_grid, cfg.spacing)
                          for angles in angles_bs_irs)
     bs_steering = tuple(steering_vector(*angles, grid, cfg.spacing)
@@ -316,14 +310,6 @@ class PhysicalBatch:
     g_err: np.ndarray                       # (n, Mr, M0)
     h_err: np.ndarray                       # (n, M0)
     interference: Optional[tuple] = None    # per interferer: (g, h_direct, h_own)
-
-    @property
-    def g_hat(self) -> np.ndarray:
-        return self.g_true - self.g_err
-
-    @property
-    def h_hat(self) -> np.ndarray:
-        return self.h_true - self.h_err
 
 
 def design_stack(vs, irs_size: int) -> np.ndarray:

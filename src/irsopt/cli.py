@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .baselines import SCHEMES, design_schemes, evaluate_designs, evaluate_schemes, scheme
+from .baselines import SCHEMES, design_schemes, evaluate_designs, scheme
 from .channel import build_statistics
 from .config import ScenarioConfig, _real, load_scenario, write_json
 from .rate import RateReport, upper_bound_rate_closed_form
@@ -203,7 +203,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser):
 def _add_solver_args(parser: argparse.ArgumentParser):
     parser.add_argument("--iters", type=int, default=DEFAULT_SOLVER_ITERS,
                         help="solver iterations")
-    parser.add_argument("--samples-per-iter", type=int, default=10)
+    parser.add_argument("--samples-per-iter", type=int, default=SolverConfig.samples_per_iter)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,15 +275,17 @@ def cmd_eval(args) -> int:
     stats = build_statistics(cfg)
     names = _parse_schemes(args.schemes)
     _check_schemes(names)
-    specs = [scheme(name) for name in names]
     solvers = _scheme_solvers(SolverConfig(iterations=args.iters,
                                            samples_per_iter=args.samples_per_iter),
                               args.seed, names)
     check_count(args.samples, "n_samples", 2)   # before --out is made
     os.makedirs(args.out, exist_ok=True)
+    points = [(stats, cfg)]
+    designs = design_schemes([scheme(name) for name in names], solvers, points)
+    (point_reports,) = evaluate_designs(designs, points, args.samples,
+                                        child_seed(args.seed, "eval"))
     reports = {}
-    for name, report in zip(names, evaluate_schemes(specs, stats, cfg, solvers, args.samples,
-                                                    child_seed(args.seed, "eval"))):
+    for name, report in zip(names, point_reports):
         reports[name] = report.to_dict()
         print(f"{name:22s} mc={report.mc_rate:.4f} +/- {report.mc_stderr:.4f}  "
               f"ub={report.ub_rate:.4f} bit/s/Hz")

@@ -32,14 +32,11 @@ ERROR_UNITS = ("normalized", "absolute")
 
 
 def dbm_to_watt(dbm: float) -> float:
-    """30 dBm -> 1.0 W."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(watt: float) -> float:
-    if watt <= 0:
-        raise ValueError(f"power must be positive, got {watt}")
-    return 10.0 * math.log10(watt) + 30.0
+    """30 dBm -> 1.0 W; a power above float range is inf, one below it 0."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def user_position_on_bisector(distance: float) -> tuple[float, float]:
@@ -139,8 +136,10 @@ class ScenarioConfig:
         for m, k in self.bs_grids + (self.irs_grid,):
             if m < 1 or k < 1:
                 raise ValueError("array grids need at least one element per axis")
-        if not all(np.isfinite(self.powers_dbm)) or not np.isfinite(self.noise_dbm):
-            raise ValueError("powers must be finite dBm values")
+        levels = {f"powers_dbm[{k}]": dbm for k, dbm in enumerate(self.powers_dbm)}
+        for name, dbm in {**levels, "noise_dbm": self.noise_dbm}.items():
+            if not 0 < dbm_to_watt(dbm) < math.inf:     # rejects NaN too
+                raise ValueError(f"{name}: {dbm} dBm is not a positive, finite power in watts")
         for k in self.rician_bs_irs + (self.rician_irs_user,):
             if not (k >= 0):  # rejects NaN too; +inf allowed (pure LoS)
                 raise ValueError(f"Rician factors must be >= 0, got {k}")

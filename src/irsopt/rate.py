@@ -17,19 +17,18 @@ sampling law (stated in `DesignObjective.sample`) and its closed-form mean
 `gamma_ub_gradient` score one draw as its zero-variance law
 (`DesignObjective.ratio`), whose `expected` pair is the draw's
 (||e||^2, g_hat e); `upper_bound_rate_closed_form` is log2(1 + `expected`)
-of one design, and `sinr_denominator` evaluates `interference_quadratic`,
-whose (Mr, K) factor F (K = n_bs - 1 columns, none without interferers)
-is the objective's `denom_quad`.  `ergodic_rates_mc_points` evaluates
-stacks of designs at several points, each at its fixed beamformer, the
-matched filter, on each point's robust objective (F and the upper
-bounds), drawing each chunk once per (Mr, M0) shape and reading each
-slot's matched-filter rate off per-slot Gram scalars
-(`channel.CombinedChannels`, whose `design_stack` checks each stack
-once); `ergodic_rates_mc` is its one-point view, and `ergodic_rate_mc`
-its one-design view, which takes `beamforming.mrt_policy`'s policy and
-checks that it is the matched filter.  Every `RateReport` of per-sample
-rates, a multi-draw scheme's average included, is summarized by
-`RateReport.from_samples`.
+of one design.  `interference_quadratic` writes the interference-plus-noise
+power as ||F^H v||^2 + d, whose (Mr, K) factor F (K = n_bs - 1 columns,
+none without interferers) is the objective's `denom_quad`.
+`ergodic_rates_mc_points` evaluates stacks of designs at several points,
+each at its fixed beamformer, the matched filter, on each point's robust
+objective (F and the upper bounds), drawing each chunk once per (Mr, M0)
+shape and reading each slot's matched-filter rate off per-slot Gram
+scalars (`channel.CombinedChannels`, whose `design_stack` checks each
+stack once); `ergodic_rate_mc` is its one-design view at one point, which
+takes `beamforming.mrt_policy`'s policy and checks that it is the matched
+filter.  Every `RateReport` of per-sample rates, a multi-draw scheme's
+average included, is summarized by `RateReport.from_samples`.
 """
 from __future__ import annotations
 
@@ -66,15 +65,8 @@ class PhaseShiftVector:
             raise ValueError("phase-shift entries must have unit modulus")
 
     @classmethod
-    def ones(cls, n: int) -> "PhaseShiftVector":
-        return cls(np.ones(n, dtype=complex))
-
-    @classmethod
     def from_phases(cls, phases: np.ndarray) -> "PhaseShiftVector":
         return cls(np.exp(1j * np.asarray(phases, dtype=float)))
-
-    def __len__(self) -> int:
-        return self.v.shape[0]
 
 
 PhaseLike = Union[PhaseShiftVector, np.ndarray, Sequence[complex]]
@@ -106,7 +98,7 @@ class RateReport:
     signal_power: float                 # p0 * E|signal|^2, linear watts
     interference_power: tuple[float, ...]   # p_k * gk per interferer
     noise_power: float
-    rate_samples: Optional[np.ndarray] = None   # per-sample rates; evaluate_schemes: on request
+    rate_samples: Optional[np.ndarray] = None   # per-sample rates; evaluate_designs: on request
 
     def __post_init__(self):
         if self.mc_stderr < 0:
@@ -195,14 +187,6 @@ def interference_quadratic(stats: ChannelStatistics,
         d += powers[k] * _interferer_floor(stats, k)
         factor[:, k - 1] = math.sqrt(powers[k]) * stats.cascaded_gain[k]
     return factor, float(d)
-
-
-def sinr_denominator(v: PhaseLike, stats: ChannelStatistics, cfg: ScenarioConfig) -> float:
-    """Interference-plus-noise power sum_k p_k * gk(v) + sigma^2, evaluated
-    as ||F^H v||^2 + d from `interference_quadratic`."""
-    factor, const = interference_quadratic(stats, cfg)
-    proj = np.conj(phase_array(v)) @ factor
-    return float(np.real(np.vdot(proj, proj))) + const
 
 
 # ---------------------------------------------------------------------------
@@ -608,21 +592,13 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     return reports
 
 
-def ergodic_rates_mc(vs: Sequence[PhaseLike], stats: ChannelStatistics, cfg: ScenarioConfig,
-                     n_samples: int, rng: int) -> list[RateReport]:
-    """Monte Carlo ergodic rates of a stack of designs on one shared draw
-    set, each at the matched-filter beamformer: `ergodic_rates_mc_points`
-    at one point (vs, stats, cfg), one report per design, in order."""
-    return ergodic_rates_mc_points([(vs, stats, cfg)], n_samples, rng)[0]
-
-
 def ergodic_rate_mc(v: PhaseLike, policy: BeamformingPolicy, stats: ChannelStatistics,
                     cfg: ScenarioConfig, n_samples: int, rng: int) -> RateReport:
     """Monte Carlo ergodic rate of one design at the beamformer `policy`,
     which must be `beamforming.mrt_policy`'s matched filter (any other
-    raises a ValueError): `ergodic_rates_mc` on a stack of one.  It draws
-    the same values as any stack that holds v under the same seed and
-    `n_samples`, so its report equals that design's row of a stacked
-    evaluation."""
+    raises a ValueError): `ergodic_rates_mc_points` on one point and a
+    stack of one.  It draws the same values as any stack that holds v
+    under the same seed and `n_samples`, so its report equals that
+    design's row of a stacked evaluation."""
     _check_matched_filter(policy, stats.bs_sizes[0])
-    return ergodic_rates_mc([v], stats, cfg, n_samples, rng)[0]
+    return ergodic_rates_mc_points([([v], stats, cfg)], n_samples, rng)[0][0]

@@ -11,8 +11,8 @@ from irsopt.baselines import (
     SchemeSpec,
     design_scheme,
     design_schemes,
+    evaluate_designs,
     evaluate_scheme,
-    evaluate_schemes,
     scheme,
 )
 from irsopt.channel import build_statistics
@@ -141,9 +141,18 @@ def test_evaluate_scheme_multi_draw_interference_is_averaged(small_cfg, small_st
     assert not np.allclose(report.interference_power, per_draw[0], rtol=1e-6, atol=0.0)
 
 
+def _evaluate(specs, stats, cfg, solvers, n_samples, eval_rng, return_samples=False):
+    """One report per scheme at one point, as `eval` makes them: every
+    design first (`design_schemes`), then one `evaluate_designs` call."""
+    points = [(stats, cfg)]
+    (reports,) = evaluate_designs(design_schemes(specs, solvers, points), points, n_samples,
+                                  eval_rng, return_samples)
+    return reports
+
+
 def _phases_and_ub_rates(names, stats, cfg, monkeypatch):
-    """evaluate_schemes on `names` with per-scheme design seeds: each
-    scheme's first design (as the evaluator receives it) and its UB rate."""
+    """`_evaluate` on `names` with per-scheme design seeds: each scheme's
+    first design (as the evaluator receives it) and its UB rate."""
     received = []
     evaluate = baselines.ergodic_rates_mc_points
 
@@ -156,7 +165,7 @@ def _phases_and_ub_rates(names, stats, cfg, monkeypatch):
     specs = [scheme(name) for name in names]
     solvers = [SolverConfig(iterations=30, samples_per_iter=4,
                             seed=child_seed(12, f"design/{name}")) for name in names]
-    reports = evaluate_schemes(specs, stats, cfg, solvers, 100, 13)
+    reports = _evaluate(specs, stats, cfg, solvers, 100, 13)
     firsts = np.cumsum([0] + [spec.phase_draws for spec in specs])[:-1]
     return {name: (received[i].v, report.ub_rate)
             for name, i, report in zip(names, firsts, reports)}
@@ -200,8 +209,8 @@ def test_design_schemes_over_points_of_two_shapes_equals_per_point_calls(small_c
 def test_evaluate_schemes_needs_one_solver_setting_per_scheme(small_cfg, small_stats):
     solver = SolverConfig(iterations=2, samples_per_iter=1)
     with pytest.raises(ValueError, match="1 solver settings for 2 schemes"):
-        evaluate_schemes([scheme("proposed"), scheme("robust-no-intf")], small_stats,
-                         small_cfg, [solver], 8, 1)
+        design_schemes([scheme("proposed"), scheme("robust-no-intf")], [solver],
+                       [(small_stats, small_cfg)])
 
 
 def test_evaluate_schemes_rejects_no_samples_before_designing(small_cfg, small_stats,
@@ -213,7 +222,7 @@ def test_evaluate_schemes_rejects_no_samples_before_designing(small_cfg, small_s
     solver = SolverConfig(iterations=2, samples_per_iter=1)
     for n_samples in (0, 1):        # one sample has no standard error
         with pytest.raises(ValueError, match="n_samples must be >= 2"):
-            evaluate_schemes([scheme("proposed")], small_stats, small_cfg, [solver], n_samples, 1)
+            evaluate_scheme(scheme("proposed"), small_stats, small_cfg, solver, n_samples, 1)
 
 
 def test_evaluate_schemes_rejects_settings_beyond_the_seed_before_iterating(
@@ -227,8 +236,8 @@ def test_evaluate_schemes_rejects_settings_beyond_the_seed_before_iterating(
     solvers = [SolverConfig(iterations=2, samples_per_iter=1, seed=1),
                SolverConfig(iterations=3, samples_per_iter=1, seed=2)]
     with pytest.raises(ValueError, match="differ only in the seed"):
-        evaluate_schemes([scheme("proposed"), scheme("robust-no-intf")], small_stats,
-                         small_cfg, solvers, 8, 1)
+        design_schemes([scheme("proposed"), scheme("robust-no-intf")], solvers,
+                       [(small_stats, small_cfg)])
 
 
 @pytest.mark.parametrize("regime", ["k-0", "k-inf-delta-0", "delta-0", "delta-1",
@@ -239,8 +248,8 @@ def test_evaluate_schemes_edge_regimes(preset_cfg, regime):
     names = sorted(SCHEMES)
     solvers = [SolverConfig(iterations=20, samples_per_iter=10,
                             seed=child_seed(3, f"design/{name}")) for name in names]
-    reports = evaluate_schemes([scheme(name) for name in names], stats, cfg, solvers,
-                               600, child_seed(3, "eval"))
+    reports = _evaluate([scheme(name) for name in names], stats, cfg, solvers,
+                        600, child_seed(3, "eval"))
     for report in reports:
         assert all(math.isfinite(x) for x in (report.ub_rate, report.mc_rate,
                                               report.mc_stderr))
@@ -273,9 +282,8 @@ def test_interference_aware_design_wins_near_serving_los(preset_cfg, seed):
     names = ("proposed", "robust-no-intf")
     solvers = [SolverConfig(iterations=300, seed=child_seed(seed, f"design/{name}"))
                for name in names]
-    proposed, no_intf = evaluate_schemes([scheme(name) for name in names],
-                                         build_statistics(cfg), cfg, solvers, 2000,
-                                         child_seed(seed, "eval"), return_samples=True)
+    proposed, no_intf = _evaluate([scheme(name) for name in names], build_statistics(cfg), cfg,
+                                  solvers, 2000, child_seed(seed, "eval"), return_samples=True)
     diff, se, t = paired_t(proposed.rate_samples, no_intf.rate_samples)
     assert t >= 3.0, f"proposed - robust-no-intf = {diff:.4f} +/- {se:.4f}, t = {t:.1f}"
     assert proposed.ub_rate > no_intf.ub_rate

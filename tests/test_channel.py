@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from irsopt.channel import (
     PhysicalChannelSampler,
     build_statistics,
     compute_path_loss,
-    los_matrix,
     rician_combination_factor,
     sample_estimated_csi,
     steering_vector,
@@ -58,6 +58,14 @@ def test_path_loss_domain_errors():
         compute_path_loss(10.0, 0.0)
 
 
+@pytest.mark.parametrize("distance", [1e-200, 1e300, math.nan])
+def test_path_loss_beyond_float_range_names_the_link(distance):
+    # d^exp below float range once raised ZeroDivisionError, above it OverflowError
+    with pytest.raises(ValueError, match=re.escape(
+            f"BS 0-user: no positive, finite gain at {distance} m, exponent 3.7")):
+        compute_path_loss(distance, 3.7, "BS 0-user")
+
+
 # ---------------------------------------------------------------------------
 # Rician combination factor
 # ---------------------------------------------------------------------------
@@ -96,22 +104,24 @@ def test_steering_single_element():
     assert a[0] == 1.0 + 0.0j
 
 
-def test_los_matrix_unit_modulus_and_rank():
+def test_los_matrix_unit_modulus_and_rank(preset_cfg):
+    # each dense BS->IRS LoS a_rx a_tx^H (`los_bs_irs`) is unit-modulus and rank one
     rng = np.random.default_rng(1)
     for _ in range(10):
-        az1, el1, az2, el2 = rng.uniform(0, 2 * math.pi, 4)
-        rx, tx = (int(rng.integers(1, 5)), int(rng.integers(1, 5))), \
-                 (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        mat = los_matrix((az1, el1), rx, (az2, el2), tx, 0.5)
-        assert mat.shape == (rx[0] * rx[1], tx[0] * tx[1])
-        assert np.max(np.abs(np.abs(mat) - 1.0)) < 1e-12
-        assert np.linalg.matrix_rank(mat) == 1
+        irs, bs = (tuple(int(x) for x in rng.integers(1, 5, 2)) for _ in range(2))
+        angles = tuple(float(x) for x in np.degrees(rng.uniform(0, 2 * math.pi, 2)))
+        cfg = preset_cfg.replace(irs_grid=irs, bs_grids=(bs,) * 3, angles_bs_irs_deg=(angles,) * 3)
+        for mat in build_statistics(cfg).los_bs_irs:
+            assert mat.shape == (irs[0] * irs[1], bs[0] * bs[1])
+            assert np.max(np.abs(np.abs(mat) - 1.0)) < 1e-12
+            assert np.linalg.matrix_rank(mat) == 1
 
 
-def test_los_matrix_trivial():
-    mat = los_matrix((0.3, 0.4), (1, 1), (0.1, 0.2), (1, 1), 0.5)
-    assert mat.shape == (1, 1)
-    assert np.isclose(abs(mat[0, 0]), 1.0, atol=1e-15)
+def test_los_matrix_trivial(preset_cfg):
+    cfg = preset_cfg.replace(irs_grid=(1, 1), bs_grids=((1, 1),) * 3)
+    for mat in build_statistics(cfg).los_bs_irs:
+        assert mat.shape == (1, 1)
+        assert np.isclose(abs(mat[0, 0]), 1.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +221,11 @@ def test_absolute_delta_within_bounds_accepted(preset_cfg):
 
 def _dense_los(stats, cfg):
     """The dense BS->IRS and cascaded LoS matrices built as dense arrays:
-    `los_matrix` per BS, and amplitude * conj(los_ru)[:, None] * los_matrix."""
+    the outer product a_rx a_tx^H of two steering vectors per BS, and
+    amplitude * conj(los_ru)[:, None] * a_rx a_tx^H."""
     angles = [tuple(map(math.radians, pair)) for pair in cfg.angles_bs_irs_deg]
-    los = [los_matrix(pair, cfg.irs_grid, pair, grid, cfg.spacing)
+    los = [np.outer(steering_vector(*pair, cfg.irs_grid, cfg.spacing),
+                    steering_vector(*pair, grid, cfg.spacing).conj())
            for pair, grid in zip(angles, cfg.bs_grids)]
     cascaded = [math.sqrt(stats.alpha_bs_irs[k] * stats.alpha_irs_user * stats.tau[k])
                 * (stats.los_irs_user.conj()[:, None] * los[k]) for k in range(stats.n_bs)]
@@ -334,8 +346,8 @@ def test_estimated_variance(small_cfg):
 def test_reconstruction_exact(small_cfg, small_stats):
     batch = PhysicalChannelSampler(small_stats, 3, include_interference=True).draw(1)
     # estimate + error reproduces the drawn channel bit for bit
-    np.testing.assert_array_equal(batch.g_hat + batch.g_err, batch.g_true)
-    np.testing.assert_array_equal(batch.h_hat + batch.h_err, batch.h_true)
+    np.testing.assert_array_equal((batch.g_true - batch.g_err) + batch.g_err, batch.g_true)
+    np.testing.assert_array_equal((batch.h_true - batch.h_err) + batch.h_err, batch.h_true)
     assert batch.interference is not None
     assert len(batch.interference) == small_stats.n_bs - 1
 
@@ -389,10 +401,11 @@ def test_error_variance_and_decorrelation(small_cfg):
     var_err = np.var(batch.g_err[:, 0, 1])
     assert abs(var_err - stats.delta1_abs ** 2) < 0.05 * stats.delta1_abs ** 2
     # estimate per-element variance is sigma^2 - delta^2 (as in the Gaussian model)
-    var_hat = np.var(batch.g_hat[:, 0, 1])
+    g_hat = batch.g_true - batch.g_err
+    var_hat = np.var(g_hat[:, 0, 1])
     assert abs(var_hat - stats.estimate_g_var) < 0.05 * stats.sigma_g_sq[0]
     # error is uncorrelated with the estimate
-    est = batch.g_hat[:, 0, 1] - stats.cascaded_los[0][0, 1]
+    est = g_hat[:, 0, 1] - stats.cascaded_los[0][0, 1]
     err = batch.g_err[:, 0, 1]
     corr = np.mean(est * np.conj(err)) / math.sqrt(max(np.var(est) * np.var(err), 1e-300))
     assert abs(corr) < 0.02

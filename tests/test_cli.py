@@ -10,7 +10,7 @@ import pytest
 
 import irsopt
 from irsopt import baselines, cli
-from irsopt.baselines import SCHEMES, design_scheme, evaluate_scheme, evaluate_schemes, scheme
+from irsopt.baselines import SCHEMES, design_scheme, evaluate_scheme, scheme
 from irsopt.channel import build_statistics
 from irsopt.cli import (
     CSV_COLUMNS,
@@ -216,8 +216,10 @@ def test_run_sweep_designs_each_shape_in_one_stack(tmp_path, preset_cfg, monkeyp
                for name in schemes]
     for i, value in enumerate(values):
         point = apply_sweep_value(cfg, param, value)
-        reports = evaluate_schemes([scheme(name) for name in schemes], build_statistics(point),
-                                   point, solvers, spec.n_samples, child_seed(spec.seed, "eval"))
+        points = [(build_statistics(point), point)]
+        (reports,) = baselines.evaluate_designs(
+            baselines.design_schemes([scheme(name) for name in schemes], solvers, points),
+            points, spec.n_samples, child_seed(spec.seed, "eval"))
         for row, report in zip(rows[i * len(schemes):], reports):
             assert float(row["sweep_value"]) == value
             assert [row[key] for key in ("ub_rate", "mc_rate", "mc_stderr")] == \
@@ -391,6 +393,48 @@ def test_sweep_point_with_impossible_error_std_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceed" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("powers_dbm", [30.0, 4000.0, 30.0], "powers_dbm[1]"),
+    ("noise_dbm", 4000.0, "noise_dbm"),
+    ("noise_dbm", -4000.0, "noise_dbm"),
+    ("user_position_m", [1e-200, 0.0], "BS 0-user"),
+    ("user_position_m", [1e300, 1e300], "BS 0-user"),
+], ids=["power-above-range", "noise-above-range", "zero-noise", "user-on-bs", "user-far"])
+def test_scenario_values_beyond_float_range_are_input_errors(tmp_path, capsys, key, value,
+                                                             field):
+    # each once ended in an OverflowError or ZeroDivisionError traceback and
+    # exit 1; 0 W of noise went on to a misleading solver error
+    data = irsopt.load_scenario("paper-fig3").to_dict()
+    data[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["eval", "--scenario", str(path), "--iters", "2", "--samples", "4",
+                 "--schemes", "proposed", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "positive, finite" in err
+    assert not out.exists()
+
+
+def test_user_distance_sweep_beyond_float_range_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--sweep", "user-distance", "--values", "200,1e300", "--iters", "2",
+                 "--samples", "4", "--schemes", "proposed", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BS 0-user: no positive, finite gain")
+    assert not out.exists()
+
+
+def test_samples_per_iter_defaults_to_the_solver_config(monkeypatch):
+    # the solver's L default has one home, which the parser reads
+    extra = {"solve": [], "eval": [], "sweep": ["--sweep", "irs-size", "--values", "2"]}
+    for command, args in extra.items():
+        assert build_parser().parse_args([command, *args]).samples_per_iter == \
+            SolverConfig().samples_per_iter
+    monkeypatch.setattr(SolverConfig, "samples_per_iter", 7)
+    assert build_parser().parse_args(["solve"]).samples_per_iter == 7
 
 
 def test_solve_rejects_a_file_out_before_solving(tmp_path, capsys, monkeypatch):

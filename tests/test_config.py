@@ -18,7 +18,6 @@ from irsopt.config import (
     load_scenario,
     save_scenario,
     user_position_on_bisector,
-    watt_to_dbm,
     write_json,
 )
 
@@ -28,9 +27,23 @@ SQRT3 = math.sqrt(3.0)
 def test_dbm_conversions():
     assert dbm_to_watt(30.0) == 1.0
     assert np.isclose(dbm_to_watt(-90.0), 1e-12, rtol=1e-12)
-    assert np.isclose(watt_to_dbm(dbm_to_watt(17.3)), 17.3, rtol=1e-12)
-    with pytest.raises(ValueError):
-        watt_to_dbm(0.0)
+    assert np.isclose(dbm_to_watt(17.3), 10 ** -1.27, rtol=1e-12)
+    # beyond float range: inf above, 0 below, never an OverflowError
+    assert dbm_to_watt(4000.0) == math.inf and dbm_to_watt(-4000.0) == 0.0
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("powers_dbm", (30.0, 4000.0, 30.0), r"powers_dbm\[1\]: 4000.0 dBm"),
+    ("powers_dbm", (-4000.0, 30.0, 30.0), r"powers_dbm\[0\]: -4000.0 dBm"),
+    ("powers_dbm", (30.0, 30.0, math.inf), r"powers_dbm\[2\]: inf dBm"),
+    ("noise_dbm", 4000.0, "noise_dbm: 4000.0 dBm"),
+    ("noise_dbm", -4000.0, "noise_dbm: -4000.0 dBm"),
+    ("noise_dbm", math.nan, "noise_dbm: nan dBm")])
+def test_powers_must_be_positive_and_finite_in_watts(preset_cfg, field, value, name):
+    # a dBm value whose watts leave float range once raised an OverflowError,
+    # and 0 W of noise divided by zero
+    with pytest.raises(ValueError, match=f"{name} is not a positive, finite power in watts"):
+        preset_cfg.replace(**{field: value})
 
 
 def test_preset_power_and_noise(preset_cfg):

@@ -291,7 +291,7 @@ def test_run_improves_over_initial(preset_cfg, preset_stats):
 
     cfg = SolverConfig(iterations=150, samples_per_iter=10, seed=21)
     result = run(cfg, preset_stats, preset_cfg)
-    ub0 = upper_bound_rate_closed_form(PhaseShiftVector.ones(64), preset_stats,
+    ub0 = upper_bound_rate_closed_form(PhaseShiftVector(np.ones(64)), preset_stats,
                                        preset_cfg)
     ub = upper_bound_rate_closed_form(result.v, preset_stats, preset_cfg)
     assert ub > ub0

@@ -5,7 +5,7 @@ from irsopt import baselines
 from irsopt.baselines import evaluate_scheme, scheme
 from irsopt.beamforming import mrt_policy
 from irsopt.channel import PhysicalChannelSampler
-from irsopt.rate import PhaseShiftVector, ergodic_rate_mc, ergodic_rates_mc
+from irsopt.rate import PhaseShiftVector, ergodic_rate_mc, ergodic_rates_mc_points
 from irsopt.ssca import SolverConfig
 from irsopt.cli import SweepSpec
 from irsopt.streams import (check_count, check_seed, child_seed, crandn, crandn_blocks,
@@ -77,7 +77,7 @@ def _non_int_seeds():
 
 
 def _rate(stats, cfg, rng):
-    v = PhaseShiftVector.ones(stats.irs_size)
+    v = PhaseShiftVector(np.ones(stats.irs_size))
     return ergodic_rate_mc(v, mrt_policy(v), stats, cfg, 4, rng)
 
 
@@ -151,8 +151,8 @@ def _evaluate_count(n, stats, cfg):
 
 
 def _rates_count(n, stats, cfg):
-    v = PhaseShiftVector.ones(stats.irs_size)
-    return ergodic_rates_mc([v], stats, cfg, n, 1)
+    v = PhaseShiftVector(np.ones(stats.irs_size))
+    return ergodic_rates_mc_points([([v], stats, cfg)], n, 1)
 
 
 COUNTS = {
@@ -162,6 +162,8 @@ COUNTS = {
     "SolverConfig.probe_every": ("probe_every", lambda n, stats, cfg: SolverConfig(probe_every=n)),
     "SweepSpec.n_samples": ("n_samples", lambda n, stats, cfg: SweepSpec(
         param="error-std", values=(0.1,), schemes=("proposed",), n_samples=n)),
+    # the ids name the check the suite has long reported: evaluate_scheme's
+    # sample count, and the batched evaluator's
     "evaluate_schemes.n_samples": ("n_samples", _evaluate_count),
     "ergodic_rates_mc.n_samples": ("n_samples", _rates_count),
 }
