@@ -20,8 +20,10 @@ The SSCA schemes are designed in lockstep (`ssca.run_stack`), each bit for
 bit as on its own.  Both `design_schemes` and `evaluate_designs` take any
 list of points and treat those of one shape together: one lockstep stack
 per (Mr, M0, K), and one evaluation draw set per (Mr, M0), each point
-reading it with its own scale factors.  Every report, a multi-draw
-scheme's average included, is summarized by `rate.RateReport.from_samples`.
+reading it with its own scale factors.  `design_schemes` alone decides
+which designs repeat, and makes each distinct one once.  Every report, a
+multi-draw scheme's average included, is summarized by
+`rate.RateReport.from_samples`.
 """
 from __future__ import annotations
 
@@ -108,37 +110,35 @@ def design_schemes(specs: Sequence[SchemeSpec], solver_cfgs: Sequence[SolverConf
                    points: Sequence[tuple[ChannelStatistics, ScenarioConfig]]
                    ) -> list[list[list[PhaseShiftVector]]]:
     """Every scheme's designs at every (stats, cfg) point: per point, per
-    scheme, its `phase_draws` phase-shift vectors.  The SSCA designs of all
-    the points that share a shape (Mr, M0 and K) form one `run_stack` call,
-    so a sweep over any other parameter makes one call and an irs-size
-    sweep one per size; each row is bit for bit its own `design_scheme`,
-    and rows equal in seed and objective (a non-robust scheme's over
-    error-std, say) run once in it.  A random-phase design reads only the
-    scheme, its seed, the draw and Mr, so each is drawn once per call and
-    shared by the points of that Mr."""
+    scheme, its `phase_draws` phase-shift vectors.  Each distinct design is
+    made once: an SSCA design reads only its solver settings, its seed
+    among them, and its objective (`DesignObjective.key`), so a
+    non-robust scheme's design over error-std, say, is solved once; a
+    random-phase design reads only the scheme, its seed, the draw and Mr,
+    so it is drawn once and shared by the points of that Mr.  The distinct
+    SSCA designs of all the points that share a shape (Mr, M0 and K) form
+    one `run_stack` call, so a sweep over any other parameter makes one
+    call and an irs-size sweep one per size; each row is bit for bit its
+    own `design_scheme`."""
     if len(solver_cfgs) != len(specs):
         raise ValueError(f"{len(solver_cfgs)} solver settings for {len(specs)} schemes")
-    rows = [(p, i) for p in range(len(points))
-            for i, spec in enumerate(specs) if spec.phase_source == PHASE_SOURCE_SSCA]
-    groups: dict[tuple, list[tuple[int, int]]] = {}     # rows of one shape: Mr, M0, K + 1 BSs
-    for p, i in rows:
-        stats = points[p][0]
-        groups.setdefault((stats.irs_size, stats.bs_sizes[0], stats.n_bs), []).append((p, i))
-    designed = {}       # keeps no run's trace alive through the evaluation
-    for group in groups.values():
-        designed.update((row, [r.v]) for row, r in zip(group, run_stack(
-            [solver_cfgs[i] for _, i in group],
-            [_objective(specs[i], *points[p]) for p, i in group])))
-    drawn = {}          # a random design reads only (scheme, seed, draw, Mr): drawn once
+    keys, made = {}, {}         # (point, scheme) -> its design's key; key -> designs
+    stacks: dict[tuple, dict] = {}  # per shape (Mr, M0, K + 1 BSs): key -> distinct SSCA row
     for p, (stats, cfg) in enumerate(points):
         for i, (spec, solver_cfg) in enumerate(zip(specs, solver_cfgs)):
             if spec.phase_source == PHASE_SOURCE_RANDOM:
-                key = (spec, solver_cfg.seed, stats.irs_size)
-                if key not in drawn:
-                    drawn[key] = [design_scheme(spec, stats, cfg, solver_cfg, draw)
-                                  for draw in range(spec.phase_draws)]
-                designed[p, i] = drawn[key]
-    return [[designed[p, i] for i in range(len(specs))] for p in range(len(points))]
+                key = keys[p, i] = (spec, solver_cfg.seed, stats.irs_size)
+                if key not in made:
+                    made[key] = [design_scheme(spec, stats, cfg, solver_cfg, draw)
+                                 for draw in range(spec.phase_draws)]
+            else:
+                objective = _objective(spec, stats, cfg)
+                key = keys[p, i] = (solver_cfg, objective.key())
+                shape = (stats.irs_size, stats.bs_sizes[0], stats.n_bs)
+                stacks.setdefault(shape, {}).setdefault(key, (solver_cfg, objective))
+    for rows in stacks.values():     # keeps no run's trace alive through the evaluation
+        made.update((key, [r.v]) for key, r in zip(rows, run_stack(*zip(*rows.values()))))
+    return [[made[keys[p, i]] for i in range(len(specs))] for p in range(len(points))]
 
 
 def evaluate_designs(designs: Sequence[Sequence[Sequence[PhaseShiftVector]]],

@@ -547,8 +547,9 @@ class CombinedChannels:
         c1 = row[0].conjugate() / self._row_norm
         self._first_axis = np.array([c1.conjugate(), math.sqrt(max(1.0 - abs(c1) ** 2, 0.0))])
         self._row_first = row[0]
-        # l = glos_0^H v = lam * row with lam = g_0^H v, (S,)
-        self._lam = self.designs @ s.cascaded_gain[0].conj()
+        # l = glos_0^H v = lam * row with lam = g_0^H v, (S,), row by row:
+        # a product over the stack would round a row by the rows beside it
+        self._lam = np.vecdot(s.cascaded_gain[0], self.designs)
         self._share_g, n_g_var = _split_law(float(s.sigma_g_sq[0]), s.delta1_abs ** 2)
         share_h, n_h_var = _split_law(s.sigma_h_sq, s.delta2_abs ** 2)
         # d to h_true, k's keep of h_true, and N to the summed error noises
@@ -559,7 +560,7 @@ class CombinedChannels:
         w_los, w_nlos = rician_weights(s.rician_irs_user)
         mean = math.sqrt(s.alpha_irs_user) * w_los * s.los_irs_user          # mu
         self._ru_scale = math.sqrt(s.alpha_irs_user) * w_nlos
-        self._ru_along = (self.designs * a_rx.conj()) @ mean / math.sqrt(mr)      # q^H mu
+        self._ru_along = np.vecdot(a_rx * mean.conj(), self.designs) / math.sqrt(mr)  # q^H mu
         self._ru_across = None if mr == 1 else np.sqrt(np.maximum(
             float(np.vdot(mean, mean).real) - np.abs(self._ru_along) ** 2, 0.0))
 

@@ -36,10 +36,9 @@ SWEEP_PARAMS = ("irs-size", "rician-k", "error-std", "user-distance")
 CSV_COLUMNS = ("scenario_id", "scheme", "sweep_param", "sweep_value",
                "ub_rate", "mc_rate", "mc_stderr", "n_samples", "seed", "config_hash")
 
-# Desk-scale defaults: fewer Monte Carlo samples and solver iterations than a
-# full study; trends rather than absolute values are the target.
+# Desk-scale default: fewer Monte Carlo samples than a full study; trends
+# rather than absolute values are the target.
 DEFAULT_MC_SAMPLES = 2000
-DEFAULT_SOLVER_ITERS = 300
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class SweepSpec:
     schemes: tuple[str, ...]
     n_samples: int = DEFAULT_MC_SAMPLES
     seed: int = 0
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(
-        iterations=DEFAULT_SOLVER_ITERS))
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.param not in SWEEP_PARAMS:
@@ -201,7 +199,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser):
 
 
 def _add_solver_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--iters", type=int, default=DEFAULT_SOLVER_ITERS,
+    parser.add_argument("--iters", type=int, default=SolverConfig.iterations,
                         help="solver iterations")
     parser.add_argument("--samples-per-iter", type=int, default=SolverConfig.samples_per_iter)
 

@@ -193,14 +193,13 @@ def interference_quadratic(stats: ChannelStatistics,
 # Design objective
 # ---------------------------------------------------------------------------
 
-def same_value(a, b) -> bool:
-    """a and b hold the same value bit for bit: the same shape, dtype and
-    bytes, with no tolerance (stricter than `np.array_equal`, which takes
-    0.0 for -0.0), so either one stands in for the other."""
-    if a is b:
-        return True
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def value_key(x) -> tuple:
+    """x's value bit for bit as a hashable key, its shape, dtype and bytes:
+    two values with equal keys are equal with no tolerance (stricter than
+    `np.array_equal`, which takes 0.0 for -0.0), so either one stands in
+    for the other."""
+    x = np.asarray(x)
+    return x.shape, x.dtype.str, x.tobytes()
 
 
 @dataclass(frozen=True, init=False)
@@ -293,18 +292,17 @@ class DesignObjective:
     def stack(cls, designs: Sequence["DesignObjective"]) -> "DesignObjective":
         """S designs as one objective, every field with a leading row axis
         (broadcast, not copied, where every row holds the same value,
-        `same_value`); F (S, Mr, K) needs the same K, and G's factors
+        `value_key`); F (S, Mr, K) needs the same K, and G's factors
         (S, Mr, R) and (S, M0, R) the same R, in every design."""
         values = {f.name: [getattr(d, f.name) for d in designs] for f in fields(cls)}
         return cls(**{name: np.asarray(column[0])[None]
-                      if all(same_value(a, column[0]) for a in column[1:])
+                      if len({value_key(a) for a in column}) == 1
                       else np.stack(column) for name, column in values.items()})
 
-    def same(self, other: "DesignObjective") -> bool:
-        """Every field the same value as in `other` (`same_value`), so the
-        two give the same results bit for bit."""
-        return all(same_value(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
+    def key(self) -> tuple:
+        """Every field's `value_key`: objectives with equal keys give the
+        same results bit for bit."""
+        return tuple(value_key(getattr(self, f.name)) for f in fields(self))
 
     @property
     def irs_size(self) -> int:
@@ -553,8 +551,9 @@ def ergodic_rates_mc_points(points: Sequence[tuple], n_samples: int,
     for vs, stats, cfg in points:
         law = CombinedChannels(stats, vs)
         robust = DesignObjective.from_scenario(stats, cfg)
-        # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K), and the denominators (S,)
-        proj = law.designs.conj() @ robust.denom_quad
+        # p_k * gk(v) = |(F^H v)_k|^2 + p_k * floor_k, (S, K), and the denominators (S,);
+        # v^H F row by row, so that no design's bits depend on the designs beside it
+        proj = np.vecdot(law.designs[..., None], robust.denom_quad, axis=-2)
         floors = [cfg.powers_watt[k] * _interferer_floor(stats, k) for k in range(1, stats.n_bs)]
         intf = proj.real ** 2 + proj.imag ** 2 + floors
         laws.append(law)

@@ -24,10 +24,11 @@ the unit-modulus projection of the final iterate.
 `run_stack` runs S designs in lockstep as one (S, Mr) iterate and calls the
 three steps once per iteration for the whole stack: `DesignObjective.sample`,
 `update_coefficients` (v, c0, c1 -> c0, c1) and `solve_surrogate`
-(v, c1 -> u); `run` is its stack of one.  Each step works on whole rows in a
-few numpy calls and builds its result in place, leaving its inputs
-unchanged.  The draws come a block of iterations at a time;
-`SscaState` only records the final iterate.
+(v, c1 -> u); `run` is its stack of one.  It runs every row it is given;
+which designs repeat is decided by its caller (`baselines.design_schemes`).
+Each step works on whole rows in a few numpy calls and builds its result
+in place, leaving its inputs unchanged.  The draws come a block of
+iterations at a time; `SscaState` only records the final iterate.
 
 `c1` stores the conjugate (ascent) form of the sampled gradient, which is
 what makes the closed-form surrogate maximizer an ascent step; the plain
@@ -79,7 +80,7 @@ class SolverConfig:
     gains; `SscaResult.tau_reg` reports it.
     """
 
-    iterations: int = 500               # T
+    iterations: int = 300               # T
     samples_per_iter: int = 10          # L
     rho_exponent: float = 0.6           # a in (0.5, 1]
     omega_exponent: float = 0.9         # b in (a, 1]
@@ -239,18 +240,16 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
     `solver_cfgs[i].seed`, whose other fields must agree, with the
     arithmetic of its stack of one: its result does not depend on the rows
     beside it, which may come from other scenarios of the same shape (Mr,
-    M0 and K).  So a row's result reads only its seed and objective, and
-    each distinct pair runs once: rows whose seeds are equal and whose
-    objectives are equal field by field (`DesignObjective.same`) run as
-    one row, and each gets its own result, trace, audit and probe lists.
-    Rows that share a seed share its one draw stream, drawn once a block
-    and copied to them; a stack whose seeds all differ draws one stream
-    per row.  Each row starts at v = 1, runs all T iterations,
-    calibrates tau after the first coefficient update (`_auto_tau`) and is
-    checked to stay in |v_n| <= 1 after every move.  Every `probe_every`
-    iterations the trace records the upper-bound rate that `probe` scores
-    at each row's deployed iterate, in one call for the whole stack (none
-    without a probe).  Per iteration and distinct seed, whatever L is:
+    M0 and K).  Every row given runs, equal rows included: a caller that
+    holds repeats runs each distinct design once
+    (`baselines.design_schemes`).  Rows that share a seed share its one
+    draw stream, drawn once a block and copied to them; a stack whose
+    seeds all differ draws one stream per row.  Each row starts at v = 1,
+    runs all T iterations, calibrates tau after the first coefficient
+    update (`_auto_tau`) and is checked to stay in |v_n| <= 1 after every
+    move.  Every `probe_every` iterations the trace records the
+    upper-bound rate that `probe` scores at each row's deployed iterate, in
+    one call for the whole stack (none without a probe).  Per iteration and distinct seed, whatever L is:
     Mr + M0 + 1 Gaussian values and one gamma value
     (`DesignObjective.sample`), drawn a block of iterations at a time (at
     most `BLOCK_BYTES` of buffers for the whole stack) and equal value for
@@ -270,30 +269,22 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
         raise ValueError("a stack needs one design per solver setting, and settings "
                          "that differ only in the seed")
     probe_every = solver_cfg.probe_every if probe is not None else 0
-    # a row's result reads only its seed and objective: each distinct pair runs once
-    firsts, index = [], []          # the distinct rows, and the one each row reads
-    for s, d in zip(solver_cfgs, designs):
-        match = next((j for j, f in enumerate(firsts) if solver_cfgs[f].seed == s.seed
-                      and designs[f].same(d)), len(firsts))
-        if match == len(firsts):
-            firsts.append(len(index))
-        index.append(match)
-    seeds = list(dict.fromkeys(solver_cfgs[f].seed for f in firsts))
-    design = DesignObjective.stack([designs[f] for f in firsts])
-    rows, mr, m0 = len(firsts), design.irs_size, design.g_row.shape[-2]
+    seeds = list(dict.fromkeys(s.seed for s in solver_cfgs))
+    design = DesignObjective.stack(designs)
+    rows, mr, m0 = len(designs), design.irs_size, design.g_row.shape[-2]
     n, steps = solver_cfg.samples_per_iter, solver_cfg.iterations
     v = np.ones((rows, mr), dtype=complex)
     c0, c1 = np.zeros(rows), np.zeros((rows, mr), dtype=complex)
 
     # one draw stream per seed, read by every row of that seed
     g_rngs, h_rngs = zip(*(named_child(seed, "solver").spawn(2) for seed in seeds))
-    streams = [seeds.index(solver_cfgs[f].seed) for f in firsts]
+    streams = [seeds.index(s.seed) for s in solver_cfgs]
     # per row and iteration: 2 normals and 1 complex a Gaussian value, and 1 gamma
     block = max(1, BLOCK_BYTES // (rows * (32 * (m0 + mr + 1) + 8)))
     draws = zip(crandn_blocks(g_rngs, [(m0,), (mr,), ()], steps, block, streams),  # s, w, nu
                 gamma_blocks(h_rngs, m0 * (n - 1), steps, block, streams))         # r
     tau_reg = None
-    audits = [[] for _ in index]
+    audits = [[] for _ in range(rows)]
     history = np.full((3, steps, rows), math.nan)           # c0, gap and UB probe
 
     for t, (normals, r) in enumerate(draws, start=1):
@@ -306,7 +297,7 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
         step = v_bar - v
         history[0, t - 1], history[1, t - 1] = c0, np.sqrt(np.vecdot(step, step).real)
         if audit:
-            for i, entries in zip(index, audits):
+            for i, entries in enumerate(audits):
                 entries.append({"t": t, "v_prev": v[i], "c0": float(c0[i]), "c1": c1[i],
                                 "tau_reg": float(tau_reg[i, 0]), "v_bar": v_bar[i]})
         # v + omega (v_bar - v), built in the step array: the audit keeps views of v
@@ -317,12 +308,10 @@ def run_stack(solver_cfgs: Sequence[SolverConfig], designs: Sequence[DesignObjec
         if probe_every and t % probe_every == 0:
             history[2, t - 1] = [_log2_1p(x) for x in probe.expected(_unit_modulus(v))[0]]
 
-    # every requested row gets its own arrays and lists
-    c0s, gaps, probes = history[..., index].transpose(0, 2, 1).tolist()
-    v, c0, c1, tau_reg = v[index], c0[index], c1[index], tau_reg[index]
+    c0s, gaps, probes = history.transpose(0, 2, 1).tolist()
     return [SscaResult(v=project_unit_modulus(v[i]),
                        trace=SscaTrace(list(range(1, steps + 1)), c0s[i], gaps[i], probes[i],
                                        audits[i]),
                        state=SscaState(steps, v[i], float(c0[i]), c1[i]),
                        tau_reg=float(tau_reg[i, 0]))
-            for i in range(len(index))]
+            for i in range(rows)]

@@ -34,8 +34,8 @@ from irsopt.rate import (
     gk,
     interference_quadratic,
     phase_array,
-    same_value,
     upper_bound_rate_closed_form,
+    value_key,
 )
 from irsopt.cli import SweepSpec, run_sweep
 from irsopt.streams import crandn, named_children
@@ -380,14 +380,14 @@ def test_upper_bound_rejects_a_design_of_the_wrong_length(preset_stats, preset_c
             upper_bound_rate_closed_form(v, preset_stats, preset_cfg)
 
 
-def test_same_value_is_equality_bit_for_bit():
-    # the rule that merges equal solver rows and broadcasts equal stack fields
+def test_value_key_is_equality_bit_for_bit():
+    # the rule that finds repeated scheme designs and broadcasts equal stack fields
     a = np.array([1.0, -0.0, np.nan])
-    assert same_value(a, a.copy()) and same_value(0.5, np.float64(0.5))
-    assert not same_value(a, np.array([1.0, 0.0, np.nan]))          # -0.0 is not 0.0
-    assert not same_value(np.zeros(2), np.zeros(2, dtype=complex))
-    assert not same_value(np.zeros(2), np.zeros((1, 2)))
-    assert not same_value(np.zeros(2), np.array([0.0, 1e-300]))
+    assert value_key(a) == value_key(a.copy()) and value_key(0.5) == value_key(np.float64(0.5))
+    assert value_key(a) != value_key(np.array([1.0, 0.0, np.nan]))   # -0.0 is not 0.0
+    assert value_key(np.zeros(2)) != value_key(np.zeros(2, dtype=complex))
+    assert value_key(np.zeros(2)) != value_key(np.zeros((1, 2)))
+    assert value_key(np.zeros(2)) != value_key(np.array([0.0, 1e-300]))
 
 
 def test_fig3_rows_stack_each_shared_field_once(preset_cfg):
@@ -1028,6 +1028,27 @@ def test_each_point_checks_its_design_stack_once(small_cfg, small_stats, preset_
                      n_samples=2 * _MC_CHUNK + 1, seed=4)
     run_sweep(spec, preset_cfg.replace(irs_grid=(2, 2)), str(tmp_path))
     assert checked == [4, 4]
+
+
+@pytest.mark.parametrize("delta", [1e-6, 0.3])
+def test_a_designs_report_does_not_depend_on_the_design_beside_it(preset_cfg, delta):
+    # every per-design product is taken row by row, so a design's report has
+    # the same bits in a stack of two as alone: 200 random two-design stacks
+    # at Mr = 9, where a product over the whole stack once rounded row 1
+    # differently, all evaluated in one call (points of one shape share draws)
+    cfg = preset_cfg.replace(irs_grid=(3, 3), bs_grids=((2, 2),) * 3, delta1=delta, delta2=delta)
+    stats = build_statistics(cfg)
+    rng = np.random.default_rng(11)
+    pairs = [[random_phase_vector(rng, stats.irs_size) for _ in range(2)] for _ in range(200)]
+    points = [(pair, stats, cfg) for pair in pairs]
+    points += [([v], stats, cfg) for pair in pairs for v in pair]
+    reports = ergodic_rates_mc_points(points, 120, 3)
+    together, alone = reports[:200], reports[200:]
+    for i, stack_reports in enumerate(together):
+        for j, got in enumerate(stack_reports):
+            (want,) = alone[2 * i + j]
+            assert got.to_dict() == want.to_dict(), (i, j)
+            assert np.array_equal(got.rate_samples, want.rate_samples), (i, j)
 
 
 def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
