@@ -131,7 +131,7 @@ def steering_vector(azimuth: float, elevation: float, grid: tuple[int, int],
     m_rows, n_cols = grid
     if m_rows < 1 or n_cols < 1:
         raise ValueError(f"grid axes must be >= 1, got {grid}")
-    if spacing <= 0:
+    if not spacing > 0:                             # rejects NaN too
         raise ValueError(f"element spacing must be positive, got {spacing}")
     m = np.arange(m_rows)[:, None]
     n = np.arange(n_cols)[None, :]
@@ -483,11 +483,6 @@ class SlotDraws:
     error: np.ndarray                       # (n, 5): N, the error noise over its std
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^H b over the last axis: one BLAS dot per row, whatever rows sit beside it."""
-    return (np.conj(a)[..., None, :] @ b[..., None])[..., 0, 0]
-
-
 class CombinedChannels:
     """The serving link's combined channels at one point for a stack of
     unit-modulus designs vs (S, Mr), x = g_true^H v + h_true and
@@ -528,7 +523,9 @@ class CombinedChannels:
     """
 
     # designs per block in `matched_filter_signal`: each design adds about
-    # seven (n,) arrays to a block's peak, which a heap guard bounds
+    # seven (n,) arrays to a block's peak, so past one full block a design
+    # may grow the heap by its result row and its stack row only (a heap
+    # guard budgets that growth in bytes)
     _BLOCK = 2
 
     def __init__(self, stats: ChannelStatistics, vs):
@@ -603,8 +600,8 @@ class CombinedChannels:
         k = keep * h_true - noise * draws.error
         norm = self._row_norm
         return {"rz": norm * z[:, 0], "rh": norm * h_true[:, 0], "rk": norm * k[:, 0],
-                "zz": _inner(z, z).real, "zk": _inner(z, k), "hz": _inner(h_true, z),
-                "hk": _inner(h_true, k), "kk": _inner(k, k).real,
+                "zz": np.vecdot(z, z).real, "zk": np.vecdot(z, k), "hz": np.vecdot(h_true, z),
+                "hk": np.vecdot(h_true, k), "kk": np.vecdot(k, k).real,
                 "z0": z[:, :2] @ self._first_axis, "h0": h_true[:, :2] @ self._first_axis}
 
     def matched_filter_signal(self, draws: SlotDraws,

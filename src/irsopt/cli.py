@@ -176,8 +176,9 @@ def run_sweep(spec: SweepSpec, scenario: ScenarioConfig, out_dir: str) -> list[d
     designs = design_schemes([scheme(name) for name in spec.schemes], solvers, points)
     reports = evaluate_designs(designs, points, spec.n_samples, child_seed(spec.seed, "eval"))
 
-    rows = [_row(scenario.name, spec, value, name, report, cfg.config_hash())
-            for value, (_, cfg), point_reports in zip(spec.values, points, reports)
+    hashes = [cfg.config_hash() for _, cfg in points]
+    rows = [_row(scenario.name, spec, value, name, report, point_hash)
+            for value, point_hash, point_reports in zip(spec.values, hashes, reports)
             for name, report in zip(spec.schemes, point_reports)]
     with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

@@ -44,7 +44,7 @@ def user_position_on_bisector(distance: float) -> tuple[float, float]:
     for user placement: the perpendicular bisector of the two interfering
     BSs of the default layout, which passes through the origin with
     direction (cos 30deg, sin 30deg)."""
-    if distance <= 0:
+    if not distance > 0:                            # rejects NaN too
         raise ValueError(f"distance must be positive, got {distance}")
     return (distance * SQRT3 / 2.0, distance / 2.0)
 

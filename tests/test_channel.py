@@ -104,6 +104,12 @@ def test_steering_single_element():
     assert a[0] == 1.0 + 0.0j
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.5, math.nan])
+def test_steering_rejects_a_spacing_that_is_not_positive(spacing):
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        steering_vector(0.1, 0.2, (2, 2), spacing)
+
+
 def test_los_matrix_unit_modulus_and_rank(preset_cfg):
     # each dense BS->IRS LoS a_rx a_tx^H (`los_bs_irs`) is unit-modulus and rank one
     rng = np.random.default_rng(1)

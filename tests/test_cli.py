@@ -20,7 +20,7 @@ from irsopt.cli import (
     main,
     run_sweep,
 )
-from irsopt.config import user_position_on_bisector
+from irsopt.config import ScenarioConfig, user_position_on_bisector
 from irsopt.rate import DesignObjective
 from irsopt.ssca import SolverConfig
 from irsopt.streams import child_seed
@@ -129,6 +129,27 @@ def test_run_sweep_deterministic_bytes(tmp_path, preset_cfg):
     run_sweep(_tiny_sweep(seed=5), cfg, str(out_b))
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+
+
+def test_run_sweep_hashes_each_point_once(tmp_path, preset_cfg, monkeypatch):
+    # two points of two schemes: one hash per point and one for the manifest,
+    # and every row carries its own point's hash
+    cfg = preset_cfg.replace(bs_grids=((2, 2),) * 3)
+    spec = _tiny_sweep(seed=5, schemes=("robust-with-intf", "nonrobust-no-intf"))
+    hashed = []
+    config_hash = ScenarioConfig.config_hash
+
+    def counting(self):
+        hashed.append(self.irs_grid)
+        return config_hash(self)
+
+    monkeypatch.setattr(ScenarioConfig, "config_hash", counting)
+    rows = run_sweep(spec, cfg, str(tmp_path))
+    monkeypatch.undo()
+    assert sorted(hashed) == sorted([cfg.irs_grid, (2, 2), (3, 3)])
+    assert [row["config_hash"] for row in rows] == [
+        apply_sweep_value(cfg, spec.param, value).config_hash()
+        for value in spec.values for _ in spec.schemes]
 
 
 def test_run_sweep_takes_numpy_integers(tmp_path, preset_cfg):

@@ -61,8 +61,9 @@ def test_user_position_on_bisector():
     x, y = user_position_on_bisector(200.0 * SQRT3)
     assert np.isclose(x, 300.0, atol=1e-9)
     assert np.isclose(y, 100.0 * SQRT3, atol=1e-9)
-    with pytest.raises(ValueError):
-        user_position_on_bisector(0.0)
+    for distance in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            user_position_on_bisector(distance)
 
 
 def test_unknown_preset():

@@ -1051,22 +1051,42 @@ def test_a_designs_report_does_not_depend_on_the_design_beside_it(preset_cfg, de
             assert np.array_equal(got.rate_samples, want.rate_samples), (i, j)
 
 
-def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
-    # Mr = 256, one 512-sample chunk: holding a per-design (n, Mr) or (n, M0)
-    # array for every design at once would show against this bound
-    cfg = preset_cfg.replace(irs_grid=(16, 16))
+def _heap_growth_per_design(cfg) -> tuple[float, float]:
+    """The evaluator's traced heap peak growth per design from S = 2 to 14
+    designs at Mr = 256 and one n = 512 chunk, and its budget in bytes: one
+    design's result row (n floats) and stack row (Mr complex), 50% slack.
+    S = 2 is one full block at `CombinedChannels._BLOCK` = 2; it is fixed
+    here so that a block-size edit still shows in the difference."""
+    n = 512
+    cfg = cfg.replace(irs_grid=(16, 16))
     stats = build_statistics(cfg)
     rng = np.random.default_rng(5)
     vs = [random_phase_vector(rng, stats.irs_size) for _ in range(14)]
     peaks = {}
-    for count in (1, 14):
+    for count in (2, 14):
         tracemalloc.start()
         try:
-            ergodic_rates_mc_points([(vs[:count], stats, cfg)], 512, 4)
+            ergodic_rates_mc_points([(vs[:count], stats, cfg)], n, 4)
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[14] < 1.5 * peaks[1], peaks
+    return (peaks[14] - peaks[2]) / 12, 1.5 * (8 * n + 16 * stats.irs_size)
+
+
+def test_stacked_evaluation_heap_does_not_grow_with_designs(preset_cfg):
+    # holding a per-design (n, Mr) or (n, M0) array, or a block that grows
+    # with S, for every design at once would show against this budget
+    growth, budget = _heap_growth_per_design(preset_cfg)
+    assert budget == 12_288
+    assert growth <= budget, (growth, budget)
+
+
+@pytest.mark.parametrize("block", [14, 4])
+def test_heap_guard_fails_blocks_that_grow_with_designs(preset_cfg, monkeypatch, block):
+    # all 14 designs in one block, or 4 to a block, grow the peak past the budget
+    monkeypatch.setattr(CombinedChannels, "_BLOCK", block)
+    growth, budget = _heap_growth_per_design(preset_cfg)
+    assert growth > budget, (growth, budget)
 
 
 def test_one_design_heap_holds_no_irs_sized_array(preset_cfg):
